@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Collection, Optional
 
 import numpy as np
 
@@ -114,27 +114,47 @@ def local_frontiers(frontiers: list[Cell], pose: Pose, ir: IrConfig,
 
 
 def _dijkstra(free: np.ndarray, start: Cell, cell_size: float,
-              goal: Optional[Cell] = None) -> tuple[np.ndarray, dict[Cell, Cell]]:
-    """Uniform-cost search over free cells, 8-connected.
+              goals: Collection[Cell] = (), settle: Collection[Cell] = ()
+              ) -> tuple[np.ndarray, dict[Cell, Cell], Optional[Cell]]:
+    """Uniform-cost search over free cells, 8-connected, from `start`.
 
-    Ties in path cost resolve by row-major pop order, which makes the parents
-    (and therefore extracted paths) deterministic. Stops early when `goal` is
-    settled.
+    Returns (dist, parents, nearest): dist holds the path cost in meters of
+    every cell the search reached (inf elsewhere), parents maps each reached
+    cell to its predecessor, and nearest is the first cell of `goals` to be
+    settled (None when no goal is reachable).
+
+    The search stops as soon as at least one cell of `goals` and every cell
+    of `settle` have been settled; with no goals it runs until the heap is
+    empty, i.e. over the whole free component of `start`. Stopping early
+    changes nothing already settled. The heap pops in (dist, row-major index)
+    order, and every push has a larger cost than the pop that made it, so the
+    settled sequence is exactly the prefix of the full search's: each settled
+    cell has its final dist and parent (a parent only changes on a strictly
+    shorter cost), and `nearest` is the reachable goal with the smallest
+    (dist, row-major index), the row-major tie-break of the full search.
+    Cells reached but not yet settled may hold a larger-than-final dist.
     """
     height, width = free.shape
     dist = np.full((height, width), np.inf)
     parents: dict[Cell, Cell] = {}
     if not free[start[1], start[0]]:
-        return dist, parents
+        return dist, parents, None
+    goals = set(goals)
+    unsettled = set(settle)
+    nearest: Optional[Cell] = None
     dist[start[1], start[0]] = 0.0
     heap: list[tuple[float, int, Cell]] = [(0.0, start[1] * width + start[0], start)]
     settled = np.zeros((height, width), dtype=bool)
     while heap:
-        d, _, (cx, cy) = heapq.heappop(heap)
+        d, _, cell = heapq.heappop(heap)
+        cx, cy = cell
         if settled[cy, cx]:
             continue
         settled[cy, cx] = True
-        if goal is not None and (cx, cy) == goal:
+        unsettled.discard(cell)
+        if nearest is None and cell in goals:
+            nearest = cell
+        if nearest is not None and not unsettled:
             break
         for dx, dy, step in _STEPS:
             nx, ny = cx + dx, cy + dy
@@ -143,9 +163,9 @@ def _dijkstra(free: np.ndarray, start: Cell, cell_size: float,
             nd = d + step * cell_size
             if nd < dist[ny, nx]:
                 dist[ny, nx] = nd
-                parents[(nx, ny)] = (cx, cy)
+                parents[(nx, ny)] = cell
                 heapq.heappush(heap, (nd, ny * width + nx, (nx, ny)))
-    return dist, parents
+    return dist, parents, nearest
 
 
 def _extract_path(parents: dict[Cell, Cell], start: Cell, goal: Cell) -> list[Cell]:
@@ -156,14 +176,18 @@ def _extract_path(parents: dict[Cell, Cell], start: Cell, goal: Cell) -> list[Ce
     return path
 
 
-def plan_path(occupancy: OccupancyMap, start: Cell, goal: Cell) -> Optional[list[Cell]]:
+def plan_path(occupancy: OccupancyMap, start: Cell, goal: Cell,
+              force_free: Collection[Cell] = ()) -> Optional[list[Cell]]:
     """Shortest 8-connected path through belief-free cells, or None if unreachable.
 
-    The returned path includes both endpoints; its cost is the sum of
-    Euclidean step lengths in meters.
+    Cells listed in `force_free` (inside the map) count as free whatever the
+    belief says, for cells the caller knows to be traversable. The returned
+    path includes both endpoints; its cost is the sum of Euclidean step
+    lengths in meters.
     """
-    labels = occupancy.classify()
-    free = labels == Label.FREE
+    free = occupancy.classify() == Label.FREE
+    for x, y in force_free:
+        free[y, x] = True
     if not (0 <= start[0] < occupancy.width and 0 <= start[1] < occupancy.height):
         raise ValueError("start cell outside map")
     if not free[start[1], start[0]]:
@@ -174,8 +198,8 @@ def plan_path(occupancy: OccupancyMap, start: Cell, goal: Cell) -> Optional[list
         return None
     if start == goal:
         return [start]
-    dist, parents = _dijkstra(free, start, occupancy.cell_size, goal=goal)
-    if not np.isfinite(dist[goal[1], goal[0]]):
+    _, parents, nearest = _dijkstra(free, start, occupancy.cell_size, goals=(goal,))
+    if nearest is None:
         return None
     return _extract_path(parents, start, goal)
 
@@ -218,6 +242,33 @@ def _heading_select() -> SelectFn:
                 best_cell = cell
         return best_cell, 0.0, "heading"
     return pick
+
+
+def _decide(free: np.ndarray, start: Cell, cell_size: float, frontiers: list[Cell],
+            wedge: list[Cell], pick: Callable[[list[Cell]], tuple[Cell, float, str]]
+            ) -> Optional[tuple[Cell, float, str, list[Cell]]]:
+    """One planning decision: (goal, loss, mode, path), or None when no
+    frontier is reachable from `start`.
+
+    The goal is `pick`'s choice among the reachable frontiers of the IR wedge
+    or, when none is reachable, the nearest reachable frontier of all. Both
+    selectors rank each candidate by a key of its own, so a choice made over
+    the whole wedge stands whenever it is reachable. The search therefore
+    only runs until that choice is settled (with an empty wedge, until the
+    nearest frontier is); only when the choice turns out to be unreachable
+    has it covered the whole component, and `pick` chooses again among the
+    wedge frontiers it reached.
+    """
+    choice = pick(wedge) if wedge else None
+    dist, parents, nearest = _dijkstra(free, start, cell_size, goals=frontiers,
+                                       settle=[choice[0]] if choice is not None else ())
+    if nearest is None:
+        return None
+    if choice is not None and not np.isfinite(dist[choice[0][1], choice[0][0]]):
+        local = [c for c in wedge if np.isfinite(dist[c[1], c[0]])]
+        choice = pick(local) if local else None
+    goal, loss, mode = choice if choice is not None else (nearest, 0.0, "nearest_global")
+    return goal, loss, mode, _extract_path(parents, start, goal)
 
 
 class _Explorer:
@@ -328,18 +379,14 @@ class _Explorer:
                 break
             current_cell = self.world.cell_of(self.pose.x, self.pose.y)
             free = self.occupancy.classify() == Label.FREE
-            dist, parents = _dijkstra(free, current_cell, self.world.cell_size)
-            reachable = [c for c in frontiers if np.isfinite(dist[c[1], c[0]])]
-            if not reachable:
-                break
-            local = local_frontiers(reachable, self.pose, self.sensors.ir,
+            wedge = local_frontiers(frontiers, self.pose, self.sensors.ir,
                                     self.world.cell_size)
-            if local:
-                goal, loss, mode = self.select(local, self.objects, self.occupancy, self.pose)
-            else:
-                goal = min(reachable,
-                           key=lambda c: (dist[c[1], c[0]], _row_major(c, self.world.width)))
-                loss, mode = 0.0, "nearest_global"
+            decision = _decide(free, current_cell, self.world.cell_size, frontiers, wedge,
+                               lambda cells: self.select(cells, self.objects,
+                                                         self.occupancy, self.pose))
+            if decision is None:
+                break
+            goal, loss, mode, path = decision
 
             curiosity_now = total_curiosity(self.objects, self.params)
 
@@ -362,7 +409,6 @@ class _Explorer:
                 continue
             stalled = 0
 
-            path = _extract_path(parents, current_cell, goal)
             self.steps.append(StepRecord(step_idx, self.pose, goal, loss, curiosity_now,
                                          path_cost(path, self.world.cell_size),
                                          self.elapsed, mode))

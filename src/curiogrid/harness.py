@@ -76,13 +76,26 @@ class ExperimentConfig:
             raise ConfigError("samples_per_zone must be at least 1")
         if not self.alphas or not self.betas:
             raise ConfigError("alpha and beta lists must be non-empty")
-        if self.lambda1 >= self.lambda2:
-            raise ConfigError("lambda1 must be below lambda2")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
-        for name in ("ir_range", "cam_range", "max_velocity", "budget"):
+        for name in sorted(_FLOAT_KEYS):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+        for name in ("ir_range", "cam_range", "max_velocity", "budget", "curiosity_b"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.eta is not None and self.eta <= 0:
+            raise ConfigError("eta must be positive")
+        if not 0.0 < self.detection_threshold < 1.0:
+            raise ConfigError("detection_threshold must be in (0, 1)")
+        for name in ("alphas", "betas"):
+            if not all(0.0 < v <= 2.0 * math.pi for v in getattr(self, name)):
+                raise ConfigError(f"{name}_deg values must be in (0, 360]")
+        try:
+            self.mapping_config()  # probability ranges and threshold order
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def maps(self) -> list[tuple[str, str]]:
         out = []
@@ -204,11 +217,11 @@ def placement_seed(base_seed: int, map_index: int, zone_id: int) -> int:
     return base_seed * 9973 + map_index * 101 + zone_id
 
 
-def _ground_truth_reachable(world: GridWorld, cell: tuple[int, int]) -> bool:
-    free = ~world.occupied
+def _ground_truth_reachable(world: GridWorld) -> np.ndarray:
+    """Mask of the cells reachable from the start over ground-truth free cells."""
     start = world.cell_of(world.start.x, world.start.y)
-    dist, _ = _dijkstra(free, start, world.cell_size)
-    return bool(np.isfinite(dist[cell[1], cell[0]]))
+    dist = _dijkstra(~world.occupied, start, world.cell_size)[0]
+    return np.isfinite(dist)
 
 
 def run_trial(map_text: str, placement: tuple[int, int], method: str,
@@ -288,11 +301,12 @@ def run_zone_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None,
         map_text = Path(map_path).read_text()
         world = load_map(map_text)
         zones = load_zones(zone_text, world)
+        reachable_mask = _ground_truth_reachable(world)
         for zone_id in sorted(zones):
             seed = placement_seed(cfg.seed, map_index, zone_id)
             placements = sample_zone_points(zones[zone_id], cfg.samples_per_zone, seed)
             for placement in placements:
-                reachable = _ground_truth_reachable(world, placement)
+                reachable = bool(reachable_mask[placement[1], placement[0]])
                 for method in METHODS:
                     tasks.append((map_id, map_text, zone_id, placement, method,
                                   alpha, beta, cfg, reachable))

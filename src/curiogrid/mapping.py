@@ -139,14 +139,6 @@ class OccupancyMap:
         out[p > self.cfg.p_occ_min] = Label.OCCUPIED
         return out
 
-    def free_mask(self) -> np.ndarray:
-        return self.probabilities() < self.cfg.p_free_max
-
-    def copy(self) -> "OccupancyMap":
-        dup = OccupancyMap(self.width, self.height, self.cell_size, self.cfg)
-        dup.log_odds = self.log_odds.copy()
-        return dup
-
 
 class ObjectMap:
     """Per-cell probability that the target object occupies the cell."""

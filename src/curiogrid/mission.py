@@ -139,20 +139,6 @@ def grab_maneuver(pose: Pose, target: Cell, motion: MotionConfig,
     return final, cost
 
 
-def _plan_lenient(occupancy, start: Cell, goal: Cell):
-    """Plan between cells that are known traversable even if belief lags.
-
-    The robot's own footprint is free by virtue of standing on it, and a
-    tracked object cell was positively sighted by the camera; early
-    detections can leave both still unknown in the occupancy belief.
-    """
-    scratch = occupancy.copy()
-    strong_free = math.log(0.01 / 0.99)
-    scratch.log_odds[start[1], start[0]] = strong_free
-    scratch.log_odds[goal[1], goal[0]] = strong_free
-    return plan_path(scratch, start, goal)
-
-
 @dataclass(frozen=True)
 class MissionRecord:
     timestamp: float
@@ -204,8 +190,11 @@ def run_mission(world: GridWorld, sensors: SensorSuite,
         target = result.target_estimate
         tx, ty = world.cell_center(target)
         if math.hypot(tx - pose.x, ty - pose.y) > grab_range:
+            # The robot's own cell is free by virtue of standing on it, and the
+            # object cell was positively sighted by the camera; an early
+            # detection can leave both still unknown in the occupancy belief.
             cell = world.cell_of(pose.x, pose.y)
-            path = _plan_lenient(result.occupancy, cell, target)
+            path = plan_path(result.occupancy, cell, target, force_free=(cell, target))
             if path is not None:
                 for step in path[1:]:
                     x, y = world.cell_center(step)
@@ -231,7 +220,8 @@ def run_mission(world: GridWorld, sensors: SensorSuite,
         t += grab_cost
         fire(MissionEvent.GRAB_COMPLETE)
         home = world.cell_of(world.start.x, world.start.y)
-        back = _plan_lenient(result.occupancy, world.cell_of(pose.x, pose.y), home)
+        cell = world.cell_of(pose.x, pose.y)
+        back = plan_path(result.occupancy, cell, home, force_free=(cell, home))
         if back is not None:
             t += path_cost(back, world.cell_size) / motion.max_velocity
         fire(MissionEvent.RETRACT_COMPLETE, object_aboard=True)
@@ -240,7 +230,8 @@ def run_mission(world: GridWorld, sensors: SensorSuite,
         fire(MissionEvent.FRONTIERS_EXHAUSTED)
         pose = result.trajectory[-1]
         home = world.cell_of(world.start.x, world.start.y)
-        back = _plan_lenient(result.occupancy, world.cell_of(pose.x, pose.y), home)
+        cell = world.cell_of(pose.x, pose.y)
+        back = plan_path(result.occupancy, cell, home, force_free=(cell, home))
         if back is not None:
             t += path_cost(back, world.cell_size) / motion.max_velocity
         fire(MissionEvent.RETRACT_COMPLETE, object_aboard=False)

@@ -79,8 +79,8 @@ class GridWorld:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise MapError("world dimensions must be at least 1x1")
-        if self.cell_size <= 0:
-            raise MapError("cell_size must be positive")
+        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
+            raise MapError("cell_size must be a positive finite number")
         if self.occupied.shape != (self.height, self.width):
             raise MapError("occupancy array shape does not match dimensions")
         self.occupied.setflags(write=False)
@@ -133,8 +133,10 @@ def load_map(text: str) -> GridWorld:
         heading = float(m.group(2))
     except ValueError as exc:
         raise MapError(f"invalid header value: {exc}") from None
-    if cell_size <= 0:
-        raise MapError("cellsize must be positive")
+    if not (math.isfinite(cell_size) and cell_size > 0):
+        raise MapError(f"cellsize must be a positive finite number, got {m.group(1)!r}")
+    if not math.isfinite(heading):
+        raise MapError(f"heading must be a finite number, got {m.group(2)!r}")
 
     rows = lines[1:]
     if not rows:

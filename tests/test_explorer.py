@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from curiogrid.explorer import (MotionConfig, SensorSuite, detect_frontiers,
-                                explore_cdos, explore_rapid_frontier, local_frontiers,
-                                path_cost, plan_path)
+from curiogrid.explorer import (MotionConfig, SensorSuite, _decide, _dijkstra,
+                                _extract_path, detect_frontiers, explore_cdos,
+                                explore_rapid_frontier, local_frontiers, path_cost,
+                                plan_path)
 from curiogrid.harness import steps_jsonl
 from curiogrid.mapping import Label, OccupancyMap, logit, to_pgm
 from curiogrid.sensor import CameraConfig, IrConfig
@@ -121,6 +123,19 @@ class TestPlanPath:
         occ.log_odds[2, 1] = logit(0.9)
         assert plan_path(occ, (0, 1), (2, 1)) is None
 
+    def test_force_free_opens_unknown_endpoints_only(self):
+        occ = known_free_map(["....", "....", "...."])
+        occ.log_odds[1, 0] = 0.0  # unknown start
+        occ.log_odds[1, 3] = 0.0  # unknown goal
+        occ.log_odds[:, 2] = 0.0  # unknown wall between them
+        with pytest.raises(ValueError):
+            plan_path(occ, (0, 1), (3, 1))
+        assert plan_path(occ, (0, 1), (3, 1), force_free=[(0, 1), (3, 1)]) is None
+        occ.log_odds[:, 2] = logit(0.05)
+        assert plan_path(occ, (0, 1), (3, 1), force_free=[(0, 1), (3, 1)]) == [
+            (0, 1), (1, 1), (2, 1), (3, 1)]
+        assert occ.log_odds[1, 0] == 0.0  # the belief itself is untouched
+
     def test_cost_matches_uniform_cost_oracle_on_random_maps(self):
         rng = np.random.default_rng(50)
         for _ in range(50):
@@ -136,6 +151,103 @@ class TestPlanPath:
             else:
                 assert path_cost(path, 1.0) == pytest.approx(want, abs=1e-9)
                 assert all(not grid[y, x] for x, y in path)
+
+
+@st.composite
+def decision_searches(draw):
+    """A free mask, a free start cell, row-major frontiers, a wedge subset and
+    a score per frontier (few values, so that picks tie)."""
+    height = draw(st.integers(1, 8))
+    width = draw(st.integers(1, 8))
+    flat = draw(st.lists(st.booleans(), min_size=height * width, max_size=height * width))
+    free = np.array(flat, dtype=bool).reshape(height, width)
+    start = (draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1)))
+    free[start[1], start[0]] = True
+    free_cells = [(x, y) for y in range(height) for x in range(width) if free[y, x]]
+    frontiers = [c for c in free_cells if draw(st.booleans())]
+    wedge = [c for c in frontiers if draw(st.booleans())]
+    scores = {c: draw(st.integers(0, 2)) for c in frontiers}
+    return free, start, frontiers, wedge, scores
+
+
+def _pick_by(scores, width):
+    """A selector that, like both explorers', ranks each candidate on its own."""
+    def pick(cells):
+        best = min(cells, key=lambda c: (scores[c], c[1] * width + c[0]))
+        return best, float(scores[best]), "pick"
+    return pick
+
+
+def _full_search_decision(free, start, cell_size, frontiers, wedge, pick):
+    """A whole-component search, then the reachable filter, the pick among
+    reachable wedge frontiers and the (dist, row-major) nearest-global
+    fallback, applied to its result."""
+    dist, parents, _ = _dijkstra(free, start, cell_size)
+    reachable = [c for c in frontiers if np.isfinite(dist[c[1], c[0]])]
+    if not reachable:
+        return None
+    local = [c for c in wedge if c in reachable]
+    if local:
+        goal, loss, mode = pick(local)
+    else:
+        width = free.shape[1]
+        goal = min(reachable, key=lambda c: (dist[c[1], c[0]], c[1] * width + c[0]))
+        loss, mode = 0.0, "nearest_global"
+    return goal, loss, mode, _extract_path(parents, start, goal)
+
+
+class TestDecisionSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(decision_searches(), st.sampled_from([0.25, 0.5, 1.0]))
+    def test_decision_matches_full_search(self, case, cell_size):
+        free, start, frontiers, wedge, scores = case
+        pick = _pick_by(scores, free.shape[1])
+        assert (_decide(free, start, cell_size, frontiers, wedge, pick)
+                == _full_search_decision(free, start, cell_size, frontiers, wedge, pick))
+
+    @settings(max_examples=300, deadline=None)
+    @given(decision_searches(), st.sampled_from([0.25, 0.5, 1.0]))
+    def test_settling_a_subset_matches_full_search(self, case, cell_size):
+        free, start, frontiers, wedge, _ = case
+        full_dist, full_parents, _ = _dijkstra(free, start, cell_size)
+        reachable = [c for c in frontiers if np.isfinite(full_dist[c[1], c[0]])]
+        width = free.shape[1]
+        want_nearest = min(reachable, default=None,
+                           key=lambda c: (full_dist[c[1], c[0]], c[1] * width + c[0]))
+        dist, parents, nearest = _dijkstra(free, start, cell_size,
+                                           goals=frontiers, settle=wedge)
+        local = [c for c in wedge if np.isfinite(dist[c[1], c[0]])]
+        assert local == [c for c in wedge if c in reachable]
+        assert nearest == want_nearest
+        for goal in local + ([nearest] if nearest is not None else []):
+            assert dist[goal[1], goal[0]] == full_dist[goal[1], goal[0]]
+            assert (_extract_path(parents, start, goal)
+                    == _extract_path(full_parents, start, goal))
+
+    def test_unreachable_wedge_frontier_searches_whole_component(self):
+        free = np.array([[True, True, True, False, True],
+                         [True, True, True, False, True],
+                         [True, True, True, False, True]])
+        start = (0, 1)
+        frontiers = [(2, 0), (4, 1), (1, 2)]
+        wedge = [(2, 0), (4, 1)]  # (4, 1) lies beyond the wall
+        full_dist, full_parents, _ = _dijkstra(free, start, 1.0)
+        dist, parents, nearest = _dijkstra(free, start, 1.0, goals=frontiers, settle=wedge)
+        assert np.array_equal(dist, full_dist)
+        assert parents == full_parents
+        assert nearest == (1, 2)
+        # The pick prefers the cut-off frontier, then falls back to the reachable one.
+        pick = _pick_by({(2, 0): 1, (4, 1): 0, (1, 2): 2}, 5)
+        assert _decide(free, start, 1.0, frontiers, wedge, pick) == (
+            (2, 0), 1.0, "pick", [(0, 1), (1, 1), (2, 0)])
+        assert _decide(free, start, 1.0, frontiers, [(4, 1)], pick) == (
+            (1, 2), 0.0, "nearest_global", [(0, 1), (1, 2)])
+
+    def test_empty_wedge_stops_at_nearest_frontier(self):
+        free = np.ones((1, 12), dtype=bool)
+        dist, _, nearest = _dijkstra(free, (0, 0), 1.0, goals=[(9, 0), (3, 0)])
+        assert nearest == (3, 0)
+        assert np.isinf(dist[0, 5:]).all()  # the far end was never reached
 
 
 def _brute_force_cost(free, start, goal):

@@ -74,6 +74,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(workers=0)
 
+    @pytest.mark.parametrize("line, key", [
+        ("budget = nan", "budget"),
+        ("max_velocity = nan", "max_velocity"),
+        ("cam_range = nan", "cam_range"),
+        ("ir_range = inf", "ir_range"),
+        ("eta = nan", "eta"),
+        ("detection_threshold = 2", "detection_threshold"),
+        ("detection_threshold = 1", "detection_threshold"),
+        ("p_hit = 1.5", "p_hit"),
+        ("p_free_max = 0.8", "p_free_max"),
+        ("alphas_deg = 60 nan", "alphas_deg"),
+        ("betas_deg = 400", "betas_deg"),
+    ])
+    def test_out_of_range_value_names_key(self, line, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(line + "\n")
+
     def test_relative_paths_resolve_against_base_dir(self, tmp_path):
         (tmp_path / "a.map").write_text(TINY_MAP)
         (tmp_path / "exp.cfg").write_text("map_sparse = a.map\n")

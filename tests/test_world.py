@@ -60,6 +60,17 @@ class TestLoadMap:
         with pytest.raises(MapError):
             load_map("   \n  ")
 
+    @pytest.mark.parametrize("header, key", [
+        ("cellsize=nan heading=0.0", "cellsize"),
+        ("cellsize=inf heading=0.0", "cellsize"),
+        ("cellsize=-0.5 heading=0.0", "cellsize"),
+        ("cellsize=0.5 heading=nan", "heading"),
+        ("cellsize=0.5 heading=inf", "heading"),
+    ])
+    def test_non_finite_header_rejected(self, header, key):
+        with pytest.raises(MapError, match=key):
+            load_map(header + "\n.S.\n")
+
     def test_round_trip_identity(self):
         text = make_map(["#####", "#..T#", "#.S.#", "#####"], cell_size=0.25)
         assert serialize_map(load_map(text)) == text
