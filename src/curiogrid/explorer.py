@@ -216,6 +216,8 @@ def _row_major(cell: Cell, width: int) -> int:
     return cell[1] * width + cell[0]
 
 
+# A selector must rank each candidate on a key of its own, independent of the
+# other candidates: _decide relies on it to pick before searching.
 SelectFn = Callable[[list[Cell], ObjectMap, OccupancyMap, Pose], tuple[Cell, float, str]]
 
 
