@@ -36,7 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--method", choices=("cdos", "baseline"), default="cdos")
     p_explore.add_argument("--alpha", type=float, default=60.0, help="camera fov, degrees")
     p_explore.add_argument("--beta", type=float, default=30.0, help="IR fov, degrees")
-    p_explore.add_argument("--seed", type=int, default=0)
     p_explore.add_argument("--config", help="experiment config file (defaults packaged)")
     p_explore.add_argument("--render", help="directory for rendered maps and step log")
     p_explore.add_argument("--format", choices=("ascii", "pgm"), default="pgm")
@@ -66,7 +65,6 @@ def _config_from(args) -> "ExperimentConfig":
 
 def _cmd_explore(args) -> int:
     cfg = _config_from(args)
-    cfg = replace(cfg, seed=args.seed)
     world = load_map(Path(args.map).read_text())
     sensors = cfg.sensor_suite(math.radians(args.alpha), math.radians(args.beta))
     if args.method == "cdos":
@@ -104,10 +102,14 @@ def _cmd_zones(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _config_from(args)
-    values = None
     if args.values:
-        values = tuple(math.radians(float(v)) for v in args.values.split(","))
-    rows = run_fov_sweep(cfg, args.vary, values=values, out_dir=Path(args.out))
+        # Replacing the configured list applies the alphas_deg/betas_deg range check.
+        try:
+            values = tuple(math.radians(float(v)) for v in args.values.split(","))
+            cfg = replace(cfg, **{f"{args.vary}s": values})
+        except ValueError as exc:
+            raise ConfigError(f"--values: {exc}") from None
+    rows = run_fov_sweep(cfg, args.vary, out_dir=Path(args.out))
     for r in rows:
         if r.zone_id == 0:
             print(f"{r.vary}={r.value_deg:.0f}deg {r.map_id} {r.method}: "

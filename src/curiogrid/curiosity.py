@@ -18,7 +18,7 @@ import numpy as np
 
 from .mapping import Label, ObjectMap, OccupancyMap
 from .sensor import CameraConfig, beam_angles
-from .world import Cell, Pose, grid_ray
+from .world import Cell, Pose, trace_ray
 
 
 @dataclass(frozen=True)
@@ -83,18 +83,11 @@ def visible_from(occ_labels: np.ndarray, cell_size: float, pose: Pose,
     transparent. Blocking cells themselves are not part of the result, which
     mirrors the fact that blocked cells never receive object evidence.
     """
-    height, width = occ_labels.shape
     blocked = occ_labels == Label.OCCUPIED
     seen: dict[Cell, None] = {}
     for angle in beam_angles(pose.heading, cam.fov, cam.ray_count):
-        for cx, cy, t in grid_ray(pose.x, pose.y, angle, cell_size):
-            if t > cam.max_range:
-                break
-            if not (0 <= cx < width and 0 <= cy < height):
-                break
-            if blocked[cy, cx]:
-                break
-            seen.setdefault((cx, cy))
+        visited, _, _ = trace_ray(blocked, cell_size, pose.x, pose.y, angle, cam.max_range)
+        seen.update(dict.fromkeys(visited))
     return list(seen)
 
 
@@ -122,14 +115,13 @@ def _loss_over(raw: np.ndarray, classified: np.ndarray, occ_labels: np.ndarray,
                lambda1: float, lambda2: float, cell_size: float, current: Pose,
                candidate: Pose, cam: CameraConfig, params: CuriosityParams,
                leads_only: bool = False) -> float:
-    quarter = 4.0 * params.stiffness
     loss = 0.0
     for cx, cy in visible_from(occ_labels, cell_size, candidate, cam):
         p_raw = raw[cy, cx]
         if leads_only and not p_raw > 0.5:
             continue
         p_class = classified[cy, cx]
-        c_now = max(0.0, -((p_class + params.offset) ** 2) / quarter + params.peak)
+        c_now = cell_curiosity(p_class, params)
         if c_now <= 0.0:
             continue
         x = (cx + 0.5) * cell_size
@@ -149,7 +141,7 @@ def _loss_over(raw: np.ndarray, classified: np.ndarray, occ_labels: np.ndarray,
             post = 0.5
         else:
             post = fused
-        c_post = max(0.0, -((post + params.offset) ** 2) / quarter + params.peak)
+        c_post = cell_curiosity(post, params)
         loss += c_now - c_post
     return loss
 

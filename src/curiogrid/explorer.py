@@ -316,6 +316,12 @@ class _Explorer:
             self.found = True
             self.estimate = det.cell
 
+    def _charge_rotation(self, heading: float) -> None:
+        """Add the time of turning in place from the current heading to `heading`."""
+        if self.motion.rotation_penalty > 0.0:
+            self.elapsed += (self.motion.rotation_penalty
+                             * abs(angle_diff(heading, self.pose.heading)) / TWO_PI)
+
     def _move_to(self, cell: Cell) -> None:
         if self.world.occupied[cell[1], cell[0]]:
             raise InvariantError(f"planned move into occupied cell {cell}")
@@ -323,9 +329,7 @@ class _Explorer:
         dx, dy = x - self.pose.x, y - self.pose.y
         step = math.hypot(dx, dy)
         heading = self.pose.heading if step < 1e-12 else wrap_angle(math.atan2(dy, dx))
-        if self.motion.rotation_penalty > 0.0:
-            self.elapsed += (self.motion.rotation_penalty
-                             * abs(angle_diff(heading, self.pose.heading)) / TWO_PI)
+        self._charge_rotation(heading)
         self.elapsed += step / self.motion.max_velocity
         self.pose = Pose(x, y, heading)
         self.trajectory.append(self.pose)
@@ -335,9 +339,7 @@ class _Explorer:
         if math.hypot(x - self.pose.x, y - self.pose.y) < 1e-12:
             return
         heading = wrap_angle(math.atan2(y - self.pose.y, x - self.pose.x))
-        if self.motion.rotation_penalty > 0.0:
-            self.elapsed += (self.motion.rotation_penalty
-                             * abs(angle_diff(heading, self.pose.heading)) / TWO_PI)
+        self._charge_rotation(heading)
         self.pose = Pose(self.pose.x, self.pose.y, heading)
         self.trajectory.append(self.pose)
 

@@ -24,7 +24,7 @@ from .curiosity import CuriosityParams
 from .explorer import (ExplorationResult, MotionConfig, SensorSuite, detect_frontiers,
                        explore_cdos, explore_rapid_frontier, _dijkstra)
 from .mapping import (Label, MappingConfig, occupancy_glyphs, object_glyphs,
-                      quantize, to_pgm)
+                      quantize, raster_pgm)
 from .sensor import CameraConfig, IrConfig
 from .world import GridWorld, load_map, load_zones, sample_zone_points
 
@@ -444,12 +444,8 @@ def render_maps(result: ExplorationResult, fmt: str) -> dict[str, bytes | str]:
     obj_bytes = quantize(result.objects.classified())
     overlay = _overlay_bytes(result)
     if fmt == "pgm":
-        header = lambda arr: f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-        return {
-            "occupancy": to_pgm(result.occupancy.probabilities()),
-            "objects": to_pgm(result.objects.classified()),
-            "combined": header(overlay) + overlay.tobytes(),
-        }
+        return {"occupancy": raster_pgm(occ_bytes), "objects": raster_pgm(obj_bytes),
+                "combined": raster_pgm(overlay)}
     if fmt == "ascii":
         combined = "\n".join("".join(_OVERLAY_GLYPHS[int(v)] for v in row)
                              for row in overlay) + "\n"

@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional
 
 import numpy as np
 
 from .sensor import CameraObservation, IrScan
-from .world import Cell, grid_ray
+from .world import Cell, trace_ray
 
 LOG_ODDS_CAP = 20.0
 _EV_MIN = 1.0 / (1.0 + math.exp(LOG_ODDS_CAP))
@@ -87,38 +86,25 @@ class OccupancyMap:
         self.cell_size = cell_size
         self.cfg = cfg
         self.log_odds = np.zeros((height, width), dtype=float)
-
-    def _beam_cells(self, ox: float, oy: float, angle: float,
-                    length: float) -> tuple[list[Cell], Optional[Cell]]:
-        """Cells a beam of the given length passes through.
-
-        Returns (passed, end): passed are cells entered strictly before
-        `length`; end is the cell entered at the measured endpoint itself
-        (None when the beam ends mid-cell or outside the lattice).
-        """
-        tol = 1e-9
-        passed: list[Cell] = []
-        end: Optional[Cell] = None
-        for cx, cy, t in grid_ray(ox, oy, angle, self.cell_size):
-            if t > length + tol:
-                break
-            if not (0 <= cx < self.width and 0 <= cy < self.height):
-                break
-            if t >= length - tol:
-                end = (cx, cy)
-                break
-            passed.append((cx, cy))
-        return passed, end
+        self._open = np.zeros((height, width), dtype=bool)  # beams stop only at their length
 
     def integrate_scan(self, scan: IrScan) -> None:
-        """Fuse one IR scan; each cell receives at most one evidence bump."""
+        """Fuse one IR scan; each cell receives at most one evidence bump.
+
+        A beam passes the cells it enters before its length less 1e-9; a beam
+        that hit something marks the cell it enters at its length, within
+        1e-9, occupied.
+        """
+        tol = 1e-9
         free: set[Cell] = set()
         hits: set[Cell] = set()
         for beam in scan.beams:
-            passed, end = self._beam_cells(scan.origin.x, scan.origin.y,
-                                           beam.angle, beam.distance)
+            passed, end, t = trace_ray(self._open, self.cell_size, scan.origin.x,
+                                       scan.origin.y, beam.angle,
+                                       math.nextafter(beam.distance - tol, -math.inf))
             free.update(passed)
-            if beam.hit and end is not None:
+            if (beam.hit and t <= beam.distance + tol
+                    and 0 <= end[0] < self.width and 0 <= end[1] < self.height):
                 hits.add(end)
         free -= hits
         lo_miss = logit(self.cfg.p_miss)
@@ -176,18 +162,16 @@ class ObjectMap:
         return classify_object_probabilities(self.raw_probabilities(),
                                              self.cfg.lambda1, self.cfg.lambda2)
 
-    def copy(self) -> "ObjectMap":
-        dup = ObjectMap(self.width, self.height, self.cell_size, self.cfg)
-        dup.log_odds = self.log_odds.copy()
-        return dup
-
 
 def to_pgm(values: np.ndarray) -> bytes:
     """Serialize probabilities as binary PGM (P5), byte = round(p * 255)."""
-    arr = np.asarray(values, dtype=float)
-    quantized = np.floor(np.clip(arr, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
-    height, width = arr.shape
-    return f"P5\n{width} {height}\n255\n".encode("ascii") + quantized.tobytes()
+    return raster_pgm(quantize(values))
+
+
+def raster_pgm(raster: np.ndarray) -> bytes:
+    """Binary PGM (P5) of a 2D uint8 raster."""
+    height, width = raster.shape
+    return f"P5\n{width} {height}\n255\n".encode("ascii") + raster.tobytes()
 
 
 def from_pgm(data: bytes) -> np.ndarray:

@@ -115,11 +115,12 @@ def ir_scan(world: GridWorld, pose: Pose, cfg: IrConfig) -> IrScan:
         raise ValueError("scan pose outside world bounds")
     beams = []
     for angle in beam_angles(pose.heading, cfg.fov, cfg.ray_count):
-        _, _, dist = trace_ray(world, pose.x, pose.y, angle, cfg.max_range)
-        if dist is None:
-            beams.append(Beam(angle, cfg.max_range, False))
+        _, _, t = trace_ray(world.occupied, world.cell_size, pose.x, pose.y, angle,
+                            cfg.max_range)
+        if t <= cfg.max_range:
+            beams.append(Beam(angle, t, True))
         else:
-            beams.append(Beam(angle, dist, True))
+            beams.append(Beam(angle, cfg.max_range, False))
     return IrScan(pose, tuple(beams))
 
 
@@ -136,13 +137,12 @@ def camera_observe(world: GridWorld, pose: Pose, cfg: CameraConfig) -> CameraObs
     seen_free: dict[Cell, None] = {}
     seen_blocked: dict[Cell, None] = {}
     for angle in beam_angles(pose.heading, cfg.fov, cfg.ray_count):
-        visited, hit_cell, _ = trace_ray(world, pose.x, pose.y, angle, cfg.max_range)
+        visited, stop, t = trace_ray(world.occupied, world.cell_size, pose.x, pose.y, angle,
+                                     cfg.max_range)
         for cell in visited:
             seen_free.setdefault(cell)
-        if hit_cell is not None:
-            seen_blocked.setdefault(hit_cell)
-    for cell in seen_blocked:
-        seen_free.pop(cell, None)
+        if t <= cfg.max_range and world.in_bounds(stop):
+            seen_blocked.setdefault(stop)
 
     detection = None
     if world.target is not None:
@@ -154,8 +154,9 @@ def camera_observe(world: GridWorld, pose: Pose, cfg: CameraConfig) -> CameraObs
             else:
                 bearing = math.atan2(ty - pose.y, tx - pose.x)
                 if abs(angle_diff(bearing, pose.heading)) <= cfg.fov / 2.0 + 1e-12:
-                    _, blocker, blocked_at = trace_ray(world, pose.x, pose.y, bearing, d)
-                    if blocker is None and blocked_at is None:
+                    _, _, t = trace_ray(world.occupied, world.cell_size, pose.x, pose.y,
+                                        bearing, d)
+                    if t > d:
                         detection = Detection(world.target, d,
                                               detection_confidence(d, cfg.conf_scale))
     return CameraObservation(pose, tuple(seen_free), tuple(seen_blocked), detection)

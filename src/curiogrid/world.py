@@ -13,7 +13,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -190,14 +190,20 @@ def serialize_map(world: GridWorld) -> str:
     return "\n".join(lines) + "\n"
 
 
-def grid_ray(ox: float, oy: float, angle: float, cell_size: float) -> Iterator[tuple[int, int, float]]:
-    """Walk a ray through the lattice, cell boundary by cell boundary.
+def trace_ray(blocked: np.ndarray, cell_size: float, ox: float, oy: float, angle: float,
+              max_range: float) -> tuple[list[Cell], Cell, float]:
+    """Walk a ray from (ox, oy) through the lattice of `blocked` until it stops.
 
-    Yields (cx, cy, t) for every cell the ray enters, starting with the origin
-    cell at t=0; t is the exact distance along the ray at which the cell is
-    entered. The walk is unbounded -- the caller decides when to stop. Exact
-    boundary stepping means thin walls can never be tunneled through.
+    Steps cell boundary by cell boundary (Amanatides & Woo, 1987), so thin
+    walls are never tunneled through. Returns (visited, stop, t): stop is the
+    first cell entered that lies beyond max_range, lies outside the lattice,
+    or is set in `blocked`, tested in that order; t is the exact distance at
+    which the ray entered stop (0 for the origin cell); visited lists the
+    cells entered before stop, in order. So t > max_range means the ray ran
+    out of range; otherwise stop is the lattice border if it lies outside the
+    lattice and a blocked cell if inside.
     """
+    height, width = blocked.shape
     dx = math.cos(angle)
     dy = math.sin(angle)
     cx = int(math.floor(ox / cell_size))
@@ -216,9 +222,10 @@ def grid_ray(ox: float, oy: float, angle: float, cell_size: float) -> Iterator[t
     else:
         step_y, t_max_y, t_dy = 0, math.inf, math.inf
 
+    visited: list[Cell] = []
     t = 0.0
-    while True:
-        yield cx, cy, t
+    while t <= max_range and 0 <= cx < width and 0 <= cy < height and not blocked[cy, cx]:
+        visited.append((cx, cy))
         if t_max_x <= t_max_y:
             t = t_max_x
             t_max_x += t_dx
@@ -227,28 +234,7 @@ def grid_ray(ox: float, oy: float, angle: float, cell_size: float) -> Iterator[t
             t = t_max_y
             t_max_y += t_dy
             cy += step_y
-
-
-def trace_ray(world: GridWorld, ox: float, oy: float, angle: float,
-              max_range: float) -> tuple[list[Cell], Optional[Cell], Optional[float]]:
-    """Trace a ray against ground truth.
-
-    Returns (visited, hit_cell, hit_distance): visited is the ordered list of
-    free cells the ray enters before stopping; hit_cell is the occupied cell
-    struck (None when the map border stopped the ray or nothing was struck);
-    hit_distance is the distance to the blocking boundary, or None when the
-    ray ran out of range. The map border blocks rays like an occupied cell.
-    """
-    visited: list[Cell] = []
-    for cx, cy, t in grid_ray(ox, oy, angle, world.cell_size):
-        if t > max_range:
-            return visited, None, None
-        if not (0 <= cx < world.width and 0 <= cy < world.height):
-            return visited, None, t
-        if world.occupied[cy, cx]:
-            return visited, (cx, cy), t
-        visited.append((cx, cy))
-    raise AssertionError("unreachable")
+    return visited, (cx, cy), t
 
 
 def ray_cast(world: GridWorld, origin: Pose, angle: float, max_range: float) -> Optional[float]:
@@ -260,8 +246,8 @@ def ray_cast(world: GridWorld, origin: Pose, angle: float, max_range: float) -> 
         raise ValueError("max_range must be positive")
     if not world.contains_point(origin.x, origin.y):
         raise ValueError("ray origin outside world bounds")
-    _, _, dist = trace_ray(world, origin.x, origin.y, angle, max_range)
-    return dist
+    _, _, t = trace_ray(world.occupied, world.cell_size, origin.x, origin.y, angle, max_range)
+    return t if t <= max_range else None
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from curiogrid import cli
 from curiogrid.cli import main
 from curiogrid.harness import fixture_path
 
@@ -77,6 +78,15 @@ def test_sweep_writes_csv(tiny):
                  "--values", "40,80", "--out", str(out)])
     assert code == 0
     assert (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("values", ["0,30", "nan,30", "-30,30", "400,30", "30,abc"])
+def test_sweep_bad_values_exit_one(tiny, capsys, monkeypatch, values):
+    monkeypatch.setattr(cli, "run_fov_sweep", lambda *a, **k: pytest.fail("a trial ran"))
+    code = main(["sweep", "--config", str(tiny / "exp.cfg"), "--vary", "beta",
+                 f"--values={values}", "--out", str(tiny / "sweep_bad")])
+    assert code == 1
+    assert "--values" in capsys.readouterr().err
 
 
 def test_mission_trace(tiny, capsys):

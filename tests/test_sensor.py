@@ -137,19 +137,20 @@ class TestCameraObserve:
         swept = set(obs.seen_free) | set(obs.seen_blocked)
         ir_cells = set()
         for angle in beam_angles(wall_world.start.heading, fov, count):
-            visited, hit, _ = trace_ray(wall_world, wall_world.start.x,
-                                        wall_world.start.y, angle, rng)
+            visited, stop, t = trace_ray(wall_world.occupied, wall_world.cell_size,
+                                         wall_world.start.x, wall_world.start.y, angle, rng)
             ir_cells.update(visited)
-            if hit is not None:
-                ir_cells.add(hit)
+            if t <= rng and wall_world.in_bounds(stop):
+                ir_cells.add(stop)
         assert swept == ir_cells
 
     def test_no_free_cell_beyond_block_on_any_ray(self, wall_world):
         cam = CameraConfig(math.radians(90), 6.0, 1.0)
         for angle in beam_angles(wall_world.start.heading, cam.fov, cam.ray_count):
-            visited, hit, hit_dist = trace_ray(wall_world, wall_world.start.x,
-                                               wall_world.start.y, angle, cam.max_range)
-            if hit is None:
+            visited, stop, hit_dist = trace_ray(wall_world.occupied, wall_world.cell_size,
+                                                wall_world.start.x, wall_world.start.y,
+                                                angle, cam.max_range)
+            if hit_dist > cam.max_range or not wall_world.in_bounds(stop):
                 continue
             sx, sy = wall_world.start.x, wall_world.start.y
             for cell in visited:

@@ -1,11 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from curiogrid.world import (MapError, Pose, Zone, ZoneError, load_map, load_zones,
-                             ray_cast, sample_zone_points, serialize_map, trace_ray,
-                             wrap_angle)
+from curiogrid.curiosity import visible_from
+from curiogrid.mapping import Label, OccupancyMap, logit
+from curiogrid.sensor import Beam, CameraConfig, IrConfig, IrScan, beam_angles, ir_scan
+from curiogrid.world import (GridWorld, MapError, Pose, Zone, ZoneError, load_map,
+                             load_zones, ray_cast, sample_zone_points, serialize_map,
+                             trace_ray, wrap_angle)
 
 
 def make_map(rows, cell_size=1.0, heading=0.0):
@@ -147,7 +152,9 @@ class TestRayCast:
 
     def test_trace_ray_visits_only_free_cells(self):
         world = load_map(make_map(["....#", ".S...", "#...."], cell_size=0.5))
-        visited, hit, dist = trace_ray(world, world.start.x, world.start.y, 0.1, 10.0)
+        visited, stop, t = trace_ray(world.occupied, world.cell_size, world.start.x,
+                                     world.start.y, 0.1, 10.0)
+        hit = stop if t <= 10.0 and world.in_bounds(stop) else None
         assert all(world.is_free(c) for c in visited)
         assert hit is None or world.occupied[hit[1], hit[0]]
 
@@ -260,3 +267,162 @@ def test_with_target_keeps_world_immutable():
     assert world.target is None
     with pytest.raises(ValueError):
         world.occupied[0, 0] = True
+
+
+# Reference oracle for trace_ray: the unbounded boundary-stepping generator and
+# the three stop loops that walked it before the bounded walker replaced them.
+
+def _grid_ray(ox, oy, angle, cell_size):
+    dx = math.cos(angle)
+    dy = math.sin(angle)
+    cx = int(math.floor(ox / cell_size))
+    cy = int(math.floor(oy / cell_size))
+    if dx > 0.0:
+        step_x, t_max_x, t_dx = 1, ((cx + 1) * cell_size - ox) / dx, cell_size / dx
+    elif dx < 0.0:
+        step_x, t_max_x, t_dx = -1, (cx * cell_size - ox) / dx, -cell_size / dx
+    else:
+        step_x, t_max_x, t_dx = 0, math.inf, math.inf
+    if dy > 0.0:
+        step_y, t_max_y, t_dy = 1, ((cy + 1) * cell_size - oy) / dy, cell_size / dy
+    elif dy < 0.0:
+        step_y, t_max_y, t_dy = -1, (cy * cell_size - oy) / dy, -cell_size / dy
+    else:
+        step_y, t_max_y, t_dy = 0, math.inf, math.inf
+    t = 0.0
+    while True:
+        yield cx, cy, t
+        if t_max_x <= t_max_y:
+            t = t_max_x
+            t_max_x += t_dx
+            cx += step_x
+        else:
+            t = t_max_y
+            t_max_y += t_dy
+            cy += step_y
+
+
+def _oracle_trace(occupied, cell_size, ox, oy, angle, max_range):
+    """(visited, hit_cell, hit_distance) against ground truth."""
+    height, width = occupied.shape
+    visited = []
+    for cx, cy, t in _grid_ray(ox, oy, angle, cell_size):
+        if t > max_range:
+            return visited, None, None
+        if not (0 <= cx < width and 0 <= cy < height):
+            return visited, None, t
+        if occupied[cy, cx]:
+            return visited, (cx, cy), t
+        visited.append((cx, cy))
+
+
+def _oracle_beam_cells(width, height, cell_size, ox, oy, angle, length):
+    """(passed, end) of one IR beam integrated into the occupancy map."""
+    tol = 1e-9
+    passed = []
+    end = None
+    for cx, cy, t in _grid_ray(ox, oy, angle, cell_size):
+        if t > length + tol:
+            break
+        if not (0 <= cx < width and 0 <= cy < height):
+            break
+        if t >= length - tol:
+            end = (cx, cy)
+            break
+        passed.append((cx, cy))
+    return passed, end
+
+
+def _oracle_integrate(omap, scan):
+    free, hits = set(), set()
+    for beam in scan.beams:
+        passed, end = _oracle_beam_cells(omap.width, omap.height, omap.cell_size,
+                                         scan.origin.x, scan.origin.y, beam.angle,
+                                         beam.distance)
+        free.update(passed)
+        if beam.hit and end is not None:
+            hits.add(end)
+    free -= hits
+    for cx, cy in free:
+        omap.log_odds[cy, cx] += logit(omap.cfg.p_miss)
+    for cx, cy in hits:
+        omap.log_odds[cy, cx] += logit(omap.cfg.p_hit)
+
+
+def _oracle_visible(labels, cell_size, pose, cam):
+    height, width = labels.shape
+    blocked = labels == Label.OCCUPIED
+    seen = {}
+    for angle in beam_angles(pose.heading, cam.fov, cam.ray_count):
+        for cx, cy, t in _grid_ray(pose.x, pose.y, angle, cell_size):
+            if t > cam.max_range:
+                break
+            if not (0 <= cx < width and 0 <= cy < height):
+                break
+            if blocked[cy, cx]:
+                break
+            seen.setdefault((cx, cy))
+    return list(seen)
+
+
+@st.composite
+def _ray_cases(draw):
+    width = draw(st.integers(1, 6))
+    height = draw(st.integers(1, 6))
+    cell_size = draw(st.sampled_from([1.0, 0.5, 0.3, 0.25]))
+    codes = np.array(draw(st.lists(st.integers(0, 2), min_size=width * height,
+                                   max_size=width * height)), dtype=np.int8)
+    labels = codes.reshape(height, width)
+    ix, iy = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+    offset = st.one_of(st.just(0.5), st.just(0.0), st.floats(0.0, 0.99))
+    ox, oy = (ix + draw(offset)) * cell_size, (iy + draw(offset)) * cell_size
+    angle = draw(st.one_of(st.integers(-8, 16).map(lambda k: k * math.pi / 4.0),
+                           st.integers(-8, 16).map(lambda k: math.radians(45.0 * k)),
+                           st.floats(-10.0, 10.0)))
+    # Either a free range or exactly the distance at which the walk enters
+    # its k-th cell, i.e. a range ending on a cell boundary.
+    k = draw(st.integers(1, 12))
+    boundary = next(itertools.islice(_grid_ray(ox, oy, angle, cell_size), k, None))[2]
+    max_range = draw(st.one_of(st.floats(0.01, 8.0),
+                               st.just(boundary if boundary > 0.0 else cell_size)))
+    return labels, cell_size, ox, oy, angle, max_range
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ray_cases(), st.booleans())
+def test_trace_ray_matches_grid_ray_oracle(case, hit):
+    labels, cell_size, ox, oy, angle, max_range = case
+    height, width = labels.shape
+    occupied = labels == Label.OCCUPIED
+
+    visited, stop, t = trace_ray(occupied, cell_size, ox, oy, angle, max_range)
+    want_visited, want_hit, want_dist = _oracle_trace(occupied, cell_size, ox, oy,
+                                                      angle, max_range)
+    walk = list(itertools.islice(_grid_ray(ox, oy, angle, cell_size), len(visited) + 1))
+    assert [(cx, cy) for cx, cy, _ in walk] == visited + [stop]
+    assert walk[-1][2] == t
+    assert visited == want_visited
+    assert (t if t <= max_range else None) == want_dist
+    in_bounds = 0 <= stop[0] < width and 0 <= stop[1] < height
+    assert (stop if t <= max_range and in_bounds else None) == want_hit
+
+    free_start = occupied.copy()
+    free_start[int(math.floor(oy / cell_size)), int(math.floor(ox / cell_size))] = False
+    world = GridWorld(width, height, cell_size, free_start, Pose(ox, oy, 0.0))
+    assert ray_cast(world, world.start, angle, max_range) == _oracle_trace(
+        free_start, cell_size, ox, oy, angle, max_range)[2]
+
+    pose = Pose(ox, oy, angle)
+    cam = CameraConfig(math.radians(50.0), max_range, 1.0, 5)
+    assert visible_from(labels, cell_size, pose, cam) == _oracle_visible(
+        labels, cell_size, pose, cam)
+
+    scans = [IrScan(pose, tuple(Beam(a, max_range, hit)
+                                for a in beam_angles(angle, math.radians(90.0), 7))),
+             ir_scan(world, pose, IrConfig(math.radians(90.0), max_range, 7))]
+    for scan in scans:
+        got = OccupancyMap(width, height, cell_size)
+        want = OccupancyMap(width, height, cell_size)
+        got.integrate_scan(scan)
+        _oracle_integrate(want, scan)
+        assert np.array_equal(got.log_odds, want.log_odds)
