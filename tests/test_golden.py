@@ -9,6 +9,8 @@ speedup or a refactor must leave every digest as it is.
 The artifacts, all produced through the CLI with the packaged config:
   - trials.csv and summary.csv of a reduced zone run (samples_per_zone = 1,
     both maps, all zones, both methods, workers = 1);
+  - sweep.csv of `sweep --vary alpha --values 60,30` on the same reduced
+    config;
   - steps.jsonl, trajectory.jsonl and the three .pgm maps of
     `explore --render` on sparse.map with the cdos method;
   - mission.log of `mission` on sparse.map.
@@ -25,6 +27,7 @@ from curiogrid.harness import fixture_path
 GOLDEN = {
     "zones/trials.csv": "2c2e6c75d4045b795da890bf9072a8f9ec70454b70684fef61ecafa35bb40ec0",
     "zones/summary.csv": "076c93f6566b2cde5772c0922410eca487663706d078a610319d50e8815da695",
+    "sweep/sweep.csv": "a57ead25205bd598277757561a38043e6c5c6f5efe19b604095e73ee539b395c",
     "explore/steps.jsonl": "bd5842854ba3f27ebb69089a4cb42bd4b58f0eb074fb5ba7ed84c9c5bd79a98a",
     "explore/trajectory.jsonl": "414ddff6442ed748e1402db51d987146161bfe4879c11c1b499b30687ba36b31",
     "explore/occupancy.pgm": "40b8ae4a20a45a18f5aaf562e02802928468ca8008962db148f1363e139590e3",
@@ -47,6 +50,8 @@ def artifacts(tmp_path_factory):
     sparse = str(fixture_path("sparse.map"))
 
     assert cli_main(["zones", "--config", str(cfg), "--out", str(tmp / "zones")]) == 0
+    assert cli_main(["sweep", "--config", str(cfg), "--vary", "alpha", "--values", "60,30",
+                     "--out", str(tmp / "sweep")]) == 0
     assert cli_main(["explore", "--map", sparse, "--method", "cdos",
                      "--render", str(tmp / "explore")]) == 0
     assert cli_main(["mission", "--map", sparse, "--out", str(tmp / "mission")]) == 0
