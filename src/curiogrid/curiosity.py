@@ -151,18 +151,22 @@ def select_frontier(frontiers: Sequence[Cell], objects: ObjectMap,
                     params: CuriosityParams = CuriosityParams()) -> FrontierChoice:
     """Frontier with the highest expected curiosity loss over detection leads.
 
-    Candidates are scored only on cells whose raw object probability exceeds
-    0.5 (the argmax side condition): exploring alone never raises a cell
-    above the prior, so positive scores always trace back to camera evidence.
-    When no candidate scores, everything ties at zero and the tie-break
-    applies: nearest the current pose, then lowest row-major cell index. The
-    candidate's simulated heading faces along the travel direction.
+    Candidates are scored only on lead cells, whose raw object probability
+    exceeds 0.5 (the argmax side condition): exploring alone never raises a
+    cell above the prior, so positive scores always trace back to camera
+    evidence. A map without leads scores every candidate 0.0, so no candidate
+    is scored at all then. When no candidate scores, everything ties at zero
+    and the tie-break applies: nearest the current pose, then lowest
+    row-major cell index. The candidate's simulated heading faces along the
+    travel direction.
     """
     if not frontiers:
         raise ValueError("no frontiers to select from")
     raw = objects.raw_probabilities()
-    classified = objects.classified()
-    labels = occupancy.classify()
+    scored = bool((raw > 0.5).any())
+    if scored:
+        classified = objects.classified()
+        labels = occupancy.classify()
     cs = occupancy.cell_size
     best: tuple[float, float, int] | None = None
     best_cell: Cell | None = None
@@ -170,11 +174,13 @@ def select_frontier(frontiers: Sequence[Cell], objects: ObjectMap,
     for cell in frontiers:
         x, y = (cell[0] + 0.5) * cs, (cell[1] + 0.5) * cs
         dist = math.hypot(x - current.x, y - current.y)
-        heading = current.heading if dist < 1e-12 else math.atan2(y - current.y, x - current.x)
-        cand = Pose(x, y, heading)
-        loss = _loss_over(raw, classified, labels, objects.cfg.lambda1,
-                          objects.cfg.lambda2, cs, current, cand, cam, params,
-                          leads_only=True)
+        loss = 0.0
+        if scored:
+            heading = (current.heading if dist < 1e-12
+                       else math.atan2(y - current.y, x - current.x))
+            loss = _loss_over(raw, classified, labels, objects.cfg.lambda1,
+                              objects.cfg.lambda2, cs, current, Pose(x, y, heading), cam,
+                              params, leads_only=True)
         key = (-loss, dist, cell[1] * occupancy.width + cell[0])
         if best is None or key < best:
             best = key

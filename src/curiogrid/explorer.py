@@ -18,7 +18,7 @@ import numpy as np
 
 from .curiosity import CuriosityParams, select_frontier, total_curiosity
 from .mapping import Label, MappingConfig, ObjectMap, OccupancyMap
-from .sensor import CameraConfig, IrConfig, camera_observe, ir_scan
+from .sensor import CameraConfig, IrConfig, camera_observe, detect, ir_scan
 from .world import TWO_PI, Cell, GridWorld, Pose, angle_diff, wrap_angle
 
 SQRT2 = math.sqrt(2.0)
@@ -273,6 +273,55 @@ def _decide(free: np.ndarray, start: Cell, cell_size: float, frontiers: list[Cel
     return goal, loss, mode, _extract_path(parents, start, goal)
 
 
+# The most poses the sensing evidence cache holds, over all maps.
+_SENSE_CACHE_LIMIT = 1 << 13
+
+# Flat cell indices of one sense: IR passed cells, IR hit cells, then camera
+# seen-free cells, in one int32 array; and the offsets of the second and
+# third part.
+_Evidence = tuple[np.ndarray, int, int]
+
+
+class _SenseCache:
+    """Per-process cache of ground-truth sensing evidence, by map, then pose.
+
+    An IR scan and the sweep part of a camera observation are pure functions
+    of the map, the sensor geometry and the pose. The key of a map's table
+    therefore holds the map content (lattice shape, cell_size, the dtype and
+    bytes of the occupancy array) and the IrConfig and CameraConfig; the
+    table maps a pose to the evidence `_sense` fuses for it. The target is
+    not part of the key: only the detection depends on it, and `_sense` runs
+    `detect` on every sense, so the trials that share a map (the zone
+    experiment places the object many times in each map) share one table.
+    Once the cache holds _SENSE_CACHE_LIMIT poses, the next store empties
+    every table first.
+    """
+
+    def __init__(self):
+        self._tables: dict[tuple, dict[Pose, _Evidence]] = {}
+        self._size = 0
+
+    def table(self, world: GridWorld, sensors: SensorSuite) -> dict[Pose, _Evidence]:
+        occupied = world.occupied
+        key = (occupied.shape, world.cell_size, occupied.dtype.str, occupied.tobytes(),
+               sensors.ir, sensors.camera)
+        return self._tables.setdefault(key, {})
+
+    def store(self, table: dict[Pose, _Evidence], pose: Pose, evidence: _Evidence) -> None:
+        if self._size >= _SENSE_CACHE_LIMIT:
+            self.clear()
+        table[pose] = evidence
+        self._size += 1
+
+    def clear(self) -> None:
+        for table in self._tables.values():
+            table.clear()
+        self._size = 0
+
+
+_SENSE_CACHE = _SenseCache()
+
+
 class _Explorer:
     """Shared machinery for one exploration trial."""
 
@@ -291,6 +340,7 @@ class _Explorer:
         self.threshold = detection_threshold
         self.occupancy = OccupancyMap(world.width, world.height, world.cell_size, mapping_cfg)
         self.objects = ObjectMap(world.width, world.height, world.cell_size, mapping_cfg)
+        self.evidence = _SENSE_CACHE.table(world, sensors)
         self.pose = world.start
         self.elapsed = 0.0
         self.trajectory = [world.start]
@@ -299,11 +349,20 @@ class _Explorer:
         self.estimate: Optional[Cell] = None
 
     def _sense(self) -> None:
-        scan = ir_scan(self.world, self.pose, self.sensors.ir)
-        obs = camera_observe(self.world, self.pose, self.sensors.camera)
-        self.occupancy.integrate_scan(scan)
-        self.objects.integrate_observation(obs)
-        det = obs.detection
+        evidence = self.evidence.get(self.pose)
+        if evidence is None:
+            scan = ir_scan(self.world, self.pose, self.sensors.ir)
+            obs = camera_observe(self.world, self.pose, self.sensors.camera)
+            free, hits = self.occupancy.scan_evidence(scan)
+            seen = self.objects.observation_evidence(obs)
+            evidence = (np.concatenate((free, hits, seen)), len(free), len(free) + len(hits))
+            _SENSE_CACHE.store(self.evidence, self.pose, evidence)
+            det = obs.detection
+        else:
+            det = detect(self.world, self.pose, self.sensors.camera)
+        cells, hits_at, seen_at = evidence
+        self.occupancy.add_scan_evidence(cells[:hits_at], cells[hits_at:seen_at])
+        self.objects.add_observation_evidence(cells[seen_at:], det)
         if det is None:
             return
         # Discovered on a single high-confidence sighting, or once the fused

@@ -78,6 +78,10 @@ class ExperimentConfig:
             raise ConfigError("alpha and beta lists must be non-empty")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        for name in ("ir_ray_count", "cam_ray_count"):
+            count = getattr(self, name)
+            if count != 0 and count < 2:
+                raise ConfigError(f"{name} must be 0 (one ray per degree) or at least 2")
         for name in sorted(_FLOAT_KEYS):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):

@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .sensor import CameraObservation, IrScan
+from .sensor import CameraObservation, Detection, IrScan
 from .world import Cell, trace_ray
 
 LOG_ODDS_CAP = 20.0
@@ -89,11 +90,16 @@ class OccupancyMap:
         self._open = np.zeros((height, width), dtype=bool)  # beams stop only at their length
 
     def integrate_scan(self, scan: IrScan) -> None:
-        """Fuse one IR scan; each cell receives at most one evidence bump.
+        """Fuse one IR scan; each cell receives at most one evidence bump."""
+        self.add_scan_evidence(*self.scan_evidence(scan))
+
+    def scan_evidence(self, scan: IrScan) -> tuple[np.ndarray, np.ndarray]:
+        """Flat (row-major) indices of the cells one scan passes and hits.
 
         A beam passes the cells it enters before its length less 1e-9; a beam
         that hit something marks the cell it enters at its length, within
-        1e-9, occupied.
+        1e-9, occupied. A hit cell is not passed, and neither array repeats a
+        cell.
         """
         tol = 1e-9
         free: set[Cell] = set()
@@ -107,12 +113,13 @@ class OccupancyMap:
                     and 0 <= end[0] < self.width and 0 <= end[1] < self.height):
                 hits.add(end)
         free -= hits
-        lo_miss = logit(self.cfg.p_miss)
-        lo_hit = logit(self.cfg.p_hit)
-        for cx, cy in free:
-            self.log_odds[cy, cx] += lo_miss
-        for cx, cy in hits:
-            self.log_odds[cy, cx] += lo_hit
+        return _flat_indices(free, self.width), _flat_indices(hits, self.width)
+
+    def add_scan_evidence(self, free: np.ndarray, hits: np.ndarray) -> None:
+        """Add miss evidence at the `free` and hit evidence at the `hits` flat
+        indices; each array must hold a cell at most once."""
+        self.log_odds.flat[free] += logit(self.cfg.p_miss)
+        self.log_odds.flat[hits] += logit(self.cfg.p_hit)
 
     def probabilities(self) -> np.ndarray:
         return probabilities_from_log_odds(self.log_odds)
@@ -138,21 +145,29 @@ class ObjectMap:
         self.log_odds = np.zeros((height, width), dtype=float)
 
     def integrate_observation(self, obs: CameraObservation) -> None:
-        """Fuse one camera sweep.
+        """Fuse one camera sweep."""
+        self.add_observation_evidence(self.observation_evidence(obs), obs.detection)
+
+    def observation_evidence(self, obs: CameraObservation) -> np.ndarray:
+        """Flat (row-major) indices of the cells one sweep saw free."""
+        return _flat_indices(obs.seen_free, self.width)
+
+    def add_observation_evidence(self, seen_free: np.ndarray,
+                                 det: Optional[Detection]) -> None:
+        """Fuse a camera sweep given as the flat indices of its seen-free
+        cells (each at most once) and its detection.
 
         Cells seen free without a detection accumulate miss evidence; a
         detected cell fuses the detection confidence as evidence. Blocked
         cells carry no object evidence either way.
         """
-        det = obs.detection
-        det_cell = det.cell if det is not None else None
-        lo_miss = logit(self.cfg.p_miss_cam)
-        for cell in obs.seen_free:
-            if cell != det_cell:
-                self.log_odds[cell[1], cell[0]] += lo_miss
-        if det is not None:
-            ev = min(max(det.conf, _EV_MIN), _EV_MAX)
-            self.log_odds[det_cell[1], det_cell[0]] += logit(ev)
+        if det is None:
+            self.log_odds.flat[seen_free] += logit(self.cfg.p_miss_cam)
+            return
+        det_index = det.cell[1] * self.width + det.cell[0]
+        self.log_odds.flat[seen_free[seen_free != det_index]] += logit(self.cfg.p_miss_cam)
+        ev = min(max(det.conf, _EV_MIN), _EV_MAX)
+        self.log_odds.flat[det_index] += logit(ev)
 
     def raw_probabilities(self) -> np.ndarray:
         return probabilities_from_log_odds(self.log_odds)
@@ -161,6 +176,11 @@ class ObjectMap:
         """The free / unknown / pass-through view consumed by curiosity scoring."""
         return classify_object_probabilities(self.raw_probabilities(),
                                              self.cfg.lambda1, self.cfg.lambda2)
+
+
+def _flat_indices(cells: Iterable[Cell], width: int) -> np.ndarray:
+    """Row-major flat indices of `cells`, in iteration order."""
+    return np.array([cy * width + cx for cx, cy in cells], dtype=np.int32)
 
 
 def to_pgm(values: np.ndarray) -> bytes:

@@ -128,9 +128,8 @@ def camera_observe(world: GridWorld, pose: Pose, cfg: CameraConfig) -> CameraObs
     """Sweep the camera wedge and look for the target.
 
     Cells traversed before a blocking cell are reported seen-free, blocking
-    cells seen-blocked (each cell at most once per observation). The target is
-    detected when its cell center lies inside the wedge, within range, and the
-    ray through the cell center reaches it unblocked.
+    cells seen-blocked (each cell at most once per observation). The
+    detection is `detect`'s.
     """
     if not world.contains_point(pose.x, pose.y):
         raise ValueError("observation pose outside world bounds")
@@ -143,20 +142,29 @@ def camera_observe(world: GridWorld, pose: Pose, cfg: CameraConfig) -> CameraObs
             seen_free.setdefault(cell)
         if t <= cfg.max_range and world.in_bounds(stop):
             seen_blocked.setdefault(stop)
+    return CameraObservation(pose, tuple(seen_free), tuple(seen_blocked),
+                             detect(world, pose, cfg))
 
-    detection = None
-    if world.target is not None:
-        tx, ty = world.cell_center(world.target)
-        d = math.hypot(tx - pose.x, ty - pose.y)
-        if d <= cfg.max_range:
-            if d < 1e-12:
-                detection = Detection(world.target, 0.0, 1.0)
-            else:
-                bearing = math.atan2(ty - pose.y, tx - pose.x)
-                if abs(angle_diff(bearing, pose.heading)) <= cfg.fov / 2.0 + 1e-12:
-                    _, _, t = trace_ray(world.occupied, world.cell_size, pose.x, pose.y,
-                                        bearing, d)
-                    if t > d:
-                        detection = Detection(world.target, d,
-                                              detection_confidence(d, cfg.conf_scale))
-    return CameraObservation(pose, tuple(seen_free), tuple(seen_blocked), detection)
+
+def detect(world: GridWorld, pose: Pose, cfg: CameraConfig) -> Optional[Detection]:
+    """The camera's target detection from `pose`, or None.
+
+    The target is detected when its cell center lies inside the wedge, within
+    range, and the ray through the cell center reaches it unblocked. This is
+    the only part of a camera observation that depends on the target.
+    """
+    if world.target is None:
+        return None
+    tx, ty = world.cell_center(world.target)
+    d = math.hypot(tx - pose.x, ty - pose.y)
+    if d > cfg.max_range:
+        return None
+    if d < 1e-12:
+        return Detection(world.target, 0.0, 1.0)
+    bearing = math.atan2(ty - pose.y, tx - pose.x)
+    if abs(angle_diff(bearing, pose.heading)) > cfg.fov / 2.0 + 1e-12:
+        return None
+    _, _, t = trace_ray(world.occupied, world.cell_size, pose.x, pose.y, bearing, d)
+    if t <= d:
+        return None
+    return Detection(world.target, d, detection_confidence(d, cfg.conf_scale))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from curiogrid.curiosity import (CuriosityParams, bayes_fuse, cell_curiosity,
                                  expected_curiosity_loss, predict_observation,
@@ -255,6 +255,68 @@ class TestSelectFrontier:
         occ, obj = open_maps(3)
         with pytest.raises(ValueError):
             select_frontier([], obj, occ, Pose(0.5, 0.5, 0.0), self.cam())
+
+
+@st.composite
+def selection_cases(draw):
+    """Small belief maps, with or without a lead (raw object probability
+    above 0.5), plus candidate frontiers and a current pose."""
+    size = draw(st.integers(3, 7))
+    cell_size = draw(st.sampled_from([0.5, 1.0]))
+    cells = [(x, y) for y in range(size) for x in range(size)]
+    occ = OccupancyMap(size, size, cell_size)
+    occ.log_odds = np.array(draw(st.lists(
+        st.sampled_from([logit(0.05), 0.0, logit(0.9)]),
+        min_size=size * size, max_size=size * size))).reshape(size, size)
+    with_leads = draw(st.booleans())
+    obj_values = [0.0, logit(0.25), logit(0.02)]
+    if with_leads:
+        obj_values += [logit(0.75), logit(0.97)]
+    obj = ObjectMap(size, size, cell_size)
+    obj.log_odds = np.array(draw(st.lists(
+        st.sampled_from(obj_values), min_size=size * size,
+        max_size=size * size))).reshape(size, size)
+    if with_leads:
+        x, y = draw(st.sampled_from(cells))
+        obj.log_odds[y, x] = logit(0.75)
+    frontiers = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=6, unique=True))
+    cx, cy = draw(st.sampled_from(cells))
+    heading = draw(st.floats(0.0, 2 * math.pi, exclude_max=True))
+    current = Pose((cx + 0.5) * cell_size, (cy + 0.5) * cell_size, heading)
+    return frontiers, obj, occ, current
+
+
+class TestSelectFrontierOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(selection_cases(), st.sampled_from([30.0, 60.0, 360.0]))
+    def test_matches_full_scoring(self, case, fov_deg):
+        frontiers, obj, occ, current = case
+        cam = CameraConfig(math.radians(fov_deg), 2.0, 1.9)
+        params = CuriosityParams()
+        got = select_frontier(frontiers, obj, occ, current, cam, params)
+        want = _scored_selection(frontiers, obj, occ, current, cam, params)
+        assert (got.cell, got.loss) == want
+
+
+def _scored_selection(frontiers, obj, occ, current, cam, params):
+    """(cell, loss) of the argmax over every candidate scored in full by
+    `_loss_over`, with the documented tie-breaks."""
+    from curiogrid.curiosity import _loss_over
+    raw = obj.raw_probabilities()
+    classified = obj.classified()
+    labels = occ.classify()
+    cs = occ.cell_size
+    rows = []
+    for cell in frontiers:
+        x, y = (cell[0] + 0.5) * cs, (cell[1] + 0.5) * cs
+        dist = math.hypot(x - current.x, y - current.y)
+        heading = current.heading if dist < 1e-12 else math.atan2(y - current.y,
+                                                                  x - current.x)
+        loss = _loss_over(raw, classified, labels, obj.cfg.lambda1, obj.cfg.lambda2,
+                          cs, current, Pose(x, y, heading), cam, params, leads_only=True)
+        rows.append((-loss, dist, cell[1] * occ.width + cell[0], cell, loss))
+    rows.sort()
+    return rows[0][3], rows[0][4]
 
 
 def _exhaustive_selection(frontiers, obj, occ, current, cam, params):

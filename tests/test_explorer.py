@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curiogrid import explorer
 from curiogrid.explorer import (MotionConfig, SensorSuite, _decide, _dijkstra,
                                 _extract_path, detect_frontiers, explore_cdos,
                                 explore_rapid_frontier, local_frontiers, path_cost,
                                 plan_path)
-from curiogrid.harness import steps_jsonl
+from curiogrid.harness import fixture_path, steps_jsonl
 from curiogrid.mapping import Label, OccupancyMap, logit, to_pgm
 from curiogrid.sensor import CameraConfig, IrConfig
 from curiogrid.world import Pose, load_map
@@ -405,3 +406,47 @@ class TestExplorers:
         b = explore_rapid_frontier(world, sensors)
         assert a.found and b.found
         assert abs(a.elapsed - b.elapsed) <= 0.15 * max(a.elapsed, b.elapsed) + 1e-9
+
+
+def _outcome(res):
+    return (res.trajectory, res.steps, res.elapsed, res.found, res.target_estimate,
+            res.occupancy.log_odds.tobytes(), res.objects.log_odds.tobytes())
+
+
+class TestSenseCache:
+    """A warm sensing evidence cache must change nothing but the work done."""
+
+    @pytest.fixture
+    def ir_scans(self, monkeypatch):
+        calls = []
+        scan = explorer.ir_scan
+        monkeypatch.setattr(explorer, "ir_scan", lambda *a: calls.append(a) or scan(*a))
+        return calls
+
+    def _warm_then_cold(self, explore, ir_scans):
+        world = load_map(fixture_path("sparse.map").read_text())
+        # same lattice, start and sensors, other walls: its evidence must not leak
+        other = load_map(fixture_path("dense.map").read_text())
+        explorer._SENSE_CACHE.clear()
+        explore(other.with_target((5, 35)), suite())
+        explore(world.with_target((30, 5)), suite())
+        ir_scans.clear()
+        warm = explore(world.with_target((5, 35)), suite())
+        warm_scans = len(ir_scans)
+        explorer._SENSE_CACHE.clear()
+        ir_scans.clear()
+        cold = explore(world.with_target((5, 35)), suite())
+        assert warm.steps
+        assert _outcome(warm) == _outcome(cold)
+        return warm_scans, len(ir_scans)
+
+    @pytest.mark.parametrize("explore", [explore_cdos, explore_rapid_frontier])
+    def test_warm_cache_equals_cold_cache(self, explore, ir_scans):
+        warm_scans, cold_scans = self._warm_then_cold(explore, ir_scans)
+        assert warm_scans < cold_scans
+
+    @pytest.mark.parametrize("explore", [explore_cdos, explore_rapid_frontier])
+    def test_cache_bound_of_one_changes_nothing(self, explore, ir_scans, monkeypatch):
+        monkeypatch.setattr(explorer, "_SENSE_CACHE_LIMIT", 1)
+        self._warm_then_cold(explore, ir_scans)
+        assert explorer._SENSE_CACHE._size == 1

@@ -86,6 +86,8 @@ class TestConfig:
         ("p_free_max = 0.8", "p_free_max"),
         ("alphas_deg = 60 nan", "alphas_deg"),
         ("betas_deg = 400", "betas_deg"),
+        ("ir_ray_count = 1", "ir_ray_count"),
+        ("cam_ray_count = -3", "cam_ray_count"),
     ])
     def test_out_of_range_value_names_key(self, line, key):
         with pytest.raises(ConfigError, match=key):

@@ -1,10 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curiogrid.mapping import (Label, MappingConfig, ObjectMap, OccupancyMap,
+from curiogrid.mapping import (LOG_ODDS_CAP, Label, MappingConfig, ObjectMap, OccupancyMap,
                                classify_object_probabilities, from_pgm, logit,
                                object_glyphs, occupancy_glyphs, quantize, to_pgm)
 from curiogrid.sensor import Beam, CameraObservation, Detection, IrScan
@@ -137,6 +138,32 @@ class TestObjectMapUpdate:
         omap.integrate_observation(obs)
         assert omap.raw_probabilities()[1, 1] == pytest.approx(0.9, abs=1e-12)
         assert omap.raw_probabilities()[1, 2] == pytest.approx(0.3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_per_cell_loop(self, data):
+        width, height = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        cells = [(x, y) for y in range(height) for x in range(width)]
+        prior = np.array(data.draw(st.lists(
+            st.floats(-5.0, 5.0), min_size=width * height,
+            max_size=width * height))).reshape(height, width)
+        seen = data.draw(st.lists(st.sampled_from(cells), unique=True))
+        det = data.draw(st.none() | st.builds(lambda cell, conf: Detection(cell, 1.0, conf),
+                                              st.sampled_from(cells), st.floats(0.0, 1.0)))
+        got = ObjectMap(width, height, 1.0)
+        got.log_odds = prior.copy()
+        got.integrate_observation(CameraObservation(Pose(0.5, 0.5, 0.0), tuple(seen), (),
+                                                    det))
+        want = prior.copy()  # one evidence bump per cell, cell by cell
+        lo_miss = logit(got.cfg.p_miss_cam)
+        for cx, cy in seen:
+            if det is None or (cx, cy) != det.cell:
+                want[cy, cx] += lo_miss
+        if det is not None:
+            ev_min = 1.0 / (1.0 + math.exp(LOG_ODDS_CAP))
+            ev = min(max(det.conf, ev_min), 1.0 - ev_min)
+            want[det.cell[1], det.cell[0]] += logit(ev)
+        assert np.array_equal(got.log_odds, want)
 
     def test_full_confidence_saturates_not_infinite(self):
         omap = ObjectMap(2, 2, 1.0)
