@@ -13,6 +13,7 @@ The artifacts, all produced through the CLI with the packaged config:
     config;
   - steps.jsonl, trajectory.jsonl and the three .pgm maps of
     `explore --render` on sparse.map with the cdos method;
+  - the three .txt maps of `explore --format ascii --render` on the same run;
   - mission.log of `mission` on sparse.map.
 """
 
@@ -33,6 +34,9 @@ GOLDEN = {
     "explore/occupancy.pgm": "40b8ae4a20a45a18f5aaf562e02802928468ca8008962db148f1363e139590e3",
     "explore/objects.pgm": "c3ebdd7a7737af7599295206d7d33d440cb2f0597c442e026cfb802ccadebc0a",
     "explore/combined.pgm": "7162afbe7f03f2c9c9bb2de9d7765ef134b7ac87c1fa5d4d0cb31a69c6fcd112",
+    "explore-ascii/occupancy.txt": "c64246803bb207978dc8793f00c5abf2c40e43cb80b6bc6e6ef8ed1cc76a4b3e",
+    "explore-ascii/objects.txt": "aca39bfb04652d63e4ef6504a223e613420c5e3a4911ed5323df840dcc019e41",
+    "explore-ascii/combined.txt": "c64246803bb207978dc8793f00c5abf2c40e43cb80b6bc6e6ef8ed1cc76a4b3e",
     "mission/mission.log": "dd9b072d3b72de8007bfd6fb45fd91d984bc392ad751314a0462f1906b437987",
 }
 
@@ -54,6 +58,8 @@ def artifacts(tmp_path_factory):
                      "--out", str(tmp / "sweep")]) == 0
     assert cli_main(["explore", "--map", sparse, "--method", "cdos",
                      "--render", str(tmp / "explore")]) == 0
+    assert cli_main(["explore", "--map", sparse, "--method", "cdos", "--format", "ascii",
+                     "--render", str(tmp / "explore-ascii")]) == 0
     assert cli_main(["mission", "--map", sparse, "--out", str(tmp / "mission")]) == 0
     digests = {name: hashlib.sha256((tmp / name).read_bytes()).hexdigest()
                for name in GOLDEN}
