@@ -18,10 +18,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .explorer import InvariantError, explore_cdos, explore_rapid_frontier
-from .harness import (ConfigError, default_config, load_config, render_maps,
-                      run_fov_sweep, run_zone_experiment, steps_jsonl,
-                      trajectory_jsonl)
+from .explorer import InvariantError
+from .harness import (ConfigError, default_config, explore, load_config, render_maps,
+                      run_fov_sweep, run_zone_experiment, steps_jsonl, trajectory_jsonl)
 from .mission import mission_log_lines, run_mission
 from .world import MapError, ZoneError, load_map
 
@@ -63,16 +62,20 @@ def _config_from(args) -> "ExperimentConfig":
     return default_config()
 
 
+def _with_fovs(cfg, vary: str, degrees, option: str) -> "ExperimentConfig":
+    """`cfg` with its alphas or betas replaced by `degrees`, range-checked as
+    alphas_deg/betas_deg are; a bad value raises ConfigError naming `option`."""
+    try:
+        return replace(cfg, **{f"{vary}s": tuple(math.radians(float(v)) for v in degrees)})
+    except ValueError as exc:
+        raise ConfigError(f"{option}: {exc}") from None
+
+
 def _cmd_explore(args) -> int:
-    cfg = _config_from(args)
+    cfg = _with_fovs(_config_from(args), "alpha", [args.alpha], "--alpha")
+    cfg = _with_fovs(cfg, "beta", [args.beta], "--beta")
     world = load_map(Path(args.map).read_text())
-    sensors = cfg.sensor_suite(math.radians(args.alpha), math.radians(args.beta))
-    if args.method == "cdos":
-        result = explore_cdos(world, sensors, cfg.curiosity_params(), cfg.motion_config(),
-                              cfg.budget, cfg.mapping_config(), cfg.detection_threshold)
-    else:
-        result = explore_rapid_frontier(world, sensors, cfg.motion_config(), cfg.budget,
-                                        cfg.mapping_config(), cfg.detection_threshold)
+    result = explore(world, args.method, cfg.alphas[0], cfg.betas[0], cfg)
     print(f"found={result.found} elapsed={result.elapsed:.3f}s "
           f"steps={len(result.steps)} target={result.target_estimate}")
     if args.render:
@@ -103,12 +106,7 @@ def _cmd_zones(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _config_from(args)
     if args.values:
-        # Replacing the configured list applies the alphas_deg/betas_deg range check.
-        try:
-            values = tuple(math.radians(float(v)) for v in args.values.split(","))
-            cfg = replace(cfg, **{f"{args.vary}s": values})
-        except ValueError as exc:
-            raise ConfigError(f"--values: {exc}") from None
+        cfg = _with_fovs(cfg, args.vary, args.values.split(","), "--values")
     rows = run_fov_sweep(cfg, args.vary, out_dir=Path(args.out))
     for r in rows:
         if r.zone_id == 0:

@@ -16,9 +16,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .mapping import Label, ObjectMap, OccupancyMap
-from .sensor import CameraConfig, beam_angles
-from .world import Cell, Pose, trace_ray
+from .mapping import Label, ObjectMap, OccupancyMap, classify_object_probabilities
+from .sensor import CameraConfig, camera_sweep
+from .world import Cell, Pose
 
 
 @dataclass(frozen=True)
@@ -79,16 +79,12 @@ def visible_from(occ_labels: np.ndarray, cell_size: float, pose: Pose,
                  cam: CameraConfig) -> list[Cell]:
     """Cells a camera sweep from `pose` would see free, against belief occupancy.
 
-    Rays are blocked by cells labeled OCCUPIED; unknown cells are treated as
-    transparent. Blocking cells themselves are not part of the result, which
-    mirrors the fact that blocked cells never receive object evidence.
+    This is `camera_sweep` over the cells labeled OCCUPIED; unknown cells are
+    treated as transparent. Blocking cells themselves are not part of the
+    result, which mirrors the fact that blocked cells never receive object
+    evidence.
     """
-    blocked = occ_labels == Label.OCCUPIED
-    seen: dict[Cell, None] = {}
-    for angle in beam_angles(pose.heading, cam.fov, cam.ray_count):
-        visited, _, _ = trace_ray(blocked, cell_size, pose.x, pose.y, angle, cam.max_range)
-        seen.update(dict.fromkeys(visited))
-    return list(seen)
+    return list(camera_sweep(occ_labels == Label.OCCUPIED, cell_size, pose, cam)[0])
 
 
 def expected_curiosity_loss(objects: ObjectMap, occupancy: OccupancyMap,
@@ -130,18 +126,9 @@ def _loss_over(raw: np.ndarray, classified: np.ndarray, occ_labels: np.ndarray,
         d_next = math.hypot(x - candidate.x, y - candidate.y)
         if d_now <= 1e-12:
             continue
-        if d_next <= 1e-12:
-            p_evidence = 1.0
-        else:
-            p_evidence = min(1.0, p_raw * d_now / d_next)
-        fused = bayes_fuse(p_raw, p_evidence)
-        if fused < lambda1:
-            post = 0.0
-        elif fused <= lambda2:
-            post = 0.5
-        else:
-            post = fused
-        c_post = cell_curiosity(post, params)
+        p_evidence = 1.0 if d_next <= 1e-12 else predict_observation(p_raw, d_now, d_next)
+        post = classify_object_probabilities(bayes_fuse(p_raw, p_evidence), lambda1, lambda2)
+        c_post = cell_curiosity(float(post), params)
         loss += c_now - c_post
     return loss
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .curiosity import CuriosityParams, select_frontier, total_curiosity
 from .mapping import Label, MappingConfig, ObjectMap, OccupancyMap
-from .sensor import CameraConfig, IrConfig, camera_observe, detect, ir_scan
+from .sensor import CameraConfig, IrConfig, camera_observe, detect, ir_scan, wedge_cells
 from .world import TWO_PI, Cell, GridWorld, Pose, angle_diff, wrap_angle
 
 SQRT2 = math.sqrt(2.0)
@@ -97,20 +97,7 @@ def detect_frontiers(occupancy: OccupancyMap) -> list[Cell]:
 def local_frontiers(frontiers: list[Cell], pose: Pose, ir: IrConfig,
                     cell_size: float) -> list[Cell]:
     """Subset of frontiers whose centers fall inside the IR wedge from `pose`."""
-    half = ir.fov / 2.0
-    out = []
-    for cell in frontiers:
-        x, y = (cell[0] + 0.5) * cell_size, (cell[1] + 0.5) * cell_size
-        d = math.hypot(x - pose.x, y - pose.y)
-        if d > ir.max_range:
-            continue
-        if d < 1e-12:
-            out.append(cell)
-            continue
-        bearing = math.atan2(y - pose.y, x - pose.x)
-        if abs(angle_diff(bearing, pose.heading)) <= half + 1e-12:
-            out.append(cell)
-    return out
+    return wedge_cells(frontiers, pose, ir, cell_size)
 
 
 def _dijkstra(free: np.ndarray, start: Cell, cell_size: float,
@@ -281,45 +268,14 @@ _SENSE_CACHE_LIMIT = 1 << 13
 # third part.
 _Evidence = tuple[np.ndarray, int, int]
 
-
-class _SenseCache:
-    """Per-process cache of ground-truth sensing evidence, by map, then pose.
-
-    An IR scan and the sweep part of a camera observation are pure functions
-    of the map, the sensor geometry and the pose. The key of a map's table
-    therefore holds the map content (lattice shape, cell_size, the dtype and
-    bytes of the occupancy array) and the IrConfig and CameraConfig; the
-    table maps a pose to the evidence `_sense` fuses for it. The target is
-    not part of the key: only the detection depends on it, and `_sense` runs
-    `detect` on every sense, so the trials that share a map (the zone
-    experiment places the object many times in each map) share one table.
-    Once the cache holds _SENSE_CACHE_LIMIT poses, the next store empties
-    every table first.
-    """
-
-    def __init__(self):
-        self._tables: dict[tuple, dict[Pose, _Evidence]] = {}
-        self._size = 0
-
-    def table(self, world: GridWorld, sensors: SensorSuite) -> dict[Pose, _Evidence]:
-        occupied = world.occupied
-        key = (occupied.shape, world.cell_size, occupied.dtype.str, occupied.tobytes(),
-               sensors.ir, sensors.camera)
-        return self._tables.setdefault(key, {})
-
-    def store(self, table: dict[Pose, _Evidence], pose: Pose, evidence: _Evidence) -> None:
-        if self._size >= _SENSE_CACHE_LIMIT:
-            self.clear()
-        table[pose] = evidence
-        self._size += 1
-
-    def clear(self) -> None:
-        for table in self._tables.values():
-            table.clear()
-        self._size = 0
-
-
-_SENSE_CACHE = _SenseCache()
+# Per-process ground-truth sensing evidence: one table per map, from pose to
+# the evidence `_sense` fuses. An IR scan and a camera sweep are pure functions
+# of the map, the sensor geometry and the pose, so a table's key is the map
+# content (shape, cell_size, occupancy dtype and bytes) and the IrConfig and
+# CameraConfig, not the target: `_sense` runs `detect` on every sense, and the
+# trials that share a map share its table. Once the tables hold
+# _SENSE_CACHE_LIMIT poses, the next store empties every table first.
+_SENSE_CACHE: dict[tuple, dict[Pose, _Evidence]] = {}
 
 
 class _Explorer:
@@ -340,7 +296,10 @@ class _Explorer:
         self.threshold = detection_threshold
         self.occupancy = OccupancyMap(world.width, world.height, world.cell_size, mapping_cfg)
         self.objects = ObjectMap(world.width, world.height, world.cell_size, mapping_cfg)
-        self.evidence = _SENSE_CACHE.table(world, sensors)
+        occupied = world.occupied
+        self.evidence = _SENSE_CACHE.setdefault(
+            (occupied.shape, world.cell_size, occupied.dtype.str, occupied.tobytes(),
+             sensors.ir, sensors.camera), {})
         self.pose = world.start
         self.elapsed = 0.0
         self.trajectory = [world.start]
@@ -356,7 +315,10 @@ class _Explorer:
             free, hits = self.occupancy.scan_evidence(scan)
             seen = self.objects.observation_evidence(obs)
             evidence = (np.concatenate((free, hits, seen)), len(free), len(free) + len(hits))
-            _SENSE_CACHE.store(self.evidence, self.pose, evidence)
+            if sum(map(len, _SENSE_CACHE.values())) >= _SENSE_CACHE_LIMIT:
+                for table in _SENSE_CACHE.values():
+                    table.clear()
+            self.evidence[self.pose] = evidence
             det = obs.detection
         else:
             det = detect(self.world, self.pose, self.sensors.camera)

@@ -13,7 +13,7 @@ import json
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -23,7 +23,7 @@ import numpy as np
 from .curiosity import CuriosityParams
 from .explorer import (ExplorationResult, MotionConfig, SensorSuite, detect_frontiers,
                        explore_cdos, explore_rapid_frontier, _dijkstra)
-from .mapping import (Label, MappingConfig, occupancy_glyphs, object_glyphs,
+from .mapping import (Label, MappingConfig, glyph_text, occupancy_glyphs, object_glyphs,
                       quantize, raster_pgm)
 from .sensor import CameraConfig, IrConfig
 from .world import GridWorld, load_map, load_zones, sample_zone_points
@@ -228,10 +228,9 @@ def _ground_truth_reachable(world: GridWorld) -> np.ndarray:
     return np.isfinite(dist)
 
 
-def run_trial(map_text: str, placement: tuple[int, int], method: str,
-              alpha: float, beta: float, cfg: ExperimentConfig) -> ExplorationResult:
-    """One exploration run with the object at `placement`."""
-    world = load_map(map_text).with_target(placement)
+def explore(world: GridWorld, method: str, alpha: float, beta: float,
+            cfg: ExperimentConfig) -> ExplorationResult:
+    """One `method` run on `world`: camera fov alpha, IR fov beta (radians)."""
     sensors = cfg.sensor_suite(alpha, beta)
     if method == "cdos":
         return explore_cdos(world, sensors, cfg.curiosity_params(), cfg.motion_config(),
@@ -240,6 +239,12 @@ def run_trial(map_text: str, placement: tuple[int, int], method: str,
         return explore_rapid_frontier(world, sensors, cfg.motion_config(), cfg.budget,
                                       cfg.mapping_config(), cfg.detection_threshold)
     raise ConfigError(f"unknown method {method!r}")
+
+
+def run_trial(map_text: str, placement: tuple[int, int], method: str,
+              alpha: float, beta: float, cfg: ExperimentConfig) -> ExplorationResult:
+    """One exploration run with the object at `placement`."""
+    return explore(load_map(map_text).with_target(placement), method, alpha, beta, cfg)
 
 
 def _run_trial_task(args) -> TrialRecord:
@@ -331,29 +336,28 @@ def run_zone_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None,
     return experiment
 
 
-def trials_csv(records: list[TrialRecord]) -> bytes:
+def _csv(header: list[str], rows) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["map", "zone", "placement_x", "placement_y", "method",
-                     "alpha_deg", "beta_deg", "seed", "delta_t", "found",
-                     "reachable", "steps", "path_length"])
-    for r in sorted(records, key=TrialRecord.sort_key):
-        writer.writerow([r.map_id, r.zone_id, r.placement[0], r.placement[1],
-                         r.method, repr(math.degrees(r.alpha)), repr(math.degrees(r.beta)),
-                         r.seed, repr(r.delta_t), int(r.found), int(r.reachable),
-                         r.steps, repr(r.path_length)])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue().encode("utf-8")
+
+
+def trials_csv(records: list[TrialRecord]) -> bytes:
+    return _csv(["map", "zone", "placement_x", "placement_y", "method", "alpha_deg",
+                 "beta_deg", "seed", "delta_t", "found", "reachable", "steps", "path_length"],
+                ([r.map_id, r.zone_id, r.placement[0], r.placement[1], r.method,
+                  repr(math.degrees(r.alpha)), repr(math.degrees(r.beta)), r.seed,
+                  repr(r.delta_t), int(r.found), int(r.reachable), r.steps,
+                  repr(r.path_length)] for r in sorted(records, key=TrialRecord.sort_key)))
 
 
 def summary_csv(summaries: list[ZoneSummary]) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["map", "zone", "method", "trials", "found", "unreachable",
-                     "mean_dt", "std_dt"])
-    for s in summaries:
-        writer.writerow([s.map_id, s.zone_id, s.method, s.trials, s.found,
-                         s.unreachable, repr(s.mean_dt), repr(s.std_dt)])
-    return buf.getvalue().encode("utf-8")
+    return _csv(["map", "zone", "method", "trials", "found", "unreachable", "mean_dt",
+                 "std_dt"],
+                ([s.map_id, s.zone_id, s.method, s.trials, s.found, s.unreachable,
+                  repr(s.mean_dt), repr(s.std_dt)] for s in summaries))
 
 
 @dataclass
@@ -386,16 +390,9 @@ def run_fov_sweep(cfg: ExperimentConfig, vary: str,
         alpha = value if vary == "alpha" else cfg.alphas[0]
         beta = value if vary == "beta" else cfg.betas[0]
         experiment = run_zone_experiment(cfg, out_dir=None, alpha=alpha, beta=beta)
-        for s in experiment.summaries:
-            rows.append(SweepRow(vary, math.degrees(value), s.map_id, s.zone_id,
-                                 s.method, s.found, s.mean_dt))
-        for map_id, _ in cfg.maps():
-            for method in METHODS:
-                times = [r.delta_t for r in experiment.records
-                         if r.map_id == map_id and r.method == method and r.found]
-                mean_dt = statistics.fmean(times) if times else 0.0
-                rows.append(SweepRow(vary, math.degrees(value), map_id, 0, method,
-                                     len(times), mean_dt))
+        pooled = summarize([replace(r, zone_id=0) for r in experiment.records])
+        rows.extend(SweepRow(vary, math.degrees(value), s.map_id, s.zone_id, s.method,
+                             s.found, s.mean_dt) for s in experiment.summaries + pooled)
 
     rows.sort(key=lambda r: (r.vary, r.value_deg, r.map_id, r.zone_id, r.method))
     if out_dir is not None:
@@ -406,20 +403,17 @@ def run_fov_sweep(cfg: ExperimentConfig, vary: str,
 
 
 def sweep_csv(rows: list[SweepRow]) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["vary", "value_deg", "map", "zone", "method", "found", "mean_dt"])
-    for r in rows:
-        writer.writerow([r.vary, repr(r.value_deg), r.map_id, r.zone_id, r.method,
-                         r.found, repr(r.mean_dt)])
-    return buf.getvalue().encode("utf-8")
+    return _csv(["vary", "value_deg", "map", "zone", "method", "found", "mean_dt"],
+                ([r.vary, repr(r.value_deg), r.map_id, r.zone_id, r.method, r.found,
+                  repr(r.mean_dt)] for r in rows))
 
 
 # Byte values used in the combined overlay rendering; the ASCII overlay maps
 # the same values to glyphs one-to-one.
 _OVERLAY_BYTES = {"occupied": 0, "free": 255, "unknown": 128,
                   "frontier": 200, "object": 64, "target": 32}
-_OVERLAY_GLYPHS = {0: "#", 255: ".", 128: "?", 200: "F", 64: "*", 32: "T"}
+_OVERLAY_GLYPHS = "".join({0: "#", 255: ".", 128: "?", 200: "F", 64: "*", 32: "T"}.get(b, " ")
+                          for b in range(256))
 
 
 def _overlay_bytes(result: ExplorationResult) -> np.ndarray:
@@ -451,12 +445,10 @@ def render_maps(result: ExplorationResult, fmt: str) -> dict[str, bytes | str]:
         return {"occupancy": raster_pgm(occ_bytes), "objects": raster_pgm(obj_bytes),
                 "combined": raster_pgm(overlay)}
     if fmt == "ascii":
-        combined = "\n".join("".join(_OVERLAY_GLYPHS[int(v)] for v in row)
-                             for row in overlay) + "\n"
         return {
             "occupancy": occupancy_glyphs(occ_bytes, result.occupancy.cfg),
             "objects": object_glyphs(obj_bytes),
-            "combined": combined,
+            "combined": glyph_text(overlay, _OVERLAY_GLYPHS),
         }
     raise ValueError(f"unsupported render format {fmt!r}")
 

@@ -211,36 +211,19 @@ def quantize(values: np.ndarray) -> np.ndarray:
     return np.floor(np.clip(np.asarray(values, dtype=float), 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
 
 
+def glyph_text(byte_values: np.ndarray, glyphs: str) -> str:
+    """ASCII rows of a uint8 raster, byte b drawn as glyphs[b] (256 glyphs)."""
+    table = np.array(list(glyphs))
+    return "\n".join(map("".join, table[byte_values].tolist())) + "\n"
+
+
 def occupancy_glyphs(byte_values: np.ndarray, cfg: MappingConfig) -> str:
     """ASCII view of occupancy bytes: '.' free, '#' occupied, '?' unknown."""
-    p = byte_values.astype(float) / 255.0
-    rows = []
-    for row in range(p.shape[0]):
-        chars = []
-        for col in range(p.shape[1]):
-            v = p[row, col]
-            if v < cfg.p_free_max:
-                chars.append(".")
-            elif v > cfg.p_occ_min:
-                chars.append("#")
-            else:
-                chars.append("?")
-        rows.append("".join(chars))
-    return "\n".join(rows) + "\n"
+    return glyph_text(byte_values, "".join(
+        "." if b / 255.0 < cfg.p_free_max else "#" if b / 255.0 > cfg.p_occ_min else "?"
+        for b in range(256)))
 
 
 def object_glyphs(byte_values: np.ndarray) -> str:
     """ASCII view of classified object bytes: '.' free, '?' unknown, '*' object."""
-    rows = []
-    for row in range(byte_values.shape[0]):
-        chars = []
-        for col in range(byte_values.shape[1]):
-            b = int(byte_values[row, col])
-            if b < 128:
-                chars.append(".")
-            elif b == 128:
-                chars.append("?")
-            else:
-                chars.append("*")
-        rows.append("".join(chars))
-    return "\n".join(rows) + "\n"
+    return glyph_text(byte_values, "." * 128 + "?" + "*" * 127)

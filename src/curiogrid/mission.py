@@ -184,9 +184,9 @@ def run_mission(world: GridWorld, sensors: SensorSuite,
     trace.exploration = result
     t += result.elapsed
 
+    pose = result.trajectory[-1]
     if result.found:
         fire(MissionEvent.DETECTION, detection_conf=1.0)
-        pose = result.trajectory[-1]
         target = result.target_estimate
         tx, ty = world.cell_center(target)
         if math.hypot(tx - pose.x, ty - pose.y) > grab_range:
@@ -219,23 +219,16 @@ def run_mission(world: GridWorld, sensors: SensorSuite,
         pose, grab_cost = grab_maneuver(pose, target, motion, world.cell_size, grab_range)
         t += grab_cost
         fire(MissionEvent.GRAB_COMPLETE)
-        home = world.cell_of(world.start.x, world.start.y)
-        cell = world.cell_of(pose.x, pose.y)
-        back = plan_path(result.occupancy, cell, home, force_free=(cell, home))
-        if back is not None:
-            t += path_cost(back, world.cell_size) / motion.max_velocity
-        fire(MissionEvent.RETRACT_COMPLETE, object_aboard=True)
-        trace.object_retrieved = True
     else:
         fire(MissionEvent.FRONTIERS_EXHAUSTED)
-        pose = result.trajectory[-1]
-        home = world.cell_of(world.start.x, world.start.y)
-        cell = world.cell_of(pose.x, pose.y)
-        back = plan_path(result.occupancy, cell, home, force_free=(cell, home))
-        if back is not None:
-            t += path_cost(back, world.cell_size) / motion.max_velocity
-        fire(MissionEvent.RETRACT_COMPLETE, object_aboard=False)
 
+    home = world.cell_of(world.start.x, world.start.y)
+    cell = world.cell_of(pose.x, pose.y)
+    back = plan_path(result.occupancy, cell, home, force_free=(cell, home))
+    if back is not None:
+        t += path_cost(back, world.cell_size) / motion.max_velocity
+    fire(MissionEvent.RETRACT_COMPLETE, object_aboard=result.found)
+    trace.object_retrieved = result.found
     trace.final_phase = phase
     trace.elapsed = t
     return trace

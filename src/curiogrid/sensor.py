@@ -2,14 +2,17 @@
 
 Both sensors are modeled as 2D ray fans. The camera additionally reports a
 target detection whose confidence decays with distance as conf_scale / d,
-clamped to 1.
+clamped to 1. The camera fan walk (`camera_sweep`, also the prediction of a
+candidate view) and the wedge test (`wedge_cells`) have their one copy here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
+
+import numpy as np
 
 from .world import TWO_PI, Cell, GridWorld, Pose, angle_diff, trace_ray
 
@@ -124,46 +127,64 @@ def ir_scan(world: GridWorld, pose: Pose, cfg: IrConfig) -> IrScan:
     return IrScan(pose, tuple(beams))
 
 
-def camera_observe(world: GridWorld, pose: Pose, cfg: CameraConfig) -> CameraObservation:
-    """Sweep the camera wedge and look for the target.
-
-    Cells traversed before a blocking cell are reported seen-free, blocking
-    cells seen-blocked (each cell at most once per observation). The
-    detection is `detect`'s.
-    """
-    if not world.contains_point(pose.x, pose.y):
-        raise ValueError("observation pose outside world bounds")
+def camera_sweep(blocked: np.ndarray, cell_size: float, pose: Pose,
+                 cfg: CameraConfig) -> tuple[dict[Cell, None], dict[Cell, None]]:
+    """The camera fan from `pose` walked over the `blocked` mask: the cells
+    rays traversed (seen free) and the in-lattice blocked cells that stopped a
+    ray within range (seen blocked), each once, in walk order."""
+    height, width = blocked.shape
     seen_free: dict[Cell, None] = {}
     seen_blocked: dict[Cell, None] = {}
     for angle in beam_angles(pose.heading, cfg.fov, cfg.ray_count):
-        visited, stop, t = trace_ray(world.occupied, world.cell_size, pose.x, pose.y, angle,
-                                     cfg.max_range)
+        visited, stop, t = trace_ray(blocked, cell_size, pose.x, pose.y, angle, cfg.max_range)
         for cell in visited:
             seen_free.setdefault(cell)
-        if t <= cfg.max_range and world.in_bounds(stop):
+        if t <= cfg.max_range and 0 <= stop[0] < width and 0 <= stop[1] < height:
             seen_blocked.setdefault(stop)
+    return seen_free, seen_blocked
+
+
+def camera_observe(world: GridWorld, pose: Pose, cfg: CameraConfig) -> CameraObservation:
+    """`camera_sweep` against the world's walls, plus `detect`'s detection."""
+    if not world.contains_point(pose.x, pose.y):
+        raise ValueError("observation pose outside world bounds")
+    seen_free, seen_blocked = camera_sweep(world.occupied, world.cell_size, pose, cfg)
     return CameraObservation(pose, tuple(seen_free), tuple(seen_blocked),
                              detect(world, pose, cfg))
+
+
+def wedge_cells(cells: Iterable[Cell], pose: Pose, cfg: IrConfig | CameraConfig,
+                cell_size: float) -> list[Cell]:
+    """The cells whose centers lie within cfg.max_range of `pose` and within
+    cfg.fov / 2 (+1e-12) of its heading; a center at the pose is always in."""
+    half = cfg.fov / 2.0 + 1e-12
+    out = []
+    for cell in cells:
+        x, y = (cell[0] + 0.5) * cell_size, (cell[1] + 0.5) * cell_size
+        d = math.hypot(x - pose.x, y - pose.y)
+        if d > cfg.max_range:
+            continue
+        if d < 1e-12 or abs(angle_diff(math.atan2(y - pose.y, x - pose.x),
+                                       pose.heading)) <= half:
+            out.append(cell)
+    return out
 
 
 def detect(world: GridWorld, pose: Pose, cfg: CameraConfig) -> Optional[Detection]:
     """The camera's target detection from `pose`, or None.
 
-    The target is detected when its cell center lies inside the wedge, within
-    range, and the ray through the cell center reaches it unblocked. This is
-    the only part of a camera observation that depends on the target.
+    The target is detected when its cell lies in the camera wedge
+    (`wedge_cells`) and the ray through the cell center reaches it
+    unblocked. This is the only part of a camera observation that depends on
+    the target.
     """
-    if world.target is None:
+    if world.target is None or not wedge_cells((world.target,), pose, cfg, world.cell_size):
         return None
     tx, ty = world.cell_center(world.target)
     d = math.hypot(tx - pose.x, ty - pose.y)
-    if d > cfg.max_range:
-        return None
     if d < 1e-12:
         return Detection(world.target, 0.0, 1.0)
     bearing = math.atan2(ty - pose.y, tx - pose.x)
-    if abs(angle_diff(bearing, pose.heading)) > cfg.fov / 2.0 + 1e-12:
-        return None
     _, _, t = trace_ray(world.occupied, world.cell_size, pose.x, pose.y, bearing, d)
     if t <= d:
         return None

@@ -89,6 +89,17 @@ def test_sweep_bad_values_exit_one(tiny, capsys, monkeypatch, values):
     assert "--values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option,value", [("--alpha", "0"), ("--alpha", "nan"),
+                                          ("--alpha", "400"), ("--alpha", "-30"),
+                                          ("--beta", "0"), ("--beta", "nan")])
+def test_explore_bad_fov_exit_one(tiny, capsys, monkeypatch, option, value):
+    monkeypatch.setattr(cli, "explore", lambda *a, **k: pytest.fail("an exploration ran"))
+    code = main(["explore", "--map", str(tiny / "tiny.map"), "--config",
+                 str(tiny / "exp.cfg"), f"{option}={value}"])
+    assert code == 1
+    assert option in capsys.readouterr().err
+
+
 def test_mission_trace(tiny, capsys):
     out = tiny / "mission"
     code = main(["mission", "--map", str(tiny / "tiny.map"),

@@ -449,4 +449,4 @@ class TestSenseCache:
     def test_cache_bound_of_one_changes_nothing(self, explore, ir_scans, monkeypatch):
         monkeypatch.setattr(explorer, "_SENSE_CACHE_LIMIT", 1)
         self._warm_then_cold(explore, ir_scans)
-        assert explorer._SENSE_CACHE._size == 1
+        assert sum(map(len, explorer._SENSE_CACHE.values())) == 1

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from curiogrid.sensor import (CameraConfig, IrConfig, beam_angles, camera_observe,
+from curiogrid.curiosity import visible_from
+from curiogrid.explorer import local_frontiers
+from curiogrid.mapping import Label
+from curiogrid.sensor import (CameraConfig, IrConfig, beam_angles, camera_observe, detect,
                               detection_confidence, ir_scan, rays_per_fov)
-from curiogrid.world import Pose, load_map, trace_ray
+from curiogrid.world import GridWorld, Pose, load_map, trace_ray
 
 
 def make_map(rows, cell_size=1.0, heading=0.0):
@@ -163,3 +166,51 @@ def test_confidence_monotone_and_bounded(distance, scale):
     conf = detection_confidence(distance, scale)
     assert 0.0 <= conf <= 1.0
     assert detection_confidence(distance * 2.0, scale) <= conf
+
+
+@st.composite
+def sensing_cases(draw, walls=True):
+    """A small world, a pose inside one of its free cells, a camera, and
+    belief labels that are OCCUPIED exactly at the world's walls."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cell_size = draw(st.sampled_from([0.5, 1.0]))
+    flat = draw(st.lists(st.booleans() if walls else st.just(False),
+                         min_size=width * height, max_size=width * height))
+    occupied = np.array(flat, dtype=bool).reshape(height, width)
+    sx, sy = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+    occupied[sy, sx] = False
+    # cell centres (where the explorer senses) and arbitrary offsets
+    offset = st.sampled_from([0.5, 0.25]) | st.floats(0.01, 0.99)
+    fx, fy = draw(offset), draw(offset)
+    heading = draw(st.sampled_from([0.0, math.pi / 4, math.pi / 2, math.pi])
+                   | st.floats(0.0, 2 * math.pi, exclude_max=True))
+    pose = Pose((sx + fx) * cell_size, (sy + fy) * cell_size, heading)
+    cam = CameraConfig(draw(st.floats(math.radians(5.0), 2 * math.pi)),
+                       draw(st.floats(0.3, 4.0)))
+    unknown = np.array(draw(st.lists(st.booleans(), min_size=width * height,
+                                     max_size=width * height))).reshape(height, width)
+    labels = np.where(occupied, Label.OCCUPIED,
+                      np.where(unknown, Label.UNKNOWN, Label.FREE)).astype(np.int8)
+    cells = [(x, y) for y in range(height) for x in range(width) if not occupied[y, x]]
+    world = GridWorld(width, height, cell_size, occupied, pose, draw(st.sampled_from(cells)))
+    return world, pose, cam, labels
+
+
+class TestSharedSensingRules:
+    """The camera sweep and the wedge test have one owner in curiogrid.sensor;
+    the explorer and the curiosity scoring reach the same answers through it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sensing_cases())
+    def test_perfect_belief_predicts_the_camera(self, case):
+        world, pose, cam, labels = case
+        assert list(camera_observe(world, pose, cam).seen_free) == visible_from(
+            labels, world.cell_size, pose, cam)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sensing_cases(walls=False))
+    def test_detection_fires_exactly_inside_the_wedge(self, case):
+        world, pose, cam, _ = case
+        wedge = local_frontiers([world.target], pose, IrConfig(cam.fov, cam.max_range),
+                                world.cell_size)
+        assert (detect(world, pose, cam) is not None) == bool(wedge)
