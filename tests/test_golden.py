@@ -14,6 +14,12 @@ The artifacts, all produced through the CLI with the packaged config:
   - steps.jsonl, trajectory.jsonl and the three .pgm maps of
     `explore --render` on sparse.map with the cdos method;
   - the three .txt maps of `explore --format ascii --render` on the same run;
+  - the three .pgm and three .txt maps of the same two renders on a copy of
+    sparse.map with the object at (34, 20): the cdos run finds it with
+    frontiers left, so the combined overlay holds frontier and target glyphs;
+  - steps.jsonl and trajectory.jsonl of `explore --render` on a copy of
+    sparse.map with header `cellsize=0.3 heading=0.5`: a cell size that is no
+    power of two and a start heading off the lattice axes;
   - mission.log of `mission` on sparse.map.
 """
 
@@ -37,6 +43,14 @@ GOLDEN = {
     "explore-ascii/occupancy.txt": "c64246803bb207978dc8793f00c5abf2c40e43cb80b6bc6e6ef8ed1cc76a4b3e",
     "explore-ascii/objects.txt": "aca39bfb04652d63e4ef6504a223e613420c5e3a4911ed5323df840dcc019e41",
     "explore-ascii/combined.txt": "c64246803bb207978dc8793f00c5abf2c40e43cb80b6bc6e6ef8ed1cc76a4b3e",
+    "found/occupancy.pgm": "8e870fc9a4d374cde28af4a48c5388b5bb7673d1b2e2750eeac39caff2890f28",
+    "found/objects.pgm": "416ddd4f3ed58a158cd6160e4a4c27a5f3da40989c15595ac4e5283f9d012c9f",
+    "found/combined.pgm": "40e70d4c40b55443c20692b7016f114da647eaa1ac54bc643a4f2f56fe5d45b3",
+    "found-ascii/occupancy.txt": "e8c4ffca37da61dbf3fa2e86323fca7ef06115eb66e40c1af411970d275a690c",
+    "found-ascii/objects.txt": "b48acfd1aa4d67f3a4a69b001dce6478112656440d7c058be1e8ea6e78f0ae6d",
+    "found-ascii/combined.txt": "19c46d7611321d0482cd73f481564da3db7e1550e0d5facb071a14d54c8a3f93",
+    "offgrid/steps.jsonl": "bef0b4ad38aff1773b41c1b88db0c81a801cb0f133f6e19a3994031781ee1cea",
+    "offgrid/trajectory.jsonl": "8bd1f52a74aa084d66e7e03f10e9801e4b7cdd6d09b6f4102aed3e2245bf2512",
     "mission/mission.log": "dd9b072d3b72de8007bfd6fb45fd91d984bc392ad751314a0462f1906b437987",
 }
 
@@ -52,6 +66,12 @@ def artifacts(tmp_path_factory):
     cfg = tmp / "reduced.cfg"
     cfg.write_text(cfg_text)
     sparse = str(fixture_path("sparse.map"))
+    rows = fixture_path("sparse.map").read_text().splitlines()
+    offgrid = tmp / "offgrid.map"
+    offgrid.write_text("\n".join(["cellsize=0.3 heading=0.5"] + rows[1:]) + "\n")
+    rows[21] = rows[21][:34] + "T" + rows[21][35:]  # the object at cell (34, 20)
+    found = tmp / "found.map"
+    found.write_text("\n".join(rows) + "\n")
 
     assert cli_main(["zones", "--config", str(cfg), "--out", str(tmp / "zones")]) == 0
     assert cli_main(["sweep", "--config", str(cfg), "--vary", "alpha", "--values", "60,30",
@@ -60,6 +80,11 @@ def artifacts(tmp_path_factory):
                      "--render", str(tmp / "explore")]) == 0
     assert cli_main(["explore", "--map", sparse, "--method", "cdos", "--format", "ascii",
                      "--render", str(tmp / "explore-ascii")]) == 0
+    for fmt, out in (("pgm", "found"), ("ascii", "found-ascii")):
+        assert cli_main(["explore", "--map", str(found), "--method", "cdos", "--format", fmt,
+                         "--render", str(tmp / out)]) == 0
+    assert cli_main(["explore", "--map", str(offgrid), "--method", "cdos",
+                     "--render", str(tmp / "offgrid")]) == 0
     assert cli_main(["mission", "--map", sparse, "--out", str(tmp / "mission")]) == 0
     digests = {name: hashlib.sha256((tmp / name).read_bytes()).hexdigest()
                for name in GOLDEN}
