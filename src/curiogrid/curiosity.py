@@ -84,7 +84,7 @@ def visible_from(occ_labels: np.ndarray, cell_size: float, pose: Pose,
     result, which mirrors the fact that blocked cells never receive object
     evidence.
     """
-    return list(camera_sweep(occ_labels == Label.OCCUPIED, cell_size, pose, cam)[0])
+    return camera_sweep(occ_labels == Label.OCCUPIED, cell_size, pose, cam)[0]
 
 
 def expected_curiosity_loss(objects: ObjectMap, occupancy: OccupancyMap,

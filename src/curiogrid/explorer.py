@@ -18,7 +18,11 @@ import numpy as np
 
 from .curiosity import CuriosityParams, select_frontier, total_curiosity
 from .mapping import Label, MappingConfig, ObjectMap, OccupancyMap
-from .sensor import CameraConfig, IrConfig, camera_observe, detect, ir_scan, wedge_cells
+# camera_observe and ir_scan are not called here; they stay importable from
+# this module because bench/spans.py wraps them under these names.
+from .sensor import (CameraConfig, IrConfig, beam_angles, beam_stops,
+                     camera_observe, detect, fan_codes, fan_walk, ir_evidence, ir_scan,
+                     wedge_cells)
 from .world import TWO_PI, Cell, GridWorld, Pose, angle_diff, wrap_angle
 
 SQRT2 = math.sqrt(2.0)
@@ -297,6 +301,7 @@ class _Explorer:
         self.occupancy = OccupancyMap(world.width, world.height, world.cell_size, mapping_cfg)
         self.objects = ObjectMap(world.width, world.height, world.cell_size, mapping_cfg)
         occupied = world.occupied
+        self.codes = fan_codes(occupied)
         self.evidence = _SENSE_CACHE.setdefault(
             (occupied.shape, world.cell_size, occupied.dtype.str, occupied.tobytes(),
              sensors.ir, sensors.camera), {})
@@ -310,18 +315,12 @@ class _Explorer:
     def _sense(self) -> None:
         evidence = self.evidence.get(self.pose)
         if evidence is None:
-            scan = ir_scan(self.world, self.pose, self.sensors.ir)
-            obs = camera_observe(self.world, self.pose, self.sensors.camera)
-            free, hits = self.occupancy.scan_evidence(scan)
-            seen = self.objects.observation_evidence(obs)
-            evidence = (np.concatenate((free, hits, seen)), len(free), len(free) + len(hits))
+            evidence = self._walk_fans()
             if sum(map(len, _SENSE_CACHE.values())) >= _SENSE_CACHE_LIMIT:
                 for table in _SENSE_CACHE.values():
                     table.clear()
             self.evidence[self.pose] = evidence
-            det = obs.detection
-        else:
-            det = detect(self.world, self.pose, self.sensors.camera)
+        det = detect(self.world, self.pose, self.sensors.camera)
         cells, hits_at, seen_at = evidence
         self.occupancy.add_scan_evidence(cells[:hits_at], cells[hits_at:seen_at])
         self.objects.add_observation_evidence(cells[seen_at:], det)
@@ -336,6 +335,23 @@ class _Explorer:
         elif self.objects.raw_probabilities()[det.cell[1], det.cell[0]] > self.threshold:
             self.found = True
             self.estimate = det.cell
+
+    def _walk_fans(self) -> _Evidence:
+        """The evidence of sensing at the current pose: the IR fan's passed
+        and hit cells (as `OccupancyMap.scan_evidence` finds them for the
+        `ir_scan` of this pose) and the camera fan's seen-free cells (as
+        `ObjectMap.observation_evidence` finds them for its `camera_observe`),
+        read straight from the two fan walks."""
+        ir, cam = self.sensors.ir, self.sensors.camera
+        x, y, heading = self.pose.x, self.pose.y, self.pose.heading
+        cs = self.world.cell_size
+        beams = fan_walk(self.codes, cs, x, y, beam_angles(heading, ir.fov, ir.ray_count),
+                         ir.max_range)
+        free, hits = ir_evidence(beams, *beam_stops(beams))
+        sweep = fan_walk(self.codes, cs, x, y, beam_angles(heading, cam.fov, cam.ray_count),
+                         cam.max_range)
+        seen = sweep.index_set(sweep.flat[sweep.walked])
+        return np.concatenate((free, hits, seen)), len(free), len(free) + len(hits)
 
     def _charge_rotation(self, heading: float) -> None:
         """Add the time of turning in place from the current heading to `heading`."""
@@ -469,8 +485,13 @@ def explore_cdos(world: GridWorld, sensors: SensorSuite,
 def explore_rapid_frontier(world: GridWorld, sensors: SensorSuite,
                            motion: MotionConfig = MotionConfig(), budget: float = 600.0,
                            mapping_cfg: MappingConfig = MappingConfig(),
-                           detection_threshold: float = 0.95) -> ExplorationResult:
-    """Baseline: frontiers picked by minimal heading change, detector unchanged."""
+                           detection_threshold: float = 0.95,
+                           params: CuriosityParams = CuriosityParams()) -> ExplorationResult:
+    """Baseline: frontiers picked by minimal heading change, detector unchanged.
+
+    `params` only sets the curve of the total curiosity the step log records;
+    the baseline's choices never read it.
+    """
     explorer = _Explorer(world, sensors, motion, budget, _heading_select(),
-                         mapping_cfg, CuriosityParams(), detection_threshold)
+                         mapping_cfg, params, detection_threshold)
     return explorer.run()

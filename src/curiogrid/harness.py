@@ -237,7 +237,8 @@ def explore(world: GridWorld, method: str, alpha: float, beta: float,
                             cfg.budget, cfg.mapping_config(), cfg.detection_threshold)
     if method == "baseline":
         return explore_rapid_frontier(world, sensors, cfg.motion_config(), cfg.budget,
-                                      cfg.mapping_config(), cfg.detection_threshold)
+                                      cfg.mapping_config(), cfg.detection_threshold,
+                                      cfg.curiosity_params())
     raise ConfigError(f"unknown method {method!r}")
 
 

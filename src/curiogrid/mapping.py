@@ -16,8 +16,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .sensor import CameraObservation, Detection, IrScan
-from .world import Cell, trace_ray
+from .sensor import CameraObservation, Detection, IrScan, fan_codes, fan_walk, ir_evidence
+from .world import Cell
 
 LOG_ODDS_CAP = 20.0
 _EV_MIN = 1.0 / (1.0 + math.exp(LOG_ODDS_CAP))
@@ -87,7 +87,8 @@ class OccupancyMap:
         self.cell_size = cell_size
         self.cfg = cfg
         self.log_odds = np.zeros((height, width), dtype=float)
-        self._open = np.zeros((height, width), dtype=bool)  # beams stop only at their length
+        # beams walked over this grid stop only at their length or the border
+        self._open = fan_codes(np.zeros((height, width), dtype=bool))
 
     def integrate_scan(self, scan: IrScan) -> None:
         """Fuse one IR scan; each cell receives at most one evidence bump."""
@@ -101,19 +102,12 @@ class OccupancyMap:
         1e-9, occupied. A hit cell is not passed, and neither array repeats a
         cell.
         """
-        tol = 1e-9
-        free: set[Cell] = set()
-        hits: set[Cell] = set()
-        for beam in scan.beams:
-            passed, end, t = trace_ray(self._open, self.cell_size, scan.origin.x,
-                                       scan.origin.y, beam.angle,
-                                       math.nextafter(beam.distance - tol, -math.inf))
-            free.update(passed)
-            if (beam.hit and t <= beam.distance + tol
-                    and 0 <= end[0] < self.width and 0 <= end[1] < self.height):
-                hits.add(end)
-        free -= hits
-        return _flat_indices(free, self.width), _flat_indices(hits, self.width)
+        beams = scan.beams
+        walk = fan_walk(self._open, self.cell_size, scan.origin.x, scan.origin.y,
+                        tuple(b.angle for b in beams),
+                        max((b.distance for b in beams), default=0.0))
+        return ir_evidence(walk, np.array([b.distance for b in beams], dtype=float),
+                           np.array([b.hit for b in beams], dtype=bool))
 
     def add_scan_evidence(self, free: np.ndarray, hits: np.ndarray) -> None:
         """Add miss evidence at the `free` and hit evidence at the `hits` flat

@@ -2,15 +2,22 @@
 
 Both sensors are modeled as 2D ray fans. The camera additionally reports a
 target detection whose confidence decays with distance as conf_scale / d,
-clamped to 1. The camera fan walk (`camera_sweep`, also the prediction of a
-candidate view) and the wedge test (`wedge_cells`) have their one copy here.
+clamped to 1.
+
+`fan_walk` is the one fan walk: the IR scan, the camera sweep (also the
+prediction of a candidate view) and the occupancy map's scan evidence all
+read it. It walks a whole fan as one numpy gather over a memoized table of
+every beam's cell offsets and entry distances, stepped exactly as
+`world.trace_ray` steps. `trace_ray` is the spec and the test oracle, and the
+single rays of `detect` and `world.ray_cast` still run on it. The wedge test
+(`wedge_cells`) has its one copy here too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -112,36 +119,222 @@ def detection_confidence(distance: float, conf_scale: float) -> float:
     return conf_scale / distance
 
 
+# Cell codes of the grid a fan walks (`fan_codes`).
+_FREE, _BLOCKED, _OUTSIDE = 0, 1, 2
+
+# The most beam steps the fan tables hold, over all cell sizes, origins and
+# fans (25 bytes each); a new table that would pass it empties the memo first.
+_FAN_TABLE_LIMIT = 1 << 18
+
+
+class _FanTable(NamedTuple):
+    """Every beam's walk from one origin, one row per beam, padded past the
+    longest walk: index offsets into the code grid (`pad`) and the lattice
+    (`flat`), the entry distance of each step (`t`, inf past the walk) and
+    whether it lies beyond the range (`beyond`)."""
+
+    pad: np.ndarray
+    flat: np.ndarray
+    t: np.ndarray
+    beyond: np.ndarray
+
+
+_FAN_TABLES: dict[tuple, _FanTable] = {}
+
+
+def _fan_table(cell_size: float, bx1: float, bx0: float, by1: float, by0: float,
+               angles: tuple[float, ...], max_range: float, width: int,
+               height: int) -> _FanTable:
+    """The fan's walks from an origin whose cell boundaries lie bx1/bx0 to the
+    right/left and by1/by0 below/above it, each stepped as `trace_ray` steps
+    through the first step beyond max_range. A walk from inside a width x
+    height lattice leaves it within width + height - 1 steps, so no walk is
+    longer than width + height steps."""
+    walks = []
+    for angle in angles:
+        dx = math.cos(angle)
+        dy = math.sin(angle)
+        if dx > 0.0:
+            step_x, t_max_x, t_dx = 1, bx1 / dx, cell_size / dx
+        elif dx < 0.0:
+            step_x, t_max_x, t_dx = -1, bx0 / dx, -cell_size / dx
+        else:
+            step_x, t_max_x, t_dx = 0, math.inf, math.inf
+        if dy > 0.0:
+            step_y, t_max_y, t_dy = 1, by1 / dy, cell_size / dy
+        elif dy < 0.0:
+            step_y, t_max_y, t_dy = -1, by0 / dy, -cell_size / dy
+        else:
+            step_y, t_max_y, t_dy = 0, math.inf, math.inf
+        x = y = 0
+        t = 0.0
+        xs, ys, ts = [0], [0], [0.0]
+        while t <= max_range and len(ts) <= width + height:
+            if t_max_x <= t_max_y:
+                t = t_max_x
+                t_max_x += t_dx
+                x += step_x
+            else:
+                t = t_max_y
+                t_max_y += t_dy
+                y += step_y
+            xs.append(x)
+            ys.append(y)
+            ts.append(t)
+        walks.append((xs, ys, ts))
+    # one column past the longest walk, so that every row ends at t = inf
+    steps = max((len(ts) for _, _, ts in walks), default=0) + 1
+    xs = np.zeros((len(walks), steps), dtype=np.intp)
+    ys = np.zeros((len(walks), steps), dtype=np.intp)
+    t = np.full((len(walks), steps), math.inf)
+    for i, (wx, wy, wt) in enumerate(walks):
+        xs[i, :len(wx)] = wx
+        ys[i, :len(wy)] = wy
+        t[i, :len(wt)] = wt
+    return _FanTable(ys * (width + 2) + xs, ys * width + xs, t, t > max_range)
+
+
+def fan_codes(blocked: np.ndarray) -> np.ndarray:
+    """The grid `fan_walk` reads: each cell of the `blocked` mask coded free
+    or blocked, framed by a one-cell border coded outside the lattice."""
+    height, width = blocked.shape
+    codes = np.full((height + 2, width + 2), _OUTSIDE, dtype=np.uint8)
+    codes[1:-1, 1:-1] = blocked
+    return codes
+
+
+class FanWalk(NamedTuple):
+    """A ray fan walked over a code grid, one row per beam, one column per step.
+
+    `flat` is the row-major lattice index of the cell each step enters, `t`
+    the distance at which it enters it, `code` that cell's code and `stop`
+    the step at which each beam stops, as `trace_ray` stops: the first cell
+    beyond max_range, outside the lattice or blocked. Steps before the stop
+    lie in the lattice; entries after it are meaningless. `cells` is the
+    lattice's cell count.
+    """
+
+    flat: np.ndarray
+    t: np.ndarray
+    code: np.ndarray
+    stop: np.ndarray
+    max_range: float
+    cells: int
+
+    @property
+    def walked(self) -> np.ndarray:
+        """Mask of the steps before each beam's stop."""
+        return np.arange(self.t.shape[1]) < self.stop[:, None]
+
+    def at(self, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(flat, t, code) of each beam's step `steps[beam]`."""
+        rows = np.arange(len(steps))
+        return self.flat[rows, steps], self.t[rows, steps], self.code[rows, steps]
+
+    def index_set(self, flat: np.ndarray) -> np.ndarray:
+        """The distinct lattice indices in `flat`, ascending, as int32."""
+        mask = np.zeros(self.cells, dtype=bool)
+        mask[flat] = True
+        return np.flatnonzero(mask).astype(np.int32)
+
+
+def fan_walk(codes: np.ndarray, cell_size: float, ox: float, oy: float,
+             angles: Sequence[float], max_range: float) -> FanWalk:
+    """Walk the rays at `angles` from (ox, oy) over `codes` (see `fan_codes`).
+
+    Each beam steps, enters and stops exactly as `trace_ray` does. The walks
+    come from a table memoized per cell size, the origin's offsets to its
+    cell boundaries, angles, range and lattice shape, so any origin at the
+    same spot within its cell (every cell centre, for a power-of-two cell
+    size) shares one table.
+    """
+    height, width = codes.shape[0] - 2, codes.shape[1] - 2
+    cx = int(math.floor(ox / cell_size))
+    cy = int(math.floor(oy / cell_size))
+    if not (0 <= cx < width and 0 <= cy < height):
+        raise ValueError("fan origin outside the lattice")
+    key = (cell_size, (cx + 1) * cell_size - ox, cx * cell_size - ox,
+           (cy + 1) * cell_size - oy, cy * cell_size - oy, tuple(angles), max_range,
+           width, height)
+    table = _FAN_TABLES.get(key)
+    if table is None:
+        table = _fan_table(*key)
+        if sum(t.t.size for t in _FAN_TABLES.values()) + table.t.size > _FAN_TABLE_LIMIT:
+            _FAN_TABLES.clear()
+        _FAN_TABLES[key] = table
+    # Steps up to each beam's stop read their own cell; later steps, which
+    # may lie further outside than the border, read whatever the clip gives.
+    code = codes.take(table.pad + ((cy + 1) * (width + 2) + cx + 1), mode="clip")
+    stop = np.logical_or(code, table.beyond).argmax(axis=1)
+    return FanWalk(table.flat + (cy * width + cx), table.t, code, stop, max_range,
+                   width * height)
+
+
+def beam_stops(walk: FanWalk) -> tuple[np.ndarray, np.ndarray]:
+    """Each IR beam's (distance, hit): the distance at which it stopped, and
+    hit, when that is within range; max_range and no hit otherwise."""
+    _, t, _ = walk.at(walk.stop)
+    hit = t <= walk.max_range
+    return np.where(hit, t, walk.max_range), hit
+
+
+def ir_evidence(walk: FanWalk, distance: np.ndarray,
+                hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (row-major) indices of the cells an IR scan passes and hits.
+
+    `walk` is the scan's fan, walked to at least its longest beam over a grid
+    whose blocked cells stop no beam short of its `distance`. A beam passes
+    the cells it enters at t <= nextafter(distance - 1e-9, -inf) before it
+    leaves the lattice; a beam that hit marks the next cell it enters, when
+    that lies in the lattice and is entered within distance + 1e-9. At a
+    lattice corner, that can be a free cell entered at the same distance as
+    the blocked one. A hit cell is not passed, and neither array repeats a
+    cell.
+    """
+    reach = np.nextafter(distance - 1e-9, -np.inf)
+    end = np.minimum((walk.t > reach[:, None]).argmax(axis=1), walk.stop)
+    flat, t, code = walk.at(end)
+    marks = np.zeros(walk.cells, dtype=np.uint8)
+    marks[walk.flat[np.arange(walk.t.shape[1]) < end[:, None]]] = 1
+    marks[flat[hit & (t <= distance + 1e-9) & (code != _OUTSIDE)]] = 2
+    return (np.flatnonzero(marks == 1).astype(np.int32),
+            np.flatnonzero(marks == 2).astype(np.int32))
+
+
+def _cells(flat: np.ndarray, width: int) -> list[Cell]:
+    """The (x, y) cells of row-major flat indices, in order."""
+    ys, xs = np.divmod(flat, width)
+    return list(zip(xs.tolist(), ys.tolist()))
+
+
+def _in_walk_order(flat: np.ndarray) -> np.ndarray:
+    """`flat` without repeats, each index where it first occurs."""
+    _, first = np.unique(flat, return_index=True)
+    return flat[np.sort(first)]
+
+
 def ir_scan(world: GridWorld, pose: Pose, cfg: IrConfig) -> IrScan:
     """Sweep the IR fan; beams that strike nothing report max_range, hit=False."""
     if not world.contains_point(pose.x, pose.y):
         raise ValueError("scan pose outside world bounds")
-    beams = []
-    for angle in beam_angles(pose.heading, cfg.fov, cfg.ray_count):
-        _, _, t = trace_ray(world.occupied, world.cell_size, pose.x, pose.y, angle,
-                            cfg.max_range)
-        if t <= cfg.max_range:
-            beams.append(Beam(angle, t, True))
-        else:
-            beams.append(Beam(angle, cfg.max_range, False))
-    return IrScan(pose, tuple(beams))
+    angles = beam_angles(pose.heading, cfg.fov, cfg.ray_count)
+    walk = fan_walk(fan_codes(world.occupied), world.cell_size, pose.x, pose.y, angles,
+                    cfg.max_range)
+    distance, hit = beam_stops(walk)
+    return IrScan(pose, tuple(map(Beam, angles, distance.tolist(), hit.tolist())))
 
 
 def camera_sweep(blocked: np.ndarray, cell_size: float, pose: Pose,
-                 cfg: CameraConfig) -> tuple[dict[Cell, None], dict[Cell, None]]:
+                 cfg: CameraConfig) -> tuple[list[Cell], list[Cell]]:
     """The camera fan from `pose` walked over the `blocked` mask: the cells
     rays traversed (seen free) and the in-lattice blocked cells that stopped a
     ray within range (seen blocked), each once, in walk order."""
-    height, width = blocked.shape
-    seen_free: dict[Cell, None] = {}
-    seen_blocked: dict[Cell, None] = {}
-    for angle in beam_angles(pose.heading, cfg.fov, cfg.ray_count):
-        visited, stop, t = trace_ray(blocked, cell_size, pose.x, pose.y, angle, cfg.max_range)
-        for cell in visited:
-            seen_free.setdefault(cell)
-        if t <= cfg.max_range and 0 <= stop[0] < width and 0 <= stop[1] < height:
-            seen_blocked.setdefault(stop)
-    return seen_free, seen_blocked
+    walk = fan_walk(fan_codes(blocked), cell_size, pose.x, pose.y,
+                    beam_angles(pose.heading, cfg.fov, cfg.ray_count), cfg.max_range)
+    flat, t, code = walk.at(walk.stop)
+    width = blocked.shape[1]
+    return (_cells(_in_walk_order(walk.flat[walk.walked]), width),
+            _cells(_in_walk_order(flat[(code == _BLOCKED) & (t <= cfg.max_range)]), width))
 
 
 def camera_observe(world: GridWorld, pose: Pose, cfg: CameraConfig) -> CameraObservation:

@@ -417,36 +417,36 @@ class TestSenseCache:
     """A warm sensing evidence cache must change nothing but the work done."""
 
     @pytest.fixture
-    def ir_scans(self, monkeypatch):
+    def fan_walks(self, monkeypatch):
         calls = []
-        scan = explorer.ir_scan
-        monkeypatch.setattr(explorer, "ir_scan", lambda *a: calls.append(a) or scan(*a))
+        walk = explorer.fan_walk
+        monkeypatch.setattr(explorer, "fan_walk", lambda *a: calls.append(a) or walk(*a))
         return calls
 
-    def _warm_then_cold(self, explore, ir_scans):
+    def _warm_then_cold(self, explore, fan_walks):
         world = load_map(fixture_path("sparse.map").read_text())
         # same lattice, start and sensors, other walls: its evidence must not leak
         other = load_map(fixture_path("dense.map").read_text())
         explorer._SENSE_CACHE.clear()
         explore(other.with_target((5, 35)), suite())
         explore(world.with_target((30, 5)), suite())
-        ir_scans.clear()
+        fan_walks.clear()
         warm = explore(world.with_target((5, 35)), suite())
-        warm_scans = len(ir_scans)
+        warm_walks = len(fan_walks)
         explorer._SENSE_CACHE.clear()
-        ir_scans.clear()
+        fan_walks.clear()
         cold = explore(world.with_target((5, 35)), suite())
         assert warm.steps
         assert _outcome(warm) == _outcome(cold)
-        return warm_scans, len(ir_scans)
+        return warm_walks, len(fan_walks)
 
     @pytest.mark.parametrize("explore", [explore_cdos, explore_rapid_frontier])
-    def test_warm_cache_equals_cold_cache(self, explore, ir_scans):
-        warm_scans, cold_scans = self._warm_then_cold(explore, ir_scans)
-        assert warm_scans < cold_scans
+    def test_warm_cache_equals_cold_cache(self, explore, fan_walks):
+        warm_walks, cold_walks = self._warm_then_cold(explore, fan_walks)
+        assert warm_walks < cold_walks
 
     @pytest.mark.parametrize("explore", [explore_cdos, explore_rapid_frontier])
-    def test_cache_bound_of_one_changes_nothing(self, explore, ir_scans, monkeypatch):
+    def test_cache_bound_of_one_changes_nothing(self, explore, fan_walks, monkeypatch):
         monkeypatch.setattr(explorer, "_SENSE_CACHE_LIMIT", 1)
-        self._warm_then_cold(explore, ir_scans)
+        self._warm_then_cold(explore, fan_walks)
         assert sum(map(len, explorer._SENSE_CACHE.values())) == 1

@@ -256,3 +256,13 @@ class TestTrialPurity:
     def test_unknown_method_rejected(self, tiny_dir):
         with pytest.raises(ConfigError, match="method"):
             run_trial(TINY_MAP, (8, 3), "wander", 1.0, 0.5, tiny_config(tiny_dir))
+
+    def test_baseline_step_log_reads_configured_curiosity_constants(self, tiny_dir):
+        # Both methods make their first decision after the same sensing at the
+        # start, so the step logs' first total curiosity must agree.
+        cfg = tiny_config(tiny_dir, curiosity_a=-0.4, curiosity_b=0.2, curiosity_kappa=0.9)
+        first = [run_trial(TINY_MAP, (8, 3), method, math.radians(60), math.radians(30),
+                           cfg).steps[0].total_curiosity for method in ("cdos", "baseline")]
+        default = run_trial(TINY_MAP, (8, 3), "baseline", math.radians(60), math.radians(30),
+                            tiny_config(tiny_dir)).steps[0].total_curiosity
+        assert first[0] == first[1] != default

@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curiogrid.curiosity import visible_from
-from curiogrid.mapping import Label, OccupancyMap, logit
-from curiogrid.sensor import Beam, CameraConfig, IrConfig, IrScan, beam_angles, ir_scan
-from curiogrid.world import (GridWorld, MapError, Pose, Zone, ZoneError, load_map,
+from curiogrid import sensor
+from curiogrid.curiosity import CuriosityParams, visible_from
+from curiogrid.explorer import MotionConfig, SensorSuite, _Explorer
+from curiogrid.harness import fixture_path
+from curiogrid.mapping import Label, MappingConfig, ObjectMap, OccupancyMap, logit
+from curiogrid.sensor import (Beam, CameraConfig, IrConfig, IrScan, beam_angles,
+                              camera_observe, camera_sweep, ir_scan)
+from curiogrid.world import (TWO_PI, GridWorld, MapError, Pose, Zone, ZoneError, load_map,
                              load_zones, ray_cast, sample_zone_points, serialize_map,
                              trace_ray, wrap_angle)
 
@@ -333,16 +337,20 @@ def _oracle_beam_cells(width, height, cell_size, ox, oy, angle, length):
     return passed, end
 
 
-def _oracle_integrate(omap, scan):
+def _oracle_evidence(width, height, cell_size, scan):
+    """(free, hits) cell sets of one IR scan integrated into the occupancy map."""
     free, hits = set(), set()
     for beam in scan.beams:
-        passed, end = _oracle_beam_cells(omap.width, omap.height, omap.cell_size,
-                                         scan.origin.x, scan.origin.y, beam.angle,
-                                         beam.distance)
+        passed, end = _oracle_beam_cells(width, height, cell_size, scan.origin.x,
+                                         scan.origin.y, beam.angle, beam.distance)
         free.update(passed)
         if beam.hit and end is not None:
             hits.add(end)
-    free -= hits
+    return free - hits, hits
+
+
+def _oracle_integrate(omap, scan):
+    free, hits = _oracle_evidence(omap.width, omap.height, omap.cell_size, scan)
     for cx, cy in free:
         omap.log_odds[cy, cx] += logit(omap.cfg.p_miss)
     for cx, cy in hits:
@@ -426,3 +434,142 @@ def test_trace_ray_matches_grid_ray_oracle(case, hit):
         got.integrate_scan(scan)
         _oracle_integrate(want, scan)
         assert np.array_equal(got.log_odds, want.log_odds)
+
+
+# Fan walks against the spec: every fan primitive consumer must equal the
+# per-beam trace_ray loops it replaced.
+
+def _oracle_beams(world, pose, angles, max_range):
+    """ir_scan's beams, one trace_ray walk each."""
+    beams = []
+    for angle in angles:
+        _, _, t = trace_ray(world.occupied, world.cell_size, pose.x, pose.y, angle, max_range)
+        beams.append(Beam(angle, t, True) if t <= max_range
+                     else Beam(angle, max_range, False))
+    return tuple(beams)
+
+
+def _oracle_sweep(blocked, cell_size, pose, cam):
+    """camera_sweep's (seen_free, seen_blocked), one trace_ray walk per beam."""
+    height, width = blocked.shape
+    seen_free, seen_blocked = {}, {}
+    for angle in beam_angles(pose.heading, cam.fov, cam.ray_count):
+        visited, stop, t = trace_ray(blocked, cell_size, pose.x, pose.y, angle, cam.max_range)
+        for cell in visited:
+            seen_free.setdefault(cell)
+        if t <= cam.max_range and 0 <= stop[0] < width and 0 <= stop[1] < height:
+            seen_blocked.setdefault(stop)
+    return list(seen_free), list(seen_blocked)
+
+
+def _flat_set(cells, width):
+    return {cy * width + cx for cx, cy in cells}
+
+
+# Rays at atan2(p, q) from a cell centre cross lattice corners exactly: their
+# walks enter two cells at the same distance.
+_CORNER_ANGLES = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(
+    lambda pq: pq != (0, 0)).map(lambda pq: math.atan2(*pq))
+
+
+@st.composite
+def _fan_cases(draw):
+    width = draw(st.integers(1, 10))
+    height = draw(st.integers(1, 10))
+    cell_size = draw(st.sampled_from([1.0, 0.5, 0.3, 0.25, 0.1]))
+    occupied = np.array(draw(st.lists(st.booleans(), min_size=width * height,
+                                      max_size=width * height))).reshape(height, width)
+    ix, iy = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+    offset = st.one_of(st.just(0.5), st.just(0.0), st.floats(0.0, 0.99))
+    ox, oy = (ix + draw(offset)) * cell_size, (iy + draw(offset)) * cell_size
+    occupied[int(math.floor(oy / cell_size)), int(math.floor(ox / cell_size))] = False
+    heading = draw(st.one_of(st.integers(-8, 16).map(lambda k: k * math.pi / 4.0),
+                             _CORNER_ANGLES, st.floats(-10.0, 10.0)))
+    fov = draw(st.one_of(st.just(TWO_PI), st.floats(0.01, TWO_PI)))
+    count = draw(st.integers(2, 24))
+    max_range = draw(st.one_of(st.floats(0.01, 12.0 * cell_size), st.just(1e6)))
+    world = GridWorld(width, height, cell_size, occupied, Pose(ox, oy, heading))
+    return world, world.start, fov, count, max_range
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fan_cases(), st.data())
+def test_fan_walk_matches_trace_ray(case, data):
+    world, pose, fov, count, max_range = case
+    width, height, cs = world.width, world.height, world.cell_size
+    cam = CameraConfig(fov, max_range, 1.0, count)
+    ir = IrConfig(fov, max_range, count)
+
+    assert camera_sweep(world.occupied, cs, pose, cam) == _oracle_sweep(
+        world.occupied, cs, pose, cam)
+    labels = np.where(world.occupied, Label.OCCUPIED, Label.FREE)
+    assert visible_from(labels, cs, pose, cam) == _oracle_visible(labels, cs, pose, cam)
+    angles = beam_angles(pose.heading, fov, count)
+    assert ir_scan(world, pose, ir).beams == _oracle_beams(world, pose, angles, max_range)
+
+    # The heading itself is walked too, so that corner angles are walked
+    # exactly. Besides the measured scan, a made-up one whose beams end on
+    # the k-th cell boundary, or up to 1e-9 off it, or at max_range.
+    angles = [pose.heading] + angles
+    ends = data.draw(st.lists(
+        st.tuples(st.one_of(st.none(), st.integers(0, 12)),
+                  st.sampled_from([0.0, 1e-9, -1e-9, 5e-10, -5e-10]), st.booleans()),
+        min_size=len(angles), max_size=len(angles)))
+    made_up = []
+    for angle, (k, delta, hit) in zip(angles, ends):
+        if k is None:
+            made_up.append(Beam(angle, max_range, hit))
+        else:
+            t = next(itertools.islice(_grid_ray(pose.x, pose.y, angle, cs), k, None))[2]
+            made_up.append(Beam(angle, t + delta, hit))
+    for scan in (IrScan(pose, _oracle_beams(world, pose, angles, max_range)),
+                 IrScan(pose, tuple(made_up))):
+        free, hits = OccupancyMap(width, height, cs).scan_evidence(scan)
+        want_free, want_hits = _oracle_evidence(width, height, cs, scan)
+        assert sorted(free.tolist()) == sorted(_flat_set(want_free, width))
+        assert sorted(hits.tolist()) == sorted(_flat_set(want_hits, width))
+
+    # the explorer's sensing evidence, read straight from the fan walks
+    sensing = _Explorer(world, SensorSuite(ir, cam), MotionConfig(), 1.0, None,
+                        MappingConfig(), CuriosityParams(), 0.95)
+    cells, hits_at, seen_at = sensing._walk_fans()
+    free, hits = OccupancyMap(width, height, cs).scan_evidence(ir_scan(world, pose, ir))
+    assert cells[:hits_at].tolist() == free.tolist()
+    assert cells[hits_at:seen_at].tolist() == hits.tolist()
+    seen = ObjectMap(width, height, cs).observation_evidence(camera_observe(world, pose, cam))
+    assert cells[seen_at:].tolist() == sorted(seen.tolist())
+
+
+def test_scan_evidence_hit_at_exact_corner_is_the_free_cell():
+    # From the centre of (0, 0), the ray at atan2(1, 3) enters a cell by an x
+    # step and the next by a y step at exactly the same distance.
+    angle = math.atan2(1.0, 3.0)
+    walk = list(itertools.islice(_grid_ray(0.5, 0.5, angle, 1.0), 12))
+    k = next(i for i in range(1, len(walk)) if walk[i][2] == walk[i - 1][2])
+    (ax, ay, _), (bx, by, t) = walk[k - 1], walk[k]
+    occupied = np.zeros((by + 2, bx + 2), dtype=bool)
+    occupied[by, bx] = True
+    world = GridWorld(bx + 2, by + 2, 1.0, occupied, Pose(0.5, 0.5, angle))
+    scan = IrScan(world.start, _oracle_beams(world, world.start, [angle], 10.0))
+    assert scan.beams[0].distance == t
+
+    free, hits = OccupancyMap(world.width, world.height, 1.0).scan_evidence(scan)
+    assert hits.tolist() == [ay * world.width + ax]
+    assert ay * world.width + ax not in free.tolist()
+    want_free, _ = _oracle_evidence(world.width, world.height, 1.0, scan)
+    assert free.tolist() == sorted(_flat_set(want_free, world.width))
+
+
+def test_fan_table_far_range_capped_at_lattice_extent():
+    world = load_map(fixture_path("sparse.map").read_text())
+    pose = Pose(world.start.x, world.start.y, 0.3)
+    cam = CameraConfig(TWO_PI, 1e6, 1.0, 90)
+    sensor._FAN_TABLES.clear()
+    assert camera_sweep(world.occupied, world.cell_size, pose, cam) == _oracle_sweep(
+        world.occupied, world.cell_size, pose, cam)
+    angles = beam_angles(pose.heading, cam.fov, cam.ray_count)
+    assert ir_scan(world, pose, IrConfig(TWO_PI, 1e6, 90)).beams == _oracle_beams(
+        world, pose, angles, 1e6)
+    (table,) = sensor._FAN_TABLES.values()
+    assert table.t.shape[0] == 90
+    assert table.t.shape[1] <= world.width + world.height + 2
