@@ -9,7 +9,7 @@ prediction of a candidate view) and the occupancy map's scan evidence all
 read it. It walks a whole fan as one numpy gather over a memoized table of
 every beam's cell offsets and entry distances, stepped exactly as
 `world.trace_ray` steps. `trace_ray` is the spec and the test oracle, and the
-single rays of `detect` and `world.ray_cast` still run on it. The wedge test
+single rays of `detect` and `world.ray_cast` run on it. The wedge test
 (`wedge_cells`) has its one copy here too.
 """
 
@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .world import TWO_PI, Cell, GridWorld, Pose, angle_diff, trace_ray
+from .world import TWO_PI, Cell, GridWorld, Pose, angle_diff, ray_steps, trace_ray
 
 
 def rays_per_fov(fov: float) -> int:
@@ -119,8 +119,8 @@ def detection_confidence(distance: float, conf_scale: float) -> float:
     return conf_scale / distance
 
 
-# Cell codes of the grid a fan walks (`fan_codes`).
-_FREE, _BLOCKED, _OUTSIDE = 0, 1, 2
+# Cell codes of the grid a fan walks (`fan_codes`); free cells are 0.
+_BLOCKED, _OUTSIDE = 1, 2
 
 # The most beam steps the fan tables hold, over all cell sizes, origins and
 # fans (25 bytes each); a new table that would pass it empties the memo first.
@@ -152,20 +152,8 @@ def _fan_table(cell_size: float, bx1: float, bx0: float, by1: float, by0: float,
     longer than width + height steps."""
     walks = []
     for angle in angles:
-        dx = math.cos(angle)
-        dy = math.sin(angle)
-        if dx > 0.0:
-            step_x, t_max_x, t_dx = 1, bx1 / dx, cell_size / dx
-        elif dx < 0.0:
-            step_x, t_max_x, t_dx = -1, bx0 / dx, -cell_size / dx
-        else:
-            step_x, t_max_x, t_dx = 0, math.inf, math.inf
-        if dy > 0.0:
-            step_y, t_max_y, t_dy = 1, by1 / dy, cell_size / dy
-        elif dy < 0.0:
-            step_y, t_max_y, t_dy = -1, by0 / dy, -cell_size / dy
-        else:
-            step_y, t_max_y, t_dy = 0, math.inf, math.inf
+        step_x, t_max_x, t_dx, step_y, t_max_y, t_dy = ray_steps(
+            cell_size, bx1, bx0, by1, by0, angle)
         x = y = 0
         t = 0.0
         xs, ys, ts = [0], [0], [0.0]

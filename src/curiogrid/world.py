@@ -190,6 +190,30 @@ def serialize_map(world: GridWorld) -> str:
     return "\n".join(lines) + "\n"
 
 
+def ray_steps(cell_size: float, bx1: float, bx0: float, by1: float, by0: float,
+              angle: float) -> tuple[int, float, float, int, float, float]:
+    """The boundary-stepping state of a ray at `angle` from an origin whose
+    cell boundaries lie bx1 / bx0 to its right / left and by1 / by0 below /
+    above it: (step_x, t_max_x, t_dx, step_y, t_max_y, t_dy), the cell step
+    along each axis, the distance to the first boundary crossed along it and
+    the distance between two crossings."""
+    dx = math.cos(angle)
+    dy = math.sin(angle)
+    if dx > 0.0:
+        step_x, t_max_x, t_dx = 1, bx1 / dx, cell_size / dx
+    elif dx < 0.0:
+        step_x, t_max_x, t_dx = -1, bx0 / dx, -cell_size / dx
+    else:
+        step_x, t_max_x, t_dx = 0, math.inf, math.inf
+    if dy > 0.0:
+        step_y, t_max_y, t_dy = 1, by1 / dy, cell_size / dy
+    elif dy < 0.0:
+        step_y, t_max_y, t_dy = -1, by0 / dy, -cell_size / dy
+    else:
+        step_y, t_max_y, t_dy = 0, math.inf, math.inf
+    return step_x, t_max_x, t_dx, step_y, t_max_y, t_dy
+
+
 def trace_ray(blocked: np.ndarray, cell_size: float, ox: float, oy: float, angle: float,
               max_range: float) -> tuple[list[Cell], Cell, float]:
     """Walk a ray from (ox, oy) through the lattice of `blocked` until it stops.
@@ -204,23 +228,11 @@ def trace_ray(blocked: np.ndarray, cell_size: float, ox: float, oy: float, angle
     lattice and a blocked cell if inside.
     """
     height, width = blocked.shape
-    dx = math.cos(angle)
-    dy = math.sin(angle)
     cx = int(math.floor(ox / cell_size))
     cy = int(math.floor(oy / cell_size))
-
-    if dx > 0.0:
-        step_x, t_max_x, t_dx = 1, ((cx + 1) * cell_size - ox) / dx, cell_size / dx
-    elif dx < 0.0:
-        step_x, t_max_x, t_dx = -1, (cx * cell_size - ox) / dx, -cell_size / dx
-    else:
-        step_x, t_max_x, t_dx = 0, math.inf, math.inf
-    if dy > 0.0:
-        step_y, t_max_y, t_dy = 1, ((cy + 1) * cell_size - oy) / dy, cell_size / dy
-    elif dy < 0.0:
-        step_y, t_max_y, t_dy = -1, (cy * cell_size - oy) / dy, -cell_size / dy
-    else:
-        step_y, t_max_y, t_dy = 0, math.inf, math.inf
+    step_x, t_max_x, t_dx, step_y, t_max_y, t_dy = ray_steps(
+        cell_size, (cx + 1) * cell_size - ox, cx * cell_size - ox,
+        (cy + 1) * cell_size - oy, cy * cell_size - oy, angle)
 
     visited: list[Cell] = []
     t = 0.0
