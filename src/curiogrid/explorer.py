@@ -350,7 +350,7 @@ class _Explorer:
         free, hits = ir_evidence(beams, *beam_stops(beams))
         sweep = fan_walk(self.codes, cs, x, y, beam_angles(heading, cam.fov, cam.ray_count),
                          cam.max_range)
-        seen = sweep.index_set(sweep.flat[sweep.walked])
+        seen = sweep.index_set(sweep.flat[sweep.before(sweep.stop)])
         return np.concatenate((free, hits, seen)), len(free), len(free) + len(hits)
 
     def _charge_rotation(self, heading: float) -> None:

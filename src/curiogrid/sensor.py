@@ -209,10 +209,9 @@ class FanWalk(NamedTuple):
     max_range: float
     cells: int
 
-    @property
-    def walked(self) -> np.ndarray:
-        """Mask of the steps before each beam's stop."""
-        return np.arange(self.t.shape[1]) < self.stop[:, None]
+    def before(self, steps: np.ndarray) -> np.ndarray:
+        """Mask of the steps before each beam's step `steps[beam]`."""
+        return np.arange(self.t.shape[1]) < steps[:, None]
 
     def at(self, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(flat, t, code) of each beam's step `steps[beam]`."""
@@ -283,7 +282,7 @@ def ir_evidence(walk: FanWalk, distance: np.ndarray,
     end = np.minimum((walk.t > reach[:, None]).argmax(axis=1), walk.stop)
     flat, t, code = walk.at(end)
     marks = np.zeros(walk.cells, dtype=np.uint8)
-    marks[walk.flat[np.arange(walk.t.shape[1]) < end[:, None]]] = 1
+    marks[walk.flat[walk.before(end)]] = 1
     marks[flat[hit & (t <= distance + 1e-9) & (code != _OUTSIDE)]] = 2
     return (np.flatnonzero(marks == 1).astype(np.int32),
             np.flatnonzero(marks == 2).astype(np.int32))
@@ -321,7 +320,7 @@ def camera_sweep(blocked: np.ndarray, cell_size: float, pose: Pose,
                     beam_angles(pose.heading, cfg.fov, cfg.ray_count), cfg.max_range)
     flat, t, code = walk.at(walk.stop)
     width = blocked.shape[1]
-    return (_cells(_in_walk_order(walk.flat[walk.walked]), width),
+    return (_cells(_in_walk_order(walk.flat[walk.before(walk.stop)]), width),
             _cells(_in_walk_order(flat[(code == _BLOCKED) & (t <= cfg.max_range)]), width))
 
 
