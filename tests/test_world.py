@@ -573,3 +573,9 @@ def test_fan_table_far_range_capped_at_lattice_extent():
     (table,) = sensor._FAN_TABLES.values()
     assert table.t.shape[0] == 90
     assert table.t.shape[1] <= world.width + world.height + 2
+
+
+def test_fan_walk_origin_outside_lattice_rejected():
+    omap = OccupancyMap(3, 3, 1.0)
+    with pytest.raises(ValueError, match="outside the lattice"):
+        omap.scan_evidence(IrScan(Pose(5.0, 1.0, 0.0), (Beam(0.0, 1.0, True),)))
