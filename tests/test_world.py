@@ -436,8 +436,8 @@ def test_trace_ray_matches_grid_ray_oracle(case, hit):
         assert np.array_equal(got.log_odds, want.log_odds)
 
 
-# Fan walks against the spec: every fan primitive consumer must equal the
-# per-beam trace_ray loops it replaced.
+# Fan walks against the spec: every consumer of the fan walk must equal the
+# per-beam trace_ray loop that is its oracle.
 
 def _oracle_beams(world, pose, angles, max_range):
     """ir_scan's beams, one trace_ray walk each."""
