@@ -20,8 +20,7 @@ from .curiosity import CuriosityParams, select_frontier, total_curiosity
 from .mapping import Label, MappingConfig, ObjectMap, OccupancyMap
 # camera_observe and ir_scan are not called here; they stay importable from
 # this module because bench/spans.py wraps them under these names.
-from .sensor import (CameraConfig, IrConfig, beam_angles, beam_stops,
-                     camera_observe, detect, fan_codes, fan_walk, ir_evidence, ir_scan,
+from .sensor import (CameraConfig, IrConfig, camera_observe, detect, ir_scan, sense_cells,
                      wedge_cells)
 from .world import TWO_PI, Cell, GridWorld, Pose, angle_diff, wrap_angle
 
@@ -301,7 +300,6 @@ class _Explorer:
         self.occupancy = OccupancyMap(world.width, world.height, world.cell_size, mapping_cfg)
         self.objects = ObjectMap(world.width, world.height, world.cell_size, mapping_cfg)
         occupied = world.occupied
-        self.codes = fan_codes(occupied)
         self.evidence = _SENSE_CACHE.setdefault(
             (occupied.shape, world.cell_size, occupied.dtype.str, occupied.tobytes(),
              sensors.ir, sensors.camera), {})
@@ -315,7 +313,9 @@ class _Explorer:
     def _sense(self) -> None:
         evidence = self.evidence.get(self.pose)
         if evidence is None:
-            evidence = self._walk_fans()
+            free, hits, seen = sense_cells(self.world.occupied, self.world.cell_size, self.pose,
+                                           self.sensors.ir, self.sensors.camera)
+            evidence = np.concatenate((free, hits, seen)), len(free), len(free) + len(hits)
             if sum(map(len, _SENSE_CACHE.values())) >= _SENSE_CACHE_LIMIT:
                 for table in _SENSE_CACHE.values():
                     table.clear()
@@ -335,23 +335,6 @@ class _Explorer:
         elif self.objects.raw_probabilities()[det.cell[1], det.cell[0]] > self.threshold:
             self.found = True
             self.estimate = det.cell
-
-    def _walk_fans(self) -> _Evidence:
-        """The evidence of sensing at the current pose: the IR fan's passed
-        and hit cells (as `OccupancyMap.scan_evidence` finds them for the
-        `ir_scan` of this pose) and the camera fan's seen-free cells (as
-        `ObjectMap.observation_evidence` finds them for its `camera_observe`),
-        read straight from the two fan walks."""
-        ir, cam = self.sensors.ir, self.sensors.camera
-        x, y, heading = self.pose.x, self.pose.y, self.pose.heading
-        cs = self.world.cell_size
-        beams = fan_walk(self.codes, cs, x, y, beam_angles(heading, ir.fov, ir.ray_count),
-                         ir.max_range)
-        free, hits = ir_evidence(beams, *beam_stops(beams))
-        sweep = fan_walk(self.codes, cs, x, y, beam_angles(heading, cam.fov, cam.ray_count),
-                         cam.max_range)
-        seen = sweep.index_set(sweep.flat[sweep.before(sweep.stop)])
-        return np.concatenate((free, hits, seen)), len(free), len(free) + len(hits)
 
     def _charge_rotation(self, heading: float) -> None:
         """Add the time of turning in place from the current heading to `heading`."""

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .sensor import CameraObservation, Detection, IrScan, fan_codes, fan_walk, ir_evidence
+from .sensor import CameraObservation, Detection, IrScan, scan_cells
 from .world import Cell
 
 LOG_ODDS_CAP = 20.0
@@ -87,27 +87,15 @@ class OccupancyMap:
         self.cell_size = cell_size
         self.cfg = cfg
         self.log_odds = np.zeros((height, width), dtype=float)
-        # beams walked over this grid stop only at their length or the border
-        self._open = fan_codes(np.zeros((height, width), dtype=bool))
 
     def integrate_scan(self, scan: IrScan) -> None:
         """Fuse one IR scan; each cell receives at most one evidence bump."""
         self.add_scan_evidence(*self.scan_evidence(scan))
 
     def scan_evidence(self, scan: IrScan) -> tuple[np.ndarray, np.ndarray]:
-        """Flat (row-major) indices of the cells one scan passes and hits.
-
-        A beam passes the cells it enters before its length less 1e-9; a beam
-        that hit something marks the cell it enters at its length, within
-        1e-9, occupied. A hit cell is not passed, and neither array repeats a
-        cell.
-        """
-        beams = scan.beams
-        walk = fan_walk(self._open, self.cell_size, scan.origin.x, scan.origin.y,
-                        tuple(b.angle for b in beams),
-                        max((b.distance for b in beams), default=0.0))
-        return ir_evidence(walk, np.array([b.distance for b in beams], dtype=float),
-                           np.array([b.hit for b in beams], dtype=bool))
+        """Flat (row-major) indices of the cells one scan passes and hits, the
+        latter occupied (see `sensor.scan_cells`)."""
+        return scan_cells(self.width, self.height, self.cell_size, scan)
 
     def add_scan_evidence(self, free: np.ndarray, hits: np.ndarray) -> None:
         """Add miss evidence at the `free` and hit evidence at the `hits` flat

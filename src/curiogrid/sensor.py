@@ -5,8 +5,9 @@ target detection whose confidence decays with distance as conf_scale / d,
 clamped to 1.
 
 `fan_walk` is the one fan walk: the IR scan, the camera sweep (also the
-prediction of a candidate view) and the occupancy map's scan evidence all
-read it. It walks a whole fan as one numpy gather over a memoized table of
+prediction of a candidate view), the cells one sense gives evidence on
+(`sense_cells`) and the cells of a given IR scan (`scan_cells`) all read it,
+and only this module knows its layout. It walks a whole fan as one numpy gather over a memoized table of
 every beam's cell offsets and entry distances, stepped exactly as
 `world.trace_ray` steps. `trace_ray` is the spec and the test oracle, and the
 single rays of `detect` and `world.ray_cast` run on it. The wedge test
@@ -119,12 +120,13 @@ def detection_confidence(distance: float, conf_scale: float) -> float:
     return conf_scale / distance
 
 
-# Cell codes of the grid a fan walks (`fan_codes`); free cells are 0.
+# Cell codes of the grid a fan walks (`_fan_codes`); free cells are 0.
 _BLOCKED, _OUTSIDE = 1, 2
 
 # The most beam steps the fan tables hold, over all cell sizes, origins and
-# fans (25 bytes each); a new table that would pass it empties the memo first.
-_FAN_TABLE_LIMIT = 1 << 18
+# fans (25 bytes each, about 1.6 MB in all); a new table that would pass it
+# empties the memo first. A zone run on the packaged maps holds about 31k.
+_FAN_TABLE_LIMIT = 1 << 16
 
 
 class _FanTable(NamedTuple):
@@ -149,40 +151,42 @@ def _fan_table(cell_size: float, bx1: float, bx0: float, by1: float, by0: float,
     right/left and by1/by0 below/above it, each stepped as `trace_ray` steps
     through the first step beyond max_range. A walk from inside a width x
     height lattice leaves it within width + height - 1 steps, so no walk is
-    longer than width + height steps."""
-    walks = []
-    for angle in angles:
-        step_x, t_max_x, t_dx, step_y, t_max_y, t_dy = ray_steps(
-            cell_size, bx1, bx0, by1, by0, angle)
-        x = y = 0
-        t = 0.0
-        xs, ys, ts = [0], [0], [0.0]
-        while t <= max_range and len(ts) <= width + height:
-            if t_max_x <= t_max_y:
-                t = t_max_x
-                t_max_x += t_dx
-                x += step_x
-            else:
-                t = t_max_y
-                t_max_y += t_dy
-                y += step_y
-            xs.append(x)
-            ys.append(y)
-            ts.append(t)
-        walks.append((xs, ys, ts))
-    # one column past the longest walk, so that every row ends at t = inf
-    steps = max((len(ts) for _, _, ts in walks), default=0) + 1
-    xs = np.zeros((len(walks), steps), dtype=np.intp)
-    ys = np.zeros((len(walks), steps), dtype=np.intp)
-    t = np.full((len(walks), steps), math.inf)
-    for i, (wx, wy, wt) in enumerate(walks):
-        xs[i, :len(wx)] = wx
-        ys[i, :len(wy)] = wy
-        t[i, :len(wt)] = wt
+    longer than width + height steps.
+
+    Each beam's crossings of the x and of the y boundaries are running sums,
+    as `trace_ray` adds them up; a stable sort merges them, an x crossing
+    first on a tie, as `trace_ray` steps. The j-th crossing along an axis lies
+    at least j cell sizes out, so max_range / cell_size + 3 crossings per axis
+    reach past the range.
+    """
+    limit = width + height
+    n = int(min(max_range / cell_size + 3, limit))
+    steps = np.array([ray_steps(cell_size, bx1, bx0, by1, by0, a) for a in angles],
+                     dtype=float).reshape(-1, 6)
+    # per beam: the first crossing, then the spacing, along x and along y
+    crossings = np.empty((len(steps), 2, n))
+    crossings[:, 0], crossings[:, 1] = steps[:, 2:3], steps[:, 5:6]
+    crossings[:, 0, 0], crossings[:, 1, 0] = steps[:, 1], steps[:, 4]
+    crossings = np.cumsum(crossings, axis=2).reshape(len(steps), 2 * n)
+    order = np.argsort(crossings, axis=1, kind="stable")
+    t = np.take_along_axis(crossings, order, axis=1)
+    # each walk's step count: through its first step beyond the range
+    walked = np.minimum((t <= max_range).sum(axis=1) + 1, limit)
+    cols = int(walked.max(initial=0))
+    along_x = order[:, :cols] < n
+    # the origin, the walk, then at least one column at t = inf past it
+    xs = np.zeros((len(steps), cols + 2), dtype=np.intp)
+    ys = np.zeros((len(steps), cols + 2), dtype=np.intp)
+    xs[:, 1:-1] = np.cumsum(np.where(along_x, steps[:, 0:1], 0.0), axis=1)
+    ys[:, 1:-1] = np.cumsum(np.where(along_x, 0.0, steps[:, 3:4]), axis=1)
+    t = np.concatenate((np.zeros((len(steps), 1)), t[:, :cols + 1]), axis=1)
+    past = np.arange(cols + 2) > walked[:, None]
+    xs[past] = ys[past] = 0
+    t[past] = math.inf
     return _FanTable(ys * (width + 2) + xs, ys * width + xs, t, t > max_range)
 
 
-def fan_codes(blocked: np.ndarray) -> np.ndarray:
+def _fan_codes(blocked: np.ndarray) -> np.ndarray:
     """The grid `fan_walk` reads: each cell of the `blocked` mask coded free
     or blocked, framed by a one-cell border coded outside the lattice."""
     height, width = blocked.shape
@@ -218,16 +222,39 @@ class FanWalk(NamedTuple):
         rows = np.arange(len(steps))
         return self.flat[rows, steps], self.t[rows, steps], self.code[rows, steps]
 
-    def index_set(self, flat: np.ndarray) -> np.ndarray:
-        """The distinct lattice indices in `flat`, ascending, as int32."""
-        mask = np.zeros(self.cells, dtype=bool)
-        mask[flat] = True
-        return np.flatnonzero(mask).astype(np.int32)
+    def beam_stops(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each beam's IR (distance, hit): the distance at which it stopped,
+        and hit, when that is within range; max_range and no hit otherwise."""
+        _, t, _ = self.at(self.stop)
+        hit = t <= self.max_range
+        return np.where(hit, t, self.max_range), hit
+
+    def ir_evidence(self, distance: np.ndarray,
+                    hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat (row-major) indices of the cells an IR scan passes and hits.
+
+        The walk is the scan's fan, walked to at least its longest beam over
+        a grid whose blocked cells stop no beam short of its `distance`. A
+        beam passes the cells it enters at t <= nextafter(distance - 1e-9,
+        -inf) before it leaves the lattice; a beam that hit marks the next
+        cell it enters, when that lies in the lattice and is entered within
+        distance + 1e-9. At a lattice corner, that can be a free cell entered
+        at the same distance as the blocked one. A hit cell is not passed,
+        and neither array repeats a cell.
+        """
+        reach = np.nextafter(distance - 1e-9, -np.inf)
+        end = np.minimum((self.t > reach[:, None]).argmax(axis=1), self.stop)
+        flat, t, code = self.at(end)
+        marks = np.zeros(self.cells, dtype=np.uint8)
+        marks[self.flat[self.before(end)]] = 1
+        marks[flat[hit & (t <= distance + 1e-9) & (code != _OUTSIDE)]] = 2
+        return (np.flatnonzero(marks == 1).astype(np.int32),
+                np.flatnonzero(marks == 2).astype(np.int32))
 
 
 def fan_walk(codes: np.ndarray, cell_size: float, ox: float, oy: float,
              angles: Sequence[float], max_range: float) -> FanWalk:
-    """Walk the rays at `angles` from (ox, oy) over `codes` (see `fan_codes`).
+    """Walk the rays at `angles` from (ox, oy) over `codes` (see `_fan_codes`).
 
     Each beam steps, enters and stops exactly as `trace_ray` does. The walks
     come from a table memoized per cell size, the origin's offsets to its
@@ -257,35 +284,11 @@ def fan_walk(codes: np.ndarray, cell_size: float, ox: float, oy: float,
                    width * height)
 
 
-def beam_stops(walk: FanWalk) -> tuple[np.ndarray, np.ndarray]:
-    """Each IR beam's (distance, hit): the distance at which it stopped, and
-    hit, when that is within range; max_range and no hit otherwise."""
-    _, t, _ = walk.at(walk.stop)
-    hit = t <= walk.max_range
-    return np.where(hit, t, walk.max_range), hit
-
-
-def ir_evidence(walk: FanWalk, distance: np.ndarray,
-                hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (row-major) indices of the cells an IR scan passes and hits.
-
-    `walk` is the scan's fan, walked to at least its longest beam over a grid
-    whose blocked cells stop no beam short of its `distance`. A beam passes
-    the cells it enters at t <= nextafter(distance - 1e-9, -inf) before it
-    leaves the lattice; a beam that hit marks the next cell it enters, when
-    that lies in the lattice and is entered within distance + 1e-9. At a
-    lattice corner, that can be a free cell entered at the same distance as
-    the blocked one. A hit cell is not passed, and neither array repeats a
-    cell.
-    """
-    reach = np.nextafter(distance - 1e-9, -np.inf)
-    end = np.minimum((walk.t > reach[:, None]).argmax(axis=1), walk.stop)
-    flat, t, code = walk.at(end)
-    marks = np.zeros(walk.cells, dtype=np.uint8)
-    marks[walk.flat[walk.before(end)]] = 1
-    marks[flat[hit & (t <= distance + 1e-9) & (code != _OUTSIDE)]] = 2
-    return (np.flatnonzero(marks == 1).astype(np.int32),
-            np.flatnonzero(marks == 2).astype(np.int32))
+def _fan(codes: np.ndarray, cell_size: float, pose: Pose,
+         cfg: IrConfig | CameraConfig) -> FanWalk:
+    """The sensor fan of `cfg` from `pose`, walked over `codes`."""
+    return fan_walk(codes, cell_size, pose.x, pose.y,
+                    beam_angles(pose.heading, cfg.fov, cfg.ray_count), cfg.max_range)
 
 
 def _cells(flat: np.ndarray, width: int) -> list[Cell]:
@@ -304,11 +307,9 @@ def ir_scan(world: GridWorld, pose: Pose, cfg: IrConfig) -> IrScan:
     """Sweep the IR fan; beams that strike nothing report max_range, hit=False."""
     if not world.contains_point(pose.x, pose.y):
         raise ValueError("scan pose outside world bounds")
-    angles = beam_angles(pose.heading, cfg.fov, cfg.ray_count)
-    walk = fan_walk(fan_codes(world.occupied), world.cell_size, pose.x, pose.y, angles,
-                    cfg.max_range)
-    distance, hit = beam_stops(walk)
-    return IrScan(pose, tuple(map(Beam, angles, distance.tolist(), hit.tolist())))
+    distance, hit = _fan(_fan_codes(world.occupied), world.cell_size, pose, cfg).beam_stops()
+    return IrScan(pose, tuple(map(Beam, beam_angles(pose.heading, cfg.fov, cfg.ray_count),
+                                  distance.tolist(), hit.tolist())))
 
 
 def camera_sweep(blocked: np.ndarray, cell_size: float, pose: Pose,
@@ -316,12 +317,45 @@ def camera_sweep(blocked: np.ndarray, cell_size: float, pose: Pose,
     """The camera fan from `pose` walked over the `blocked` mask: the cells
     rays traversed (seen free) and the in-lattice blocked cells that stopped a
     ray within range (seen blocked), each once, in walk order."""
-    walk = fan_walk(fan_codes(blocked), cell_size, pose.x, pose.y,
-                    beam_angles(pose.heading, cfg.fov, cfg.ray_count), cfg.max_range)
+    walk = _fan(_fan_codes(blocked), cell_size, pose, cfg)
     flat, t, code = walk.at(walk.stop)
     width = blocked.shape[1]
     return (_cells(_in_walk_order(walk.flat[walk.before(walk.stop)]), width),
             _cells(_in_walk_order(flat[(code == _BLOCKED) & (t <= cfg.max_range)]), width))
+
+
+def sense_cells(blocked: np.ndarray, cell_size: float, pose: Pose, ir: IrConfig,
+                cam: CameraConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat (row-major) indices of the cells one sense at `pose` gives
+    evidence on, with the walls of the `blocked` mask: the cells the IR fan
+    passes and hits (as `scan_cells` finds them for this pose's `ir_scan`)
+    and the cells the camera fan sees free (as `camera_sweep` finds them),
+    each array ascending."""
+    codes = _fan_codes(blocked)
+    beams = _fan(codes, cell_size, pose, ir)
+    free, hits = beams.ir_evidence(*beams.beam_stops())
+    sweep = _fan(codes, cell_size, pose, cam)
+    mask = np.zeros(sweep.cells, dtype=bool)
+    mask[sweep.flat[sweep.before(sweep.stop)]] = True
+    return free, hits, np.flatnonzero(mask).astype(np.int32)
+
+
+def scan_cells(width: int, height: int, cell_size: float,
+               scan: IrScan) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (row-major) indices of the cells of a width x height lattice
+    that an IR scan passes and hits.
+
+    A beam passes the cells it enters before its length less 1e-9; a beam
+    that hit something marks the cell it enters at its length, within 1e-9.
+    A hit cell is not passed, and neither array repeats a cell. The beams are
+    walked to the lattice border, so every scan from one origin spot shares
+    one table, whatever its beam lengths.
+    """
+    beams = scan.beams
+    walk = fan_walk(_fan_codes(np.zeros((height, width), dtype=bool)), cell_size,
+                    scan.origin.x, scan.origin.y, tuple(b.angle for b in beams), math.inf)
+    return walk.ir_evidence(np.array([b.distance for b in beams], dtype=float),
+                            np.array([b.hit for b in beams], dtype=bool))
 
 
 def camera_observe(world: GridWorld, pose: Pose, cfg: CameraConfig) -> CameraObservation:

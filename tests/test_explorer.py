@@ -417,36 +417,36 @@ class TestSenseCache:
     """A warm sensing evidence cache must change nothing but the work done."""
 
     @pytest.fixture
-    def fan_walks(self, monkeypatch):
+    def misses(self, monkeypatch):
         calls = []
-        walk = explorer.fan_walk
-        monkeypatch.setattr(explorer, "fan_walk", lambda *a: calls.append(a) or walk(*a))
+        sense = explorer.sense_cells
+        monkeypatch.setattr(explorer, "sense_cells", lambda *a: calls.append(a) or sense(*a))
         return calls
 
-    def _warm_then_cold(self, explore, fan_walks):
+    def _warm_then_cold(self, explore, misses):
         world = load_map(fixture_path("sparse.map").read_text())
         # same lattice, start and sensors, other walls: its evidence must not leak
         other = load_map(fixture_path("dense.map").read_text())
         explorer._SENSE_CACHE.clear()
         explore(other.with_target((5, 35)), suite())
         explore(world.with_target((30, 5)), suite())
-        fan_walks.clear()
+        misses.clear()
         warm = explore(world.with_target((5, 35)), suite())
-        warm_walks = len(fan_walks)
+        warm_misses = len(misses)
         explorer._SENSE_CACHE.clear()
-        fan_walks.clear()
+        misses.clear()
         cold = explore(world.with_target((5, 35)), suite())
         assert warm.steps
         assert _outcome(warm) == _outcome(cold)
-        return warm_walks, len(fan_walks)
+        return warm_misses, len(misses)
 
     @pytest.mark.parametrize("explore", [explore_cdos, explore_rapid_frontier])
-    def test_warm_cache_equals_cold_cache(self, explore, fan_walks):
-        warm_walks, cold_walks = self._warm_then_cold(explore, fan_walks)
-        assert warm_walks < cold_walks
+    def test_warm_cache_equals_cold_cache(self, explore, misses):
+        warm_misses, cold_misses = self._warm_then_cold(explore, misses)
+        assert warm_misses < cold_misses
 
     @pytest.mark.parametrize("explore", [explore_cdos, explore_rapid_frontier])
-    def test_cache_bound_of_one_changes_nothing(self, explore, fan_walks, monkeypatch):
+    def test_cache_bound_of_one_changes_nothing(self, explore, misses, monkeypatch):
         monkeypatch.setattr(explorer, "_SENSE_CACHE_LIMIT", 1)
-        self._warm_then_cold(explore, fan_walks)
+        self._warm_then_cold(explore, misses)
         assert sum(map(len, explorer._SENSE_CACHE.values())) == 1

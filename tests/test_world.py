@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curiogrid import sensor
-from curiogrid.curiosity import CuriosityParams, visible_from
-from curiogrid.explorer import MotionConfig, SensorSuite, _Explorer
+from curiogrid.curiosity import visible_from
 from curiogrid.harness import fixture_path
-from curiogrid.mapping import Label, MappingConfig, ObjectMap, OccupancyMap, logit
+from curiogrid.mapping import Label, ObjectMap, OccupancyMap, logit
 from curiogrid.sensor import (Beam, CameraConfig, IrConfig, IrScan, beam_angles,
-                              camera_observe, camera_sweep, ir_scan)
+                              camera_observe, camera_sweep, ir_scan, sense_cells)
 from curiogrid.world import (TWO_PI, GridWorld, MapError, Pose, Zone, ZoneError, load_map,
                              load_zones, ray_cast, sample_zone_points, serialize_map,
                              trace_ray, wrap_angle)
@@ -529,15 +528,13 @@ def test_fan_walk_matches_trace_ray(case, data):
         assert sorted(free.tolist()) == sorted(_flat_set(want_free, width))
         assert sorted(hits.tolist()) == sorted(_flat_set(want_hits, width))
 
-    # the explorer's sensing evidence, read straight from the fan walks
-    sensing = _Explorer(world, SensorSuite(ir, cam), MotionConfig(), 1.0, None,
-                        MappingConfig(), CuriosityParams(), 0.95)
-    cells, hits_at, seen_at = sensing._walk_fans()
+    # the explorer's sensing evidence, one walk of each fan
+    sense_free, sense_hits, sense_seen = sense_cells(world.occupied, cs, pose, ir, cam)
     free, hits = OccupancyMap(width, height, cs).scan_evidence(ir_scan(world, pose, ir))
-    assert cells[:hits_at].tolist() == free.tolist()
-    assert cells[hits_at:seen_at].tolist() == hits.tolist()
+    assert sense_free.tolist() == free.tolist()
+    assert sense_hits.tolist() == hits.tolist()
     seen = ObjectMap(width, height, cs).observation_evidence(camera_observe(world, pose, cam))
-    assert cells[seen_at:].tolist() == sorted(seen.tolist())
+    assert sense_seen.tolist() == sorted(seen.tolist())
 
 
 def test_scan_evidence_hit_at_exact_corner_is_the_free_cell():
