@@ -155,9 +155,10 @@ def _fan_table(cell_size: float, bx1: float, bx0: float, by1: float, by0: float,
 
     Each beam's crossings of the x and of the y boundaries are running sums,
     as `trace_ray` adds them up; a stable sort merges them, an x crossing
-    first on a tie, as `trace_ray` steps. The j-th crossing along an axis lies
-    at least j cell sizes out, so max_range / cell_size + 3 crossings per axis
-    reach past the range.
+    first on a tie, as `trace_ray` steps. The j-th crossing along an axis (from
+    0) lies at least j cell sizes out, so int(max_range / cell_size) + 2
+    crossings per axis reach past the range; one more absorbs the rounding of
+    the running sums.
     """
     limit = width + height
     n = int(min(max_range / cell_size + 3, limit))

@@ -510,6 +510,17 @@ def test_fan_walk_matches_trace_ray(case, data):
     # exactly. Besides the measured scan, a made-up one whose beams end on
     # the k-th cell boundary, or up to 1e-9 off it, or at max_range.
     angles = [pose.heading] + angles
+    # each beam's cells before its stop, its stop cell and the distance at
+    # which it entered it, also when it stopped beyond the range
+    walk = sensor.fan_walk(sensor._fan_codes(world.occupied), cs, pose.x, pose.y, angles,
+                           max_range)
+    for row, angle in enumerate(angles):
+        visited, (sx, sy), t = trace_ray(world.occupied, cs, pose.x, pose.y, angle, max_range)
+        stop = walk.stop[row]
+        assert walk.flat[row, :stop].tolist() == [y * width + x for x, y in visited]
+        assert walk.t[row, stop] == t
+        if 0 <= sx < width and 0 <= sy < height:
+            assert walk.flat[row, stop] == sy * width + sx
     ends = data.draw(st.lists(
         st.tuples(st.one_of(st.none(), st.integers(0, 12)),
                   st.sampled_from([0.0, 1e-9, -1e-9, 5e-10, -5e-10]), st.booleans()),
@@ -570,6 +581,25 @@ def test_fan_table_far_range_capped_at_lattice_extent():
     (table,) = sensor._FAN_TABLES.values()
     assert table.t.shape[0] == 90
     assert table.t.shape[1] <= world.width + world.height + 2
+
+
+@pytest.mark.parametrize("cell_size", [1.0, 0.3])
+def test_fan_walk_range_stop_as_trace_ray(cell_size):
+    # On an open lattice every beam stops by range: its stop is the step
+    # past the range that trace_ray takes, wherever the origin lies in its
+    # cell, even when the last step within range nearly reaches it.
+    blocked = np.zeros((12, 12), dtype=bool)
+    angles = [k * math.pi / 4.0 for k in range(8)] + [0.3, 1.2]
+    for fraction in (0.05, 0.5, 0.95):
+        origin = (5 + fraction) * cell_size
+        for cells in (1.7, 2.2, 3.96):
+            max_range = cells * cell_size
+            walk = sensor.fan_walk(sensor._fan_codes(blocked), cell_size, origin, origin,
+                                   angles, max_range)
+            for row, angle in enumerate(angles):
+                _, _, t = trace_ray(blocked, cell_size, origin, origin, angle, max_range)
+                assert t > max_range
+                assert walk.t[row, walk.stop[row]] == t
 
 
 def test_fan_walk_origin_outside_lattice_rejected():
