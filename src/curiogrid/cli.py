@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .explorer import InvariantError
-from .harness import (ConfigError, default_config, explore, load_config, render_maps,
+from .harness import (METHODS, ConfigError, default_config, explore, load_config, render_maps,
                       run_fov_sweep, run_zone_experiment, steps_jsonl, trajectory_jsonl)
 from .mission import mission_log_lines, run_mission
 from .world import MapError, ZoneError, load_map
@@ -32,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_explore = sub.add_parser("explore", help="single exploration run")
     p_explore.add_argument("--map", required=True, help="map file path")
-    p_explore.add_argument("--method", choices=("cdos", "baseline"), default="cdos")
+    p_explore.add_argument("--method", choices=METHODS, default="cdos")
     p_explore.add_argument("--alpha", type=float, default=60.0, help="camera fov, degrees")
     p_explore.add_argument("--beta", type=float, default=30.0, help="IR fov, degrees")
     p_explore.add_argument("--config", help="experiment config file (defaults packaged)")

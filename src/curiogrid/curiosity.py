@@ -30,6 +30,9 @@ class CuriosityParams:
     peak: float = 0.62
 
     def __post_init__(self):
+        for name in ("offset", "stiffness", "peak"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.stiffness <= 0:
             raise ValueError("stiffness must be positive")
 

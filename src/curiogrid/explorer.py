@@ -46,10 +46,10 @@ class MotionConfig:
     rotation_penalty: float = 0.0  # seconds per full turn; 0 = rotation is free
 
     def __post_init__(self):
-        if self.max_velocity <= 0:
-            raise ValueError("max_velocity must be positive")
-        if self.rotation_penalty < 0:
-            raise ValueError("rotation_penalty must be non-negative")
+        if not 0.0 < self.max_velocity < math.inf:
+            raise ValueError("max_velocity must be positive and finite")
+        if not 0.0 <= self.rotation_penalty < math.inf:
+            raise ValueError("rotation_penalty must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -202,38 +202,29 @@ def path_cost(path: list[Cell], cell_size: float) -> float:
     return total
 
 
-def _row_major(cell: Cell, width: int) -> int:
-    return cell[1] * width + cell[0]
+def _pick_curiosity(ex: _Explorer, frontiers: list[Cell]) -> tuple[Cell, float, str]:
+    """cdos: the frontier of least expected curiosity loss."""
+    choice = select_frontier(frontiers, ex.objects, ex.occupancy, ex.pose,
+                             ex.sensors.camera, ex.params)
+    return choice.cell, choice.loss, "curiosity"
 
 
-# A selector must rank each candidate on a key of its own, independent of the
-# other candidates: _decide relies on it to pick before searching.
-SelectFn = Callable[[list[Cell], ObjectMap, OccupancyMap, Pose], tuple[Cell, float, str]]
-
-
-def _cdos_select(params: CuriosityParams, cam: CameraConfig) -> SelectFn:
-    def pick(frontiers, objects, occupancy, pose):
-        choice = select_frontier(frontiers, objects, occupancy, pose, cam, params)
-        return choice.cell, choice.loss, "curiosity"
-    return pick
-
-
-def _heading_select() -> SelectFn:
-    def pick(frontiers, objects, occupancy, pose):
-        cs = occupancy.cell_size
-        best = None
-        best_cell = None
-        for cell in frontiers:
-            x, y = (cell[0] + 0.5) * cs, (cell[1] + 0.5) * cs
-            d = math.hypot(x - pose.x, y - pose.y)
-            turn = 0.0 if d < 1e-12 else abs(angle_diff(math.atan2(y - pose.y, x - pose.x),
-                                                        pose.heading))
-            key = (turn, d, _row_major(cell, occupancy.width))
-            if best is None or key < best:
-                best = key
-                best_cell = cell
-        return best_cell, 0.0, "heading"
-    return pick
+def _pick_heading(ex: _Explorer, frontiers: list[Cell]) -> tuple[Cell, float, str]:
+    """Rapid frontier: the frontier of least heading change, then distance."""
+    cs = ex.world.cell_size
+    pose = ex.pose
+    best = None
+    best_cell = None
+    for cell in frontiers:
+        x, y = (cell[0] + 0.5) * cs, (cell[1] + 0.5) * cs
+        d = math.hypot(x - pose.x, y - pose.y)
+        turn = 0.0 if d < 1e-12 else abs(angle_diff(math.atan2(y - pose.y, x - pose.x),
+                                                    pose.heading))
+        key = (turn, d, cell[1] * ex.world.width + cell[0])
+        if best is None or key < best:
+            best = key
+            best_cell = cell
+    return best_cell, 0.0, "heading"
 
 
 def _decide(free: np.ndarray, start: Cell, cell_size: float, frontiers: list[Cell],
@@ -244,7 +235,7 @@ def _decide(free: np.ndarray, start: Cell, cell_size: float, frontiers: list[Cel
 
     The goal is `pick`'s choice among the reachable frontiers of the IR wedge
     or, when none is reachable, the nearest reachable frontier of all. Both
-    selectors rank each candidate by a key of its own, so a choice made over
+    pick functions rank each candidate by a key of its own, so a choice made over
     the whole wedge stands whenever it is reachable. The search therefore
     only runs until that choice is settled (with an empty wedge, until the
     nearest frontier is); only when the choice turns out to be unreachable
@@ -285,8 +276,9 @@ class _Explorer:
     """Shared machinery for one exploration trial."""
 
     def __init__(self, world: GridWorld, sensors: SensorSuite, motion: MotionConfig,
-                 budget: float, select: SelectFn, mapping_cfg: MappingConfig,
-                 curiosity_params: CuriosityParams, detection_threshold: float):
+                 budget: float, mapping_cfg: MappingConfig, detection_threshold: float,
+                 params: CuriosityParams,
+                 pick: Callable[[_Explorer, list[Cell]], tuple[Cell, float, str]]):
         start_cell = world.cell_of(world.start.x, world.start.y)
         if not world.in_bounds(start_cell) or not world.is_free(start_cell):
             raise ValueError("world start is invalid")
@@ -294,8 +286,8 @@ class _Explorer:
         self.sensors = sensors
         self.motion = motion
         self.budget = budget
-        self.select = select
-        self.params = curiosity_params
+        self.pick = pick
+        self.params = params
         self.threshold = detection_threshold
         self.occupancy = OccupancyMap(world.width, world.height, world.cell_size, mapping_cfg)
         self.objects = ObjectMap(world.width, world.height, world.cell_size, mapping_cfg)
@@ -406,8 +398,7 @@ class _Explorer:
             wedge = local_frontiers(frontiers, self.pose, self.sensors.ir,
                                     self.world.cell_size)
             decision = _decide(free, current_cell, self.world.cell_size, frontiers, wedge,
-                               lambda cells: self.select(cells, self.objects,
-                                                         self.occupancy, self.pose))
+                               lambda cells: self.pick(self, cells))
             if decision is None:
                 break
             goal, loss, mode, path = decision
@@ -454,15 +445,13 @@ class _Explorer:
 
 
 def explore_cdos(world: GridWorld, sensors: SensorSuite,
-                 params: CuriosityParams = CuriosityParams(),
                  motion: MotionConfig = MotionConfig(), budget: float = 600.0,
                  mapping_cfg: MappingConfig = MappingConfig(),
-                 detection_threshold: float = 0.95) -> ExplorationResult:
+                 detection_threshold: float = 0.95,
+                 params: CuriosityParams = CuriosityParams()) -> ExplorationResult:
     """Curiosity-driven object search: frontiers picked by expected curiosity loss."""
-    explorer = _Explorer(world, sensors, motion, budget,
-                         _cdos_select(params, sensors.camera), mapping_cfg,
-                         params, detection_threshold)
-    return explorer.run()
+    return _Explorer(world, sensors, motion, budget, mapping_cfg, detection_threshold,
+                     params, _pick_curiosity).run()
 
 
 def explore_rapid_frontier(world: GridWorld, sensors: SensorSuite,
@@ -475,6 +464,5 @@ def explore_rapid_frontier(world: GridWorld, sensors: SensorSuite,
     `params` only sets the curve of the total curiosity the step log records;
     the baseline's choices never read it.
     """
-    explorer = _Explorer(world, sensors, motion, budget, _heading_select(),
-                         mapping_cfg, params, detection_threshold)
-    return explorer.run()
+    return _Explorer(world, sensors, motion, budget, mapping_cfg, detection_threshold,
+                     params, _pick_heading).run()

@@ -28,7 +28,9 @@ from .mapping import (Label, MappingConfig, glyph_text, occupancy_glyphs, object
 from .sensor import CameraConfig, IrConfig
 from .world import GridWorld, load_map, load_zones, sample_zone_points
 
-METHODS = ("cdos", "baseline")
+# The explorer of each method; every one takes the same settings.
+_EXPLORERS = {"cdos": explore_cdos, "baseline": explore_rapid_frontier}
+METHODS = tuple(_EXPLORERS)
 
 
 class ConfigError(ValueError):
@@ -231,15 +233,11 @@ def _ground_truth_reachable(world: GridWorld) -> np.ndarray:
 def explore(world: GridWorld, method: str, alpha: float, beta: float,
             cfg: ExperimentConfig) -> ExplorationResult:
     """One `method` run on `world`: camera fov alpha, IR fov beta (radians)."""
-    sensors = cfg.sensor_suite(alpha, beta)
-    if method == "cdos":
-        return explore_cdos(world, sensors, cfg.curiosity_params(), cfg.motion_config(),
-                            cfg.budget, cfg.mapping_config(), cfg.detection_threshold)
-    if method == "baseline":
-        return explore_rapid_frontier(world, sensors, cfg.motion_config(), cfg.budget,
-                                      cfg.mapping_config(), cfg.detection_threshold,
-                                      cfg.curiosity_params())
-    raise ConfigError(f"unknown method {method!r}")
+    explorer = _EXPLORERS.get(method)
+    if explorer is None:
+        raise ConfigError(f"unknown method {method!r}")
+    return explorer(world, cfg.sensor_suite(alpha, beta), cfg.motion_config(), cfg.budget,
+                    cfg.mapping_config(), cfg.detection_threshold, cfg.curiosity_params())
 
 
 def run_trial(map_text: str, placement: tuple[int, int], method: str,
@@ -294,14 +292,12 @@ def summarize(records: list[TrialRecord]) -> list[ZoneSummary]:
     return out
 
 
-def run_zone_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None,
-                        alpha: Optional[float] = None,
-                        beta: Optional[float] = None) -> ZoneExperiment:
+def run_zone_experiment(cfg: ExperimentConfig,
+                        out_dir: Optional[Path] = None) -> ZoneExperiment:
     """Place the object at sampled points of every zone of every map and race
-    both methods against each placement. Writes trials.csv and summary.csv
-    when out_dir is given."""
-    alpha = cfg.alphas[0] if alpha is None else alpha
-    beta = cfg.betas[0] if beta is None else beta
+    both methods against each placement, with camera fov alphas[0] and IR fov
+    betas[0]. Writes trials.csv and summary.csv when out_dir is given."""
+    alpha, beta = cfg.alphas[0], cfg.betas[0]
     if cfg.zone_file is None:
         raise ConfigError("zone_file is required for zone experiments")
     zone_text = Path(cfg.zone_file).read_text()
@@ -373,24 +369,22 @@ class SweepRow:
 
 
 def run_fov_sweep(cfg: ExperimentConfig, vary: str,
-                  values: Optional[tuple[float, ...]] = None,
                   out_dir: Optional[Path] = None) -> list[SweepRow]:
-    """Re-run the zone experiment for each fov value of the varied sensor.
+    """Re-run the zone experiment for each configured fov of the varied sensor.
 
-    vary is "alpha" (camera fov, IR fixed at betas[0]) or "beta" (IR fov,
-    camera fixed at alphas[0]). Values are radians; default is the configured
-    list. Writes sweep.csv when out_dir is given."""
+    vary is "alpha" (each of cfg.alphas, IR fixed at betas[0]) or "beta"
+    (each of cfg.betas, camera fixed at alphas[0]). Writes sweep.csv when
+    out_dir is given."""
     if vary not in ("alpha", "beta"):
         raise ConfigError("vary must be 'alpha' or 'beta'")
-    values = values if values is not None else (cfg.alphas if vary == "alpha" else cfg.betas)
+    key = f"{vary}s"
+    values = getattr(cfg, key)
     if len(values) < 2:
         raise ConfigError("a sweep needs at least two values")
 
     rows: list[SweepRow] = []
     for value in values:
-        alpha = value if vary == "alpha" else cfg.alphas[0]
-        beta = value if vary == "beta" else cfg.betas[0]
-        experiment = run_zone_experiment(cfg, out_dir=None, alpha=alpha, beta=beta)
+        experiment = run_zone_experiment(replace(cfg, **{key: (value,)}))
         pooled = summarize([replace(r, zone_id=0) for r in experiment.records])
         rows.extend(SweepRow(vary, math.degrees(value), s.map_id, s.zone_id, s.method,
                              s.found, s.mean_dt) for s in experiment.summaries + pooled)

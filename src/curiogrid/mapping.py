@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .sensor import CameraObservation, Detection, IrScan, scan_cells
-from .world import Cell
 
 LOG_ODDS_CAP = 20.0
 _EV_MIN = 1.0 / (1.0 + math.exp(LOG_ODDS_CAP))
@@ -89,13 +88,9 @@ class OccupancyMap:
         self.log_odds = np.zeros((height, width), dtype=float)
 
     def integrate_scan(self, scan: IrScan) -> None:
-        """Fuse one IR scan; each cell receives at most one evidence bump."""
-        self.add_scan_evidence(*self.scan_evidence(scan))
-
-    def scan_evidence(self, scan: IrScan) -> tuple[np.ndarray, np.ndarray]:
-        """Flat (row-major) indices of the cells one scan passes and hits, the
-        latter occupied (see `sensor.scan_cells`)."""
-        return scan_cells(self.width, self.height, self.cell_size, scan)
+        """Fuse one IR scan: miss evidence at the cells it passes, hit evidence
+        at the cells it hits (see `sensor.scan_cells`), each at most once."""
+        self.add_scan_evidence(*scan_cells(self.width, self.height, self.cell_size, scan))
 
     def add_scan_evidence(self, free: np.ndarray, hits: np.ndarray) -> None:
         """Add miss evidence at the `free` and hit evidence at the `hits` flat
@@ -128,11 +123,8 @@ class ObjectMap:
 
     def integrate_observation(self, obs: CameraObservation) -> None:
         """Fuse one camera sweep."""
-        self.add_observation_evidence(self.observation_evidence(obs), obs.detection)
-
-    def observation_evidence(self, obs: CameraObservation) -> np.ndarray:
-        """Flat (row-major) indices of the cells one sweep saw free."""
-        return _flat_indices(obs.seen_free, self.width)
+        seen_free = np.array([cy * self.width + cx for cx, cy in obs.seen_free], dtype=np.int32)
+        self.add_observation_evidence(seen_free, obs.detection)
 
     def add_observation_evidence(self, seen_free: np.ndarray,
                                  det: Optional[Detection]) -> None:
@@ -158,11 +150,6 @@ class ObjectMap:
         """The free / unknown / pass-through view consumed by curiosity scoring."""
         return classify_object_probabilities(self.raw_probabilities(),
                                              self.cfg.lambda1, self.cfg.lambda2)
-
-
-def _flat_indices(cells: Iterable[Cell], width: int) -> np.ndarray:
-    """Row-major flat indices of `cells`, in iteration order."""
-    return np.array([cy * width + cx for cx, cy in cells], dtype=np.int32)
 
 
 def to_pgm(values: np.ndarray) -> bytes:

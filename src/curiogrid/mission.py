@@ -21,6 +21,10 @@ from .mapping import MappingConfig
 from .world import Cell, GridWorld, Pose, wrap_angle
 
 
+# Distance (m) from the object's cell centre at which the gripper can reach it.
+GRAB_RANGE = 0.2
+
+
 class TransitionError(ValueError):
     """Raised when an event is not valid for the current phase."""
 
@@ -123,7 +127,7 @@ def step_mission(phase: MissionPhase, event: MissionEvent, *,
 
 
 def grab_maneuver(pose: Pose, target: Cell, motion: MotionConfig,
-                  cell_size: float = 1.0, grab_range: float = 0.2) -> tuple[Pose, float]:
+                  cell_size: float = 1.0) -> tuple[Pose, float]:
     """Scripted grab: spin 180 degrees, trigger the gripper, back into the object.
 
     Returns the pose at contact and the maneuver's time cost: the full
@@ -132,8 +136,8 @@ def grab_maneuver(pose: Pose, target: Cell, motion: MotionConfig,
     tx = (target[0] + 0.5) * cell_size
     ty = (target[1] + 0.5) * cell_size
     d = math.hypot(tx - pose.x, ty - pose.y)
-    if d > grab_range + 1e-12:
-        raise ValueError(f"target is {d:.3f} m away, beyond grab range {grab_range} m")
+    if d > GRAB_RANGE + 1e-12:
+        raise ValueError(f"target is {d:.3f} m away, beyond grab range {GRAB_RANGE} m")
     cost = motion.rotation_penalty + d / motion.max_velocity
     final = Pose(tx, ty, wrap_angle(pose.heading + math.pi))
     return final, cost
@@ -159,8 +163,7 @@ def run_mission(world: GridWorld, sensors: SensorSuite,
                 params: CuriosityParams = CuriosityParams(),
                 motion: MotionConfig = MotionConfig(),
                 mapping_cfg: MappingConfig = MappingConfig(),
-                budget: float = 600.0, detection_threshold: float = 0.95,
-                grab_range: float = 0.2) -> MissionTrace:
+                budget: float = 600.0, detection_threshold: float = 0.95) -> MissionTrace:
     """Run one full simulated mission and return the timestamped trace.
 
     Aerial phases are scripted (zero-cost events); the hidden-space portion is
@@ -179,8 +182,8 @@ def run_mission(world: GridWorld, sensors: SensorSuite,
     fire(MissionEvent.HIDDEN_SPACE_FOUND)
     fire(MissionEvent.TOUCHDOWN)
 
-    result = explore_cdos(world, sensors, params, motion, budget, mapping_cfg,
-                          detection_threshold)
+    result = explore_cdos(world, sensors, motion, budget, mapping_cfg, detection_threshold,
+                          params)
     trace.exploration = result
     t += result.elapsed
 
@@ -189,7 +192,7 @@ def run_mission(world: GridWorld, sensors: SensorSuite,
         fire(MissionEvent.DETECTION, detection_conf=1.0)
         target = result.target_estimate
         tx, ty = world.cell_center(target)
-        if math.hypot(tx - pose.x, ty - pose.y) > grab_range:
+        if math.hypot(tx - pose.x, ty - pose.y) > GRAB_RANGE:
             # The robot's own cell is free by virtue of standing on it, and the
             # object cell was positively sighted by the camera; an early
             # detection can leave both still unknown in the occupancy belief.
@@ -203,20 +206,20 @@ def run_mission(world: GridWorld, sensors: SensorSuite,
                         continue
                     t += d / motion.max_velocity
                     pose = Pose(x, y, wrap_angle(math.atan2(y - pose.y, x - pose.x)))
-                    if math.hypot(tx - pose.x, ty - pose.y) <= grab_range:
+                    if math.hypot(tx - pose.x, ty - pose.y) <= GRAB_RANGE:
                         break
             else:
                 # belief too sparse to plan (early detection): servo straight
                 # along the verified line of sight, stopping at grab range
                 d = math.hypot(tx - pose.x, ty - pose.y)
-                travel = d - grab_range
+                travel = d - GRAB_RANGE
                 t += travel / motion.max_velocity
                 frac = travel / d
                 pose = Pose(pose.x + (tx - pose.x) * frac,
                             pose.y + (ty - pose.y) * frac,
                             wrap_angle(math.atan2(ty - pose.y, tx - pose.x)))
         fire(MissionEvent.WITHIN_GRAB_RANGE)
-        pose, grab_cost = grab_maneuver(pose, target, motion, world.cell_size, grab_range)
+        pose, grab_cost = grab_maneuver(pose, target, motion, world.cell_size)
         t += grab_cost
         fire(MissionEvent.GRAB_COMPLETE)
     else:

@@ -41,8 +41,8 @@ class IrConfig:
     def __post_init__(self):
         if not 0.0 < self.fov <= TWO_PI:
             raise ValueError("fov must be in (0, 2*pi]")
-        if self.max_range <= 0:
-            raise ValueError("max_range must be positive")
+        if not 0.0 < self.max_range < math.inf:
+            raise ValueError("max_range must be positive and finite")
         if self.ray_count == 0:
             object.__setattr__(self, "ray_count", rays_per_fov(self.fov))
         if self.ray_count < 2:
@@ -67,12 +67,12 @@ class CameraConfig:
     def __post_init__(self):
         if not 0.0 < self.fov <= TWO_PI:
             raise ValueError("fov must be in (0, 2*pi]")
-        if self.max_range <= 0:
-            raise ValueError("max_range must be positive")
+        if not 0.0 < self.max_range < math.inf:
+            raise ValueError("max_range must be positive and finite")
         if self.conf_scale is None:
             object.__setattr__(self, "conf_scale", 0.19 * self.max_range)
-        if self.conf_scale <= 0:
-            raise ValueError("conf_scale must be positive")
+        if not 0.0 < self.conf_scale < math.inf:
+            raise ValueError("conf_scale must be positive and finite")
         if self.ray_count == 0:
             object.__setattr__(self, "ray_count", rays_per_fov(self.fov))
         if self.ray_count < 2:

@@ -19,7 +19,7 @@ from curiogrid.curiosity import CuriosityParams, cell_curiosity, select_frontier
 from curiogrid.curiosity import _loss_over
 from curiogrid.explorer import path_cost, plan_path
 from curiogrid.harness import (default_config, fixture_path, run_fov_sweep,
-                               run_zone_experiment)
+                               run_zone_experiment, summarize)
 from curiogrid.mapping import (Label, MappingConfig, ObjectMap, OccupancyMap,
                                classify_object_probabilities, logit)
 from curiogrid.mission import (MissionEvent, MissionPhase, TetherMode, TetherState,
@@ -258,19 +258,25 @@ def sweep_config():
     return replace(default_config(), map_dense=None, workers=2)
 
 
-def test_criterion_09_fov_sweeps(sweep_config):
-    # The 60 deg alpha point is the (60, 30) run the beta sweep makes at 30 deg;
-    # no assertion reads it from the alpha rows, so it is left out here.
-    alpha_rows = run_fov_sweep(sweep_config, "alpha",
-                               values=(math.radians(30), math.radians(90)))
+def test_criterion_09_fov_sweeps(sweep_config, zone_experiment):
+    # The 60 deg alpha point is the (60, 30) run, which no assertion reads
+    # from the alpha rows, so it is left out here.
+    alphas = (math.radians(30), math.radians(90))
+    alpha_rows = run_fov_sweep(replace(sweep_config, alphas=alphas), "alpha")
     pooled = {(round(r.value_deg), r.method): r.mean_dt
               for r in alpha_rows if r.zone_id == 0}
     assert pooled[(90, "cdos")] <= pooled[(30, "cdos")] + 1e-9
 
-    beta_rows = run_fov_sweep(sweep_config, "beta")
-    beta_values = sorted({round(r.value_deg) for r in beta_rows})
+    # The beta sweep's 30 deg point is the (60, 30) run on the sparse map that
+    # the criterion 7/8 fixture has made with the same seed and map index, so
+    # it is pooled from those records as run_fov_sweep pools its own.
+    betas = (math.radians(20), math.radians(45))
+    beta_rows = run_fov_sweep(replace(sweep_config, betas=betas), "beta")
     pooled_b = {(round(r.value_deg), r.method): r.mean_dt
                 for r in beta_rows if r.zone_id == 0}
+    sparse = [replace(r, zone_id=0) for r in zone_experiment.records if r.map_id == "sparse"]
+    pooled_b.update(((30, s.method), s.mean_dt) for s in summarize(sparse))
+    beta_values = sorted({beta for beta, _ in pooled_b})
     for beta in beta_values:
         assert pooled_b[(beta, "cdos")] <= pooled_b[(beta, "baseline")] + 1e-9, (
             f"beta {beta}: cdos {pooled_b[(beta, 'cdos')]:.3f} "

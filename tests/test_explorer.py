@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curiogrid import explorer
+from curiogrid.curiosity import CuriosityParams
 from curiogrid.explorer import (MotionConfig, SensorSuite, _decide, _dijkstra,
                                 _extract_path, detect_frontiers, explore_cdos,
                                 explore_rapid_frontier, local_frontiers, path_cost,
@@ -450,3 +452,24 @@ class TestSenseCache:
         monkeypatch.setattr(explorer, "_SENSE_CACHE_LIMIT", 1)
         self._warm_then_cold(explore, misses)
         assert sum(map(len, explorer._SENSE_CACHE.values())) == 1
+
+
+def test_explorers_share_one_signature():
+    assert (inspect.signature(explore_cdos).parameters
+            == inspect.signature(explore_rapid_frontier).parameters)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("settings_type, field", [
+    (IrConfig, "max_range"),
+    (CameraConfig, "max_range"),
+    (CameraConfig, "conf_scale"),
+    (MotionConfig, "max_velocity"),
+    (MotionConfig, "rotation_penalty"),
+    (CuriosityParams, "offset"),
+    (CuriosityParams, "stiffness"),
+    (CuriosityParams, "peak"),
+])
+def test_settings_reject_non_finite(settings_type, field, value):
+    with pytest.raises(ValueError, match=field):
+        settings_type(**{field: value})

@@ -167,7 +167,7 @@ class TestFovSweep:
     def test_sweep_needs_two_values(self, tiny_dir):
         cfg = tiny_config(tiny_dir)
         with pytest.raises(ConfigError, match="two values"):
-            run_fov_sweep(cfg, "alpha", values=(math.radians(60),))
+            run_fov_sweep(replace(cfg, alphas=(math.radians(60),)), "alpha")
 
     def test_bad_vary_rejected(self, tiny_dir):
         with pytest.raises(ConfigError, match="vary"):
@@ -176,7 +176,7 @@ class TestFovSweep:
     def test_rows_cover_values_and_methods(self, tiny_dir):
         cfg = tiny_config(tiny_dir, samples_per_zone=1)
         values = (math.radians(40), math.radians(80))
-        rows = run_fov_sweep(cfg, "alpha", values=values)
+        rows = run_fov_sweep(replace(cfg, alphas=values), "alpha")
         degs = {round(r.value_deg) for r in rows}
         assert degs == {40, 80}
         pooled = [r for r in rows if r.zone_id == 0]
@@ -186,7 +186,8 @@ class TestFovSweep:
     def test_sweep_csv_written(self, tiny_dir, tmp_path):
         cfg = tiny_config(tiny_dir, samples_per_zone=1)
         out = tmp_path / "sweep"
-        run_fov_sweep(cfg, "beta", values=(math.radians(20), math.radians(40)), out_dir=out)
+        run_fov_sweep(replace(cfg, betas=(math.radians(20), math.radians(40))), "beta",
+                      out_dir=out)
         text = (out / "sweep.csv").read_text()
         assert text.startswith("vary,value_deg,map,zone,method,found,mean_dt")
 

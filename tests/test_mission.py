@@ -108,23 +108,20 @@ class TestStepMission:
 class TestGrabManeuver:
     def test_examples_at_exact_range(self):
         pose = Pose(0.7, 0.5, 0.0)  # exactly 0.2 m from the (0,0) center of a 1.0 grid
-        final, cost = grab_maneuver(pose, (0, 0), MotionConfig(2.0, 0.0),
-                                    cell_size=1.0, grab_range=0.2)
+        final, cost = grab_maneuver(pose, (0, 0), MotionConfig(2.0, 0.0), cell_size=1.0)
         assert cost == pytest.approx(0.1)
         assert (final.x, final.y) == (0.5, 0.5)
         assert final.heading == pytest.approx(math.pi)
 
     def test_rotation_penalty_added_flat(self):
         pose = Pose(0.7, 0.5, 0.0)
-        _, cost = grab_maneuver(pose, (0, 0), MotionConfig(2.0, 2.0),
-                                cell_size=1.0, grab_range=0.2)
+        _, cost = grab_maneuver(pose, (0, 0), MotionConfig(2.0, 2.0), cell_size=1.0)
         assert cost == pytest.approx(2.1)
 
     def test_too_far_rejected(self):
         pose = Pose(2.0, 0.5, 0.0)
         with pytest.raises(ValueError, match="beyond grab range"):
-            grab_maneuver(pose, (0, 0), MotionConfig(2.0, 0.0), cell_size=1.0,
-                          grab_range=0.2)
+            grab_maneuver(pose, (0, 0), MotionConfig(2.0, 0.0), cell_size=1.0)
 
 
 def mission_world(rows, cell_size=0.5):

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from curiogrid import sensor
 from curiogrid.curiosity import visible_from
 from curiogrid.harness import fixture_path
-from curiogrid.mapping import Label, ObjectMap, OccupancyMap, logit
+from curiogrid.mapping import Label, OccupancyMap, logit
 from curiogrid.sensor import (Beam, CameraConfig, IrConfig, IrScan, beam_angles,
-                              camera_observe, camera_sweep, ir_scan, sense_cells)
+                              camera_observe, camera_sweep, ir_scan, scan_cells,
+                              sense_cells)
 from curiogrid.world import (TWO_PI, GridWorld, MapError, Pose, Zone, ZoneError, load_map,
                              load_zones, ray_cast, sample_zone_points, serialize_map,
                              trace_ray, wrap_angle)
@@ -534,18 +535,18 @@ def test_fan_walk_matches_trace_ray(case, data):
             made_up.append(Beam(angle, t + delta, hit))
     for scan in (IrScan(pose, _oracle_beams(world, pose, angles, max_range)),
                  IrScan(pose, tuple(made_up))):
-        free, hits = OccupancyMap(width, height, cs).scan_evidence(scan)
+        free, hits = scan_cells(width, height, cs, scan)
         want_free, want_hits = _oracle_evidence(width, height, cs, scan)
         assert sorted(free.tolist()) == sorted(_flat_set(want_free, width))
         assert sorted(hits.tolist()) == sorted(_flat_set(want_hits, width))
 
     # the explorer's sensing evidence, one walk of each fan
     sense_free, sense_hits, sense_seen = sense_cells(world.occupied, cs, pose, ir, cam)
-    free, hits = OccupancyMap(width, height, cs).scan_evidence(ir_scan(world, pose, ir))
+    free, hits = scan_cells(width, height, cs, ir_scan(world, pose, ir))
     assert sense_free.tolist() == free.tolist()
     assert sense_hits.tolist() == hits.tolist()
-    seen = ObjectMap(width, height, cs).observation_evidence(camera_observe(world, pose, cam))
-    assert sense_seen.tolist() == sorted(seen.tolist())
+    seen = [y * width + x for x, y in camera_observe(world, pose, cam).seen_free]
+    assert sense_seen.tolist() == sorted(seen)
 
 
 def test_scan_evidence_hit_at_exact_corner_is_the_free_cell():
@@ -561,7 +562,7 @@ def test_scan_evidence_hit_at_exact_corner_is_the_free_cell():
     scan = IrScan(world.start, _oracle_beams(world, world.start, [angle], 10.0))
     assert scan.beams[0].distance == t
 
-    free, hits = OccupancyMap(world.width, world.height, 1.0).scan_evidence(scan)
+    free, hits = scan_cells(world.width, world.height, 1.0, scan)
     assert hits.tolist() == [ay * world.width + ax]
     assert ay * world.width + ax not in free.tolist()
     want_free, _ = _oracle_evidence(world.width, world.height, 1.0, scan)
@@ -603,6 +604,5 @@ def test_fan_walk_range_stop_as_trace_ray(cell_size):
 
 
 def test_fan_walk_origin_outside_lattice_rejected():
-    omap = OccupancyMap(3, 3, 1.0)
     with pytest.raises(ValueError, match="outside the lattice"):
-        omap.scan_evidence(IrScan(Pose(5.0, 1.0, 0.0), (Beam(0.0, 1.0, True),)))
+        scan_cells(3, 3, 1.0, IrScan(Pose(5.0, 1.0, 0.0), (Beam(0.0, 1.0, True),)))
