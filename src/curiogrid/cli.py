@@ -33,8 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_explore = sub.add_parser("explore", help="single exploration run")
     p_explore.add_argument("--map", required=True, help="map file path")
     p_explore.add_argument("--method", choices=METHODS, default="cdos")
-    p_explore.add_argument("--alpha", type=float, default=60.0, help="camera fov, degrees")
-    p_explore.add_argument("--beta", type=float, default=30.0, help="IR fov, degrees")
+    p_explore.add_argument("--alpha", type=float, help="camera fov, degrees (default: config)")
+    p_explore.add_argument("--beta", type=float, help="IR fov, degrees (default: config)")
     p_explore.add_argument("--config", help="experiment config file (defaults packaged)")
     p_explore.add_argument("--render", help="directory for rendered maps and step log")
     p_explore.add_argument("--format", choices=("ascii", "pgm"), default="pgm")
@@ -72,8 +72,10 @@ def _with_fovs(cfg, vary: str, degrees, option: str) -> "ExperimentConfig":
 
 
 def _cmd_explore(args) -> int:
-    cfg = _with_fovs(_config_from(args), "alpha", [args.alpha], "--alpha")
-    cfg = _with_fovs(cfg, "beta", [args.beta], "--beta")
+    cfg = _config_from(args)
+    for vary in ("alpha", "beta"):
+        if getattr(args, vary) is not None:
+            cfg = _with_fovs(cfg, vary, [getattr(args, vary)], f"--{vary}")
     world = load_map(Path(args.map).read_text())
     result = explore(world, args.method, cfg.alphas[0], cfg.betas[0], cfg)
     print(f"found={result.found} elapsed={result.elapsed:.3f}s "

@@ -52,6 +52,14 @@ class MotionConfig:
             raise ValueError("rotation_penalty must be non-negative and finite")
 
 
+def check_run_limits(budget: float, detection_threshold: float) -> None:
+    """Reject a budget (s) that is not positive and finite, or a threshold outside (0, 1)."""
+    if not 0.0 < budget < math.inf:
+        raise ValueError("budget must be positive and finite")
+    if not 0.0 < detection_threshold < 1.0:
+        raise ValueError("detection_threshold must be in (0, 1)")
+
+
 @dataclass(frozen=True)
 class SensorSuite:
     ir: IrConfig
@@ -279,9 +287,7 @@ class _Explorer:
                  budget: float, mapping_cfg: MappingConfig, detection_threshold: float,
                  params: CuriosityParams,
                  pick: Callable[[_Explorer, list[Cell]], tuple[Cell, float, str]]):
-        start_cell = world.cell_of(world.start.x, world.start.y)
-        if not world.in_bounds(start_cell) or not world.is_free(start_cell):
-            raise ValueError("world start is invalid")
+        check_run_limits(budget, detection_threshold)
         self.world = world
         self.sensors = sensors
         self.motion = motion

@@ -16,13 +16,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
 from .curiosity import CuriosityParams
-from .explorer import (ExplorationResult, MotionConfig, SensorSuite, detect_frontiers,
-                       explore_cdos, explore_rapid_frontier, _dijkstra)
+from .explorer import (ExplorationResult, MotionConfig, SensorSuite, check_run_limits,
+                       detect_frontiers, explore_cdos, explore_rapid_frontier, _dijkstra)
 from .mapping import (Label, MappingConfig, glyph_text, occupancy_glyphs, object_glyphs,
                       quantize, raster_pgm)
 from .sensor import CameraConfig, IrConfig
@@ -43,7 +43,7 @@ class ExperimentConfig:
 
     Angles are stored in radians; the config file takes degrees. eta = None
     selects the default confidence scale of 0.19 * cam_range (confidence 0.95
-    at 20% of camera range).
+    at 20% of camera range). A bad value raises ConfigError naming its key.
     """
 
     map_sparse: Optional[str] = None
@@ -77,29 +77,20 @@ class ExperimentConfig:
         if self.samples_per_zone < 1:
             raise ConfigError("samples_per_zone must be at least 1")
         if not self.alphas or not self.betas:
-            raise ConfigError("alpha and beta lists must be non-empty")
+            raise ConfigError("alphas_deg and betas_deg must be non-empty")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
-        for name in ("ir_ray_count", "cam_ray_count"):
-            count = getattr(self, name)
-            if count != 0 and count < 2:
-                raise ConfigError(f"{name} must be 0 (one ray per degree) or at least 2")
-        for name in sorted(_FLOAT_KEYS):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
-        for name in ("ir_range", "cam_range", "max_velocity", "budget", "curiosity_b"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.eta is not None and self.eta <= 0:
-            raise ConfigError("eta must be positive")
-        if not 0.0 < self.detection_threshold < 1.0:
-            raise ConfigError("detection_threshold must be in (0, 1)")
-        for name in ("alphas", "betas"):
-            if not all(0.0 < v <= 2.0 * math.pi for v in getattr(self, name)):
-                raise ConfigError(f"{name}_deg values must be in (0, 360]")
-        try:
-            self.mapping_config()  # probability ranges and threshold order
+        checks = [(key, *owner, getattr(self, key)) for key, owner in _OWNERS.items()]
+        checks += [("alphas_deg", CameraConfig, "fov", v) for v in self.alphas]
+        checks += [("betas_deg", IrConfig, "fov", v) for v in self.betas]
+        for key, owner, name, value in checks:
+            try:
+                owner(**{name: value})
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+        try:  # these rules name their fields, which are the file keys
+            self.mapping_config()
+            check_run_limits(self.budget, self.detection_threshold)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -130,18 +121,26 @@ class ExperimentConfig:
         )
 
 
-_LIST_KEYS = {"alphas_deg", "betas_deg"}
-_INT_KEYS = {"samples_per_zone", "seed", "ir_ray_count", "cam_ray_count", "workers"}
-_PATH_KEYS = {"map_sparse", "map_dense", "zone_file"}
-_FLOAT_KEYS = {
-    "ir_range", "cam_range", "eta", "lambda1", "lambda2", "curiosity_a",
-    "curiosity_b", "curiosity_kappa", "p_hit", "p_miss", "p_miss_cam",
-    "p_free_max", "p_occ_min", "max_velocity", "budget", "detection_threshold",
+# Each key one other settings type checks, with that type and the field it fills;
+# the mapping keys, budget and detection_threshold are named as their fields.
+_OWNERS = {
+    "ir_range": (IrConfig, "max_range"),
+    "ir_ray_count": (IrConfig, "ray_count"),
+    "cam_range": (CameraConfig, "max_range"),
+    "cam_ray_count": (CameraConfig, "ray_count"),
+    "eta": (CameraConfig, "conf_scale"),
+    "max_velocity": (MotionConfig, "max_velocity"),
+    "curiosity_a": (CuriosityParams, "offset"),
+    "curiosity_b": (CuriosityParams, "stiffness"),
+    "curiosity_kappa": (CuriosityParams, "peak"),
 }
 
 
 def parse_config(text: str, base_dir: Optional[Path] = None) -> ExperimentConfig:
-    """Parse a key = value config file; relative paths resolve against base_dir."""
+    """Parse a key = value config file; relative paths resolve against base_dir.
+    Keys are ExperimentConfig's fields, but the fov lists are alphas_deg/betas_deg."""
+    types = {f"{k}_deg" if k in ("alphas", "betas") else k: t
+             for k, t in get_type_hints(ExperimentConfig).items()}
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -152,26 +151,19 @@ def parse_config(text: str, base_dir: Optional[Path] = None) -> ExperimentConfig
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
+        if key not in types:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _PATH_KEYS:
+            if key in ("alphas_deg", "betas_deg"):
+                values[key.removesuffix("_deg")] = tuple(
+                    math.radians(float(v)) for v in val.replace(",", " ").split())
+            elif types[key] == Optional[str]:
                 path = Path(val)
                 if base_dir is not None and not path.is_absolute():
                     path = base_dir / path
                 values[key] = str(path)
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _LIST_KEYS:
-                degs = [float(v) for v in val.replace(",", " ").split()]
-                if not degs:
-                    raise ValueError("empty list")
-                values["alphas" if key == "alphas_deg" else "betas"] = tuple(
-                    math.radians(v) for v in degs)
             else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except ConfigError:
-            raise
+                values[key] = int(val) if types[key] is int else float(val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     return ExperimentConfig(**values)

@@ -30,6 +30,19 @@ def rays_per_fov(fov: float) -> int:
     return max(2, int(round(math.degrees(fov))) + 1)
 
 
+def _check_fan(cfg: IrConfig | CameraConfig) -> None:
+    """The rules of both fans: fov in (0, 2*pi], a positive finite range, and
+    a ray count of at least 2, or 0 for `rays_per_fov`."""
+    if not 0.0 < cfg.fov <= TWO_PI:
+        raise ValueError("fov must be in (0, 2*pi]")
+    if not 0.0 < cfg.max_range < math.inf:
+        raise ValueError("max_range must be positive and finite")
+    if cfg.ray_count == 0:
+        object.__setattr__(cfg, "ray_count", rays_per_fov(cfg.fov))
+    if cfg.ray_count < 2:
+        raise ValueError("ray_count must be at least 2")
+
+
 @dataclass(frozen=True)
 class IrConfig:
     """IR fan geometry: total fov (radians), range (m), beam count."""
@@ -39,14 +52,7 @@ class IrConfig:
     ray_count: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.fov <= TWO_PI:
-            raise ValueError("fov must be in (0, 2*pi]")
-        if not 0.0 < self.max_range < math.inf:
-            raise ValueError("max_range must be positive and finite")
-        if self.ray_count == 0:
-            object.__setattr__(self, "ray_count", rays_per_fov(self.fov))
-        if self.ray_count < 2:
-            raise ValueError("ray_count must be at least 2")
+        _check_fan(self)
 
 
 @dataclass(frozen=True)
@@ -65,18 +71,11 @@ class CameraConfig:
     ray_count: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.fov <= TWO_PI:
-            raise ValueError("fov must be in (0, 2*pi]")
-        if not 0.0 < self.max_range < math.inf:
-            raise ValueError("max_range must be positive and finite")
+        _check_fan(self)
         if self.conf_scale is None:
             object.__setattr__(self, "conf_scale", 0.19 * self.max_range)
         if not 0.0 < self.conf_scale < math.inf:
             raise ValueError("conf_scale must be positive and finite")
-        if self.ray_count == 0:
-            object.__setattr__(self, "ray_count", rays_per_fov(self.fov))
-        if self.ray_count < 2:
-            raise ValueError("ray_count must be at least 2")
 
 
 class Beam(NamedTuple):

@@ -100,6 +100,17 @@ def test_explore_bad_fov_exit_one(tiny, capsys, monkeypatch, option, value):
     assert option in capsys.readouterr().err
 
 
+def test_explore_fovs_default_to_config(tiny):
+    (tiny / "wide.cfg").write_text(TINY_CFG + "alphas_deg = 90\nbetas_deg = 45\n")
+    steps = []
+    for name, flags in (("config", []), ("flags", ["--alpha", "90", "--beta", "45"])):
+        out = tiny / name
+        assert main(["explore", "--map", str(tiny / "tiny.map"), "--config",
+                     str(tiny / "wide.cfg"), "--render", str(out), *flags]) == 0
+        steps.append((out / "steps.jsonl").read_bytes())
+    assert steps[0] == steps[1]
+
+
 def test_mission_trace(tiny, capsys):
     out = tiny / "mission"
     code = main(["mission", "--map", str(tiny / "tiny.map"),

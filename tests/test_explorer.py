@@ -473,3 +473,15 @@ def test_explorers_share_one_signature():
 def test_settings_reject_non_finite(settings_type, field, value):
     with pytest.raises(ValueError, match=field):
         settings_type(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("budget", math.nan), ("budget", math.inf), ("budget", 0.0), ("budget", -1.0),
+    ("detection_threshold", math.nan), ("detection_threshold", 0.0),
+    ("detection_threshold", 1.0), ("detection_threshold", 1.5),
+])
+@pytest.mark.parametrize("explore", [explore_cdos, explore_rapid_frontier])
+def test_explorers_reject_bad_run_limits(explore, field, value):
+    world = load_map(make_map(["#####", "#...#", "#S.T#", "#####"]))
+    with pytest.raises(ValueError, match=field):
+        explore(world, suite(), **{field: value})

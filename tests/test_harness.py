@@ -1,14 +1,14 @@
 import math
 import statistics
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from curiogrid.explorer import SensorSuite, explore_cdos
 from curiogrid.harness import (ConfigError, ExperimentConfig, default_config,
-                               load_config, parse_config, render_maps, run_fov_sweep,
-                               run_trial, run_zone_experiment, steps_jsonl,
+                               fixture_path, load_config, parse_config, render_maps,
+                               run_fov_sweep, run_trial, run_zone_experiment, steps_jsonl,
                                summary_csv, trials_csv)
 from curiogrid.mapping import from_pgm
 from curiogrid.sensor import CameraConfig, IrConfig
@@ -62,6 +62,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("warp_speed = 9\n")
 
+    def test_key_set(self):
+        keys = {"map_sparse", "map_dense", "zone_file", "samples_per_zone", "seed",
+                "alphas_deg", "betas_deg", "ir_range", "cam_range", "eta", "lambda1",
+                "lambda2", "curiosity_a", "curiosity_b", "curiosity_kappa", "p_hit",
+                "p_miss", "p_miss_cam", "p_free_max", "p_occ_min", "max_velocity",
+                "budget", "detection_threshold", "ir_ray_count", "cam_ray_count", "workers"}
+        lines = [line for line in fixture_path("experiment.cfg").read_text().splitlines()
+                 if line and not line.startswith("#")]
+        lines += ["ir_ray_count = 0", "cam_ray_count = 0"]
+        assert {line.partition("=")[0].strip() for line in lines} == keys
+        for line in lines:
+            parse_config(line + "\n")
+        assert ({f.name for f in fields(ExperimentConfig)} - {"alphas", "betas"}
+                == keys - {"alphas_deg", "betas_deg"})
+        for key in ("alphas", "betas"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config(f"{key} = 60\n")
+
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config("seed = fast\n")
@@ -88,6 +106,17 @@ class TestConfig:
         ("betas_deg = 400", "betas_deg"),
         ("ir_ray_count = 1", "ir_ray_count"),
         ("cam_ray_count = -3", "cam_ray_count"),
+        ("curiosity_a = inf", "curiosity_a"),
+        ("curiosity_b = 0", "curiosity_b"),
+        ("curiosity_kappa = nan", "curiosity_kappa"),
+        ("eta = 0", "eta"),
+        ("max_velocity = 0", "max_velocity"),
+        ("ir_range = 0", "ir_range"),
+        ("cam_range = -1", "cam_range"),
+        ("alphas_deg = 0", "alphas_deg"),
+        ("budget = 0", "budget"),
+        ("budget = inf", "budget"),
+        ("lambda1 = 0.99", "lambda1"),
     ])
     def test_out_of_range_value_names_key(self, line, key):
         with pytest.raises(ConfigError, match=key):
