@@ -17,7 +17,8 @@ from typing import Callable, Collection, Optional
 import numpy as np
 
 from .curiosity import CuriosityParams, select_frontier, total_curiosity
-from .mapping import Label, MappingConfig, ObjectMap, OccupancyMap
+from .mapping import (FREE, OCCUPIED, UNKNOWN, MappingConfig, ObjectMap, OccupancyMap,
+                      occupancy_labels, probabilities_from_log_odds)
 # camera_observe and ir_scan are not called here; they stay importable from
 # this module because bench/spans.py wraps them under these names.
 from .sensor import (CameraConfig, IrConfig, camera_observe, detect, ir_scan, sense_cells,
@@ -91,18 +92,39 @@ class ExplorationResult:
     steps: list[StepRecord] = field(default_factory=list)
 
 
+def _frontier_subset(labels: np.ndarray, cells: np.ndarray, width: int) -> np.ndarray:
+    """The frontiers among `cells`: FREE cells with at least one UNKNOWN
+    4-neighbor, in the given order.
+
+    `labels` is the flat label array of a lattice framed by one non-FREE cell
+    on every side, `width` its row length, and `cells` indices into it; only
+    FREE cells, which lie inside the frame, have their neighbors read.
+    """
+    cells = cells[labels[cells] == FREE]
+    around = labels[cells[:, None] + (-width, -1, 1, width)]
+    return cells[(around == UNKNOWN).any(axis=1)]
+
+
+def _padded(mask: np.ndarray, fill: int) -> tuple[np.ndarray, int]:
+    """A 2D array framed by one `fill` cell on every side, flattened, and its row length."""
+    return np.pad(mask, 1, constant_values=fill).ravel(), mask.shape[1] + 2
+
+
+def _index(cell: Cell, width: int) -> int:
+    """The flat index of a cell in a framed lattice of row length `width`."""
+    return (cell[1] + 1) * width + cell[0] + 1
+
+
+def _cell(index: int, width: int) -> Cell:
+    y, x = divmod(index, width)
+    return x - 1, y - 1
+
+
 def detect_frontiers(occupancy: OccupancyMap) -> list[Cell]:
     """Free belief cells with at least one unknown 4-neighbor, row-major order."""
-    labels = occupancy.classify()
-    free = labels == Label.FREE
-    unknown = labels == Label.UNKNOWN
-    adjacent = np.zeros_like(free)
-    adjacent[1:, :] |= unknown[:-1, :]
-    adjacent[:-1, :] |= unknown[1:, :]
-    adjacent[:, 1:] |= unknown[:, :-1]
-    adjacent[:, :-1] |= unknown[:, 1:]
-    ys, xs = np.nonzero(free & adjacent)
-    return [(int(x), int(y)) for y, x in zip(ys, xs)]
+    labels, width = _padded(occupancy.classify(), OCCUPIED)
+    return [_cell(i, width) for i in
+            _frontier_subset(labels, np.arange(labels.size), width).tolist()]
 
 
 def local_frontiers(frontiers: list[Cell], pose: Pose, ir: IrConfig,
@@ -111,95 +133,104 @@ def local_frontiers(frontiers: list[Cell], pose: Pose, ir: IrConfig,
     return wedge_cells(frontiers, pose, ir, cell_size)
 
 
-def _dijkstra(free: np.ndarray, start: Cell, cell_size: float,
-              goals: Collection[Cell] = (), settle: Collection[Cell] = ()
-              ) -> tuple[np.ndarray, dict[Cell, Cell], Optional[Cell]]:
+def _dijkstra(free: bytes, width: int, start: int, cell_size: float,
+              goals: Optional[bytes] = None, settle: Collection[int] = ()
+              ) -> tuple[list[float], list[int], Optional[int]]:
     """Uniform-cost search over free cells, 8-connected, from `start`.
 
-    Returns (dist, parents, nearest): dist holds the path cost in meters of
-    every cell the search reached (inf elsewhere), parents maps each reached
-    cell to its predecessor, and nearest is the first cell of `goals` to be
-    settled (None when no goal is reachable).
+    The lattice is flat and framed: `free` holds one byte per cell of a grid
+    of row length `width` whose border cells are not free, so no step leaves
+    it; `start`, the `goals` mask and the `settle` cells are flat indices into
+    it. Returns (dist, parents, nearest): dist holds the path cost in meters
+    of every cell the search reached (inf elsewhere), parents the index of
+    each reached cell's predecessor (-1 elsewhere), and nearest is the first
+    cell of `goals` to be settled (None when no goal is reachable).
 
     The search stops as soon as at least one cell of `goals` and every cell
     of `settle` have been settled; with no goals it runs until the heap is
     empty, i.e. over the whole free component of `start`. Stopping early
-    changes nothing already settled. The heap pops in (dist, row-major index)
-    order, and every push has a larger cost than the pop that made it, so the
+    changes nothing already settled. The heap pops in (dist, flat index)
+    order, and the flat index of a framed lattice is monotone in row-major
+    order; every push has a larger cost than the pop that made it, so the
     settled sequence is exactly the prefix of the full search's: each settled
     cell has its final dist and parent (a parent only changes on a strictly
     shorter cost), and `nearest` is the reachable goal with the smallest
     (dist, row-major index), the row-major tie-break of the full search.
     Cells reached but not yet settled may hold a larger-than-final dist.
     """
-    height, width = free.shape
-    dist = np.full((height, width), np.inf)
-    parents: dict[Cell, Cell] = {}
-    if not free[start[1], start[0]]:
+    size = len(free)
+    dist = [math.inf] * size
+    parents = [-1] * size
+    if not free[start]:
         return dist, parents, None
-    goals = set(goals)
+    steps = [(dy * width + dx, step * cell_size) for dx, dy, step in _STEPS]
     unsettled = set(settle)
-    nearest: Optional[Cell] = None
-    dist[start[1], start[0]] = 0.0
-    heap: list[tuple[float, int, Cell]] = [(0.0, start[1] * width + start[0], start)]
-    settled = np.zeros((height, width), dtype=bool)
+    nearest: Optional[int] = None
+    dist[start] = 0.0
+    heap = [(0.0, start)]
+    settled = bytearray(size)
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, _, cell = heapq.heappop(heap)
-        cx, cy = cell
-        if settled[cy, cx]:
+        d, i = pop(heap)
+        if settled[i]:
             continue
-        settled[cy, cx] = True
-        unsettled.discard(cell)
-        if nearest is None and cell in goals:
-            nearest = cell
+        settled[i] = 1
+        unsettled.discard(i)
+        if nearest is None and goals is not None and goals[i]:
+            nearest = i
         if nearest is not None and not unsettled:
             break
-        for dx, dy, step in _STEPS:
-            nx, ny = cx + dx, cy + dy
-            if not (0 <= nx < width and 0 <= ny < height) or not free[ny, nx]:
-                continue
-            nd = d + step * cell_size
-            if nd < dist[ny, nx]:
-                dist[ny, nx] = nd
-                parents[(nx, ny)] = cell
-                heapq.heappush(heap, (nd, ny * width + nx, (nx, ny)))
+        for offset, cost in steps:
+            j = i + offset
+            if free[j]:
+                nd = d + cost
+                if nd < dist[j]:
+                    dist[j] = nd
+                    parents[j] = i
+                    push(heap, (nd, j))
     return dist, parents, nearest
 
 
-def _extract_path(parents: dict[Cell, Cell], start: Cell, goal: Cell) -> list[Cell]:
+def _extract_path(parents: list[int], start: int, goal: int, width: int) -> list[Cell]:
     path = [goal]
     while path[-1] != start:
         path.append(parents[path[-1]])
     path.reverse()
-    return path
+    return [_cell(i, width) for i in path]
 
 
 def plan_path(occupancy: OccupancyMap, start: Cell, goal: Cell,
               force_free: Collection[Cell] = ()) -> Optional[list[Cell]]:
     """Shortest 8-connected path through belief-free cells, or None if unreachable.
 
-    Cells listed in `force_free` (inside the map) count as free whatever the
-    belief says, for cells the caller knows to be traversable. The returned
-    path includes both endpoints; its cost is the sum of Euclidean step
-    lengths in meters.
+    Cells listed in `force_free` count as free whatever the belief says, for
+    cells the caller knows to be traversable; each must lie inside the map.
+    The returned path includes both endpoints; its cost is the sum of
+    Euclidean step lengths in meters.
     """
-    free = occupancy.classify() == Label.FREE
-    for x, y in force_free:
-        free[y, x] = True
-    if not (0 <= start[0] < occupancy.width and 0 <= start[1] < occupancy.height):
+    def inside(cell: Cell) -> bool:
+        return 0 <= cell[0] < occupancy.width and 0 <= cell[1] < occupancy.height
+
+    free, width = _padded(occupancy.classify() == FREE, False)
+    for cell in force_free:
+        if not inside(cell):
+            raise ValueError(f"force_free cell {tuple(cell)} outside map")
+        free[_index(cell, width)] = True
+    if not inside(start):
         raise ValueError("start cell outside map")
-    if not free[start[1], start[0]]:
+    if not free[_index(start, width)]:
         raise ValueError("start cell is not believed free")
-    if not (0 <= goal[0] < occupancy.width and 0 <= goal[1] < occupancy.height):
-        return None
-    if not free[goal[1], goal[0]]:
+    if not inside(goal) or not free[_index(goal, width)]:
         return None
     if start == goal:
         return [start]
-    _, parents, nearest = _dijkstra(free, start, occupancy.cell_size, goals=(goal,))
+    goals = bytearray(free.size)
+    goals[_index(goal, width)] = 1
+    _, parents, nearest = _dijkstra(free.tobytes(), width, _index(start, width),
+                                    occupancy.cell_size, goals=goals)
     if nearest is None:
         return None
-    return _extract_path(parents, start, goal)
+    return _extract_path(parents, _index(start, width), nearest, width)
 
 
 def path_cost(path: list[Cell], cell_size: float) -> float:
@@ -235,12 +266,14 @@ def _pick_heading(ex: _Explorer, frontiers: list[Cell]) -> tuple[Cell, float, st
     return best_cell, 0.0, "heading"
 
 
-def _decide(free: np.ndarray, start: Cell, cell_size: float, frontiers: list[Cell],
+def _decide(free: bytes, width: int, start: int, cell_size: float, goals: bytes,
             wedge: list[Cell], pick: Callable[[list[Cell]], tuple[Cell, float, str]]
             ) -> Optional[tuple[Cell, float, str, list[Cell]]]:
     """One planning decision: (goal, loss, mode, path), or None when no
     frontier is reachable from `start`.
 
+    `free`, `width` and `start` are as for `_dijkstra`, and `goals` masks the
+    frontiers there; `wedge` lists the frontiers of the IR wedge as cells.
     The goal is `pick`'s choice among the reachable frontiers of the IR wedge
     or, when none is reachable, the nearest reachable frontier of all. Both
     pick functions rank each candidate by a key of its own, so a choice made over
@@ -251,15 +284,18 @@ def _decide(free: np.ndarray, start: Cell, cell_size: float, frontiers: list[Cel
     wedge frontiers it reached.
     """
     choice = pick(wedge) if wedge else None
-    dist, parents, nearest = _dijkstra(free, start, cell_size, goals=frontiers,
-                                       settle=[choice[0]] if choice is not None else ())
+    dist, parents, nearest = _dijkstra(
+        free, width, start, cell_size, goals=goals,
+        settle=[_index(choice[0], width)] if choice is not None else ())
     if nearest is None:
         return None
-    if choice is not None and not np.isfinite(dist[choice[0][1], choice[0][0]]):
-        local = [c for c in wedge if np.isfinite(dist[c[1], c[0]])]
+    if choice is not None and dist[_index(choice[0], width)] == math.inf:
+        local = [c for c in wedge if dist[_index(c, width)] < math.inf]
         choice = pick(local) if local else None
-    goal, loss, mode = choice if choice is not None else (nearest, 0.0, "nearest_global")
-    return goal, loss, mode, _extract_path(parents, start, goal)
+    if choice is None:
+        choice = _cell(nearest, width), 0.0, "nearest_global"
+    goal, loss, mode = choice
+    return goal, loss, mode, _extract_path(parents, start, _index(goal, width), width)
 
 
 # The most poses the sensing evidence cache holds, over all maps.
@@ -297,6 +333,19 @@ class _Explorer:
         self.threshold = detection_threshold
         self.occupancy = OccupancyMap(world.width, world.height, world.cell_size, mapping_cfg)
         self.objects = ObjectMap(world.width, world.height, world.cell_size, mapping_cfg)
+        # The occupancy labels and the frontier mask, flat over the lattice
+        # framed by OCCUPIED cells (row length `stride`), kept current by
+        # `_sense`; `classify()` and `detect_frontiers` are their full-grid spec.
+        self.labels, self.stride = _padded(
+            occupancy_labels(self.occupancy.log_odds, mapping_cfg), OCCUPIED)
+        self.frontier = np.zeros(self.labels.size, dtype=bool)
+        self.frontier[_frontier_subset(self.labels, np.arange(self.labels.size),
+                                      self.stride)] = True
+        # the framed index of each flat map index; the offsets of a cell and
+        # its 4-neighbors
+        rows, cols = np.divmod(np.arange(world.width * world.height), world.width)
+        self.framed = (rows + 1) * self.stride + cols + 1
+        self.cross = np.array([0, -self.stride, -1, 1, self.stride])
         occupied = world.occupied
         self.evidence = _SENSE_CACHE.setdefault(
             (occupied.shape, world.cell_size, occupied.dtype.str, occupied.tobytes(),
@@ -322,17 +371,37 @@ class _Explorer:
         cells, hits_at, seen_at = evidence
         self.occupancy.add_scan_evidence(cells[:hits_at], cells[hits_at:seen_at])
         self.objects.add_observation_evidence(cells[seen_at:], det)
+        self._relabel(cells[:seen_at])
         if det is None:
             return
         # Discovered on a single high-confidence sighting, or once the fused
         # object-map probability of the sighted cell crosses the threshold
         # (detection confidence and cell probability share one scale).
-        if det.conf > self.threshold:
+        x, y = det.cell
+        if (det.conf > self.threshold or probabilities_from_log_odds(
+                self.objects.log_odds[y, x]) > self.threshold):
             self.found = True
             self.estimate = det.cell
-        elif self.objects.raw_probabilities()[det.cell[1], det.cell[0]] > self.threshold:
-            self.found = True
-            self.estimate = det.cell
+
+    def _relabel(self, touched: np.ndarray) -> None:
+        """Bring the labels and the frontier mask up to date after evidence
+        at the flat map indices `touched`: labels are per-cell functions of
+        the log odds, and a cell's frontier status reads only its own label
+        and its 4-neighbors'."""
+        new = occupancy_labels(self.occupancy.log_odds.ravel()[touched], self.occupancy.cfg)
+        framed = self.framed[touched]
+        changed = framed[self.labels[framed] != new]
+        if not changed.size:
+            return
+        self.labels[framed] = new
+        around = (changed[:, None] + self.cross).ravel()
+        self.frontier[around] = False
+        self.frontier[_frontier_subset(self.labels, around, self.stride)] = True
+
+    def _frontiers(self) -> list[Cell]:
+        """The frontiers, row-major."""
+        rows, cols = np.divmod(np.flatnonzero(self.frontier), self.stride)
+        return list(zip((cols - 1).tolist(), (rows - 1).tolist()))
 
     def _charge_rotation(self, heading: float) -> None:
         """Add the time of turning in place from the current heading to `heading`."""
@@ -362,12 +431,10 @@ class _Explorer:
         self.trajectory.append(self.pose)
 
     def _unknown_neighbor(self, cell: Cell) -> Optional[Cell]:
-        labels = self.occupancy.classify()
+        at = _index(cell, self.stride)
         for dx, dy in ((0, -1), (-1, 0), (1, 0), (0, 1)):
-            nx, ny = cell[0] + dx, cell[1] + dy
-            if 0 <= nx < self.world.width and 0 <= ny < self.world.height:
-                if labels[ny, nx] == Label.UNKNOWN:
-                    return (nx, ny)
+            if self.labels[at + dy * self.stride + dx] == UNKNOWN:
+                return cell[0] + dx, cell[1] + dy
         return None
 
     def _result(self) -> ExplorationResult:
@@ -386,8 +453,7 @@ class _Explorer:
         # until the supporting cell resolves (bounded; no time is consumed).
         start_cell = self.world.cell_of(self.pose.x, self.pose.y)
         for _ in range(8):
-            labels = self.occupancy.classify()
-            if labels[start_cell[1], start_cell[0]] == Label.FREE:
+            if self.labels[_index(start_cell, self.stride)] == FREE:
                 break
             self._sense()
             if self.found:
@@ -396,14 +462,15 @@ class _Explorer:
         step_idx = 0
         stalled = 0
         while True:
-            frontiers = detect_frontiers(self.occupancy)
+            frontiers = self._frontiers()
             if not frontiers:
                 break
             current_cell = self.world.cell_of(self.pose.x, self.pose.y)
-            free = self.occupancy.classify() == Label.FREE
             wedge = local_frontiers(frontiers, self.pose, self.sensors.ir,
                                     self.world.cell_size)
-            decision = _decide(free, current_cell, self.world.cell_size, frontiers, wedge,
+            decision = _decide((self.labels == FREE).tobytes(), self.stride,
+                               _index(current_cell, self.stride), self.world.cell_size,
+                               self.frontier.tobytes(), wedge,
                                lambda cells: self.pick(self, cells))
             if decision is None:
                 break
@@ -435,6 +502,7 @@ class _Explorer:
                                          self.elapsed, mode))
             step_idx += 1
 
+            at = np.array([_index(c, self.stride) for c in path])
             for i, cell in enumerate(path[1:], start=1):
                 self._move_to(cell)
                 self._sense()
@@ -442,11 +510,8 @@ class _Explorer:
                     return self._result()
                 if self.elapsed > self.budget:
                     return self._result()
-                remaining = path[i + 1:]
-                if remaining:
-                    labels = self.occupancy.classify()
-                    if any(labels[c[1], c[0]] == Label.OCCUPIED for c in remaining):
-                        break  # path invalidated by new evidence; replan
+                if (self.labels[at[i + 1:]] == OCCUPIED).any():
+                    break  # path invalidated by new evidence; replan
         return self._result()
 
 

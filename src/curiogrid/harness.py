@@ -8,6 +8,7 @@ records are sorted into a canonical order before anything is written.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -22,7 +23,8 @@ import numpy as np
 
 from .curiosity import CuriosityParams
 from .explorer import (ExplorationResult, MotionConfig, SensorSuite, check_run_limits,
-                       detect_frontiers, explore_cdos, explore_rapid_frontier, _dijkstra)
+                       detect_frontiers, explore_cdos, explore_rapid_frontier, _dijkstra,
+                       _index, _padded)
 from .mapping import (Label, MappingConfig, glyph_text, occupancy_glyphs, object_glyphs,
                       quantize, raster_pgm)
 from .sensor import CameraConfig, IrConfig
@@ -217,9 +219,10 @@ def placement_seed(base_seed: int, map_index: int, zone_id: int) -> int:
 
 def _ground_truth_reachable(world: GridWorld) -> np.ndarray:
     """Mask of the cells reachable from the start over ground-truth free cells."""
-    start = world.cell_of(world.start.x, world.start.y)
-    dist = _dijkstra(~world.occupied, start, world.cell_size)[0]
-    return np.isfinite(dist)
+    free, width = _padded(~world.occupied, False)
+    start = _index(world.cell_of(world.start.x, world.start.y), width)
+    dist = _dijkstra(free.tobytes(), width, start, world.cell_size)[0]
+    return np.isfinite(np.reshape(dist, (-1, width))[1:-1, 1:-1])
 
 
 def explore(world: GridWorld, method: str, alpha: float, beta: float,
@@ -232,10 +235,17 @@ def explore(world: GridWorld, method: str, alpha: float, beta: float,
                     cfg.mapping_config(), cfg.detection_threshold, cfg.curiosity_params())
 
 
+@functools.lru_cache(maxsize=8)
+def _parsed_map(map_text: str) -> GridWorld:
+    """`load_map`, once per map text and process; callers must not mutate
+    the world (`with_target` copies it). A MapError is raised, not cached."""
+    return load_map(map_text)
+
+
 def run_trial(map_text: str, placement: tuple[int, int], method: str,
               alpha: float, beta: float, cfg: ExperimentConfig) -> ExplorationResult:
     """One exploration run with the object at `placement`."""
-    return explore(load_map(map_text).with_target(placement), method, alpha, beta, cfg)
+    return explore(_parsed_map(map_text).with_target(placement), method, alpha, beta, cfg)
 
 
 def _run_trial_task(args) -> TrialRecord:

@@ -29,6 +29,11 @@ class Label(IntEnum):
     UNKNOWN = 2
 
 
+# The labels as plain ints, for numpy operands: numpy looks up attributes of
+# an IntEnum operand on every call, which costs about 5 us each time.
+FREE, OCCUPIED, UNKNOWN = int(Label.FREE), int(Label.OCCUPIED), int(Label.UNKNOWN)
+
+
 @dataclass(frozen=True)
 class MappingConfig:
     """Inverse sensor model constants and label thresholds.
@@ -68,6 +73,16 @@ def probabilities_from_log_odds(log_odds: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-clipped))
 
 
+def occupancy_labels(log_odds: np.ndarray, cfg: MappingConfig) -> np.ndarray:
+    """The label of each cell of `log_odds`, cell by cell: FREE below
+    p_free_max, OCCUPIED above p_occ_min, else UNKNOWN (int8)."""
+    p = probabilities_from_log_odds(log_odds)
+    out = np.full(p.shape, UNKNOWN, dtype=np.int8)
+    out[p < cfg.p_free_max] = FREE
+    out[p > cfg.p_occ_min] = OCCUPIED
+    return out
+
+
 def classify_object_probabilities(p: np.ndarray, lambda1: float, lambda2: float) -> np.ndarray:
     """Snap raw object probabilities into the free / unknown / pass-through view."""
     out = np.asarray(p, dtype=float).copy()
@@ -103,11 +118,7 @@ class OccupancyMap:
 
     def classify(self) -> np.ndarray:
         """Label array: FREE below p_free_max, OCCUPIED above p_occ_min, else UNKNOWN."""
-        p = self.probabilities()
-        out = np.full(p.shape, Label.UNKNOWN, dtype=np.int8)
-        out[p < self.cfg.p_free_max] = Label.FREE
-        out[p > self.cfg.p_occ_min] = Label.OCCUPIED
-        return out
+        return occupancy_labels(self.log_odds, self.cfg)
 
 
 class ObjectMap:

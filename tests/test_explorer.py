@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from curiogrid import explorer
 from curiogrid.curiosity import CuriosityParams
-from curiogrid.explorer import (MotionConfig, SensorSuite, _decide, _dijkstra,
-                                _extract_path, detect_frontiers, explore_cdos,
+from curiogrid.explorer import (MotionConfig, SensorSuite, _cell, _decide, _dijkstra,
+                                _index, _padded, detect_frontiers, explore_cdos,
                                 explore_rapid_frontier, local_frontiers, path_cost,
                                 plan_path)
 from curiogrid.harness import fixture_path, steps_jsonl
-from curiogrid.mapping import Label, OccupancyMap, logit, to_pgm
+from curiogrid.mapping import Label, MappingConfig, OccupancyMap, logit, to_pgm
 from curiogrid.sensor import CameraConfig, IrConfig
-from curiogrid.world import Pose, load_map
+from curiogrid.world import GridWorld, Pose, load_map
 
 
 def make_map(rows, cell_size=0.5, heading=0.0):
@@ -139,6 +140,14 @@ class TestPlanPath:
             (0, 1), (1, 1), (2, 1), (3, 1)]
         assert occ.log_odds[1, 0] == 0.0  # the belief itself is untouched
 
+    @pytest.mark.parametrize("outside", [(-1, 0), (4, 0), (0, 1), (0, -1)])
+    def test_force_free_cell_outside_map_rejected(self, outside):
+        # (-1, 0) once wrapped around to the unknown goal (3, 0) and opened it
+        occ = known_free_map(["...."])
+        occ.log_odds[0, 3] = 0.0
+        with pytest.raises(ValueError, match=re.escape(f"force_free cell {outside}")):
+            plan_path(occ, (0, 0), (3, 0), force_free=[outside])
+
     def test_cost_matches_uniform_cost_oracle_on_random_maps(self):
         rng = np.random.default_rng(50)
         for _ in range(50):
@@ -181,11 +190,45 @@ def _pick_by(scores, width):
     return pick
 
 
+def _framed(free, cells=()):
+    """The planner's form of a 2D free mask: flat bytes framed by blocked
+    cells, their row length, and the mask of `cells` in the same frame."""
+    flat, width = _padded(free, False)
+    mask = bytearray(flat.size)
+    for c in cells:
+        mask[_index(c, width)] = 1
+    return flat.tobytes(), width, bytes(mask)
+
+
+def _search(free, start, cell_size, goals=(), settle=()):
+    """`_dijkstra` over a 2D free mask, in cell terms: (dist as a 2D array,
+    parents as a dict from cell to cell, nearest goal cell or None)."""
+    flat, width, mask = _framed(free, goals)
+    dist, parents, nearest = _dijkstra(flat, width, _index(start, width), cell_size,
+                                       goals=mask, settle=[_index(c, width) for c in settle])
+    return (np.reshape(dist, (-1, width))[1:-1, 1:-1],
+            {_cell(j, width): _cell(p, width) for j, p in enumerate(parents) if p >= 0},
+            None if nearest is None else _cell(nearest, width))
+
+
+def _decide_cells(free, start, cell_size, frontiers, wedge, pick):
+    """`_decide` over a 2D free mask, with the start and frontiers as cells."""
+    flat, width, goals = _framed(free, frontiers)
+    return _decide(flat, width, _index(start, width), cell_size, goals, wedge, pick)
+
+
+def _extract_path(parents, start, goal):
+    path = [goal]
+    while path[-1] != start:
+        path.append(parents[path[-1]])
+    return path[::-1]
+
+
 def _full_search_decision(free, start, cell_size, frontiers, wedge, pick):
     """A whole-component search, then the reachable filter, the pick among
     reachable wedge frontiers and the (dist, row-major) nearest-global
     fallback, applied to its result."""
-    dist, parents, _ = _dijkstra(free, start, cell_size)
+    dist, parents, _ = _search(free, start, cell_size)
     reachable = [c for c in frontiers if np.isfinite(dist[c[1], c[0]])]
     if not reachable:
         return None
@@ -205,20 +248,20 @@ class TestDecisionSearch:
     def test_decision_matches_full_search(self, case, cell_size):
         free, start, frontiers, wedge, scores = case
         pick = _pick_by(scores, free.shape[1])
-        assert (_decide(free, start, cell_size, frontiers, wedge, pick)
+        assert (_decide_cells(free, start, cell_size, frontiers, wedge, pick)
                 == _full_search_decision(free, start, cell_size, frontiers, wedge, pick))
 
     @settings(max_examples=300, deadline=None)
     @given(decision_searches(), st.sampled_from([0.25, 0.5, 1.0]))
     def test_settling_a_subset_matches_full_search(self, case, cell_size):
         free, start, frontiers, wedge, _ = case
-        full_dist, full_parents, _ = _dijkstra(free, start, cell_size)
+        full_dist, full_parents, _ = _search(free, start, cell_size)
         reachable = [c for c in frontiers if np.isfinite(full_dist[c[1], c[0]])]
         width = free.shape[1]
         want_nearest = min(reachable, default=None,
                            key=lambda c: (full_dist[c[1], c[0]], c[1] * width + c[0]))
-        dist, parents, nearest = _dijkstra(free, start, cell_size,
-                                           goals=frontiers, settle=wedge)
+        dist, parents, nearest = _search(free, start, cell_size,
+                                         goals=frontiers, settle=wedge)
         local = [c for c in wedge if np.isfinite(dist[c[1], c[0]])]
         assert local == [c for c in wedge if c in reachable]
         assert nearest == want_nearest
@@ -234,21 +277,21 @@ class TestDecisionSearch:
         start = (0, 1)
         frontiers = [(2, 0), (4, 1), (1, 2)]
         wedge = [(2, 0), (4, 1)]  # (4, 1) lies beyond the wall
-        full_dist, full_parents, _ = _dijkstra(free, start, 1.0)
-        dist, parents, nearest = _dijkstra(free, start, 1.0, goals=frontiers, settle=wedge)
+        full_dist, full_parents, _ = _search(free, start, 1.0)
+        dist, parents, nearest = _search(free, start, 1.0, goals=frontiers, settle=wedge)
         assert np.array_equal(dist, full_dist)
         assert parents == full_parents
         assert nearest == (1, 2)
         # The pick prefers the cut-off frontier, then falls back to the reachable one.
         pick = _pick_by({(2, 0): 1, (4, 1): 0, (1, 2): 2}, 5)
-        assert _decide(free, start, 1.0, frontiers, wedge, pick) == (
+        assert _decide_cells(free, start, 1.0, frontiers, wedge, pick) == (
             (2, 0), 1.0, "pick", [(0, 1), (1, 1), (2, 0)])
-        assert _decide(free, start, 1.0, frontiers, [(4, 1)], pick) == (
+        assert _decide_cells(free, start, 1.0, frontiers, [(4, 1)], pick) == (
             (1, 2), 0.0, "nearest_global", [(0, 1), (1, 2)])
 
     def test_empty_wedge_stops_at_nearest_frontier(self):
         free = np.ones((1, 12), dtype=bool)
-        dist, _, nearest = _dijkstra(free, (0, 0), 1.0, goals=[(9, 0), (3, 0)])
+        dist, _, nearest = _search(free, (0, 0), 1.0, goals=[(9, 0), (3, 0)])
         assert nearest == (3, 0)
         assert np.isinf(dist[0, 5:]).all()  # the far end was never reached
 
@@ -413,6 +456,55 @@ class TestExplorers:
 def _outcome(res):
     return (res.trajectory, res.steps, res.elapsed, res.found, res.target_estimate,
             res.occupancy.log_odds.tobytes(), res.objects.log_odds.tobytes())
+
+
+@st.composite
+def evidence_sequences(draw):
+    """A small lattice, mapping constants, and a sequence of scan evidence:
+    each step a set of flat cell indices split into miss and hit parts."""
+    width, height = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    cfg = draw(st.sampled_from([MappingConfig(), MappingConfig(p_hit=0.9, p_miss=0.2),
+                                MappingConfig(p_free_max=0.55, p_occ_min=0.6)]))
+    cell = st.integers(0, width * height - 1)
+    steps = draw(st.lists(st.tuples(st.sets(cell), st.sets(cell)), max_size=10))
+    return width, height, cfg, steps
+
+
+class TestMaintainedViews:
+    """The explorer's labels and frontiers, kept current from each sense's
+    touched cells, equal `classify()` and `detect_frontiers()` recomputed."""
+
+    @staticmethod
+    def _assert_views_current(ex):
+        h, w = ex.occupancy.log_odds.shape
+        assert np.array_equal(ex.labels.reshape(h + 2, w + 2)[1:-1, 1:-1],
+                              ex.occupancy.classify())
+        assert ex._frontiers() == detect_frontiers(ex.occupancy)
+
+    @settings(max_examples=200, deadline=None)
+    @given(evidence_sequences())
+    def test_views_match_full_recomputation(self, case):
+        width, height, cfg, steps = case
+        world = GridWorld(width, height, 1.0, np.zeros((height, width), dtype=bool),
+                          Pose(0.5, 0.5, 0.0))
+        ex = explorer._Explorer(world, suite(), MotionConfig(), 600.0, cfg, 0.95,
+                                CuriosityParams(), explorer._pick_heading)
+        self._assert_views_current(ex)
+        for free, hits in steps:
+            # as `_sense` passes them: the misses, then the hits, in one array
+            cells = np.array(sorted(free) + sorted(hits), dtype=np.int32)
+            ex.occupancy.add_scan_evidence(cells[:len(free)], cells[len(free):])
+            ex._relabel(cells)
+            self._assert_views_current(ex)
+
+    @pytest.mark.parametrize("pick", [explorer._pick_curiosity, explorer._pick_heading])
+    def test_views_match_after_a_run(self, pick):
+        world = load_map(fixture_path("sparse.map").read_text()).with_target(None)
+        ex = explorer._Explorer(world, suite(), MotionConfig(), 30.0, MappingConfig(), 0.95,
+                                CuriosityParams(), pick)
+        ex.run()
+        assert ex.steps
+        self._assert_views_current(ex)
 
 
 class TestSenseCache:

@@ -1,10 +1,12 @@
 import math
+import re
 import statistics
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
+from curiogrid import harness
 from curiogrid.explorer import SensorSuite, explore_cdos
 from curiogrid.harness import (ConfigError, ExperimentConfig, default_config,
                                fixture_path, load_config, parse_config, render_maps,
@@ -12,7 +14,7 @@ from curiogrid.harness import (ConfigError, ExperimentConfig, default_config,
                                summary_csv, trials_csv)
 from curiogrid.mapping import from_pgm
 from curiogrid.sensor import CameraConfig, IrConfig
-from curiogrid.world import load_map
+from curiogrid.world import MapError, load_map
 
 TINY_MAP = """cellsize=0.5 heading=0.0
 ##########
@@ -282,6 +284,22 @@ class TestTrialPurity:
         b = run_trial(TINY_MAP, (8, 3), "cdos", math.radians(60), math.radians(30), cfg)
         assert steps_jsonl(a) == steps_jsonl(b)
         assert a.elapsed == b.elapsed
+
+    def test_run_trial_parses_each_map_once(self, tiny_dir):
+        cfg = tiny_config(tiny_dir)
+        harness._parsed_map.cache_clear()
+        for placement in ((8, 3), (7, 1)):
+            run_trial(TINY_MAP, placement, "baseline", math.radians(60), math.radians(30), cfg)
+        assert harness._parsed_map.cache_info().misses == 1
+
+    def test_run_trial_reports_every_map_error(self, tiny_dir):
+        bad = TINY_MAP.replace("#.S", "#?S")
+        with pytest.raises(MapError) as first:
+            load_map(bad)
+        for _ in range(2):  # a failed parse is not cached
+            with pytest.raises(MapError, match=re.escape(str(first.value))):
+                run_trial(bad, (8, 3), "cdos", math.radians(60), math.radians(30),
+                          tiny_config(tiny_dir))
 
     def test_unknown_method_rejected(self, tiny_dir):
         with pytest.raises(ConfigError, match="method"):

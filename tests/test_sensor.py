@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from curiogrid.curiosity import visible_from
 from curiogrid.explorer import local_frontiers
 from curiogrid.mapping import Label
 from curiogrid.sensor import (CameraConfig, IrConfig, beam_angles, camera_observe, detect,
-                              detection_confidence, ir_scan, rays_per_fov)
-from curiogrid.world import GridWorld, Pose, load_map, trace_ray
+                              detection_confidence, ir_scan, rays_per_fov, wedge_cells)
+from curiogrid.world import GridWorld, Pose, angle_diff, load_map, trace_ray, wrap_angle
 
 
 def make_map(rows, cell_size=1.0, heading=0.0):
@@ -214,3 +214,48 @@ class TestSharedSensingRules:
         wedge = local_frontiers([world.target], pose, IrConfig(cam.fov, cam.max_range),
                                 world.cell_size)
         assert (detect(world, pose, cam) is not None) == bool(wedge)
+
+
+@st.composite
+def wedge_boundary_cases(draw):
+    """Cells and an IR fan whose range circle passes exactly through one cell
+    center and whose two wedge edges pass through two others, as the scalar
+    rule computes distance and bearing."""
+    cell_size = draw(st.sampled_from([0.3, 0.5, 1.0]))
+    cells = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                          min_size=3, max_size=40))
+    pose = Pose(draw(st.floats(0.0, 10 * cell_size)), draw(st.floats(0.0, 10 * cell_size)),
+                0.0)
+
+    def offset(cell):
+        return (cell[0] + 0.5) * cell_size - pose.x, (cell[1] + 0.5) * cell_size - pose.y
+
+    on_range, left, right = (offset(draw(st.sampled_from(cells))) for _ in range(3))
+    max_range = math.hypot(*on_range)
+    right_bearing = math.atan2(right[1], right[0])
+    spread = wrap_angle(math.atan2(left[1], left[0]) - right_bearing)
+    assume(max_range > 0.0 and spread > 2e-12)
+    heading = wrap_angle(right_bearing + spread / 2.0)
+    # the rule admits bearings up to fov / 2 + 1e-12 off the heading
+    return cells, Pose(pose.x, pose.y, heading), IrConfig(spread - 2e-12, max_range), cell_size
+
+
+def _wedge_rule(x, y, pose, cfg):
+    """The wedge rule as `wedge_cells` documents it, in scalar math."""
+    d = math.hypot(x - pose.x, y - pose.y)
+    return d <= cfg.max_range and (
+        d < 1e-12
+        or abs(angle_diff(math.atan2(y - pose.y, x - pose.x), pose.heading))
+        <= cfg.fov / 2.0 + 1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wedge_boundary_cases())
+def test_wedge_cells_match_the_scalar_rule_on_the_boundary(case):
+    """Centers exactly on the range circle and on both wedge edges: a wedge
+    filter whose distance or bearing differed from math.hypot or math.atan2
+    in the last ulp (numpy's, say) would flip some of them."""
+    cells, pose, cfg, cell_size = case
+    assert wedge_cells(cells, pose, cfg, cell_size) == [
+        c for c in cells
+        if _wedge_rule((c[0] + 0.5) * cell_size, (c[1] + 0.5) * cell_size, pose, cfg)]
