@@ -120,11 +120,16 @@ def _cell(index: int, width: int) -> Cell:
     return x - 1, y - 1
 
 
+def _cells(indices: np.ndarray, width: int) -> list[Cell]:
+    """`_cell` of each of `indices`, in order."""
+    rows, cols = np.divmod(indices, width)
+    return list(zip((cols - 1).tolist(), (rows - 1).tolist()))
+
+
 def detect_frontiers(occupancy: OccupancyMap) -> list[Cell]:
     """Free belief cells with at least one unknown 4-neighbor, row-major order."""
     labels, width = _padded(occupancy.classify(), OCCUPIED)
-    return [_cell(i, width) for i in
-            _frontier_subset(labels, np.arange(labels.size), width).tolist()]
+    return _cells(_frontier_subset(labels, np.arange(labels.size), width), width)
 
 
 def local_frontiers(frontiers: list[Cell], pose: Pose, ir: IrConfig,
@@ -400,8 +405,7 @@ class _Explorer:
 
     def _frontiers(self) -> list[Cell]:
         """The frontiers, row-major."""
-        rows, cols = np.divmod(np.flatnonzero(self.frontier), self.stride)
-        return list(zip((cols - 1).tolist(), (rows - 1).tolist()))
+        return _cells(np.flatnonzero(self.frontier), self.stride)
 
     def _charge_rotation(self, heading: float) -> None:
         """Add the time of turning in place from the current heading to `heading`."""
