@@ -20,7 +20,10 @@ The artifacts, all produced through the CLI with the packaged config:
   - steps.jsonl and trajectory.jsonl of `explore --render` on a copy of
     sparse.map with header `cellsize=0.3 heading=0.5`: a cell size that is no
     power of two and a start heading off the lattice axes;
-  - mission.log of `mission` on sparse.map.
+  - steps.jsonl and trajectory.jsonl of `explore --method baseline --render`
+    on sparse.map: 234 decisions, 81 of them "rotate";
+  - mission.log of `mission` on sparse.map, and on the copy with the object at
+    (34, 20), whose log runs detection, tracking, grab and retract.
 """
 
 import hashlib
@@ -51,7 +54,10 @@ GOLDEN = {
     "found-ascii/combined.txt": "19c46d7611321d0482cd73f481564da3db7e1550e0d5facb071a14d54c8a3f93",
     "offgrid/steps.jsonl": "bef0b4ad38aff1773b41c1b88db0c81a801cb0f133f6e19a3994031781ee1cea",
     "offgrid/trajectory.jsonl": "8bd1f52a74aa084d66e7e03f10e9801e4b7cdd6d09b6f4102aed3e2245bf2512",
+    "baseline/steps.jsonl": "7a1d579513624dcaf9384bb29953f67f6b8652127ba87fb1e647a8ff0a7c9a4f",
+    "baseline/trajectory.jsonl": "505a0625c64ca634925fb30ba22bfb29c44a036bdf852bf46886a1f63931de43",
     "mission/mission.log": "dd9b072d3b72de8007bfd6fb45fd91d984bc392ad751314a0462f1906b437987",
+    "mission-found/mission.log": "d6ca8534390b0f136dac83e432ece696df4a82c3257c06fecb815279ee58d46a",
 }
 
 
@@ -85,7 +91,10 @@ def artifacts(tmp_path_factory):
                          "--render", str(tmp / out)]) == 0
     assert cli_main(["explore", "--map", str(offgrid), "--method", "cdos",
                      "--render", str(tmp / "offgrid")]) == 0
+    assert cli_main(["explore", "--map", sparse, "--method", "baseline",
+                     "--render", str(tmp / "baseline")]) == 0
     assert cli_main(["mission", "--map", sparse, "--out", str(tmp / "mission")]) == 0
+    assert cli_main(["mission", "--map", str(found), "--out", str(tmp / "mission-found")]) == 0
     digests = {name: hashlib.sha256((tmp / name).read_bytes()).hexdigest()
                for name in GOLDEN}
     if os.environ.get("GOLDEN_PRINT"):
