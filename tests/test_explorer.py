@@ -453,6 +453,31 @@ class TestExplorers:
         assert abs(a.elapsed - b.elapsed) <= 0.15 * max(a.elapsed, b.elapsed) + 1e-9
 
 
+    @pytest.mark.parametrize("explore", [explore_cdos, explore_rapid_frontier])
+    def test_stall_guard_bounds_rotations(self, explore):
+        # sensors too short to leave the start cell: its unknown neighbors
+        # never resolve, so each decision rotates in place until the guard
+        world = load_map(make_map(["#####", "#.S.#", "#...#", "#####"], cell_size=0.25))
+        res = explore(world, suite(rng=0.1))
+        assert not res.found and res.elapsed == 0.0
+        assert len(res.steps) == 64
+        assert {s.mode for s in res.steps} == {"rotate"}
+        assert len(res.trajectory) == 65
+
+    @pytest.mark.parametrize("explore", [explore_cdos, explore_rapid_frontier])
+    def test_settle_loop_bounds_senses(self, explore):
+        # a miss weaker than p_free_max never turns the start cell FREE: the
+        # run senses nine times in place and stops with no frontier
+        world = load_map(make_map(["#####", "#.S.#", "#...#", "#####"]))
+        res = explore(world, suite(), mapping_cfg=MappingConfig(p_miss=0.49))
+        assert res.steps == [] and len(res.trajectory) == 1
+        want = 0.0
+        for _ in range(9):
+            want += logit(0.49)
+        x, y = world.cell_of(world.start.x, world.start.y)
+        assert res.occupancy.log_odds[y, x] == want
+
+
 def _outcome(res):
     return (res.trajectory, res.steps, res.elapsed, res.found, res.target_estimate,
             res.occupancy.log_odds.tobytes(), res.objects.log_odds.tobytes())
