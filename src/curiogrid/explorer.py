@@ -341,11 +341,10 @@ class _Explorer:
         # The occupancy labels and the frontier mask, flat over the lattice
         # framed by OCCUPIED cells (row length `stride`), kept current by
         # `_sense`; `classify()` and `detect_frontiers` are their full-grid spec.
+        # The uniform prior gives every cell one label, so no cell is a frontier.
         self.labels, self.stride = _padded(
             occupancy_labels(self.occupancy.log_odds, mapping_cfg), OCCUPIED)
         self.frontier = np.zeros(self.labels.size, dtype=bool)
-        self.frontier[_frontier_subset(self.labels, np.arange(self.labels.size),
-                                      self.stride)] = True
         # the framed index of each flat map index; the offsets of a cell and
         # its 4-neighbors
         rows, cols = np.divmod(np.arange(world.width * world.height), world.width)
@@ -362,7 +361,9 @@ class _Explorer:
         self.found = False
         self.estimate: Optional[Cell] = None
 
-    def _sense(self) -> None:
+    def _sense(self) -> bool:
+        """Sense at the current pose and fuse the evidence; True once the
+        search must stop: the target is found or the budget is spent."""
         evidence = self.evidence.get(self.pose)
         if evidence is None:
             free, hits, seen = sense_cells(self.world.occupied, self.world.cell_size, self.pose,
@@ -377,16 +378,16 @@ class _Explorer:
         self.occupancy.add_scan_evidence(cells[:hits_at], cells[hits_at:seen_at])
         self.objects.add_observation_evidence(cells[seen_at:], det)
         self._relabel(cells[:seen_at])
-        if det is None:
-            return
         # Discovered on a single high-confidence sighting, or once the fused
         # object-map probability of the sighted cell crosses the threshold
         # (detection confidence and cell probability share one scale).
-        x, y = det.cell
-        if (det.conf > self.threshold or probabilities_from_log_odds(
-                self.objects.log_odds[y, x]) > self.threshold):
-            self.found = True
-            self.estimate = det.cell
+        if det is not None:
+            x, y = det.cell
+            if (det.conf > self.threshold or probabilities_from_log_odds(
+                    self.objects.log_odds[y, x]) > self.threshold):
+                self.found = True
+                self.estimate = det.cell
+        return self.found or self.elapsed > self.budget
 
     def _relabel(self, touched: np.ndarray) -> None:
         """Bring the labels and the frontier mask up to date after evidence
@@ -434,12 +435,13 @@ class _Explorer:
         self.pose = Pose(self.pose.x, self.pose.y, heading)
         self.trajectory.append(self.pose)
 
-    def _unknown_neighbor(self, cell: Cell) -> Optional[Cell]:
+    def _unknown_neighbor(self, cell: Cell) -> Cell:
+        """The first UNKNOWN 4-neighbor of a frontier cell."""
         at = _index(cell, self.stride)
         for dx, dy in ((0, -1), (-1, 0), (1, 0), (0, 1)):
             if self.labels[at + dy * self.stride + dx] == UNKNOWN:
                 return cell[0] + dx, cell[1] + dy
-        return None
+        raise InvariantError(f"frontier {cell} has no unknown neighbor")
 
     def _result(self) -> ExplorationResult:
         if self.found and self.estimate is None:
@@ -448,22 +450,17 @@ class _Explorer:
                                  self.found, self.estimate, self.trajectory, self.steps)
 
     def run(self) -> ExplorationResult:
-        self._sense()
-        if self.found:
-            return self._result()
-
+        # Each sense is followed by the one stop test, `_sense`'s return value.
         # Settle before moving: a single inverse-model update cannot cross the
         # free threshold when p_miss >= p_free_max, so keep scanning in place
-        # until the supporting cell resolves (bounded; no time is consumed).
-        start_cell = self.world.cell_of(self.pose.x, self.pose.y)
-        for _ in range(8):
-            if self.labels[_index(start_cell, self.stride)] == FREE:
-                break
-            self._sense()
-            if self.found:
+        # until the start cell resolves (at most 9 senses; no time is consumed).
+        start = _index(self.world.cell_of(self.pose.x, self.pose.y), self.stride)
+        for _ in range(9):
+            if self._sense():
                 return self._result()
+            if self.labels[start] == FREE:
+                break
 
-        step_idx = 0
         stalled = 0
         while True:
             frontiers = self._frontiers()
@@ -479,40 +476,26 @@ class _Explorer:
             if decision is None:
                 break
             goal, loss, mode, path = decision
-
-            curiosity_now = total_curiosity(self.objects, self.params)
-
-            if goal == current_cell:
-                # Standing on the frontier: face its unknown neighbor and sense
-                # until the evidence resolves it. The stall guard only trips
-                # for degenerate sensor geometries that can never resolve it.
-                stalled += 1
-                if stalled > 64:
-                    break
-                self.steps.append(StepRecord(step_idx, self.pose, goal, loss,
-                                             curiosity_now, 0.0, self.elapsed, "rotate"))
-                step_idx += 1
-                neighbor = self._unknown_neighbor(goal)
-                if neighbor is not None:
-                    self._rotate_to_face(neighbor)
-                self._sense()
-                if self.found or self.elapsed > self.budget:
+            # Standing on the frontier: face its unknown neighbor and sense
+            # until the evidence resolves it. The stall guard only trips for
+            # degenerate sensor geometries that can never resolve it.
+            stalled = stalled + 1 if goal == current_cell else 0
+            if stalled > 64:
+                break
+            self.steps.append(StepRecord(len(self.steps), self.pose, goal, loss,
+                                         total_curiosity(self.objects, self.params),
+                                         path_cost(path, self.world.cell_size), self.elapsed,
+                                         "rotate" if stalled else mode))
+            if stalled:
+                self._rotate_to_face(self._unknown_neighbor(goal))
+                if self._sense():
                     return self._result()
                 continue
-            stalled = 0
-
-            self.steps.append(StepRecord(step_idx, self.pose, goal, loss, curiosity_now,
-                                         path_cost(path, self.world.cell_size),
-                                         self.elapsed, mode))
-            step_idx += 1
 
             at = np.array([_index(c, self.stride) for c in path])
             for i, cell in enumerate(path[1:], start=1):
                 self._move_to(cell)
-                self._sense()
-                if self.found:
-                    return self._result()
-                if self.elapsed > self.budget:
+                if self._sense():
                     return self._result()
                 if (self.labels[at[i + 1:]] == OCCUPIED).any():
                     break  # path invalidated by new evidence; replan
