@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .mapping import Label, ObjectMap, OccupancyMap, classify_object_probabilities
+from .mapping import OCCUPIED, ObjectMap, OccupancyMap, classify_object_probabilities
 from .sensor import CameraConfig, camera_sweep
 from .world import Cell, Pose
 
@@ -87,7 +87,7 @@ def visible_from(occ_labels: np.ndarray, cell_size: float, pose: Pose,
     result, which mirrors the fact that blocked cells never receive object
     evidence.
     """
-    return camera_sweep(occ_labels == Label.OCCUPIED, cell_size, pose, cam)[0]
+    return camera_sweep(occ_labels == OCCUPIED, cell_size, pose, cam)[0]
 
 
 def expected_curiosity_loss(objects: ObjectMap, occupancy: OccupancyMap,

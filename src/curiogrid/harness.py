@@ -25,8 +25,8 @@ from .curiosity import CuriosityParams
 from .explorer import (ExplorationResult, MotionConfig, SensorSuite, check_run_limits,
                        detect_frontiers, explore_cdos, explore_rapid_frontier, _dijkstra,
                        _index, _padded)
-from .mapping import (Label, MappingConfig, glyph_text, occupancy_glyphs, object_glyphs,
-                      quantize, raster_pgm)
+from .mapping import (FREE, OCCUPIED, MappingConfig, glyph_text, occupancy_glyphs,
+                      object_glyphs, quantize, raster_pgm)
 from .sensor import CameraConfig, IrConfig
 from .world import GridWorld, load_map, load_zones, sample_zone_points
 
@@ -416,8 +416,8 @@ _OVERLAY_GLYPHS = "".join({0: "#", 255: ".", 128: "?", 200: "F", 64: "*", 32: "T
 def _overlay_bytes(result: ExplorationResult) -> np.ndarray:
     labels = result.occupancy.classify()
     out = np.full(labels.shape, _OVERLAY_BYTES["unknown"], dtype=np.uint8)
-    out[labels == Label.FREE] = _OVERLAY_BYTES["free"]
-    out[labels == Label.OCCUPIED] = _OVERLAY_BYTES["occupied"]
+    out[labels == FREE] = _OVERLAY_BYTES["free"]
+    out[labels == OCCUPIED] = _OVERLAY_BYTES["occupied"]
     for x, y in detect_frontiers(result.occupancy):
         out[y, x] = _OVERLAY_BYTES["frontier"]
     classified = result.objects.classified()
