@@ -450,7 +450,6 @@ class _Explorer:
                                  self.found, self.estimate, self.trajectory, self.steps)
 
     def run(self) -> ExplorationResult:
-        # Each sense is followed by the one stop test, `_sense`'s return value.
         # Settle before moving: a single inverse-model update cannot cross the
         # free threshold when p_miss >= p_free_max, so keep scanning in place
         # until the start cell resolves (at most 9 senses; no time is consumed).
