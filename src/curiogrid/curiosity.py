@@ -152,8 +152,9 @@ def select_frontier(frontiers: Sequence[Cell], objects: ObjectMap,
     """
     if not frontiers:
         raise ValueError("no frontiers to select from")
-    raw = objects.raw_probabilities()
-    scored = bool((raw > 0.5).any())
+    # a log odds <= 0 gives a probability <= 0.5: only a positive one can be a lead
+    raw = objects.raw_probabilities() if (objects.log_odds > 0).any() else None
+    scored = raw is not None and bool((raw > 0.5).any())
     if scored:
         classified = objects.classified()
         labels = occupancy.classify()

@@ -9,6 +9,7 @@ from the local set.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -360,6 +361,27 @@ class _Explorer:
         self.steps: list[StepRecord] = []
         self.found = False
         self.estimate: Optional[Cell] = None
+        # The loop state: senses at the start so far, rotate decisions in a
+        # row, and the path being walked, its framed indices and the position
+        # along it. A new explorer stands at its first sense.
+        self.settles = 1
+        self.stalled = 0
+        self.path: list[Cell] = []
+        self.at = np.zeros(0, dtype=np.intp)
+        self.along = 0
+
+    def fork(self, world: Optional[GridWorld] = None) -> _Explorer:
+        """A copy that runs on independently of this explorer, in `world`
+        (the same map, with a target, say) when given."""
+        twin = copy.copy(self)
+        twin.occupancy, twin.objects = copy.copy(self.occupancy), copy.copy(self.objects)
+        twin.occupancy.log_odds = self.occupancy.log_odds.copy()
+        twin.objects.log_odds = self.objects.log_odds.copy()
+        twin.labels, twin.frontier = self.labels.copy(), self.frontier.copy()
+        twin.trajectory, twin.steps = list(self.trajectory), list(self.steps)
+        if world is not None:
+            twin.world = world
+        return twin
 
     def _sense(self) -> bool:
         """Sense at the current pose and fuse the evidence; True once the
@@ -449,22 +471,24 @@ class _Explorer:
         return ExplorationResult(self.occupancy, self.objects, self.elapsed,
                                  self.found, self.estimate, self.trajectory, self.steps)
 
-    def run(self) -> ExplorationResult:
+    def _to_next_pose(self) -> bool:
+        """Move or turn to the next sensing pose, deciding where to go once
+        the path is walked or blocked; False when the run ends without
+        another sense: no frontier, none reachable, or the stall guard trips."""
         # Settle before moving: a single inverse-model update cannot cross the
         # free threshold when p_miss >= p_free_max, so keep scanning in place
         # until the start cell resolves (at most 9 senses; no time is consumed).
-        start = _index(self.world.cell_of(self.pose.x, self.pose.y), self.stride)
-        for _ in range(9):
-            if self._sense():
-                return self._result()
-            if self.labels[start] == FREE:
-                break
-
-        stalled = 0
-        while True:
+        if self.settles < 9:
+            start = _index(self.world.cell_of(self.pose.x, self.pose.y), self.stride)
+            if self.labels[start] != FREE:
+                self.settles += 1
+                return True
+            self.settles = 9
+        along = self.along + 1
+        if along >= len(self.path) or (self.labels[self.at[along:]] == OCCUPIED).any():
             frontiers = self._frontiers()
             if not frontiers:
-                break
+                return False
             current_cell = self.world.cell_of(self.pose.x, self.pose.y)
             wedge = local_frontiers(frontiers, self.pose, self.sensors.ir,
                                     self.world.cell_size)
@@ -473,31 +497,33 @@ class _Explorer:
                                self.frontier.tobytes(), wedge,
                                lambda cells: self.pick(self, cells))
             if decision is None:
-                break
+                return False
             goal, loss, mode, path = decision
             # Standing on the frontier: face its unknown neighbor and sense
             # until the evidence resolves it. The stall guard only trips for
             # degenerate sensor geometries that can never resolve it.
-            stalled = stalled + 1 if goal == current_cell else 0
-            if stalled > 64:
-                break
+            self.stalled = self.stalled + 1 if goal == current_cell else 0
+            if self.stalled > 64:
+                return False
             self.steps.append(StepRecord(len(self.steps), self.pose, goal, loss,
                                          total_curiosity(self.objects, self.params),
                                          path_cost(path, self.world.cell_size), self.elapsed,
-                                         "rotate" if stalled else mode))
-            if stalled:
+                                         "rotate" if self.stalled else mode))
+            self.path, self.at = path, np.array([_index(c, self.stride) for c in path])
+            if self.stalled:
+                self.along = 0
                 self._rotate_to_face(self._unknown_neighbor(goal))
-                if self._sense():
-                    return self._result()
-                continue
+                return True
+            along = 1  # a fresh path is believed free throughout
+        self.along = along
+        self._move_to(self.path[along])
+        return True
 
-            at = np.array([_index(c, self.stride) for c in path])
-            for i, cell in enumerate(path[1:], start=1):
-                self._move_to(cell)
-                if self._sense():
-                    return self._result()
-                if (self.labels[at[i + 1:]] == OCCUPIED).any():
-                    break  # path invalidated by new evidence; replan
+    def run(self) -> ExplorationResult:
+        """Sense, then go to the next sensing pose, until the search stops
+        (`_sense()` or `_to_next_pose()`); a fork resumes where it was made."""
+        while not self._sense() and self._to_next_pose():
+            pass
         return self._result()
 
 

@@ -3,6 +3,14 @@
 Every trial is a pure function of (map text, placement, settings), so trials
 can be dispatched to a process pool without changing a single output byte:
 records are sorted into a canonical order before anything is written.
+
+Trials of one map, method and settings share their search up to the first
+sense that sees the target: before it, `sensor.detect`, a run's only read of
+the target, returns None. A per-process tape runs that search once without a
+target; each trial forks it at its first detection and finishes alone, and a
+target never seen gets a copy of the end state. A fork copies every array and
+list it may change, so each result equals a solo `explore`, whatever the
+process ran before.
 """
 
 from __future__ import annotations
@@ -23,16 +31,16 @@ import numpy as np
 
 from .curiosity import CuriosityParams
 from .explorer import (ExplorationResult, MotionConfig, SensorSuite, check_run_limits,
-                       detect_frontiers, explore_cdos, explore_rapid_frontier, _dijkstra,
-                       _index, _padded)
+                       detect_frontiers, _dijkstra, _Explorer, _index, _padded,
+                       _pick_curiosity, _pick_heading)
 from .mapping import (FREE, OCCUPIED, MappingConfig, glyph_text, occupancy_glyphs,
                       object_glyphs, quantize, raster_pgm)
-from .sensor import CameraConfig, IrConfig
+from .sensor import CameraConfig, IrConfig, detect
 from .world import GridWorld, load_map, load_zones, sample_zone_points
 
-# The explorer of each method; every one takes the same settings.
-_EXPLORERS = {"cdos": explore_cdos, "baseline": explore_rapid_frontier}
-METHODS = tuple(_EXPLORERS)
+# The frontier pick of each method (`explore_cdos`, `explore_rapid_frontier`).
+_PICKS = {"cdos": _pick_curiosity, "baseline": _pick_heading}
+METHODS = tuple(_PICKS)
 
 
 class ConfigError(ValueError):
@@ -225,14 +233,22 @@ def _ground_truth_reachable(world: GridWorld) -> np.ndarray:
     return np.isfinite(np.reshape(dist, (-1, width))[1:-1, 1:-1])
 
 
+def _settings(alpha: float, beta: float, cfg: ExperimentConfig) -> tuple:
+    """What `_Explorer` takes between the world and the pick, in its order."""
+    return (cfg.sensor_suite(alpha, beta), cfg.motion_config(), cfg.budget,
+            cfg.mapping_config(), cfg.detection_threshold, cfg.curiosity_params())
+
+
+def _pick(method: str):
+    if method not in _PICKS:
+        raise ConfigError(f"unknown method {method!r}")
+    return _PICKS[method]
+
+
 def explore(world: GridWorld, method: str, alpha: float, beta: float,
             cfg: ExperimentConfig) -> ExplorationResult:
     """One `method` run on `world`: camera fov alpha, IR fov beta (radians)."""
-    explorer = _EXPLORERS.get(method)
-    if explorer is None:
-        raise ConfigError(f"unknown method {method!r}")
-    return explorer(world, cfg.sensor_suite(alpha, beta), cfg.motion_config(), cfg.budget,
-                    cfg.mapping_config(), cfg.detection_threshold, cfg.curiosity_params())
+    return _Explorer(world, *_settings(alpha, beta, cfg), _pick(method)).run()
 
 
 @functools.lru_cache(maxsize=8)
@@ -242,10 +258,83 @@ def _parsed_map(map_text: str) -> GridWorld:
     return load_map(map_text)
 
 
+# Senses between two forks a tape stores.
+_TAPE_STRIDE = 64
+
+# The most bytes of explorer state (belief arrays and list slots) the tapes
+# hold, over all keys. A trial that finds the bound passed empties the table
+# first, and a tape stores no more forks once it is passed.
+_TAPE_LIMIT = 1 << 24
+
+
+def _state_bytes(ex: _Explorer) -> int:
+    arrays = (ex.occupancy.log_odds, ex.objects.log_odds, ex.labels, ex.frontier)
+    return sum(a.nbytes for a in arrays) + 8 * (len(ex.trajectory) + len(ex.steps))
+
+
+class _Tape:
+    """The target-free run of one map, method and settings, taken lazily.
+
+    `poses` holds the pose of every sense so far. Until the run ends (`done`),
+    `live` stands at the last of them, its pending sense. `forks[k]` was made
+    at the pending sense k * _TAPE_STRIDE.
+    """
+
+    def __init__(self, explorer: _Explorer):
+        self.live = explorer
+        self.poses = [explorer.pose]
+        self.forks = [explorer.fork()]
+        self.done = False
+        self.nbytes = 2 * _state_bytes(explorer)
+
+    def _advance(self) -> None:
+        """Take the pending sense and go to the next one, or end the run."""
+        live = self.live
+        if live._sense() or not live._to_next_pose():
+            self.done = True
+            return
+        if (len(self.poses) == _TAPE_STRIDE * len(self.forks)
+                and sum(t.nbytes for t in _TAPES.values()) < _TAPE_LIMIT):
+            self.forks.append(live.fork())
+            self.nbytes += _state_bytes(live)
+        self.poses.append(live.pose)
+        self.nbytes += 8
+
+    def trial(self, world: GridWorld) -> ExplorationResult:
+        """The run in `world`, the tape's map with a target: the tape's up to
+        the first sense whose `detect` sees the target, alone from there."""
+        camera = self.live.sensors.camera
+        i = 0
+        while i < len(self.poses) and detect(world, self.poses[i], camera) is None:
+            i += 1
+            if i == len(self.poses) and not self.done:
+                self._advance()
+        if i == len(self.poses):
+            return self.live.fork()._result()
+        if i == len(self.poses) - 1 and not self.done:
+            return self.live.fork(world).run()
+        # The senses before i see no target, so running on from the fork
+        # before it is the trial. A tape that skipped a fork has passed the
+        # bound and is emptied before its next trial, so that fork exists.
+        return self.forks[i // _TAPE_STRIDE].fork(world).run()
+
+
+# Per-process tapes, by map text, method and the settings a run reads.
+_TAPES: dict[tuple, _Tape] = {}
+
+
 def run_trial(map_text: str, placement: tuple[int, int], method: str,
               alpha: float, beta: float, cfg: ExperimentConfig) -> ExplorationResult:
-    """One exploration run with the object at `placement`."""
-    return explore(_parsed_map(map_text).with_target(placement), method, alpha, beta, cfg)
+    """One exploration run with the object at `placement`: `explore` on the
+    map with that target, taken from the map's tape (see the module doc)."""
+    world = _parsed_map(map_text).with_target(placement)
+    settings = _settings(alpha, beta, cfg)
+    key = (map_text, method, settings)
+    if sum(t.nbytes for t in _TAPES.values()) >= _TAPE_LIMIT:
+        _TAPES.clear()
+    if key not in _TAPES:
+        _TAPES[key] = _Tape(_Explorer(_parsed_map(map_text), *settings, _pick(method)))
+    return _TAPES[key].trial(world)
 
 
 def _run_trial_task(args) -> TrialRecord:

@@ -571,6 +571,71 @@ class TestSenseCache:
         assert sum(map(len, explorer._SENSE_CACHE.values())) == 1
 
 
+@st.composite
+def small_worlds(draw):
+    """A walled lattice of up to 9 x 8 cells with random inner walls, a
+    start on a free cell, and a target on a free cell or none."""
+    width, height = draw(st.integers(3, 9)), draw(st.integers(3, 8))
+    cell_size = draw(st.sampled_from([0.25, 0.5]))
+    occupied = np.ones((height, width), dtype=bool)
+    inner = draw(st.lists(st.integers(0, 3), min_size=(width - 2) * (height - 2),
+                          max_size=(width - 2) * (height - 2)))
+    occupied[1:-1, 1:-1] = np.reshape(inner, (height - 2, width - 2)) == 0
+    free = [(x, y) for y in range(1, height - 1) for x in range(1, width - 1)
+            if not occupied[y, x]]
+    if not free:
+        occupied[1, 1] = False
+        free = [(1, 1)]
+    sx, sy = draw(st.sampled_from(free))
+    start = Pose((sx + 0.5) * cell_size, (sy + 0.5) * cell_size,
+                 draw(st.integers(0, 7)) * math.pi / 4.0)
+    target = draw(st.one_of(st.none(), st.sampled_from(free)))
+    return GridWorld(width, height, cell_size, occupied, start, target)
+
+
+def _packaged_world(name, target):
+    world = load_map(fixture_path(name).read_text())
+    free = np.flatnonzero(~world.occupied.ravel())
+    return world.with_target(None if target is None else
+                             divmod(int(free[target % free.size]), world.width)[::-1])
+
+
+class TestFork:
+    """A fork made at any sense runs on independently, and both it and the
+    explorer it came from end exactly as the uninterrupted run."""
+
+    @staticmethod
+    def _check_fork(world, pick, fraction, budget=600.0):
+        def fresh():
+            return explorer._Explorer(world, suite(), MotionConfig(), budget, MappingConfig(),
+                                      0.95, CuriosityParams(), pick)
+        whole = _outcome(fresh().run())
+        ex = fresh()
+        senses = 1
+        while not ex._sense() and ex._to_next_pose():
+            senses += 1
+        ex = fresh()
+        for _ in range(int(fraction * senses)):  # each stays short of the last sense
+            assert not ex._sense() and ex._to_next_pose()
+        twin = ex.fork()
+        assert _outcome(twin.run()) == whole
+        assert _outcome(ex.run()) == whole
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_worlds(), st.sampled_from([explorer._pick_curiosity, explorer._pick_heading]),
+           st.floats(0.0, 0.999), st.sampled_from([600.0, 1.0]))
+    def test_fork_on_generated_maps(self, world, pick, fraction, budget):
+        self._check_fork(world, pick, fraction, budget)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(["sparse.map", "dense.map"]),
+           st.one_of(st.none(), st.integers(0, 10 ** 6)),
+           st.sampled_from([explorer._pick_curiosity, explorer._pick_heading]),
+           st.floats(0.0, 0.999))
+    def test_fork_on_packaged_maps(self, name, target, pick, fraction):
+        self._check_fork(_packaged_world(name, target), pick, fraction)
+
+
 def test_explorers_share_one_signature():
     assert (inspect.signature(explore_cdos).parameters
             == inspect.signature(explore_rapid_frontier).parameters)

@@ -4,7 +4,9 @@ import statistics
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curiogrid import harness
 from curiogrid.explorer import SensorSuite, explore_cdos
@@ -275,6 +277,99 @@ class TestRenderMaps:
     def test_unsupported_format(self):
         with pytest.raises(ValueError, match="format"):
             render_maps(self.run_once(), "svg")
+
+
+# (8, 4) is a free cell walled in on all sides: unreachable, and never seen
+POCKET_MAP = """cellsize=0.5 heading=0.0
+############
+#..........#
+#.S..#.....#
+#....#.###.#
+#....#.#.#.#
+#......###.#
+#..........#
+############
+"""
+POCKET_FREE = [(x, y) for y, row in enumerate(POCKET_MAP.splitlines()[1:])
+               for x, ch in enumerate(row) if ch != "#"]
+_SOLO: dict = {}
+
+
+def _solo(placement, method, cfg):
+    """`explore` on a fresh parse of POCKET_MAP with the object at `placement`."""
+    key = placement, method, cfg.budget
+    if key not in _SOLO:
+        world = load_map(POCKET_MAP).with_target(placement)
+        _SOLO[key] = harness.explore(world, method, math.radians(60), math.radians(30), cfg)
+    return _SOLO[key]
+
+
+def _fields(res):
+    return (res.trajectory, res.steps, res.elapsed, res.found, res.target_estimate,
+            res.occupancy.log_odds.tobytes(), res.objects.log_odds.tobytes())
+
+
+class TestTape:
+    """`run_trial` through a map's shared target-free tape equals a solo run."""
+
+    @pytest.fixture(autouse=True)
+    def tapes(self, monkeypatch):
+        monkeypatch.setattr(harness, "_TAPES", {})
+
+    def _trial(self, placement, method, cfg):
+        return run_trial(POCKET_MAP, placement, method, math.radians(60), math.radians(30), cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(POCKET_FREE), min_size=1, max_size=10),
+           st.sampled_from(harness.METHODS), st.sampled_from([120.0, 1.0]),
+           st.sampled_from([(64, 1 << 24), (2, 1 << 24), (3, 1), (2, 20_000)]))
+    def test_tape_equals_solo_runs_in_any_order(self, placements, method, budget, bound):
+        # stride and byte bound: the default; a fork every second sense; no
+        # fork past the first and a table emptied at each trial; a few forks
+        # until the bound is passed
+        stride, limit = bound
+        harness._TAPES.clear()
+        cfg = ExperimentConfig(eta=1.9, budget=budget)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_TAPE_STRIDE", stride)
+            mp.setattr(harness, "_TAPE_LIMIT", limit)
+            for placement in placements + [(2, 2), (8, 4)]:  # the start, the pocket
+                assert _fields(self._trial(placement, method, cfg)) == \
+                    _fields(_solo(placement, method, cfg))
+            assert len(harness._TAPES) == 1
+
+    def test_pocket_is_unreachable_and_never_found(self):
+        world = load_map(POCKET_MAP)
+        assert not harness._ground_truth_reachable(world)[4, 8]
+        for method in harness.METHODS:
+            assert not _solo((8, 4), method, ExperimentConfig(eta=1.9, budget=120.0)).found
+
+    def test_eviction_keeps_results(self, monkeypatch):
+        cfg = ExperimentConfig(eta=1.9, budget=120.0)
+        self._trial((10, 6), "cdos", cfg)
+        tape = next(iter(harness._TAPES.values()))
+        monkeypatch.setattr(harness, "_TAPE_LIMIT", tape.nbytes - 1)
+        res = self._trial((10, 1), "cdos", cfg)
+        assert next(iter(harness._TAPES.values())) is not tape
+        assert _fields(res) == _fields(_solo((10, 1), "cdos", cfg))
+
+    @pytest.mark.parametrize("method", harness.METHODS)
+    def test_undetected_results_share_nothing(self, method):
+        cfg = ExperimentConfig(eta=1.9, budget=120.0)
+        a = self._trial((8, 4), method, cfg)
+        b = self._trial((8, 4), method, cfg)
+        assert not a.found and _fields(a) == _fields(b)
+        for x, y in ((a.occupancy.log_odds, b.occupancy.log_odds),
+                     (a.objects.log_odds, b.objects.log_odds)):
+            assert not np.shares_memory(x, y)
+        assert a.trajectory is not b.trajectory and a.steps is not b.steps
+        # writing into one result changes neither the other nor later trials
+        a.occupancy.log_odds += 1.0
+        a.objects.log_odds += 1.0
+        a.trajectory.clear()
+        a.steps.clear()
+        assert _fields(b) == _fields(_solo((8, 4), method, cfg))
+        assert _fields(self._trial((8, 4), method, cfg)) == _fields(b)
 
 
 class TestTrialPurity:
