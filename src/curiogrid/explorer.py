@@ -272,6 +272,10 @@ def _pick_heading(ex: _Explorer, frontiers: list[Cell]) -> tuple[Cell, float, st
     return best_cell, 0.0, "heading"
 
 
+# The frontier pick of each method, by the name the harness gives it.
+_PICKS = {"cdos": _pick_curiosity, "baseline": _pick_heading}
+
+
 def _decide(free: bytes, width: int, start: int, cell_size: float, goals: bytes,
             wedge: list[Cell], pick: Callable[[list[Cell]], tuple[Cell, float, str]]
             ) -> Optional[tuple[Cell, float, str, list[Cell]]]:
@@ -364,11 +368,8 @@ class _Explorer:
         # The loop state: senses at the start so far, rotate decisions in a
         # row, and the path being walked, its framed indices and the position
         # along it. A new explorer stands at its first sense.
-        self.settles = 1
-        self.stalled = 0
-        self.path: list[Cell] = []
-        self.at = np.zeros(0, dtype=np.intp)
-        self.along = 0
+        self.settles, self.stalled = 1, 0
+        self.path, self.at, self.along = [], np.zeros(0, dtype=np.intp), 0
 
     def fork(self, world: Optional[GridWorld] = None) -> _Explorer:
         """A copy that runs on independently of this explorer, in `world`
@@ -379,8 +380,7 @@ class _Explorer:
         twin.objects.log_odds = self.objects.log_odds.copy()
         twin.labels, twin.frontier = self.labels.copy(), self.frontier.copy()
         twin.trajectory, twin.steps = list(self.trajectory), list(self.steps)
-        if world is not None:
-            twin.world = world
+        twin.world = self.world if world is None else world
         return twin
 
     def _sense(self) -> bool:
@@ -509,11 +509,11 @@ class _Explorer:
                                          total_curiosity(self.objects, self.params),
                                          path_cost(path, self.world.cell_size), self.elapsed,
                                          "rotate" if self.stalled else mode))
-            self.path, self.at = path, np.array([_index(c, self.stride) for c in path])
-            if self.stalled:
-                self.along = 0
+            if self.stalled:  # the path is the current cell: the next call decides again
+                self.path = path
                 self._rotate_to_face(self._unknown_neighbor(goal))
                 return True
+            self.path, self.at = path, np.array([_index(c, self.stride) for c in path])
             along = 1  # a fresh path is believed free throughout
         self.along = along
         self._move_to(self.path[along])
@@ -534,7 +534,7 @@ def explore_cdos(world: GridWorld, sensors: SensorSuite,
                  params: CuriosityParams = CuriosityParams()) -> ExplorationResult:
     """Curiosity-driven object search: frontiers picked by expected curiosity loss."""
     return _Explorer(world, sensors, motion, budget, mapping_cfg, detection_threshold,
-                     params, _pick_curiosity).run()
+                     params, _PICKS["cdos"]).run()
 
 
 def explore_rapid_frontier(world: GridWorld, sensors: SensorSuite,
@@ -548,4 +548,4 @@ def explore_rapid_frontier(world: GridWorld, sensors: SensorSuite,
     the baseline's choices never read it.
     """
     return _Explorer(world, sensors, motion, budget, mapping_cfg, detection_threshold,
-                     params, _pick_heading).run()
+                     params, _PICKS["baseline"]).run()

@@ -31,15 +31,12 @@ import numpy as np
 
 from .curiosity import CuriosityParams
 from .explorer import (ExplorationResult, MotionConfig, SensorSuite, check_run_limits,
-                       detect_frontiers, _dijkstra, _Explorer, _index, _padded,
-                       _pick_curiosity, _pick_heading)
+                       detect_frontiers, _dijkstra, _Explorer, _index, _padded, _PICKS)
 from .mapping import (FREE, OCCUPIED, MappingConfig, glyph_text, occupancy_glyphs,
                       object_glyphs, quantize, raster_pgm)
 from .sensor import CameraConfig, IrConfig, detect
 from .world import GridWorld, load_map, load_zones, sample_zone_points
 
-# The frontier pick of each method (`explore_cdos`, `explore_rapid_frontier`).
-_PICKS = {"cdos": _pick_curiosity, "baseline": _pick_heading}
 METHODS = tuple(_PICKS)
 
 
@@ -233,22 +230,19 @@ def _ground_truth_reachable(world: GridWorld) -> np.ndarray:
     return np.isfinite(np.reshape(dist, (-1, width))[1:-1, 1:-1])
 
 
-def _settings(alpha: float, beta: float, cfg: ExperimentConfig) -> tuple:
-    """What `_Explorer` takes between the world and the pick, in its order."""
-    return (cfg.sensor_suite(alpha, beta), cfg.motion_config(), cfg.budget,
-            cfg.mapping_config(), cfg.detection_threshold, cfg.curiosity_params())
-
-
-def _pick(method: str):
+def _settings(method: str, alpha: float, beta: float, cfg: ExperimentConfig) -> tuple:
+    """What `_Explorer` takes after the world, in its order."""
     if method not in _PICKS:
         raise ConfigError(f"unknown method {method!r}")
-    return _PICKS[method]
+    return (cfg.sensor_suite(alpha, beta), cfg.motion_config(), cfg.budget,
+            cfg.mapping_config(), cfg.detection_threshold, cfg.curiosity_params(),
+            _PICKS[method])
 
 
 def explore(world: GridWorld, method: str, alpha: float, beta: float,
             cfg: ExperimentConfig) -> ExplorationResult:
     """One `method` run on `world`: camera fov alpha, IR fov beta (radians)."""
-    return _Explorer(world, *_settings(alpha, beta, cfg), _pick(method)).run()
+    return _Explorer(world, *_settings(method, alpha, beta, cfg)).run()
 
 
 @functools.lru_cache(maxsize=8)
@@ -258,13 +252,13 @@ def _parsed_map(map_text: str) -> GridWorld:
     return load_map(map_text)
 
 
-# Senses between two forks a tape stores.
-_TAPE_STRIDE = 64
+# Senses between two forks a tape stores; about the most bytes the tapes hold
+# over all keys, as `_Tape.nbytes` counts them (a trial that finds the bound
+# passed empties the table first, and a tape stores no more forks past it).
+_TAPE_STRIDE, _TAPE_LIMIT = 64, 1 << 24
 
-# The most bytes of explorer state (belief arrays and list slots) the tapes
-# hold, over all keys. A trial that finds the bound passed empties the table
-# first, and a tape stores no more forks once it is passed.
-_TAPE_LIMIT = 1 << 24
+# Bytes of one Pose and of one StepRecord object with its list slot, about.
+_POSE_BYTES, _STEP_BYTES = 176, 336
 
 
 def _state_bytes(ex: _Explorer) -> int:
@@ -277,7 +271,8 @@ class _Tape:
 
     `poses` holds the pose of every sense so far. Until the run ends (`done`),
     `live` stands at the last of them, its pending sense. `forks[k]` was made
-    at the pending sense k * _TAPE_STRIDE.
+    at the pending sense k * _TAPE_STRIDE. `nbytes` counts the forks' and
+    `live`'s arrays and list slots, `poses`, and the objects `live`'s lists hold.
     """
 
     def __init__(self, explorer: _Explorer):
@@ -285,20 +280,22 @@ class _Tape:
         self.poses = [explorer.pose]
         self.forks = [explorer.fork()]
         self.done = False
-        self.nbytes = 2 * _state_bytes(explorer)
+        self.nbytes = 2 * _state_bytes(explorer) + 8 + _POSE_BYTES
 
     def _advance(self) -> None:
         """Take the pending sense and go to the next one, or end the run."""
         live = self.live
+        held = len(live.trajectory), len(live.steps)
         if live._sense() or not live._to_next_pose():
-            self.done = True
+            self.done = True  # neither call adds a pose or a step then
             return
         if (len(self.poses) == _TAPE_STRIDE * len(self.forks)
                 and sum(t.nbytes for t in _TAPES.values()) < _TAPE_LIMIT):
             self.forks.append(live.fork())
             self.nbytes += _state_bytes(live)
         self.poses.append(live.pose)
-        self.nbytes += 8
+        self.nbytes += (8 + _POSE_BYTES * (len(live.trajectory) - held[0])
+                        + _STEP_BYTES * (len(live.steps) - held[1]))
 
     def trial(self, world: GridWorld) -> ExplorationResult:
         """The run in `world`, the tape's map with a target: the tape's up to
@@ -313,13 +310,12 @@ class _Tape:
             return self.live.fork()._result()
         if i == len(self.poses) - 1 and not self.done:
             return self.live.fork(world).run()
-        # The senses before i see no target, so running on from the fork
-        # before it is the trial. A tape that skipped a fork has passed the
-        # bound and is emptied before its next trial, so that fork exists.
+        # The senses before i see no target, so the trial runs on from the fork before
+        # i; a tape that skipped a fork passed the bound and is emptied before its next.
         return self.forks[i // _TAPE_STRIDE].fork(world).run()
 
 
-# Per-process tapes, by map text, method and the settings a run reads.
+# Per-process tapes, by map text and the settings a run reads (`_settings`).
 _TAPES: dict[tuple, _Tape] = {}
 
 
@@ -327,14 +323,13 @@ def run_trial(map_text: str, placement: tuple[int, int], method: str,
               alpha: float, beta: float, cfg: ExperimentConfig) -> ExplorationResult:
     """One exploration run with the object at `placement`: `explore` on the
     map with that target, taken from the map's tape (see the module doc)."""
-    world = _parsed_map(map_text).with_target(placement)
-    settings = _settings(alpha, beta, cfg)
-    key = (map_text, method, settings)
+    world = _parsed_map(map_text)
+    key = (map_text, _settings(method, alpha, beta, cfg))
     if sum(t.nbytes for t in _TAPES.values()) >= _TAPE_LIMIT:
         _TAPES.clear()
-    if key not in _TAPES:
-        _TAPES[key] = _Tape(_Explorer(_parsed_map(map_text), *settings, _pick(method)))
-    return _TAPES[key].trial(world)
+    if key not in _TAPES:  # without the target the map may mark
+        _TAPES[key] = _Tape(_Explorer(world.with_target(None), *key[1]))
+    return _TAPES[key].trial(world.with_target(placement))
 
 
 def _run_trial_task(args) -> TrialRecord:

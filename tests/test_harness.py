@@ -1,6 +1,7 @@
 import math
 import re
 import statistics
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -290,16 +291,19 @@ POCKET_MAP = """cellsize=0.5 heading=0.0
 #..........#
 ############
 """
-POCKET_FREE = [(x, y) for y, row in enumerate(POCKET_MAP.splitlines()[1:])
-               for x, ch in enumerate(row) if ch != "#"]
 _SOLO: dict = {}
 
 
-def _solo(placement, method, cfg):
-    """`explore` on a fresh parse of POCKET_MAP with the object at `placement`."""
-    key = placement, method, cfg.budget
+def _free_cells(map_text):
+    return [(x, y) for y, row in enumerate(map_text.splitlines()[1:])
+            for x, ch in enumerate(row) if ch != "#"]
+
+
+def _solo(placement, method, cfg, map_text=POCKET_MAP):
+    """`explore` on a fresh parse of `map_text` with the object at `placement`."""
+    key = map_text, placement, method, cfg.budget
     if key not in _SOLO:
-        world = load_map(POCKET_MAP).with_target(placement)
+        world = load_map(map_text).with_target(placement)
         _SOLO[key] = harness.explore(world, method, math.radians(60), math.radians(30), cfg)
     return _SOLO[key]
 
@@ -316,27 +320,53 @@ class TestTape:
     def tapes(self, monkeypatch):
         monkeypatch.setattr(harness, "_TAPES", {})
 
-    def _trial(self, placement, method, cfg):
-        return run_trial(POCKET_MAP, placement, method, math.radians(60), math.radians(30), cfg)
+    def _trial(self, placement, method, cfg, map_text=POCKET_MAP):
+        return run_trial(map_text, placement, method, math.radians(60), math.radians(30), cfg)
 
+    # TINY_MAP marks a target of its own at (8, 3), which the tape must not see
+    @pytest.mark.parametrize("map_text, cells", [(POCKET_MAP, [(2, 2), (8, 4)]),
+                                                 (TINY_MAP, [(2, 2), (8, 3)])],
+                             ids=["pocket", "tiny"])
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.sampled_from(POCKET_FREE), min_size=1, max_size=10),
-           st.sampled_from(harness.METHODS), st.sampled_from([120.0, 1.0]),
-           st.sampled_from([(64, 1 << 24), (2, 1 << 24), (3, 1), (2, 20_000)]))
-    def test_tape_equals_solo_runs_in_any_order(self, placements, method, budget, bound):
-        # stride and byte bound: the default; a fork every second sense; no
-        # fork past the first and a table emptied at each trial; a few forks
-        # until the bound is passed
+    @given(data=st.data(), method=st.sampled_from(harness.METHODS),
+           budget=st.sampled_from([120.0, 1.0]),
+           bound=st.sampled_from([(64, 1 << 24), (2, 1 << 24), (3, 1), (2, 20_000)]))
+    def test_tape_equals_solo_runs_in_any_order(self, map_text, cells, data, method, budget,
+                                                bound):
+        # cells: the start, and the pocket or the map's own 'T'. stride and
+        # byte bound: the default; a fork every second sense; no fork past the
+        # first and a table emptied at each trial; a few forks until the bound
+        # is passed
+        placements = data.draw(st.lists(st.sampled_from(_free_cells(map_text)),
+                                        min_size=1, max_size=10))
         stride, limit = bound
         harness._TAPES.clear()
         cfg = ExperimentConfig(eta=1.9, budget=budget)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harness, "_TAPE_STRIDE", stride)
             mp.setattr(harness, "_TAPE_LIMIT", limit)
-            for placement in placements + [(2, 2), (8, 4)]:  # the start, the pocket
-                assert _fields(self._trial(placement, method, cfg)) == \
-                    _fields(_solo(placement, method, cfg))
+            for placement in placements + cells:
+                assert _fields(self._trial(placement, method, cfg, map_text)) == \
+                    _fields(_solo(placement, method, cfg, map_text))
             assert len(harness._TAPES) == 1
+
+    def test_tape_counts_what_it_holds(self):
+        # A whole tape's count against the bytes it allocated, within 10%
+        cfg = default_config()
+        text = Path(cfg.map_sparse).read_text()
+        settings_ = harness._settings("cdos", cfg.alphas[0], cfg.betas[0], cfg)
+        harness._Explorer(load_map(text), *settings_).run()  # fill the sensing cache
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tape = harness._Tape(harness._Explorer(load_map(text), *settings_))
+            while not tape.done:
+                tape._advance()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape.forks) > 2
+        assert 0.9 * held < tape.nbytes < 1.1 * held
 
     def test_pocket_is_unreachable_and_never_found(self):
         world = load_map(POCKET_MAP)
