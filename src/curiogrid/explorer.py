@@ -5,6 +5,15 @@ the two belief maps current, and repeatedly commit to a frontier until either
 the detector fires above the confidence threshold, the frontiers run out, or
 the time budget is gone. They differ only in how the next frontier is picked
 from the local set.
+
+A decision reads views the loop keeps current rather than full-grid passes:
+the occupancy labels and frontier mask (relabelled at the cells each sense
+touched), each cell's curiosity (updated at the cells the senses since the
+last decision gave camera evidence on) and the local frontiers, tested
+against the IR wedge only within the box the IR range can reach. The
+full-grid functions (`OccupancyMap.classify`, `detect_frontiers`,
+`curiosity.total_curiosity`, `local_frontiers` over every frontier) stay the
+spec the tests check the views against.
 """
 
 from __future__ import annotations
@@ -17,13 +26,14 @@ from typing import Callable, Collection, Optional
 
 import numpy as np
 
-from .curiosity import CuriosityParams, select_frontier, total_curiosity
+# camera_observe, ir_scan and total_curiosity are not called here; they stay
+# importable from this module because bench/spans.py wraps them under these names.
+from .curiosity import CuriosityParams, curiosity_of, select_frontier, total_curiosity
 from .mapping import (FREE, OCCUPIED, UNKNOWN, MappingConfig, ObjectMap, OccupancyMap,
-                      occupancy_labels, probabilities_from_log_odds)
-# camera_observe and ir_scan are not called here; they stay importable from
-# this module because bench/spans.py wraps them under these names.
-from .sensor import (CameraConfig, IrConfig, camera_observe, detect, ir_scan, sense_cells,
-                     wedge_cells)
+                      classify_object_probabilities, occupancy_labels,
+                      probabilities_from_log_odds)
+from .sensor import (CameraConfig, Detection, IrConfig, camera_observe, detect, ir_scan,
+                     sense_cells, wedge_cells)
 from .world import TWO_PI, Cell, GridWorld, Pose, angle_diff, wrap_angle
 
 SQRT2 = math.sqrt(2.0)
@@ -350,6 +360,12 @@ class _Explorer:
         self.labels, self.stride = _padded(
             occupancy_labels(self.occupancy.log_odds, mapping_cfg), OCCUPIED)
         self.frontier = np.zeros(self.labels.size, dtype=bool)
+        # Each cell's curiosity over the classified object map, the total a
+        # decision logs; `total_curiosity` is its full-grid spec. A sense only
+        # queues the flat indices it gave camera evidence on, and the next
+        # decision updates the array there (`_total_curiosity`).
+        self.curiosity = curiosity_of(self.objects.classified(), params)
+        self.queued: list[np.ndarray] = []
         # the framed index of each flat map index; the offsets of a cell and
         # its 4-neighbors
         rows, cols = np.divmod(np.arange(world.width * world.height), world.width)
@@ -379,6 +395,7 @@ class _Explorer:
         twin.occupancy.log_odds = self.occupancy.log_odds.copy()
         twin.objects.log_odds = self.objects.log_odds.copy()
         twin.labels, twin.frontier = self.labels.copy(), self.frontier.copy()
+        twin.curiosity, twin.queued = self.curiosity.copy(), list(self.queued)
         twin.trajectory, twin.steps = list(self.trajectory), list(self.steps)
         twin.world = self.world if world is None else world
         return twin
@@ -398,7 +415,7 @@ class _Explorer:
         det = detect(self.world, self.pose, self.sensors.camera)
         cells, hits_at, seen_at = evidence
         self.occupancy.add_scan_evidence(cells[:hits_at], cells[hits_at:seen_at])
-        self.objects.add_observation_evidence(cells[seen_at:], det)
+        self._observe(cells[seen_at:], det)
         self._relabel(cells[:seen_at])
         # Discovered on a single high-confidence sighting, or once the fused
         # object-map probability of the sighted cell crosses the threshold
@@ -426,9 +443,44 @@ class _Explorer:
         self.frontier[around] = False
         self.frontier[_frontier_subset(self.labels, around, self.stride)] = True
 
-    def _frontiers(self) -> list[Cell]:
-        """The frontiers, row-major."""
-        return _cells(np.flatnonzero(self.frontier), self.stride)
+    def _observe(self, seen: np.ndarray, det: Optional[Detection]) -> None:
+        """Fuse a camera sweep, given as for `ObjectMap.add_observation_evidence`,
+        and queue the cells whose object log odds it changed."""
+        self.objects.add_observation_evidence(seen, det)
+        self.queued.append(seen)
+        if det is not None:
+            self.queued.append(np.array([det.cell[1] * self.world.width + det.cell[0]]))
+
+    def _total_curiosity(self) -> float:
+        """The total curiosity of the classified object map: the per-cell
+        array, brought up to date at the queued cells, summed. Curiosity is a
+        per-cell function of the log odds, and an array equal element by
+        element to the full-grid one, of the same shape, sums to the same bits."""
+        if self.queued:
+            cells = np.concatenate(self.queued)
+            self.queued = []
+            cfg = self.objects.cfg
+            self.curiosity.flat[cells] = curiosity_of(classify_object_probabilities(
+                probabilities_from_log_odds(self.objects.log_odds.flat[cells]),
+                cfg.lambda1, cfg.lambda2), self.params)
+        return float(self.curiosity.sum())
+
+    def _wedge(self, frontiers: np.ndarray, cell: Cell) -> list[Cell]:
+        """`local_frontiers` of the frontiers at the framed indices `frontiers`
+        (ascending), the robot standing in `cell`.
+
+        Only the frontiers within int(R / cell_size) + 2 cells of `cell` along
+        each axis, R the IR range, are tested. A cell centre within R of a pose
+        in `cell` lies at most floor(R / cell_size) + 1 cells from it along
+        each axis, so the box drops no frontier of the wedge, and the one cell
+        more absorbs the rounding of R / cell_size.
+        """
+        reach = int(self.sensors.ir.max_range / self.world.cell_size) + 2
+        rows, cols = np.divmod(frontiers, self.stride)
+        near = frontiers[(np.abs(cols - (cell[0] + 1)) <= reach)
+                         & (np.abs(rows - (cell[1] + 1)) <= reach)]
+        return local_frontiers(_cells(near, self.stride), self.pose, self.sensors.ir,
+                               self.world.cell_size)
 
     def _charge_rotation(self, heading: float) -> None:
         """Add the time of turning in place from the current heading to `heading`."""
@@ -486,15 +538,13 @@ class _Explorer:
             self.settles = 9
         along = self.along + 1
         if along >= len(self.path) or (self.labels[self.at[along:]] == OCCUPIED).any():
-            frontiers = self._frontiers()
-            if not frontiers:
+            frontiers = np.flatnonzero(self.frontier)
+            if not frontiers.size:
                 return False
             current_cell = self.world.cell_of(self.pose.x, self.pose.y)
-            wedge = local_frontiers(frontiers, self.pose, self.sensors.ir,
-                                    self.world.cell_size)
             decision = _decide((self.labels == FREE).tobytes(), self.stride,
                                _index(current_cell, self.stride), self.world.cell_size,
-                               self.frontier.tobytes(), wedge,
+                               self.frontier.tobytes(), self._wedge(frontiers, current_cell),
                                lambda cells: self.pick(self, cells))
             if decision is None:
                 return False
@@ -506,7 +556,7 @@ class _Explorer:
             if self.stalled > 64:
                 return False
             self.steps.append(StepRecord(len(self.steps), self.pose, goal, loss,
-                                         total_curiosity(self.objects, self.params),
+                                         self._total_curiosity(),
                                          path_cost(path, self.world.cell_size), self.elapsed,
                                          "rotate" if self.stalled else mode))
             if self.stalled:  # the path is the current cell: the next call decides again

@@ -252,6 +252,15 @@ def _parsed_map(map_text: str) -> GridWorld:
     return load_map(map_text)
 
 
+@functools.lru_cache(maxsize=8)
+def _reachable(map_text: str) -> np.ndarray:
+    """`_ground_truth_reachable` of the parsed map, once per map text and
+    process; the mask is read-only."""
+    mask = _ground_truth_reachable(_parsed_map(map_text))
+    mask.setflags(write=False)
+    return mask
+
+
 # Senses between two forks a tape stores; about the most bytes the tapes hold
 # over all keys, as `_Tape.nbytes` counts them (a trial that finds the bound
 # passed empties the table first, and a tape stores no more forks past it).
@@ -262,7 +271,8 @@ _POSE_BYTES, _STEP_BYTES = 176, 336
 
 
 def _state_bytes(ex: _Explorer) -> int:
-    arrays = (ex.occupancy.log_odds, ex.objects.log_odds, ex.labels, ex.frontier)
+    arrays = (ex.occupancy.log_odds, ex.objects.log_odds, ex.labels, ex.frontier,
+              ex.curiosity)
     return sum(a.nbytes for a in arrays) + 8 * (len(ex.trajectory) + len(ex.steps))
 
 
@@ -340,6 +350,12 @@ def _run_trial_task(args) -> TrialRecord:
                        _trajectory_length(result))
 
 
+def _run_trial_tasks(tasks: list) -> list[TrialRecord]:
+    """`_run_trial_task` of each task, in order: one pool task, so that one
+    worker builds the tape its trials share."""
+    return [_run_trial_task(t) for t in tasks]
+
+
 @dataclass
 class ZoneSummary:
     map_id: str
@@ -391,9 +407,8 @@ def run_zone_experiment(cfg: ExperimentConfig,
     tasks = []
     for map_index, (map_id, map_path) in enumerate(cfg.maps()):
         map_text = Path(map_path).read_text()
-        world = load_map(map_text)
-        zones = load_zones(zone_text, world)
-        reachable_mask = _ground_truth_reachable(world)
+        zones = load_zones(zone_text, _parsed_map(map_text))
+        reachable_mask = _reachable(map_text)
         for zone_id in sorted(zones):
             seed = placement_seed(cfg.seed, map_index, zone_id)
             placements = sample_zone_points(zones[zone_id], cfg.samples_per_zone, seed)
@@ -404,8 +419,11 @@ def run_zone_experiment(cfg: ExperimentConfig,
                                   alpha, beta, cfg, reachable))
 
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_run_trial_task, tasks, chunksize=4))
+        groups: dict[tuple[str, str], list] = {}
+        for task in tasks:  # by map and method: the trials one tape serves
+            groups.setdefault((task[0], task[4]), []).append(task)
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(groups))) as pool:
+            records = [r for done in pool.map(_run_trial_tasks, groups.values()) for r in done]
     else:
         records = [_run_trial_task(t) for t in tasks]
     records.sort(key=TrialRecord.sort_key)

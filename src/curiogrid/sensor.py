@@ -4,14 +4,18 @@ Both sensors are modeled as 2D ray fans. The camera additionally reports a
 target detection whose confidence decays with distance as conf_scale / d,
 clamped to 1.
 
-`fan_walk` is the one fan walk: the IR scan, the camera sweep (also the
+`_walk` is the one fan walk: the IR scan, the camera sweep (also the
 prediction of a candidate view), the cells one sense gives evidence on
-(`sense_cells`) and the cells of a given IR scan (`scan_cells`) all read it,
-and only this module knows its layout. It walks a whole fan as one numpy gather over a memoized table of
+(`sense_cells`), the cells of a given IR scan (`scan_cells`) and the
+step-by-step view `fan_walk` all read it, and only this module knows its
+layout. It walks a whole fan as one numpy gather over a memoized table of
 every beam's cell offsets and entry distances, stepped exactly as
-`world.trace_ray` steps. `trace_ray` is the spec and the test oracle, and the
-single rays of `detect` and `world.ray_cast` run on it. The wedge test
-(`wedge_cells`) has its one copy here too.
+`world.trace_ray` steps. A sensor fan's table is found by its first angle,
+fov and ray count, so a walk builds no angle list, and each table holds the
+window of lattice rows and columns its steps cover, so a walk marks cells
+over that window rather than the whole lattice. `trace_ray` is the spec and
+the test oracle, and the single rays of `detect` and `world.ray_cast` run on
+it. The wedge test (`wedge_cells`) has its one copy here too.
 """
 
 from __future__ import annotations
@@ -107,7 +111,11 @@ class CameraObservation(NamedTuple):
 
 def beam_angles(heading: float, fov: float, count: int) -> list[float]:
     """Evenly spaced angles across [heading - fov/2, heading + fov/2]."""
-    start = heading - fov / 2.0
+    return _spread(heading - fov / 2.0, fov, count)
+
+
+def _spread(start: float, fov: float, count: int) -> list[float]:
+    """`count` angles fov / (count - 1) apart, the first at `start`."""
     step = fov / (count - 1)
     return [start + i * step for i in range(count)]
 
@@ -130,22 +138,28 @@ _FAN_TABLE_LIMIT = 1 << 16
 
 class _FanTable(NamedTuple):
     """Every beam's walk from one origin, one row per beam, padded past the
-    longest walk: index offsets into the code grid (`pad`) and the lattice
-    (`flat`), the entry distance of each step (`t`, inf past the walk) and
-    whether it lies beyond the range (`beyond`)."""
+    longest walk: each step's index offset into the code grid (`pad`) and
+    into the fan's window of the lattice (`window`), the distance at which it
+    enters its cell (`t`, inf past the walk) and whether that lies beyond the
+    range (`beyond`). The window is the `size` lattice indices from the
+    origin cell's plus `low` on: it holds every cell in the rows and columns
+    the steps reach, so a walk marks the cells it passes over the window,
+    not the whole lattice."""
 
     pad: np.ndarray
-    flat: np.ndarray
+    window: np.ndarray
     t: np.ndarray
     beyond: np.ndarray
+    low: int
+    size: int
 
 
 _FAN_TABLES: dict[tuple, _FanTable] = {}
 
 
 def _fan_table(cell_size: float, bx1: float, bx0: float, by1: float, by0: float,
-               angles: tuple[float, ...], max_range: float, width: int,
-               height: int) -> _FanTable:
+               max_range: float, width: int, height: int,
+               angles: Sequence[float]) -> _FanTable:
     """The fan's walks from an origin whose cell boundaries lie bx1/bx0 to the
     right/left and by1/by0 below/above it, each stepped as `trace_ray` steps
     through the first step beyond max_range. A walk from inside a width x
@@ -183,11 +197,13 @@ def _fan_table(cell_size: float, bx1: float, bx0: float, by1: float, by0: float,
     past = np.arange(cols + 2) > walked[:, None]
     xs[past] = ys[past] = 0
     t[past] = math.inf
-    return _FanTable(ys * (width + 2) + xs, ys * width + xs, t, t > max_range)
+    low = int(ys.min()) * width + int(xs.min())
+    return _FanTable(ys * (width + 2) + xs, ys * width + xs - low, t, t > max_range, low,
+                     int(ys.max()) * width + int(xs.max()) - low + 1)
 
 
 def _fan_codes(blocked: np.ndarray) -> np.ndarray:
-    """The grid `fan_walk` reads: each cell of the `blocked` mask coded free
+    """The grid a fan walk reads: each cell of the `blocked` mask coded free
     or blocked, framed by a one-cell border coded outside the lattice."""
     height, width = blocked.shape
     codes = np.full((height + 2, width + 2), _OUTSIDE, dtype=np.uint8)
@@ -195,72 +211,24 @@ def _fan_codes(blocked: np.ndarray) -> np.ndarray:
     return codes
 
 
-class FanWalk(NamedTuple):
-    """A ray fan walked over a code grid, one row per beam, one column per step.
+def _walk(codes: np.ndarray, cell_size: float, ox: float, oy: float, max_range: float,
+          *beams) -> tuple[_FanTable, int, int, np.ndarray, np.ndarray]:
+    """Walk a ray fan from (ox, oy) over `codes` (see `_fan_codes`), each beam
+    stepping, entering and stopping exactly as `trace_ray` does.
 
-    `flat` is the row-major lattice index of the cell each step enters, `t`
-    the distance at which it enters it, `code` that cell's code and `stop`
-    the step at which each beam stops, as `trace_ray` stops: the first cell
-    beyond max_range, outside the lattice or blocked. Steps before the stop
-    lie in the lattice; entries after it are meaningless. `cells` is the
-    lattice's cell count.
-    """
+    Returns the fan's table, the origin's cell (cx, cy), each step's code
+    (one row per beam, as the table's) and the step at which each beam stops:
+    its first cell beyond max_range, outside the lattice or blocked. Steps
+    before the stop lie in the lattice; codes after it are meaningless.
 
-    flat: np.ndarray
-    t: np.ndarray
-    code: np.ndarray
-    stop: np.ndarray
-    max_range: float
-    cells: int
-
-    def before(self, steps: np.ndarray) -> np.ndarray:
-        """Mask of the steps before each beam's step `steps[beam]`."""
-        return np.arange(self.t.shape[1]) < steps[:, None]
-
-    def at(self, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(flat, t, code) of each beam's step `steps[beam]`."""
-        rows = np.arange(len(steps))
-        return self.flat[rows, steps], self.t[rows, steps], self.code[rows, steps]
-
-    def beam_stops(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each beam's IR (distance, hit): the distance at which it stopped,
-        and hit, when that is within range; max_range and no hit otherwise."""
-        _, t, _ = self.at(self.stop)
-        hit = t <= self.max_range
-        return np.where(hit, t, self.max_range), hit
-
-    def ir_evidence(self, distance: np.ndarray,
-                    hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flat (row-major) indices of the cells an IR scan passes and hits.
-
-        The walk is the scan's fan, walked to at least its longest beam over
-        a grid whose blocked cells stop no beam short of its `distance`. A
-        beam passes the cells it enters at t <= nextafter(distance - 1e-9,
-        -inf) before it leaves the lattice; a beam that hit marks the next
-        cell it enters, when that lies in the lattice and is entered within
-        distance + 1e-9. At a lattice corner, that can be a free cell entered
-        at the same distance as the blocked one. A hit cell is not passed,
-        and neither array repeats a cell.
-        """
-        reach = np.nextafter(distance - 1e-9, -np.inf)
-        end = np.minimum((self.t > reach[:, None]).argmax(axis=1), self.stop)
-        flat, t, code = self.at(end)
-        marks = np.zeros(self.cells, dtype=np.uint8)
-        marks[self.flat[self.before(end)]] = 1
-        marks[flat[hit & (t <= distance + 1e-9) & (code != _OUTSIDE)]] = 2
-        return (np.flatnonzero(marks == 1).astype(np.int32),
-                np.flatnonzero(marks == 2).astype(np.int32))
-
-
-def fan_walk(codes: np.ndarray, cell_size: float, ox: float, oy: float,
-             angles: Sequence[float], max_range: float) -> FanWalk:
-    """Walk the rays at `angles` from (ox, oy) over `codes` (see `_fan_codes`).
-
-    Each beam steps, enters and stops exactly as `trace_ray` does. The walks
-    come from a table memoized per cell size, the origin's offsets to its
-    cell boundaries, angles, range and lattice shape, so any origin at the
-    same spot within its cell (every cell centre, for a power-of-two cell
-    size) shares one table.
+    `beams` is the beam angles as one tuple, or a sensor fan's first angle,
+    fov and ray count (`_spread`'s arguments), so that a sensor fan's key
+    needs no angle list, and two headings whose beams fall on the same
+    angles share a table. The tables are memoized by cell size, the origin's
+    offsets to its cell boundaries, range, lattice shape and `beams`: any
+    origin at the same spot within its cell (every cell centre, for a
+    power-of-two cell size) shares one. The two forms give keys of different
+    lengths, which never meet.
     """
     height, width = codes.shape[0] - 2, codes.shape[1] - 2
     cx = int(math.floor(ox / cell_size))
@@ -268,27 +236,91 @@ def fan_walk(codes: np.ndarray, cell_size: float, ox: float, oy: float,
     if not (0 <= cx < width and 0 <= cy < height):
         raise ValueError("fan origin outside the lattice")
     key = (cell_size, (cx + 1) * cell_size - ox, cx * cell_size - ox,
-           (cy + 1) * cell_size - oy, cy * cell_size - oy, tuple(angles), max_range,
-           width, height)
+           (cy + 1) * cell_size - oy, cy * cell_size - oy, max_range, width, height, *beams)
     table = _FAN_TABLES.get(key)
     if table is None:
-        table = _fan_table(*key)
+        table = _fan_table(*key[:8], beams[0] if len(beams) == 1 else _spread(*beams))
         if sum(t.t.size for t in _FAN_TABLES.values()) + table.t.size > _FAN_TABLE_LIMIT:
             _FAN_TABLES.clear()
         _FAN_TABLES[key] = table
     # Steps up to each beam's stop read their own cell; later steps, which
     # may lie further outside than the border, read whatever the clip gives.
     code = codes.take(table.pad + ((cy + 1) * (width + 2) + cx + 1), mode="clip")
-    stop = np.logical_or(code, table.beyond).argmax(axis=1)
-    return FanWalk(table.flat + (cy * width + cx), table.t, code, stop, max_range,
-                   width * height)
+    return table, cx, cy, code, np.logical_or(code, table.beyond).argmax(axis=1)
 
 
 def _fan(codes: np.ndarray, cell_size: float, pose: Pose,
-         cfg: IrConfig | CameraConfig) -> FanWalk:
-    """The sensor fan of `cfg` from `pose`, walked over `codes`."""
-    return fan_walk(codes, cell_size, pose.x, pose.y,
-                    beam_angles(pose.heading, cfg.fov, cfg.ray_count), cfg.max_range)
+         cfg: IrConfig | CameraConfig) -> tuple[_FanTable, int, int, np.ndarray, np.ndarray]:
+    """`_walk` of the sensor fan of `cfg` from `pose` over `codes`, the beams
+    of `beam_angles`."""
+    return _walk(codes, cell_size, pose.x, pose.y, cfg.max_range,
+                 pose.heading - cfg.fov / 2.0, cfg.fov, cfg.ray_count)
+
+
+def _before(t: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Mask of the steps before each beam's step `steps[beam]` of a walk's `t`."""
+    return np.arange(t.shape[1]) < steps[:, None]
+
+
+def _lattice(table: _FanTable, cx: int, cy: int, width: int,
+             window: np.ndarray) -> np.ndarray:
+    """The row-major lattice indices of the `window` indices of a fan walked
+    from cell (cx, cy), in a lattice of row length `width`, as int32."""
+    return (window + (cy * width + cx + table.low)).astype(np.int32)
+
+
+def _beam_stops(table: _FanTable, stop: np.ndarray,
+                max_range: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each beam's IR (distance, hit): the distance at which it stopped, and
+    hit, when that is within range; max_range and no hit otherwise."""
+    t = table.t[np.arange(len(stop)), stop]
+    hit = t <= max_range
+    return np.where(hit, t, max_range), hit
+
+
+def _ir_evidence(table: _FanTable, cx: int, cy: int, width: int, code: np.ndarray,
+                 stop: np.ndarray, distance: np.ndarray,
+                 hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (row-major) indices of the cells an IR scan passes and hits, in
+    a lattice of row length `width`, ascending.
+
+    The walk is the scan's fan, walked to at least its longest beam over a
+    grid whose blocked cells stop no beam short of its `distance`. A beam
+    passes the cells it enters at t <= nextafter(distance - 1e-9, -inf)
+    before it leaves the lattice; a beam that hit marks the next cell it
+    enters, when that lies in the lattice and is entered within distance +
+    1e-9. At a lattice corner, that can be a free cell entered at the same
+    distance as the blocked one. A hit cell is not passed, and neither array
+    repeats a cell.
+    """
+    beams = np.arange(len(stop))
+    reach = np.nextafter(distance - 1e-9, -np.inf)
+    end = np.minimum((table.t > reach[:, None]).argmax(axis=1), stop)
+    marks = np.zeros(table.size, dtype=np.uint8)
+    marks[table.window[_before(table.t, end)]] = 1
+    t = table.t[beams, end]
+    marks[table.window[beams, end][hit & (t <= distance + 1e-9)
+                                & (code[beams, end] != _OUTSIDE)]] = 2
+    return (_lattice(table, cx, cy, width, (marks == 1).nonzero()[0]),
+            _lattice(table, cx, cy, width, (marks == 2).nonzero()[0]))
+
+
+class FanWalk(NamedTuple):
+    """A ray fan walked over a code grid (`_walk`), one row per beam, one
+    column per step: `flat` is the row-major lattice index of the cell each
+    step enters, `t` the distance at which it enters it and `stop` the step at
+    which each beam stops. Entries after the stop are meaningless."""
+
+    flat: np.ndarray
+    t: np.ndarray
+    stop: np.ndarray
+
+
+def fan_walk(codes: np.ndarray, cell_size: float, ox: float, oy: float,
+             angles: Sequence[float], max_range: float) -> FanWalk:
+    """Walk the rays at `angles` from (ox, oy) over `codes`, step by step."""
+    table, cx, cy, _, stop = _walk(codes, cell_size, ox, oy, max_range, tuple(angles))
+    return FanWalk(_lattice(table, cx, cy, codes.shape[1] - 2, table.window), table.t, stop)
 
 
 def _cells(flat: np.ndarray, width: int) -> list[Cell]:
@@ -307,7 +339,8 @@ def ir_scan(world: GridWorld, pose: Pose, cfg: IrConfig) -> IrScan:
     """Sweep the IR fan; beams that strike nothing report max_range, hit=False."""
     if not world.contains_point(pose.x, pose.y):
         raise ValueError("scan pose outside world bounds")
-    distance, hit = _fan(_fan_codes(world.occupied), world.cell_size, pose, cfg).beam_stops()
+    table, _, _, _, stop = _fan(_fan_codes(world.occupied), world.cell_size, pose, cfg)
+    distance, hit = _beam_stops(table, stop, cfg.max_range)
     return IrScan(pose, tuple(map(Beam, beam_angles(pose.heading, cfg.fov, cfg.ray_count),
                                   distance.tolist(), hit.tolist())))
 
@@ -317,11 +350,14 @@ def camera_sweep(blocked: np.ndarray, cell_size: float, pose: Pose,
     """The camera fan from `pose` walked over the `blocked` mask: the cells
     rays traversed (seen free) and the in-lattice blocked cells that stopped a
     ray within range (seen blocked), each once, in walk order."""
-    walk = _fan(_fan_codes(blocked), cell_size, pose, cfg)
-    flat, t, code = walk.at(walk.stop)
+    table, cx, cy, code, stop = _fan(_fan_codes(blocked), cell_size, pose, cfg)
+    beams = np.arange(len(stop))
+    at_stop = (code[beams, stop] == _BLOCKED) & (table.t[beams, stop] <= cfg.max_range)
     width = blocked.shape[1]
-    return (_cells(_in_walk_order(walk.flat[walk.before(walk.stop)]), width),
-            _cells(_in_walk_order(flat[(code == _BLOCKED) & (t <= cfg.max_range)]), width))
+    return (_cells(_lattice(table, cx, cy, width,
+                            _in_walk_order(table.window[_before(table.t, stop)])), width),
+            _cells(_lattice(table, cx, cy, width,
+                            _in_walk_order(table.window[beams, stop][at_stop])), width))
 
 
 def sense_cells(blocked: np.ndarray, cell_size: float, pose: Pose, ir: IrConfig,
@@ -332,18 +368,20 @@ def sense_cells(blocked: np.ndarray, cell_size: float, pose: Pose, ir: IrConfig,
     and the cells the camera fan sees free (as `camera_sweep` finds them),
     each array ascending."""
     codes = _fan_codes(blocked)
-    beams = _fan(codes, cell_size, pose, ir)
-    free, hits = beams.ir_evidence(*beams.beam_stops())
-    sweep = _fan(codes, cell_size, pose, cam)
-    mask = np.zeros(sweep.cells, dtype=bool)
-    mask[sweep.flat[sweep.before(sweep.stop)]] = True
-    return free, hits, np.flatnonzero(mask).astype(np.int32)
+    width = blocked.shape[1]
+    table, cx, cy, code, stop = _fan(codes, cell_size, pose, ir)
+    free, hits = _ir_evidence(table, cx, cy, width, code, stop,
+                              *_beam_stops(table, stop, ir.max_range))
+    table, cx, cy, _, stop = _fan(codes, cell_size, pose, cam)
+    seen = np.zeros(table.size, dtype=bool)
+    seen[table.window[_before(table.t, stop)]] = True
+    return free, hits, _lattice(table, cx, cy, width, seen.nonzero()[0])
 
 
 def scan_cells(width: int, height: int, cell_size: float,
                scan: IrScan) -> tuple[np.ndarray, np.ndarray]:
     """Flat (row-major) indices of the cells of a width x height lattice
-    that an IR scan passes and hits.
+    that an IR scan passes and hits (see `_ir_evidence`), each ascending.
 
     A beam passes the cells it enters before its length less 1e-9; a beam
     that hit something marks the cell it enters at its length, within 1e-9.
@@ -352,10 +390,12 @@ def scan_cells(width: int, height: int, cell_size: float,
     one table, whatever its beam lengths.
     """
     beams = scan.beams
-    walk = fan_walk(_fan_codes(np.zeros((height, width), dtype=bool)), cell_size,
-                    scan.origin.x, scan.origin.y, tuple(b.angle for b in beams), math.inf)
-    return walk.ir_evidence(np.array([b.distance for b in beams], dtype=float),
-                            np.array([b.hit for b in beams], dtype=bool))
+    table, cx, cy, code, stop = _walk(
+        _fan_codes(np.zeros((height, width), dtype=bool)), cell_size, scan.origin.x,
+        scan.origin.y, math.inf, tuple(b.angle for b in beams))
+    return _ir_evidence(table, cx, cy, width, code, stop,
+                        np.array([b.distance for b in beams], dtype=float),
+                        np.array([b.hit for b in beams], dtype=bool))
 
 
 def camera_observe(world: GridWorld, pose: Pose, cfg: CameraConfig) -> CameraObservation:

@@ -4,17 +4,17 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from curiogrid import explorer
-from curiogrid.curiosity import CuriosityParams
+from curiogrid.curiosity import CuriosityParams, curiosity_of, total_curiosity
 from curiogrid.explorer import (MotionConfig, SensorSuite, _cell, _decide, _dijkstra,
                                 _index, _padded, detect_frontiers, explore_cdos,
                                 explore_rapid_frontier, local_frontiers, path_cost,
                                 plan_path)
 from curiogrid.harness import fixture_path, steps_jsonl
 from curiogrid.mapping import Label, MappingConfig, OccupancyMap, logit, to_pgm
-from curiogrid.sensor import CameraConfig, IrConfig
+from curiogrid.sensor import CameraConfig, Detection, IrConfig
 from curiogrid.world import GridWorld, Pose, load_map
 
 
@@ -504,7 +504,8 @@ class TestMaintainedViews:
         h, w = ex.occupancy.log_odds.shape
         assert np.array_equal(ex.labels.reshape(h + 2, w + 2)[1:-1, 1:-1],
                               ex.occupancy.classify())
-        assert ex._frontiers() == detect_frontiers(ex.occupancy)
+        assert explorer._cells(np.flatnonzero(ex.frontier), ex.stride) == \
+            detect_frontiers(ex.occupancy)
 
     @settings(max_examples=200, deadline=None)
     @given(evidence_sequences())
@@ -530,6 +531,116 @@ class TestMaintainedViews:
         ex.run()
         assert ex.steps
         self._assert_views_current(ex)
+
+
+@st.composite
+def camera_evidence_sequences(draw):
+    """A small lattice, mapping constants, a curiosity curve and a sequence
+    of camera senses: each the cells seen free, a detection (a cell, seen or
+    not, and its confidence) or none, and what follows the sense: nothing, a
+    decision, or a fork that goes on in place of its original or beside it."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cfg = draw(st.sampled_from([MappingConfig(), MappingConfig(lambda1=0.45, lambda2=0.55),
+                                MappingConfig(p_miss_cam=0.1, lambda1=0.3, lambda2=0.6)]))
+    params = draw(st.sampled_from([CuriosityParams(), CuriosityParams(-0.4, 0.2, 0.9)]))
+    cell = st.integers(0, width * height - 1)
+    detection = st.one_of(st.none(), st.tuples(cell, st.floats(0.0, 1.0)))
+    then = st.sampled_from(["sense", "decide", "fork", "fork and switch"])
+    senses = draw(st.lists(st.tuples(st.sets(cell), detection, then), max_size=14))
+    return width, height, cfg, params, senses
+
+
+class TestMaintainedCuriosity:
+    """The explorer's per-cell curiosity, brought up to date at a decision
+    from the cells its senses queued, equals `curiosity_of(classified())`
+    element by element, and its sum equals `total_curiosity` bit for bit, also
+    across forks."""
+
+    @staticmethod
+    def _assert_curiosity_current(ex):
+        total = ex._total_curiosity()
+        assert np.array_equal(ex.curiosity, curiosity_of(ex.objects.classified(), ex.params))
+        assert total == total_curiosity(ex.objects, ex.params)
+
+    @settings(max_examples=200, deadline=None)
+    @given(camera_evidence_sequences())
+    # a confident detection of a cell the sweep did not see, then one of a seen cell
+    @example((3, 2, MappingConfig(), CuriosityParams(),
+              [({0, 1}, (5, 0.99), "decide"), ({4, 5}, (5, 0.99), "fork")]))
+    # cells pushed below lambda1 by misses alone
+    @example((2, 1, MappingConfig(), CuriosityParams(),
+              [({0}, None, "sense"), ({0, 1}, None, "sense"), ({0}, None, "decide")]))
+    def test_curiosity_matches_full_recomputation(self, case):
+        width, height, cfg, params, senses = case
+        world = GridWorld(width, height, 1.0, np.zeros((height, width), dtype=bool),
+                          Pose(0.5, 0.5, 0.0))
+        ex = explorer._Explorer(world, suite(), MotionConfig(), 600.0, cfg, 0.95, params,
+                                explorer._pick_heading)
+        made = [ex]
+        self._assert_curiosity_current(ex)
+        for seen, det, then in senses:
+            if det is not None:
+                det = Detection((det[0] % width, det[0] // width), 1.0, det[1])
+            ex._observe(np.array(sorted(seen), dtype=np.int32), det)
+            if then == "decide":
+                self._assert_curiosity_current(ex)
+            elif then.startswith("fork"):
+                made.append(ex.fork())
+                if then == "fork and switch":
+                    ex = made[-1]
+        # the explorers left behind at a fork were not touched by the one going on
+        for ex in made:
+            self._assert_curiosity_current(ex)
+
+    @pytest.mark.parametrize("pick", [explorer._pick_curiosity, explorer._pick_heading])
+    def test_curiosity_matches_after_a_run(self, pick):
+        world = load_map(fixture_path("sparse.map").read_text()).with_target((30, 5))
+        ex = explorer._Explorer(world, suite(), MotionConfig(), 30.0, MappingConfig(), 0.95,
+                                CuriosityParams(), pick)
+        ex.run()
+        assert ex.steps
+        self._assert_curiosity_current(ex)
+
+
+@st.composite
+def wedge_cases(draw):
+    """A belief map of random labels, an IR fan, and a pose anywhere in a
+    cell: at its centre, on its corner or off both. Cell sizes include ones
+    that are not a power of two, and ranges that are not a multiple of the
+    cell size or that pass exactly through a cell centre."""
+    cell_size, max_range = draw(st.sampled_from(
+        [(0.25, 1.9), (0.3, 2.0), (0.3, 0.6), (0.1, 0.3), (0.5, 2.0), (1.0, 2.5), (0.3, None)]))
+    width, height = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    labels = rng.choice(3, size=(height, width), p=[0.5, 0.1, 0.4])
+    log_odds = np.choose(labels, [logit(0.05), logit(0.9), 0.0])
+    cx, cy = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+    at = st.one_of(st.just(0.5), st.just(0.0), st.floats(0.0, 0.999))
+    x, y = (cx + draw(at)) * cell_size, (cy + draw(at)) * cell_size
+    if max_range is None:  # the range circle through a cell centre
+        far = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+        max_range = math.hypot((far[0] + 0.5) * cell_size - x, (far[1] + 0.5) * cell_size - y)
+        max_range = max(max_range, 1e-3)
+    fov = draw(st.sampled_from([math.radians(30.0), math.radians(120.0), 2 * math.pi]))
+    pose = Pose(x, y, draw(st.floats(-math.pi, math.pi)))
+    world = GridWorld(width, height, cell_size, np.zeros((height, width), dtype=bool), pose)
+    return world, log_odds, IrConfig(fov, max_range)
+
+
+class TestWedge:
+    @settings(max_examples=300, deadline=None)
+    @given(wedge_cases())
+    def test_box_bounded_wedge_matches_full_filter(self, case):
+        # the explorer's wedge, tested only over the frontiers in the box
+        # around its cell, equals the wedge filter over every frontier
+        world, log_odds, ir = case
+        ex = explorer._Explorer(world, SensorSuite(ir, CameraConfig()), MotionConfig(), 600.0,
+                                MappingConfig(), 0.95, CuriosityParams(), explorer._pick_heading)
+        ex.occupancy.log_odds[...] = log_odds
+        ex._relabel(np.arange(log_odds.size))
+        pose = world.start
+        want = local_frontiers(detect_frontiers(ex.occupancy), pose, ir, world.cell_size)
+        assert ex._wedge(np.flatnonzero(ex.frontier), world.cell_of(pose.x, pose.y)) == want
 
 
 class TestSenseCache:

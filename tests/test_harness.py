@@ -190,6 +190,33 @@ class TestZoneExperiment:
         parallel = run_zone_experiment(tiny_config(tiny_dir, workers=2))
         assert trials_csv(serial.records) == trials_csv(parallel.records)
 
+    def test_pool_runs_each_map_and_method_as_one_task(self, tiny_dir, monkeypatch):
+        # so that one worker builds the tape those trials share
+        tasks = []
+
+        class InProcess:
+            def __init__(self, max_workers):
+                assert max_workers == 3
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                tasks.extend(items)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcess)
+        cfg = tiny_config(tiny_dir, map_dense=str(tiny_dir / "tiny.map"), workers=3)
+        pooled = run_zone_experiment(cfg)
+        groups = [{(trial[0], trial[4]) for trial in task} for task in tasks]
+        assert sorted(g.pop() for g in groups if len(g) == 1) == [
+            (map_id, method) for map_id in ("dense", "sparse") for method in sorted(harness.METHODS)]
+        serial = run_zone_experiment(replace(cfg, workers=1))
+        assert trials_csv(pooled.records) == trials_csv(serial.records)
+
     def test_missing_zone_file_rejected(self, tiny_dir):
         cfg = tiny_config(tiny_dir)
         cfg = replace(cfg, zone_file=None)
@@ -416,6 +443,21 @@ class TestTrialPurity:
         for placement in ((8, 3), (7, 1)):
             run_trial(TINY_MAP, placement, "baseline", math.radians(60), math.radians(30), cfg)
         assert harness._parsed_map.cache_info().misses == 1
+
+    def test_zone_runs_search_each_map_once(self, tiny_dir, monkeypatch):
+        searched = []
+        search = harness._ground_truth_reachable
+        monkeypatch.setattr(harness, "_ground_truth_reachable",
+                            lambda world: searched.append(world) or search(world))
+        harness._reachable.cache_clear()
+        first = run_zone_experiment(tiny_config(tiny_dir))
+        second = run_zone_experiment(tiny_config(tiny_dir, seed=4))
+        assert len(searched) == 1
+        assert [r.reachable for r in first.records + second.records] == [
+            bool(search(load_map(TINY_MAP))[r.placement[1], r.placement[0]])
+            for r in first.records + second.records]
+        with pytest.raises(ValueError, match="read-only"):
+            harness._reachable(TINY_MAP)[0, 0] = True
 
     def test_run_trial_reports_every_map_error(self, tiny_dir):
         bad = TINY_MAP.replace("#.S", "#?S")

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from curiogrid import sensor
 from curiogrid.curiosity import visible_from
 from curiogrid.explorer import local_frontiers
 from curiogrid.mapping import Label
-from curiogrid.sensor import (CameraConfig, IrConfig, beam_angles, camera_observe, detect,
-                              detection_confidence, ir_scan, rays_per_fov, wedge_cells)
+from curiogrid.sensor import (CameraConfig, IrConfig, beam_angles, camera_observe,
+                              camera_sweep, detect, detection_confidence, ir_scan,
+                              rays_per_fov, sense_cells, wedge_cells)
 from curiogrid.world import GridWorld, Pose, angle_diff, load_map, trace_ray, wrap_angle
 
 
@@ -259,3 +261,25 @@ def test_wedge_cells_match_the_scalar_rule_on_the_boundary(case):
     assert wedge_cells(cells, pose, cfg, cell_size) == [
         c for c in cells
         if _wedge_rule((c[0] + 0.5) * cell_size, (c[1] + 0.5) * cell_size, pose, cfg)]
+
+
+@pytest.mark.parametrize("cell_size", [0.25, 0.3])
+def test_one_table_memo_serves_every_walk(cell_size, monkeypatch):
+    # sense_cells, ir_scan and camera_sweep from one pose build each of the
+    # two fan tables once between them, at a cell centre and off it
+    builds = []
+    build = sensor._fan_table
+    monkeypatch.setattr(sensor, "_fan_table", lambda *a: builds.append(a) or build(*a))
+    monkeypatch.setattr(sensor, "_FAN_TABLES", {})
+    rows = ["#" * 12] + ["#" + "." * 10 + "#" for _ in range(10)] + ["#" * 12]
+    rows[3] = "#...#..S...#"
+    world = load_map(make_map(rows, cell_size))
+    ir, cam = IrConfig(math.radians(30.0), 1.9), CameraConfig(math.radians(60.0), 2.0)
+    for x, y, heading in ((4.5, 5.5, 0.3), (4.5, 5.5, -2.0), (4.2, 5.9, 0.3)):
+        pose = Pose(x * cell_size, y * cell_size, heading)
+        held = len(builds)
+        for _ in range(2):
+            sense_cells(world.occupied, cell_size, pose, ir, cam)
+            ir_scan(world, pose, ir)
+            camera_sweep(world.occupied, cell_size, pose, cam)
+        assert len(builds) == held + 2
