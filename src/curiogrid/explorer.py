@@ -8,10 +8,11 @@ from the local set.
 
 A decision reads views the loop keeps current rather than full-grid passes:
 the occupancy labels and frontier mask (relabelled at the cells each sense
-touched), each cell's curiosity (updated at the cells the senses since the
-last decision gave camera evidence on) and the local frontiers, tested
-against the IR wedge only within the box the IR range can reach. The
-full-grid functions (`OccupancyMap.classify`, `detect_frontiers`,
+touched, off the config's two log-odds edges), each cell's curiosity
+(updated at the cells the senses since the last decision gave camera
+evidence on) and the local frontiers, tested against the IR wedge only
+within the box the IR range can reach. The full-grid functions
+(`OccupancyMap.classify` and `occupancy_labels`, `detect_frontiers`,
 `curiosity.total_curiosity`, `local_frontiers` over every frontier) stay the
 spec the tests check the views against.
 """
@@ -30,10 +31,10 @@ import numpy as np
 # importable from this module because bench/spans.py wraps them under these names.
 from .curiosity import CuriosityParams, curiosity_of, select_frontier, total_curiosity
 from .mapping import (FREE, OCCUPIED, UNKNOWN, MappingConfig, ObjectMap, OccupancyMap,
-                      classify_object_probabilities, occupancy_labels,
+                      classify_object_probabilities, edge_labels, occupancy_labels,
                       probabilities_from_log_odds)
-from .sensor import (CameraConfig, Detection, IrConfig, camera_observe, detect, ir_scan,
-                     sense_cells, wedge_cells)
+from .sensor import (CameraConfig, Detection, IrConfig, camera_observe, detect, fan_codes,
+                     ir_scan, sense_cells, wedge_cells)
 from .world import TWO_PI, Cell, GridWorld, Pose, angle_diff, wrap_angle
 
 SQRT2 = math.sqrt(2.0)
@@ -321,9 +322,9 @@ def _decide(free: bytes, width: int, start: int, cell_size: float, goals: bytes,
 # The most poses the sensing evidence cache holds, over all maps.
 _SENSE_CACHE_LIMIT = 1 << 13
 
-# Flat cell indices of one sense: IR passed cells, IR hit cells, then camera
-# seen-free cells, in one int32 array; and the offsets of the second and
-# third part.
+# The evidence of one sense (`sense_cells`): flat cell indices of the IR
+# passed cells, IR hit cells, then camera seen-free cells, in one int32 array;
+# and the offsets of the second and third part.
 _Evidence = tuple[np.ndarray, int, int]
 
 # Per-process ground-truth sensing evidence: one table per map, from pose to
@@ -372,6 +373,8 @@ class _Explorer:
         self.framed = (rows + 1) * self.stride + cols + 1
         self.cross = np.array([0, -self.stride, -1, 1, self.stride])
         occupied = world.occupied
+        # the walls as the sensing-cache misses walk them; forks share it
+        self.codes = fan_codes(occupied)
         self.evidence = _SENSE_CACHE.setdefault(
             (occupied.shape, world.cell_size, occupied.dtype.str, occupied.tobytes(),
              sensors.ir, sensors.camera), {})
@@ -405,9 +408,8 @@ class _Explorer:
         search must stop: the target is found or the budget is spent."""
         evidence = self.evidence.get(self.pose)
         if evidence is None:
-            free, hits, seen = sense_cells(self.world.occupied, self.world.cell_size, self.pose,
-                                           self.sensors.ir, self.sensors.camera)
-            evidence = np.concatenate((free, hits, seen)), len(free), len(free) + len(hits)
+            evidence = sense_cells(self.codes, self.world.cell_size, self.pose,
+                                   self.sensors.ir, self.sensors.camera)
             if sum(map(len, _SENSE_CACHE.values())) >= _SENSE_CACHE_LIMIT:
                 for table in _SENSE_CACHE.values():
                     table.clear()
@@ -431,9 +433,10 @@ class _Explorer:
     def _relabel(self, touched: np.ndarray) -> None:
         """Bring the labels and the frontier mask up to date after evidence
         at the flat map indices `touched`: labels are per-cell functions of
-        the log odds, and a cell's frontier status reads only its own label
-        and its 4-neighbors'."""
-        new = occupancy_labels(self.occupancy.log_odds.ravel()[touched], self.occupancy.cfg)
+        the log odds, read off the config's two log-odds edges
+        (`edge_labels`), and a cell's frontier status reads only its own
+        label and its 4-neighbors'."""
+        new = edge_labels(self.occupancy.log_odds.ravel()[touched], self.occupancy.cfg)
         framed = self.framed[touched]
         changed = framed[self.labels[framed] != new]
         if not changed.size:

@@ -5,11 +5,18 @@ realizes the standard recursive Bayesian filter: fusing an observation with
 inverse-model probability p adds log(p / (1 - p)) to the cell. Saturation is
 applied when converting back to probability, so the accumulated evidence is
 order-invariant.
+
+`occupancy_labels` is the per-cell label rule and the spec. Labels are
+monotone in the log odds, so a config's labels change at two log odds
+(`label_edges`, found once per config by bisection on the rule itself), and
+`edge_labels` reads labels off them with one search and no exp.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
@@ -81,6 +88,60 @@ def occupancy_labels(log_odds: np.ndarray, cfg: MappingConfig) -> np.ndarray:
     out[p < cfg.p_free_max] = FREE
     out[p > cfg.p_occ_min] = OCCUPIED
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def label_edges(cfg: MappingConfig) -> np.ndarray:
+    """The log odds at which `occupancy_labels` stops labelling FREE and
+    starts labelling OCCUPIED, as one ascending array: a cell of log odds x
+    is FREE below the first edge, OCCUPIED from the second on and UNKNOWN in
+    between, which `edge_labels` reads with one search.
+
+    Each edge is the least float64 whose label `occupancy_labels` itself
+    gives past it, found by bisection over the float64 bit patterns between
+    -LOG_ODDS_CAP and LOG_ODDS_CAP; the labels clip to that interval, so an
+    edge is -inf when the cap's own label is already past it and inf when
+    no log odds gets there. Found once per config, at its first use.
+    """
+    def edge(past) -> float:
+        def passed(key: int) -> bool:
+            return past(occupancy_labels(np.array([_float_at(key)]), cfg)[0])
+        lo, hi = _float_key(-LOG_ODDS_CAP), _float_key(LOG_ODDS_CAP)
+        if passed(lo):
+            return -math.inf
+        if not passed(hi):
+            return math.inf
+        while hi - lo > 1:  # passed(hi) and not passed(lo)
+            mid = (lo + hi) // 2
+            if passed(mid):
+                hi = mid
+            else:
+                lo = mid
+        return _float_at(hi)
+    edges = np.array([edge(lambda label: label != FREE), edge(lambda label: label == OCCUPIED)])
+    edges.setflags(write=False)  # shared by every caller
+    return edges
+
+
+def _float_key(x: float) -> int:
+    """An int that orders float64s as their values do (both zeros give 0)."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _float_at(key: int) -> float:
+    """The float64 of a `_float_key`."""
+    bits = key if key >= 0 else -key | -0x8000_0000_0000_0000
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+# The label of each bucket `label_edges` splits the log odds into.
+_EDGE_LABELS = np.array([FREE, UNKNOWN, OCCUPIED], dtype=np.int8)
+
+
+def edge_labels(log_odds: np.ndarray, cfg: MappingConfig) -> np.ndarray:
+    """`occupancy_labels` of finite log odds, read off `label_edges`."""
+    return _EDGE_LABELS[np.searchsorted(label_edges(cfg), log_odds, side="right")]
 
 
 def classify_object_probabilities(p: np.ndarray, lambda1: float, lambda2: float) -> np.ndarray:

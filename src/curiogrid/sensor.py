@@ -5,24 +5,35 @@ target detection whose confidence decays with distance as conf_scale / d,
 clamped to 1.
 
 `_walk` is the one fan walk: the IR scan, the camera sweep (also the
-prediction of a candidate view), the cells one sense gives evidence on
-(`sense_cells`), the cells of a given IR scan (`scan_cells`) and the
-step-by-step view `fan_walk` all read it, and only this module knows its
-layout. It walks a whole fan as one numpy gather over a memoized table of
+prediction of a candidate view), the cells of a given IR scan (`scan_cells`)
+and the step-by-step view `fan_walk` all read it, and only this module knows
+its layout. It walks a whole fan as one numpy gather over a memoized table of
 every beam's cell offsets and entry distances, stepped exactly as
-`world.trace_ray` steps. A sensor fan's table is found by its first angle,
-fov and ray count, so a walk builds no angle list, and each table holds the
-window of lattice rows and columns its steps cover, so a walk marks cells
-over that window rather than the whole lattice. `trace_ray` is the spec and
-the test oracle, and the single rays of `detect` and `world.ray_cast` run on
-it. The wedge test (`wedge_cells`) has its one copy here too.
+`world.trace_ray` steps, over a code grid of the walls (`fan_codes`). A
+sensor fan's table is found by its first angle, fov and ray count, so a walk
+builds no angle list, and each table holds the window of lattice rows and
+columns its steps cover, so a walk marks cells over that window rather than
+the whole lattice.
+
+The cells one sense gives evidence on (`sense_cells`, the explorer's sensing
+cache miss) come from one walk of both fans, over a fused table built from
+the two fan tables. A beam's evidence depends only on the step at which it
+stops, so the fused table holds it for every step: the IR beam's pass end
+and hit test (as `_ir_evidence` finds them) and the camera beam's seen
+cells. A sense is then one gather over a code grid the caller builds once
+per map, one stop search and one flag array. Fan and fused tables share one
+memo, bounded at _FAN_TABLE_LIMIT beam steps.
+
+`trace_ray` is the spec and the test oracle, and the single rays of `detect`
+and `world.ray_cast` run on it. The wedge test (`wedge_cells`) has its one
+copy here too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -127,12 +138,12 @@ def detection_confidence(distance: float, conf_scale: float) -> float:
     return conf_scale / distance
 
 
-# Cell codes of the grid a fan walks (`_fan_codes`); free cells are 0.
+# Cell codes of the grid a fan walks (`fan_codes`); free cells are 0.
 _BLOCKED, _OUTSIDE = 1, 2
 
-# The most beam steps the fan tables hold, over all cell sizes, origins and
-# fans (25 bytes each, about 1.6 MB in all); a new table that would pass it
-# empties the memo first. A zone run on the packaged maps holds about 31k.
+# The most beam steps the fan and sense tables hold, over all cell sizes,
+# origins and fans (25 to 30 bytes each, about 2 MB in all); a new table that
+# would pass it empties the memo first.
 _FAN_TABLE_LIMIT = 1 << 16
 
 
@@ -154,7 +165,49 @@ class _FanTable(NamedTuple):
     size: int
 
 
-_FAN_TABLES: dict[tuple, _FanTable] = {}
+class _SenseTable(NamedTuple):
+    """The two fans of one sense from one origin spot, for `sense_cells`:
+    the IR fan's `ir` beams, then the camera fan's, one row per beam, each
+    row padded to one step count (`steps` is 0, 1, ... per column). `pad`
+    and `beyond` are the steps' code grid offsets and range tests, as in the
+    fans' `_FanTable`s.
+
+    A sense fills a flag array of three equal parts: the cells the IR fan
+    passes, the cells it hits and the cells the camera sees. Each part
+    covers the same stretch of lattice indices around the origin cell's,
+    every cell in the rows and columns either fan's steps reach. `window` is
+    each step's flag in its beam's part (the passes' part for an IR beam),
+    `lattice` the lattice index, less the origin cell's, of each flag of a
+    part (int32), and `parts` the first flags of the second and the third
+    part.
+
+    A beam's evidence depends only on the step at which it stops, so these
+    hold it for every stop step, at row * steps + step (`rows` + step):
+      - `limit`: the beam passes (IR) or sees (camera) the cells of the
+        steps before this one;
+      - `end` (IR rows): that step, at row * steps + limit;
+      - `mark` (IR rows): _OUTSIDE if the beam marks the cell it enters at
+        `end` as hit, else 0; the cell is marked when its code is below
+        `mark`, that is, when the beam hits and the cell lies in the
+        lattice.
+    """
+
+    pad: np.ndarray
+    beyond: np.ndarray
+    rows: np.ndarray
+    steps: np.ndarray
+    limit: np.ndarray
+    end: np.ndarray
+    mark: np.ndarray
+    window: np.ndarray
+    lattice: np.ndarray
+    parts: np.ndarray
+    ir: int
+
+
+_Table = TypeVar("_Table", _FanTable, _SenseTable)
+
+_FAN_TABLES: dict[tuple, _FanTable | _SenseTable] = {}
 
 
 def _fan_table(cell_size: float, bx1: float, bx0: float, by1: float, by0: float,
@@ -202,7 +255,44 @@ def _fan_table(cell_size: float, bx1: float, bx0: float, by1: float, by0: float,
                      int(ys.max()) * width + int(xs.max()) - low + 1)
 
 
-def _fan_codes(blocked: np.ndarray) -> np.ndarray:
+def _sense_table(ir: _FanTable, cam: _FanTable, ir_range: float) -> _SenseTable:
+    """The `_SenseTable` of an IR fan's and a camera fan's tables from one
+    origin spot: each IR beam's evidence for a stop at each step, as
+    `_beam_stops` and `_ir_evidence` find it."""
+    n, cols = len(ir.t), max(ir.t.shape[1], cam.t.shape[1])
+    low = min(ir.low, cam.low)
+    size = max(ir.low + ir.size, cam.low + cam.size) - low
+
+    def stack(a: np.ndarray, b: np.ndarray, fill) -> np.ndarray:
+        """The rows of `a` over those of `b`, each filled up to `cols` steps
+        with `fill`, which a sense reads only as past the walk."""
+        out = np.full((len(a) + len(b), cols), fill, dtype=a.dtype)
+        out[:len(a), :a.shape[1]] = a
+        out[len(a):, :b.shape[1]] = b
+        return out
+
+    t = np.full((n, cols), math.inf)
+    t[:, :ir.t.shape[1]] = ir.t
+    steps = np.arange(cols)
+    # per beam and stop step: the beam's (distance, hit), then the step `end`
+    # before which it passes its cells, and whether it marks the cell there
+    hit = t <= ir_range
+    distance = np.where(hit, t, ir_range)
+    reach = np.nextafter(distance - 1e-9, -np.inf)
+    end = np.minimum((t[:, None, :] > reach[:, :, None]).argmax(axis=2), steps)
+    rows = np.arange(n + len(cam.t)) * cols
+    at_end = rows[:n, None] + end
+    hit &= t.take(at_end) <= distance + 1e-9
+    limit = np.empty((len(rows), cols), dtype=end.dtype)
+    limit[:n], limit[n:] = end, steps
+    return _SenseTable(
+        stack(ir.pad, cam.pad, 0), stack(ir.beyond, cam.beyond, True), rows, steps, limit,
+        at_end, np.where(hit, _OUTSIDE, 0).astype(np.uint8),
+        stack(ir.window + (ir.low - low), cam.window + (cam.low - low + 2 * size), 0),
+        np.arange(low, low + size, dtype=np.int32), np.array([size, 2 * size]), n)
+
+
+def fan_codes(blocked: np.ndarray) -> np.ndarray:
     """The grid a fan walk reads: each cell of the `blocked` mask coded free
     or blocked, framed by a one-cell border coded outside the lattice."""
     height, width = blocked.shape
@@ -211,9 +301,44 @@ def _fan_codes(blocked: np.ndarray) -> np.ndarray:
     return codes
 
 
+def _spot(width: int, height: int, cell_size: float, ox: float,
+          oy: float) -> tuple[int, int, tuple]:
+    """The cell (cx, cy) of a fan origin (ox, oy) in a width x height lattice
+    and the origin's spot within it: the cell size and the offsets from the
+    origin to the cell's right, left, lower and upper boundaries."""
+    cx = int(math.floor(ox / cell_size))
+    cy = int(math.floor(oy / cell_size))
+    if not (0 <= cx < width and 0 <= cy < height):
+        raise ValueError("fan origin outside the lattice")
+    return cx, cy, (cell_size, (cx + 1) * cell_size - ox, cx * cell_size - ox,
+                    (cy + 1) * cell_size - oy, cy * cell_size - oy)
+
+
+def _memo(key: tuple, build: Callable[[], _Table]) -> _Table:
+    """The table memoized under `key`, built by `build` if missing. A new
+    table that would take the memo past _FAN_TABLE_LIMIT steps empties it
+    first."""
+    table = _FAN_TABLES.get(key)
+    if table is None:
+        table = build()
+        if (sum(t.beyond.size for t in _FAN_TABLES.values()) + table.beyond.size
+                > _FAN_TABLE_LIMIT):
+            _FAN_TABLES.clear()
+        _FAN_TABLES[key] = table
+    return table
+
+
+def _table(spot: tuple, max_range: float, width: int, height: int, beams: tuple) -> _FanTable:
+    """The memoized `_fan_table` of the fan `beams` (see `_walk`) from an
+    origin at `spot` (see `_spot`)."""
+    key = spot + (max_range, width, height) + beams
+    return _memo(key, lambda: _fan_table(
+        *key[:8], beams[0] if len(beams) == 1 else _spread(*beams)))
+
+
 def _walk(codes: np.ndarray, cell_size: float, ox: float, oy: float, max_range: float,
           *beams) -> tuple[_FanTable, int, int, np.ndarray, np.ndarray]:
-    """Walk a ray fan from (ox, oy) over `codes` (see `_fan_codes`), each beam
+    """Walk a ray fan from (ox, oy) over `codes` (see `fan_codes`), each beam
     stepping, entering and stopping exactly as `trace_ray` does.
 
     Returns the fan's table, the origin's cell (cx, cy), each step's code
@@ -224,29 +349,27 @@ def _walk(codes: np.ndarray, cell_size: float, ox: float, oy: float, max_range: 
     `beams` is the beam angles as one tuple, or a sensor fan's first angle,
     fov and ray count (`_spread`'s arguments), so that a sensor fan's key
     needs no angle list, and two headings whose beams fall on the same
-    angles share a table. The tables are memoized by cell size, the origin's
-    offsets to its cell boundaries, range, lattice shape and `beams`: any
-    origin at the same spot within its cell (every cell centre, for a
-    power-of-two cell size) shares one. The two forms give keys of different
-    lengths, which never meet.
+    angles share a table. The tables are memoized by the origin's spot
+    within its cell, range, lattice shape and `beams`: any origin at the
+    same spot within its cell (every cell centre, for a power-of-two cell
+    size) shares one. The two forms give keys of different lengths, which
+    never meet.
     """
     height, width = codes.shape[0] - 2, codes.shape[1] - 2
-    cx = int(math.floor(ox / cell_size))
-    cy = int(math.floor(oy / cell_size))
-    if not (0 <= cx < width and 0 <= cy < height):
-        raise ValueError("fan origin outside the lattice")
-    key = (cell_size, (cx + 1) * cell_size - ox, cx * cell_size - ox,
-           (cy + 1) * cell_size - oy, cy * cell_size - oy, max_range, width, height, *beams)
-    table = _FAN_TABLES.get(key)
-    if table is None:
-        table = _fan_table(*key[:8], beams[0] if len(beams) == 1 else _spread(*beams))
-        if sum(t.t.size for t in _FAN_TABLES.values()) + table.t.size > _FAN_TABLE_LIMIT:
-            _FAN_TABLES.clear()
-        _FAN_TABLES[key] = table
+    cx, cy, spot = _spot(width, height, cell_size, ox, oy)
+    table = _table(spot, max_range, width, height, beams)
+    return (table, cx, cy) + _stops(codes, table, cx, cy)
+
+
+def _stops(codes: np.ndarray, table: _FanTable | _SenseTable, cx: int,
+           cy: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each step's code, for the walk of `table` from cell (cx, cy) over
+    `codes`, and the step at which each beam stops: its first cell beyond
+    the range, outside the lattice or blocked."""
     # Steps up to each beam's stop read their own cell; later steps, which
     # may lie further outside than the border, read whatever the clip gives.
-    code = codes.take(table.pad + ((cy + 1) * (width + 2) + cx + 1), mode="clip")
-    return table, cx, cy, code, np.logical_or(code, table.beyond).argmax(axis=1)
+    code = codes.take(table.pad + ((cy + 1) * codes.shape[1] + cx + 1), mode="clip")
+    return code, np.logical_or(code, table.beyond).argmax(axis=1)
 
 
 def _fan(codes: np.ndarray, cell_size: float, pose: Pose,
@@ -339,7 +462,7 @@ def ir_scan(world: GridWorld, pose: Pose, cfg: IrConfig) -> IrScan:
     """Sweep the IR fan; beams that strike nothing report max_range, hit=False."""
     if not world.contains_point(pose.x, pose.y):
         raise ValueError("scan pose outside world bounds")
-    table, _, _, _, stop = _fan(_fan_codes(world.occupied), world.cell_size, pose, cfg)
+    table, _, _, _, stop = _fan(fan_codes(world.occupied), world.cell_size, pose, cfg)
     distance, hit = _beam_stops(table, stop, cfg.max_range)
     return IrScan(pose, tuple(map(Beam, beam_angles(pose.heading, cfg.fov, cfg.ray_count),
                                   distance.tolist(), hit.tolist())))
@@ -350,7 +473,7 @@ def camera_sweep(blocked: np.ndarray, cell_size: float, pose: Pose,
     """The camera fan from `pose` walked over the `blocked` mask: the cells
     rays traversed (seen free) and the in-lattice blocked cells that stopped a
     ray within range (seen blocked), each once, in walk order."""
-    table, cx, cy, code, stop = _fan(_fan_codes(blocked), cell_size, pose, cfg)
+    table, cx, cy, code, stop = _fan(fan_codes(blocked), cell_size, pose, cfg)
     beams = np.arange(len(stop))
     at_stop = (code[beams, stop] == _BLOCKED) & (table.t[beams, stop] <= cfg.max_range)
     width = blocked.shape[1]
@@ -360,22 +483,41 @@ def camera_sweep(blocked: np.ndarray, cell_size: float, pose: Pose,
                             _in_walk_order(table.window[beams, stop][at_stop])), width))
 
 
-def sense_cells(blocked: np.ndarray, cell_size: float, pose: Pose, ir: IrConfig,
-                cam: CameraConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat (row-major) indices of the cells one sense at `pose` gives
-    evidence on, with the walls of the `blocked` mask: the cells the IR fan
-    passes and hits (as `scan_cells` finds them for this pose's `ir_scan`)
-    and the cells the camera fan sees free (as `camera_sweep` finds them),
-    each array ascending."""
-    codes = _fan_codes(blocked)
-    width = blocked.shape[1]
-    table, cx, cy, code, stop = _fan(codes, cell_size, pose, ir)
-    free, hits = _ir_evidence(table, cx, cy, width, code, stop,
-                              *_beam_stops(table, stop, ir.max_range))
-    table, cx, cy, _, stop = _fan(codes, cell_size, pose, cam)
-    seen = np.zeros(table.size, dtype=bool)
-    seen[table.window[_before(table.t, stop)]] = True
-    return free, hits, _lattice(table, cx, cy, width, seen.nonzero()[0])
+def sense_cells(codes: np.ndarray, cell_size: float, pose: Pose, ir: IrConfig,
+                cam: CameraConfig) -> tuple[np.ndarray, int, int]:
+    """The cells one sense at `pose` gives evidence on, with the walls of
+    the code grid `codes` (see `fan_codes`): the flat (row-major) indices of
+    the cells the IR fan passes, then of those it hits (as `scan_cells`
+    finds them for this pose's `ir_scan`), then of those the camera fan sees
+    free (as `camera_sweep` finds them), each part ascending, in one int32
+    array; and the offsets of the second and the third part.
+
+    Both fans are one walk over their memoized `_SenseTable`, which is built
+    from the two fans' `_FanTable`s and found by the origin's spot in its
+    cell, the lattice shape and both fans' ranges, first angles, fovs and
+    ray counts.
+    """
+    height, width = codes.shape[0] - 2, codes.shape[1] - 2
+    cx, cy, spot = _spot(width, height, cell_size, pose.x, pose.y)
+    ir_beams = (pose.heading - ir.fov / 2.0, ir.fov, ir.ray_count)
+    cam_beams = (pose.heading - cam.fov / 2.0, cam.fov, cam.ray_count)
+    table = _memo(spot + (width, height, ir.max_range) + ir_beams + (cam.max_range,) + cam_beams,
+                  lambda: _sense_table(_table(spot, ir.max_range, width, height, ir_beams),
+                                       _table(spot, cam.max_range, width, height, cam_beams),
+                                       ir.max_range))
+    code, stop = _stops(codes, table, cx, cy)
+    at = table.rows + stop
+    flags = np.zeros(3 * len(table.lattice), dtype=bool)
+    flags[table.window[table.steps < table.limit.take(at)[:, None]]] = True
+    at = at[:table.ir]
+    end = table.end.take(at)
+    hits = table.window.take(end[code.take(end) < table.mark.take(at)])
+    flags[hits] = False
+    flags[hits + table.parts[0]] = True
+    cells = np.flatnonzero(flags)
+    hits_at, seen_at = np.searchsorted(cells, table.parts)
+    return (table.lattice.take(cells, mode="wrap") + (cy * width + cx),
+            int(hits_at), int(seen_at))
 
 
 def scan_cells(width: int, height: int, cell_size: float,
@@ -391,7 +533,7 @@ def scan_cells(width: int, height: int, cell_size: float,
     """
     beams = scan.beams
     table, cx, cy, code, stop = _walk(
-        _fan_codes(np.zeros((height, width), dtype=bool)), cell_size, scan.origin.x,
+        fan_codes(np.zeros((height, width), dtype=bool)), cell_size, scan.origin.x,
         scan.origin.y, math.inf, tuple(b.angle for b in beams))
     return _ir_evidence(table, cx, cy, width, code, stop,
                         np.array([b.distance for b in beams], dtype=float),

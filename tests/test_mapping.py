@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curiogrid.harness import default_config
 from curiogrid.mapping import (LOG_ODDS_CAP, Label, MappingConfig, ObjectMap, OccupancyMap,
-                               classify_object_probabilities, from_pgm, logit,
-                               object_glyphs, occupancy_glyphs, quantize, to_pgm)
+                               classify_object_probabilities, edge_labels, from_pgm,
+                               label_edges, logit, object_glyphs, occupancy_glyphs,
+                               occupancy_labels, quantize, to_pgm)
 from curiogrid.sensor import Beam, CameraObservation, Detection, IrScan
 from curiogrid.world import Pose
 
@@ -102,6 +104,54 @@ class TestClassifyOccupancy:
         omap.log_odds = rng.normal(0.0, 3.0, size=(10, 10))
         labels = omap.classify()
         assert set(np.unique(labels)) <= {Label.FREE, Label.OCCUPIED, Label.UNKNOWN}
+
+
+def _ulps_around(x: float, ulps: int) -> np.ndarray:
+    """The float64s up to `ulps` steps from a finite nonzero x, in order."""
+    bits = np.array([x]).view(np.int64)[0]
+    return np.arange(bits - ulps, bits + ulps + 1, dtype=np.int64).view(np.float64)
+
+
+@st.composite
+def label_configs(draw):
+    """Mapping configs whose thresholds may coincide, or lie so close to 0
+    or 1 that their log odds pass LOG_ODDS_CAP (1 / (1 + e^20) is 2.06e-9)."""
+    p = st.one_of(st.floats(1e-12, 1.0 - 1e-12),
+                  st.sampled_from([1e-12, 1e-10, 2.06e-9, 2.07e-9, 0.35, 0.5, 0.65,
+                                   1.0 - 2.07e-9, 1.0 - 2.06e-9, 1.0 - 1e-10]))
+    low, high = sorted((draw(p), draw(p)))
+    if draw(st.booleans()):
+        low = high
+    return MappingConfig(p_free_max=low, p_occ_min=high)
+
+
+class TestLabelEdges:
+    """The explorer labels cells off two log-odds edges (`edge_labels`);
+    `occupancy_labels` is the spec."""
+
+    def test_packaged_edges_bit_equal_to_the_spec(self):
+        cfg = default_config().mapping_config()
+        edges = label_edges(cfg)
+        # one miss lands on the free edge and stays UNKNOWN
+        assert edges[0] == logit(cfg.p_miss) == -0.6190392084062235
+        assert occupancy_labels(np.array([logit(cfg.p_miss)]), cfg)[0] == Label.UNKNOWN
+        for edge in edges:
+            near = _ulps_around(edge, 1 << 20)
+            assert (edge_labels(near, cfg) == occupancy_labels(near, cfg)).all()
+            below, at = occupancy_labels(np.array([np.nextafter(edge, -np.inf), edge]), cfg)
+            assert below != at
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_configs(), st.lists(st.floats(-1e3, 1e3), max_size=50))
+    def test_edges_match_the_spec_for_any_config(self, cfg, values):
+        # log odds are uncapped sums: 40 misses at p_miss 0.35 give -24.8,
+        # which an edge clamped to the cap instead of -inf would call FREE
+        edges = label_edges(cfg)
+        checks = [np.array(values), np.array([-1e300, -24.8, -20.0, 0.0, 20.0, 24.8, 1e300])]
+        checks += [_ulps_around(x, 1 << 10) for x in (-LOG_ODDS_CAP, LOG_ODDS_CAP)]
+        checks += [_ulps_around(e, 1 << 10) for e in edges if np.isfinite(e) and e != 0.0]
+        x = np.concatenate(checks)
+        assert (edge_labels(x, cfg) == occupancy_labels(x, cfg)).all()
 
 
 class TestObjectMapUpdate:

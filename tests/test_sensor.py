@@ -279,7 +279,31 @@ def test_one_table_memo_serves_every_walk(cell_size, monkeypatch):
         pose = Pose(x * cell_size, y * cell_size, heading)
         held = len(builds)
         for _ in range(2):
-            sense_cells(world.occupied, cell_size, pose, ir, cam)
+            sense_cells(sensor.fan_codes(world.occupied), cell_size, pose, ir, cam)
             ir_scan(world, pose, ir)
             camera_sweep(world.occupied, cell_size, pose, cam)
         assert len(builds) == held + 2
+
+
+def test_sense_tables_share_the_memo_bound(monkeypatch):
+    # at 0.3 m every origin spot gets its own fan and sense tables; with a
+    # bound of about one spot's tables the memo empties often, never holds
+    # more steps than the bound, and each sense equals one over a fresh memo
+    limit = 3000
+    monkeypatch.setattr(sensor, "_FAN_TABLE_LIMIT", limit)
+    rows = ["#" * 12] + ["#" + "." * 10 + "#" for _ in range(10)] + ["#" * 12]
+    rows[3] = "#...#..S...#"
+    world = load_map(make_map(rows, 0.3))
+    codes = sensor.fan_codes(world.occupied)
+    ir, cam = IrConfig(math.radians(30.0), 1.9), CameraConfig(math.radians(60.0), 2.0)
+    memo, held = {}, set()
+    for k in range(24):
+        pose = Pose(0.4 + (0.37 * k) % 2.6, 0.4 + 0.11 * k, 0.7 * k)
+        monkeypatch.setattr(sensor, "_FAN_TABLES", {})
+        fresh = sense_cells(codes, 0.3, pose, ir, cam)
+        monkeypatch.setattr(sensor, "_FAN_TABLES", memo)
+        cells, hits_at, seen_at = sense_cells(codes, 0.3, pose, ir, cam)
+        assert cells.tolist() == fresh[0].tolist() and (hits_at, seen_at) == fresh[1:]
+        assert sum(t.beyond.size for t in memo.values()) <= limit
+        held |= {type(t).__name__ for t in memo.values()}
+    assert held == {"_FanTable", "_SenseTable"}

@@ -513,7 +513,7 @@ def test_fan_walk_matches_trace_ray(case, data):
     angles = [pose.heading] + angles
     # each beam's cells before its stop, its stop cell and the distance at
     # which it entered it, also when it stopped beyond the range
-    walk = sensor.fan_walk(sensor._fan_codes(world.occupied), cs, pose.x, pose.y, angles,
+    walk = sensor.fan_walk(sensor.fan_codes(world.occupied), cs, pose.x, pose.y, angles,
                            max_range)
     for row, angle in enumerate(angles):
         visited, (sx, sy), t = trace_ray(world.occupied, cs, pose.x, pose.y, angle, max_range)
@@ -540,13 +540,49 @@ def test_fan_walk_matches_trace_ray(case, data):
         assert sorted(free.tolist()) == sorted(_flat_set(want_free, width))
         assert sorted(hits.tolist()) == sorted(_flat_set(want_hits, width))
 
-    # the explorer's sensing evidence, one walk of each fan
-    sense_free, sense_hits, sense_seen = sense_cells(world.occupied, cs, pose, ir, cam)
+    # the explorer's sensing evidence, both fans in one walk
+    _assert_sense_cells(world, pose, ir, cam)
+
+
+def _assert_sense_cells(world, pose, ir, cam):
+    """`sense_cells` is the IR fan's `scan_cells` of its `ir_scan`, then the
+    camera's seen-free cells, each part ascending, in one int32 array."""
+    width, height, cs = world.width, world.height, world.cell_size
+    cells, hits_at, seen_at = sense_cells(sensor.fan_codes(world.occupied), cs, pose, ir, cam)
+    assert cells.dtype == np.int32
     free, hits = scan_cells(width, height, cs, ir_scan(world, pose, ir))
-    assert sense_free.tolist() == free.tolist()
-    assert sense_hits.tolist() == hits.tolist()
+    assert cells[:hits_at].tolist() == free.tolist()
+    assert cells[hits_at:seen_at].tolist() == hits.tolist()
     seen = [y * width + x for x, y in camera_observe(world, pose, cam).seen_free]
-    assert sense_seen.tolist() == sorted(seen)
+    assert cells[seen_at:].tolist() == sorted(seen)
+
+
+@st.composite
+def _fan_geometry(draw, cell_size):
+    """One fan's fov, range and ray count, drawn on their own."""
+    fov = draw(st.one_of(st.just(TWO_PI), st.floats(0.01, TWO_PI)))
+    max_range = draw(st.one_of(st.floats(0.01, 12.0 * cell_size), st.just(1e6)))
+    return fov, max_range, draw(st.integers(2, 24))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fan_cases(), st.data())
+def test_sense_cells_with_unequal_fans(case, data):
+    # the IR and the camera fan of one sense drawn apart, so that the two
+    # walks differ in beams, steps and window; each sense also walks the
+    # other walls of the same lattice over the tables it left
+    world, pose = case[:2]
+    cs = world.cell_size
+    ir_fov, ir_range, ir_count = data.draw(_fan_geometry(cs))
+    cam_fov, cam_range, cam_count = data.draw(_fan_geometry(cs))
+    ir = IrConfig(ir_fov, ir_range, ir_count)
+    cam = CameraConfig(cam_fov, cam_range, 1.0, cam_count)
+    other = world.occupied.copy()
+    other[data.draw(st.integers(0, world.height - 1)), :] ^= True
+    other[int(math.floor(pose.y / cs)), int(math.floor(pose.x / cs))] = False
+    for occupied in (world.occupied, other, world.occupied):
+        _assert_sense_cells(GridWorld(world.width, world.height, cs, occupied, pose),
+                            pose, ir, cam)
 
 
 def test_scan_evidence_hit_at_exact_corner_is_the_free_cell():
@@ -595,7 +631,7 @@ def test_fan_walk_range_stop_as_trace_ray(cell_size):
         origin = (5 + fraction) * cell_size
         for cells in (1.7, 2.2, 3.96):
             max_range = cells * cell_size
-            walk = sensor.fan_walk(sensor._fan_codes(blocked), cell_size, origin, origin,
+            walk = sensor.fan_walk(sensor.fan_codes(blocked), cell_size, origin, origin,
                                    angles, max_range)
             for row, angle in enumerate(angles):
                 _, _, t = trace_ray(blocked, cell_size, origin, origin, angle, max_range)
