@@ -4,29 +4,24 @@ Both sensors are modeled as 2D ray fans. The camera additionally reports a
 target detection whose confidence decays with distance as conf_scale / d,
 clamped to 1.
 
-`_walk` is the one fan walk: the IR scan, the camera sweep (also the
-prediction of a candidate view), the cells of a given IR scan (`scan_cells`)
-and the step-by-step view `fan_walk` all read it, and only this module knows
-its layout. It walks a whole fan as one numpy gather over a memoized table of
-every beam's cell offsets and entry distances, stepped exactly as
-`world.trace_ray` steps, over a code grid of the walls (`fan_codes`). A
-sensor fan's table is found by its first angle, fov and ray count, so a walk
-builds no angle list, and each table holds the window of lattice rows and
-columns its steps cover, so a walk marks cells over that window rather than
-the whole lattice.
+Only the two hot walks read memoized fan tables: the explorer's sense
+(`sense_cells`, one per sensing-cache miss) and the prediction of a
+candidate view (`camera_sweep`, through `curiosity.visible_from`); the
+step-by-step view `fan_walk` shows the same walk to the tests. A fan table
+(`_fan_table`) holds every beam's cell offsets and entry distances from one
+origin spot in its cell, stepped exactly as `world.trace_ray` steps, each
+beam to its own range; a walk is one numpy gather of it over a code grid of
+the walls (`fan_codes`), and marks cells over the window of lattice rows and
+columns the table covers rather than the whole lattice. A sense's table is
+one fan table over the IR beams and then the camera beams, plus each IR
+beam's evidence for every step at which it may stop (`_sense_table`), so a
+sense is one gather, one stop search and one flag array. The memo is
+bounded at _FAN_TABLE_LIMIT beam steps.
 
-The cells one sense gives evidence on (`sense_cells`, the explorer's sensing
-cache miss) come from one walk of both fans, over a fused table built from
-the two fan tables. A beam's evidence depends only on the step at which it
-stops, so the fused table holds it for every step: the IR beam's pass end
-and hit test (as `_ir_evidence` finds them) and the camera beam's seen
-cells. A sense is then one gather over a code grid the caller builds once
-per map, one stop search and one flag array. Fan and fused tables share one
-memo, bounded at _FAN_TABLE_LIMIT beam steps.
-
-`trace_ray` is the spec and the test oracle, and the single rays of `detect`
-and `world.ray_cast` run on it. The wedge test (`wedge_cells`) has its one
-copy here too.
+The per-scan API (`ir_scan`, `scan_cells`, `camera_observe`) is the spec
+those walks are tested against, written on `trace_ray`, one walk per beam;
+so are the single rays of `detect` and `world.ray_cast`. The wedge test
+(`wedge_cells`) has its one copy here too.
 """
 
 from __future__ import annotations
@@ -138,8 +133,9 @@ def detection_confidence(distance: float, conf_scale: float) -> float:
     return conf_scale / distance
 
 
-# Cell codes of the grid a fan walks (`fan_codes`); free cells are 0.
-_BLOCKED, _OUTSIDE = 1, 2
+# The code of a cell outside the lattice in the grid a fan walks
+# (`fan_codes`); free cells are 0 and blocked ones 1.
+_OUTSIDE = 2
 
 # The most beam steps the fan and sense tables hold, over all cell sizes,
 # origins and fans (25 to 30 bytes each, about 2 MB in all); a new table that
@@ -152,7 +148,7 @@ class _FanTable(NamedTuple):
     longest walk: each step's index offset into the code grid (`pad`) and
     into the fan's window of the lattice (`window`), the distance at which it
     enters its cell (`t`, inf past the walk) and whether that lies beyond the
-    range (`beyond`). The window is the `size` lattice indices from the
+    beam's range (`beyond`). The window is the `size` lattice indices from the
     origin cell's plus `low` on: it holds every cell in the rows and columns
     the steps reach, so a walk marks the cells it passes over the window,
     not the whole lattice."""
@@ -167,19 +163,16 @@ class _FanTable(NamedTuple):
 
 class _SenseTable(NamedTuple):
     """The two fans of one sense from one origin spot, for `sense_cells`:
-    the IR fan's `ir` beams, then the camera fan's, one row per beam, each
-    row padded to one step count (`steps` is 0, 1, ... per column). `pad`
-    and `beyond` are the steps' code grid offsets and range tests, as in the
-    fans' `_FanTable`s.
+    the IR fan's `ir` beams, then the camera fan's, one row per beam, as one
+    `_FanTable` walks them (`steps` is 0, 1, ... per column, `rows` each
+    row's first entry). `pad` and `beyond` are that table's.
 
     A sense fills a flag array of three equal parts: the cells the IR fan
-    passes, the cells it hits and the cells the camera sees. Each part
-    covers the same stretch of lattice indices around the origin cell's,
-    every cell in the rows and columns either fan's steps reach. `window` is
-    each step's flag in its beam's part (the passes' part for an IR beam),
-    `lattice` the lattice index, less the origin cell's, of each flag of a
-    part (int32), and `parts` the first flags of the second and the third
-    part.
+    passes, the cells it hits and the cells the camera sees. Each part is
+    the table's window. `window` is each step's flag in its beam's part (the
+    passes' part for an IR beam), `lattice` the lattice index, less the
+    origin cell's, of each flag of a part (int32), and `parts` the first
+    flags of the second and the third part.
 
     A beam's evidence depends only on the step at which it stops, so these
     hold it for every stop step, at row * steps + step (`rows` + step):
@@ -211,34 +204,40 @@ _FAN_TABLES: dict[tuple, _FanTable | _SenseTable] = {}
 
 
 def _fan_table(cell_size: float, bx1: float, bx0: float, by1: float, by0: float,
-               max_range: float, width: int, height: int,
-               angles: Sequence[float]) -> _FanTable:
-    """The fan's walks from an origin whose cell boundaries lie bx1/bx0 to the
-    right/left and by1/by0 below/above it, each stepped as `trace_ray` steps
-    through the first step beyond max_range. A walk from inside a width x
-    height lattice leaves it within width + height - 1 steps, so no walk is
-    longer than width + height steps.
+               width: int, height: int, angles: Sequence[float],
+               ranges: Sequence[float]) -> _FanTable:
+    """The walks of the beams at `angles` from an origin whose cell
+    boundaries lie bx1/bx0 to the right/left and by1/by0 below/above it, each
+    stepped as `trace_ray` steps through the first step beyond its own range
+    in `ranges`. A walk from inside a width x height lattice leaves it within
+    width + height - 1 steps, so no walk is longer than width + height steps.
 
     Each beam's crossings of the x and of the y boundaries are running sums,
     as `trace_ray` adds them up; a stable sort merges them, an x crossing
     first on a tie, as `trace_ray` steps. The j-th crossing along an axis (from
-    0) lies at least j cell sizes out, so int(max_range / cell_size) + 2
-    crossings per axis reach past the range; one more absorbs the rounding of
-    the running sums.
+    0) lies at least j cell sizes out, so int(range / cell_size) + 2
+    crossings per axis reach past the longest range; one more absorbs the
+    rounding of the running sums. More crossings leave the sorted prefix of a
+    shorter beam's walk as it is, so beams of any ranges share one table.
     """
     limit = width + height
-    n = int(min(max_range / cell_size + 3, limit))
+    ranges = np.asarray(ranges, dtype=float).reshape(-1, 1)
+    n = int(min(ranges.max(initial=0.0) / cell_size + 3, limit))
     steps = np.array([ray_steps(cell_size, bx1, bx0, by1, by0, a) for a in angles],
                      dtype=float).reshape(-1, 6)
     # per beam: the first crossing, then the spacing, along x and along y
     crossings = np.empty((len(steps), 2, n))
     crossings[:, 0], crossings[:, 1] = steps[:, 2:3], steps[:, 5:6]
     crossings[:, 0, 0], crossings[:, 1, 0] = steps[:, 1], steps[:, 4]
-    crossings = np.cumsum(crossings, axis=2).reshape(len(steps), 2 * n)
+    # A beam nearly along an axis has a spacing near the float maximum along
+    # the other; its sum overflows to the inf that `trace_ray` reaches
+    # silently with Python floats.
+    with np.errstate(over="ignore"):
+        crossings = np.cumsum(crossings, axis=2).reshape(len(steps), 2 * n)
     order = np.argsort(crossings, axis=1, kind="stable")
     t = np.take_along_axis(crossings, order, axis=1)
     # each walk's step count: through its first step beyond the range
-    walked = np.minimum((t <= max_range).sum(axis=1) + 1, limit)
+    walked = np.minimum((t <= ranges).sum(axis=1) + 1, limit)
     cols = int(walked.max(initial=0))
     along_x = order[:, :cols] < n
     # the origin, the walk, then at least one column at t = inf past it
@@ -251,45 +250,33 @@ def _fan_table(cell_size: float, bx1: float, bx0: float, by1: float, by0: float,
     xs[past] = ys[past] = 0
     t[past] = math.inf
     low = int(ys.min()) * width + int(xs.min())
-    return _FanTable(ys * (width + 2) + xs, ys * width + xs - low, t, t > max_range, low,
+    return _FanTable(ys * (width + 2) + xs, ys * width + xs - low, t, t > ranges, low,
                      int(ys.max()) * width + int(xs.max()) - low + 1)
 
 
-def _sense_table(ir: _FanTable, cam: _FanTable, ir_range: float) -> _SenseTable:
-    """The `_SenseTable` of an IR fan's and a camera fan's tables from one
-    origin spot: each IR beam's evidence for a stop at each step, as
-    `_beam_stops` and `_ir_evidence` find it."""
-    n, cols = len(ir.t), max(ir.t.shape[1], cam.t.shape[1])
-    low = min(ir.low, cam.low)
-    size = max(ir.low + ir.size, cam.low + cam.size) - low
-
-    def stack(a: np.ndarray, b: np.ndarray, fill) -> np.ndarray:
-        """The rows of `a` over those of `b`, each filled up to `cols` steps
-        with `fill`, which a sense reads only as past the walk."""
-        out = np.full((len(a) + len(b), cols), fill, dtype=a.dtype)
-        out[:len(a), :a.shape[1]] = a
-        out[len(a):, :b.shape[1]] = b
-        return out
-
-    t = np.full((n, cols), math.inf)
-    t[:, :ir.t.shape[1]] = ir.t
+def _sense_table(fan: _FanTable, ir: int, ir_range: float) -> _SenseTable:
+    """The `_SenseTable` of the table `fan` of one sense's beams, the IR
+    fan's `ir` beams first: each IR beam's evidence for a stop at each step,
+    as `scan_cells` finds it for the beam `ir_scan` reads there."""
+    rows, cols = len(fan.t), fan.t.shape[1]
+    t = fan.t[:ir]
     steps = np.arange(cols)
-    # per beam and stop step: the beam's (distance, hit), then the step `end`
-    # before which it passes its cells, and whether it marks the cell there
+    # per beam and stop step: whether the beam hits, and the step `end`
+    # before which it passes its cells and at which a hit marks one. A beam
+    # reads the distance at which it enters its stop cell, and `end` comes
+    # no later, so that cell is always entered within the distance + 1e-9.
     hit = t <= ir_range
-    distance = np.where(hit, t, ir_range)
-    reach = np.nextafter(distance - 1e-9, -np.inf)
+    reach = np.nextafter(np.where(hit, t, ir_range) - 1e-9, -np.inf)
     end = np.minimum((t[:, None, :] > reach[:, :, None]).argmax(axis=2), steps)
-    rows = np.arange(n + len(cam.t)) * cols
-    at_end = rows[:n, None] + end
-    hit &= t.take(at_end) <= distance + 1e-9
-    limit = np.empty((len(rows), cols), dtype=end.dtype)
-    limit[:n], limit[n:] = end, steps
-    return _SenseTable(
-        stack(ir.pad, cam.pad, 0), stack(ir.beyond, cam.beyond, True), rows, steps, limit,
-        at_end, np.where(hit, _OUTSIDE, 0).astype(np.uint8),
-        stack(ir.window + (ir.low - low), cam.window + (cam.low - low + 2 * size), 0),
-        np.arange(low, low + size, dtype=np.int32), np.array([size, 2 * size]), n)
+    starts = np.arange(rows) * cols
+    limit = np.empty((rows, cols), dtype=end.dtype)
+    limit[:ir], limit[ir:] = end, steps
+    window = fan.window.copy()
+    window[ir:] += 2 * fan.size
+    return _SenseTable(fan.pad, fan.beyond, starts, steps, limit, starts[:ir, None] + end,
+                       np.where(hit, _OUTSIDE, 0).astype(np.uint8), window,
+                       np.arange(fan.low, fan.low + fan.size, dtype=np.int32),
+                       np.array([fan.size, 2 * fan.size]), ir)
 
 
 def fan_codes(blocked: np.ndarray) -> np.ndarray:
@@ -331,20 +318,19 @@ def _memo(key: tuple, build: Callable[[], _Table]) -> _Table:
 def _table(spot: tuple, max_range: float, width: int, height: int, beams: tuple) -> _FanTable:
     """The memoized `_fan_table` of the fan `beams` (see `_walk`) from an
     origin at `spot` (see `_spot`)."""
-    key = spot + (max_range, width, height) + beams
-    return _memo(key, lambda: _fan_table(
-        *key[:8], beams[0] if len(beams) == 1 else _spread(*beams)))
+    angles = beams[0] if len(beams) == 1 else _spread(*beams)
+    return _memo(spot + (max_range, width, height) + beams, lambda: _fan_table(
+        *spot, width, height, angles, [max_range] * len(angles)))
 
 
 def _walk(codes: np.ndarray, cell_size: float, ox: float, oy: float, max_range: float,
-          *beams) -> tuple[_FanTable, int, int, np.ndarray, np.ndarray]:
+          *beams) -> tuple[_FanTable, int, int, np.ndarray]:
     """Walk a ray fan from (ox, oy) over `codes` (see `fan_codes`), each beam
     stepping, entering and stopping exactly as `trace_ray` does.
 
-    Returns the fan's table, the origin's cell (cx, cy), each step's code
-    (one row per beam, as the table's) and the step at which each beam stops:
-    its first cell beyond max_range, outside the lattice or blocked. Steps
-    before the stop lie in the lattice; codes after it are meaningless.
+    Returns the fan's table, the origin's cell (cx, cy) and the step at
+    which each beam stops: its first cell beyond max_range, outside the
+    lattice or blocked. Steps before the stop lie in the lattice.
 
     `beams` is the beam angles as one tuple, or a sensor fan's first angle,
     fov and ray count (`_spread`'s arguments), so that a sensor fan's key
@@ -358,7 +344,7 @@ def _walk(codes: np.ndarray, cell_size: float, ox: float, oy: float, max_range: 
     height, width = codes.shape[0] - 2, codes.shape[1] - 2
     cx, cy, spot = _spot(width, height, cell_size, ox, oy)
     table = _table(spot, max_range, width, height, beams)
-    return (table, cx, cy) + _stops(codes, table, cx, cy)
+    return table, cx, cy, _stops(codes, table, cx, cy)[1]
 
 
 def _stops(codes: np.ndarray, table: _FanTable | _SenseTable, cx: int,
@@ -372,60 +358,11 @@ def _stops(codes: np.ndarray, table: _FanTable | _SenseTable, cx: int,
     return code, np.logical_or(code, table.beyond).argmax(axis=1)
 
 
-def _fan(codes: np.ndarray, cell_size: float, pose: Pose,
-         cfg: IrConfig | CameraConfig) -> tuple[_FanTable, int, int, np.ndarray, np.ndarray]:
-    """`_walk` of the sensor fan of `cfg` from `pose` over `codes`, the beams
-    of `beam_angles`."""
-    return _walk(codes, cell_size, pose.x, pose.y, cfg.max_range,
-                 pose.heading - cfg.fov / 2.0, cfg.fov, cfg.ray_count)
-
-
-def _before(t: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Mask of the steps before each beam's step `steps[beam]` of a walk's `t`."""
-    return np.arange(t.shape[1]) < steps[:, None]
-
-
 def _lattice(table: _FanTable, cx: int, cy: int, width: int,
              window: np.ndarray) -> np.ndarray:
     """The row-major lattice indices of the `window` indices of a fan walked
     from cell (cx, cy), in a lattice of row length `width`, as int32."""
     return (window + (cy * width + cx + table.low)).astype(np.int32)
-
-
-def _beam_stops(table: _FanTable, stop: np.ndarray,
-                max_range: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each beam's IR (distance, hit): the distance at which it stopped, and
-    hit, when that is within range; max_range and no hit otherwise."""
-    t = table.t[np.arange(len(stop)), stop]
-    hit = t <= max_range
-    return np.where(hit, t, max_range), hit
-
-
-def _ir_evidence(table: _FanTable, cx: int, cy: int, width: int, code: np.ndarray,
-                 stop: np.ndarray, distance: np.ndarray,
-                 hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (row-major) indices of the cells an IR scan passes and hits, in
-    a lattice of row length `width`, ascending.
-
-    The walk is the scan's fan, walked to at least its longest beam over a
-    grid whose blocked cells stop no beam short of its `distance`. A beam
-    passes the cells it enters at t <= nextafter(distance - 1e-9, -inf)
-    before it leaves the lattice; a beam that hit marks the next cell it
-    enters, when that lies in the lattice and is entered within distance +
-    1e-9. At a lattice corner, that can be a free cell entered at the same
-    distance as the blocked one. A hit cell is not passed, and neither array
-    repeats a cell.
-    """
-    beams = np.arange(len(stop))
-    reach = np.nextafter(distance - 1e-9, -np.inf)
-    end = np.minimum((table.t > reach[:, None]).argmax(axis=1), stop)
-    marks = np.zeros(table.size, dtype=np.uint8)
-    marks[table.window[_before(table.t, end)]] = 1
-    t = table.t[beams, end]
-    marks[table.window[beams, end][hit & (t <= distance + 1e-9)
-                                & (code[beams, end] != _OUTSIDE)]] = 2
-    return (_lattice(table, cx, cy, width, (marks == 1).nonzero()[0]),
-            _lattice(table, cx, cy, width, (marks == 2).nonzero()[0]))
 
 
 class FanWalk(NamedTuple):
@@ -442,7 +379,7 @@ class FanWalk(NamedTuple):
 def fan_walk(codes: np.ndarray, cell_size: float, ox: float, oy: float,
              angles: Sequence[float], max_range: float) -> FanWalk:
     """Walk the rays at `angles` from (ox, oy) over `codes`, step by step."""
-    table, cx, cy, _, stop = _walk(codes, cell_size, ox, oy, max_range, tuple(angles))
+    table, cx, cy, stop = _walk(codes, cell_size, ox, oy, max_range, tuple(angles))
     return FanWalk(_lattice(table, cx, cy, codes.shape[1] - 2, table.window), table.t, stop)
 
 
@@ -462,25 +399,25 @@ def ir_scan(world: GridWorld, pose: Pose, cfg: IrConfig) -> IrScan:
     """Sweep the IR fan; beams that strike nothing report max_range, hit=False."""
     if not world.contains_point(pose.x, pose.y):
         raise ValueError("scan pose outside world bounds")
-    table, _, _, _, stop = _fan(fan_codes(world.occupied), world.cell_size, pose, cfg)
-    distance, hit = _beam_stops(table, stop, cfg.max_range)
-    return IrScan(pose, tuple(map(Beam, beam_angles(pose.heading, cfg.fov, cfg.ray_count),
-                                  distance.tolist(), hit.tolist())))
+    beams = []
+    for angle in beam_angles(pose.heading, cfg.fov, cfg.ray_count):
+        _, _, t = trace_ray(world.occupied, world.cell_size, pose.x, pose.y, angle,
+                            cfg.max_range)
+        hit = bool(t <= cfg.max_range)
+        beams.append(Beam(angle, float(t if hit else cfg.max_range), hit))
+    return IrScan(pose, tuple(beams))
 
 
 def camera_sweep(blocked: np.ndarray, cell_size: float, pose: Pose,
-                 cfg: CameraConfig) -> tuple[list[Cell], list[Cell]]:
-    """The camera fan from `pose` walked over the `blocked` mask: the cells
-    rays traversed (seen free) and the in-lattice blocked cells that stopped a
-    ray within range (seen blocked), each once, in walk order."""
-    table, cx, cy, code, stop = _fan(fan_codes(blocked), cell_size, pose, cfg)
-    beams = np.arange(len(stop))
-    at_stop = (code[beams, stop] == _BLOCKED) & (table.t[beams, stop] <= cfg.max_range)
+                 cfg: CameraConfig) -> list[Cell]:
+    """The cells the rays of the camera fan from `pose` (the beams of
+    `beam_angles`) traverse over the `blocked` mask (seen free), each once,
+    in walk order."""
+    table, cx, cy, stop = _walk(fan_codes(blocked), cell_size, pose.x, pose.y, cfg.max_range,
+                                pose.heading - cfg.fov / 2.0, cfg.fov, cfg.ray_count)
     width = blocked.shape[1]
-    return (_cells(_lattice(table, cx, cy, width,
-                            _in_walk_order(table.window[_before(table.t, stop)])), width),
-            _cells(_lattice(table, cx, cy, width,
-                            _in_walk_order(table.window[beams, stop][at_stop])), width))
+    seen = table.window[np.arange(table.t.shape[1]) < stop[:, None]]
+    return _cells(_lattice(table, cx, cy, width, _in_walk_order(seen)), width)
 
 
 def sense_cells(codes: np.ndarray, cell_size: float, pose: Pose, ir: IrConfig,
@@ -489,11 +426,11 @@ def sense_cells(codes: np.ndarray, cell_size: float, pose: Pose, ir: IrConfig,
     the code grid `codes` (see `fan_codes`): the flat (row-major) indices of
     the cells the IR fan passes, then of those it hits (as `scan_cells`
     finds them for this pose's `ir_scan`), then of those the camera fan sees
-    free (as `camera_sweep` finds them), each part ascending, in one int32
+    free (as `camera_observe` finds them), each part ascending, in one int32
     array; and the offsets of the second and the third part.
 
-    Both fans are one walk over their memoized `_SenseTable`, which is built
-    from the two fans' `_FanTable`s and found by the origin's spot in its
+    Both fans are one walk over their memoized `_SenseTable`, built from one
+    `_fan_table` of both fans' beams and found by the origin's spot in its
     cell, the lattice shape and both fans' ranges, first angles, fovs and
     ray counts.
     """
@@ -502,9 +439,10 @@ def sense_cells(codes: np.ndarray, cell_size: float, pose: Pose, ir: IrConfig,
     ir_beams = (pose.heading - ir.fov / 2.0, ir.fov, ir.ray_count)
     cam_beams = (pose.heading - cam.fov / 2.0, cam.fov, cam.ray_count)
     table = _memo(spot + (width, height, ir.max_range) + ir_beams + (cam.max_range,) + cam_beams,
-                  lambda: _sense_table(_table(spot, ir.max_range, width, height, ir_beams),
-                                       _table(spot, cam.max_range, width, height, cam_beams),
-                                       ir.max_range))
+                  lambda: _sense_table(_fan_table(
+                      *spot, width, height, _spread(*ir_beams) + _spread(*cam_beams),
+                      [ir.max_range] * ir.ray_count + [cam.max_range] * cam.ray_count),
+                      ir.ray_count, ir.max_range))
     code, stop = _stops(codes, table, cx, cy)
     at = table.rows + stop
     flags = np.zeros(3 * len(table.lattice), dtype=bool)
@@ -523,30 +461,47 @@ def sense_cells(codes: np.ndarray, cell_size: float, pose: Pose, ir: IrConfig,
 def scan_cells(width: int, height: int, cell_size: float,
                scan: IrScan) -> tuple[np.ndarray, np.ndarray]:
     """Flat (row-major) indices of the cells of a width x height lattice
-    that an IR scan passes and hits (see `_ir_evidence`), each ascending.
+    that an IR scan passes and hits, each ascending, as int32.
 
-    A beam passes the cells it enters before its length less 1e-9; a beam
-    that hit something marks the cell it enters at its length, within 1e-9.
-    A hit cell is not passed, and neither array repeats a cell. The beams are
-    walked to the lattice border, so every scan from one origin spot shares
-    one table, whatever its beam lengths.
+    Each beam is walked over the empty lattice to nextafter(distance - 1e-9,
+    -inf): it passes the cells it enters by then, and a beam that hit marks
+    the next cell it enters, when that lies in the lattice and is entered
+    within distance + 1e-9. At a lattice corner, that can be a free cell
+    entered at the same distance as the blocked one. A hit cell is not
+    passed, and neither array repeats a cell. An origin outside the lattice
+    raises ValueError.
     """
-    beams = scan.beams
-    table, cx, cy, code, stop = _walk(
-        fan_codes(np.zeros((height, width), dtype=bool)), cell_size, scan.origin.x,
-        scan.origin.y, math.inf, tuple(b.angle for b in beams))
-    return _ir_evidence(table, cx, cy, width, code, stop,
-                        np.array([b.distance for b in beams], dtype=float),
-                        np.array([b.hit for b in beams], dtype=bool))
+    ox, oy = scan.origin.x, scan.origin.y
+    _spot(width, height, cell_size, ox, oy)  # the origin must lie in the lattice
+    empty = np.zeros((height, width), dtype=bool)
+    passed, hits = set(), set()
+    for beam in scan.beams:
+        visited, (x, y), t = trace_ray(empty, cell_size, ox, oy, beam.angle,
+                                       math.nextafter(beam.distance - 1e-9, -math.inf))
+        passed.update(cy * width + cx for cx, cy in visited)
+        if (beam.hit and 0 <= x < width and 0 <= y < height
+                and t <= beam.distance + 1e-9):
+            hits.add(y * width + x)
+    return (np.array(sorted(passed - hits), dtype=np.int32),
+            np.array(sorted(hits), dtype=np.int32))
 
 
 def camera_observe(world: GridWorld, pose: Pose, cfg: CameraConfig) -> CameraObservation:
-    """`camera_sweep` against the world's walls, plus `detect`'s detection."""
+    """The camera fan from `pose` against the world's walls, one `trace_ray`
+    per beam: the cells rays traversed (seen free) and the in-lattice blocked
+    cells that stopped a ray within range (seen blocked), each once, in walk
+    order; plus `detect`'s detection."""
     if not world.contains_point(pose.x, pose.y):
         raise ValueError("observation pose outside world bounds")
-    seen_free, seen_blocked = camera_sweep(world.occupied, world.cell_size, pose, cfg)
-    return CameraObservation(pose, tuple(seen_free), tuple(seen_blocked),
-                             detect(world, pose, cfg))
+    seen_free, seen_blocked = [], []
+    for angle in beam_angles(pose.heading, cfg.fov, cfg.ray_count):
+        visited, stop, t = trace_ray(world.occupied, world.cell_size, pose.x, pose.y, angle,
+                                     cfg.max_range)
+        seen_free += visited
+        if t <= cfg.max_range and world.in_bounds(stop):
+            seen_blocked.append(stop)
+    return CameraObservation(pose, tuple(dict.fromkeys(seen_free)),
+                             tuple(dict.fromkeys(seen_blocked)), detect(world, pose, cfg))
 
 
 def wedge_cells(cells: Iterable[Cell], pose: Pose, cfg: IrConfig | CameraConfig,

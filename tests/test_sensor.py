@@ -265,8 +265,9 @@ def test_wedge_cells_match_the_scalar_rule_on_the_boundary(case):
 
 @pytest.mark.parametrize("cell_size", [0.25, 0.3])
 def test_one_table_memo_serves_every_walk(cell_size, monkeypatch):
-    # sense_cells, ir_scan and camera_sweep from one pose build each of the
-    # two fan tables once between them, at a cell centre and off it
+    # from one pose, at a cell centre and off it: sense_cells builds one
+    # table for both fans, camera_sweep one, ir_scan none (it walks
+    # trace_ray), and a second pass builds nothing
     builds = []
     build = sensor._fan_table
     monkeypatch.setattr(sensor, "_fan_table", lambda *a: builds.append(a) or build(*a))
@@ -277,18 +278,21 @@ def test_one_table_memo_serves_every_walk(cell_size, monkeypatch):
     ir, cam = IrConfig(math.radians(30.0), 1.9), CameraConfig(math.radians(60.0), 2.0)
     for x, y, heading in ((4.5, 5.5, 0.3), (4.5, 5.5, -2.0), (4.2, 5.9, 0.3)):
         pose = Pose(x * cell_size, y * cell_size, heading)
-        held = len(builds)
-        for _ in range(2):
-            sense_cells(sensor.fan_codes(world.occupied), cell_size, pose, ir, cam)
+        for built in (1, 0):
+            held = len(builds)
             ir_scan(world, pose, ir)
+            assert len(builds) == held
+            sense_cells(sensor.fan_codes(world.occupied), cell_size, pose, ir, cam)
+            assert len(builds) == held + built
             camera_sweep(world.occupied, cell_size, pose, cam)
-        assert len(builds) == held + 2
+            assert len(builds) == held + 2 * built
 
 
 def test_sense_tables_share_the_memo_bound(monkeypatch):
-    # at 0.3 m every origin spot gets its own fan and sense tables; with a
-    # bound of about one spot's tables the memo empties often, never holds
-    # more steps than the bound, and each sense equals one over a fresh memo
+    # at 0.3 m every origin spot gets its own sense and camera-sweep tables;
+    # with a bound of about one spot's tables the memo empties often, never
+    # holds more steps than the bound, and each walk equals one over a fresh
+    # memo
     limit = 3000
     monkeypatch.setattr(sensor, "_FAN_TABLE_LIMIT", limit)
     rows = ["#" * 12] + ["#" + "." * 10 + "#" for _ in range(10)] + ["#" * 12]
@@ -301,9 +305,11 @@ def test_sense_tables_share_the_memo_bound(monkeypatch):
         pose = Pose(0.4 + (0.37 * k) % 2.6, 0.4 + 0.11 * k, 0.7 * k)
         monkeypatch.setattr(sensor, "_FAN_TABLES", {})
         fresh = sense_cells(codes, 0.3, pose, ir, cam)
+        swept = camera_sweep(world.occupied, 0.3, pose, cam)
         monkeypatch.setattr(sensor, "_FAN_TABLES", memo)
         cells, hits_at, seen_at = sense_cells(codes, 0.3, pose, ir, cam)
         assert cells.tolist() == fresh[0].tolist() and (hits_at, seen_at) == fresh[1:]
+        assert camera_sweep(world.occupied, 0.3, pose, cam) == swept
         assert sum(t.beyond.size for t in memo.values()) <= limit
         held |= {type(t).__name__ for t in memo.values()}
     assert held == {"_FanTable", "_SenseTable"}

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from curiogrid import sensor
 from curiogrid.curiosity import visible_from
-from curiogrid.harness import fixture_path
+from curiogrid.explorer import explore_cdos
+from curiogrid.harness import default_config, fixture_path
 from curiogrid.mapping import Label, OccupancyMap, logit
 from curiogrid.sensor import (Beam, CameraConfig, IrConfig, IrScan, beam_angles,
                               camera_observe, camera_sweep, ir_scan, scan_cells,
@@ -501,7 +503,7 @@ def test_fan_walk_matches_trace_ray(case, data):
     ir = IrConfig(fov, max_range, count)
 
     assert camera_sweep(world.occupied, cs, pose, cam) == _oracle_sweep(
-        world.occupied, cs, pose, cam)
+        world.occupied, cs, pose, cam)[0]
     labels = np.where(world.occupied, Label.OCCUPIED, Label.FREE)
     assert visible_from(labels, cs, pose, cam) == _oracle_visible(labels, cs, pose, cam)
     angles = beam_angles(pose.heading, fov, count)
@@ -555,6 +557,20 @@ def _assert_sense_cells(world, pose, ir, cam):
     assert cells[hits_at:seen_at].tolist() == hits.tolist()
     seen = [y * width + x for x, y in camera_observe(world, pose, cam).seen_free]
     assert cells[seen_at:].tolist() == sorted(seen)
+
+
+@pytest.mark.parametrize("cell_size", [0.25, 0.3])
+def test_sense_cells_match_the_spec_along_a_cdos_run(cell_size):
+    # every pose of one cdos run on sparse.map, at a power-of-two cell size
+    # and at one that is not
+    text = fixture_path("sparse.map").read_text().split("\n", 1)[1]
+    world = load_map(f"cellsize={cell_size!r} heading=0.0\n" + text)
+    cfg = default_config()
+    sensors = cfg.sensor_suite(cfg.alphas[0], cfg.betas[0])
+    result = explore_cdos(world, sensors)
+    assert len(result.trajectory) > 100
+    for pose in result.trajectory:
+        _assert_sense_cells(world, pose, sensors.ir, sensors.camera)
 
 
 @st.composite
@@ -611,7 +627,7 @@ def test_fan_table_far_range_capped_at_lattice_extent():
     cam = CameraConfig(TWO_PI, 1e6, 1.0, 90)
     sensor._FAN_TABLES.clear()
     assert camera_sweep(world.occupied, world.cell_size, pose, cam) == _oracle_sweep(
-        world.occupied, world.cell_size, pose, cam)
+        world.occupied, world.cell_size, pose, cam)[0]
     angles = beam_angles(pose.heading, cam.fov, cam.ray_count)
     assert ir_scan(world, pose, IrConfig(TWO_PI, 1e6, 90)).beams == _oracle_beams(
         world, pose, angles, 1e6)
@@ -637,6 +653,19 @@ def test_fan_walk_range_stop_as_trace_ray(cell_size):
                 _, _, t = trace_ray(blocked, cell_size, origin, origin, angle, max_range)
                 assert t > max_range
                 assert walk.t[row, walk.stop[row]] == t
+
+
+def test_fan_walk_overflowing_crossings_as_trace_ray():
+    # a beam 1e-308 off the x axis crosses y boundaries about 1e308 apart, so
+    # their running sum overflows to inf, as trace_ray's does, and silently
+    blocked = np.zeros((5, 5), dtype=bool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        walk = sensor.fan_walk(sensor.fan_codes(blocked), 1.0, 2.5, 2.5, [1e-308], 1e6)
+    visited, _, t = trace_ray(blocked, 1.0, 2.5, 2.5, 1e-308, 1e6)
+    stop = walk.stop[0]
+    assert walk.flat[0, :stop].tolist() == [y * 5 + x for x, y in visited]
+    assert walk.t[0, stop] == t
 
 
 def test_fan_walk_origin_outside_lattice_rejected():
