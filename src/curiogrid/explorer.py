@@ -6,15 +6,21 @@ the detector fires above the confidence threshold, the frontiers run out, or
 the time budget is gone. They differ only in how the next frontier is picked
 from the local set.
 
-A decision reads views the loop keeps current rather than full-grid passes:
-the occupancy labels and frontier mask (relabelled at the cells each sense
-touched, off the config's two log-odds edges), each cell's curiosity
-(updated at the cells the senses since the last decision gave camera
-evidence on) and the local frontiers, tested against the IR wedge only
-within the box the IR range can reach. The full-grid functions
-(`OccupancyMap.classify` and `occupancy_labels`, `detect_frontiers`,
-`curiosity.total_curiosity`, `local_frontiers` over every frontier) stay the
-spec the tests check the views against.
+A decision costs what it reads, not the grid. It reads views the loop keeps
+current rather than full-grid passes:
+  - the occupancy labels and frontier mask, relabelled at the cells each
+    sense touched, off the config's two label edges (`label_edges`);
+  - each cell's curiosity, updated at the cells the senses since the last
+    decision gave camera evidence on, off the config's two object edges
+    (`object_edges`): only cells past the second run the whole chain;
+  - the local frontiers, read off the frontier mask within the box the IR
+    range can reach and tested against the IR wedge there;
+  - the planner's lists (`_Search`), kept from the explorer's first decision
+    on, each search resetting only the cells the last one reached.
+The full-grid functions (`OccupancyMap.classify` and `occupancy_labels`,
+`detect_frontiers`, `curiosity.total_curiosity`, `local_frontiers` over every
+frontier, and `_dijkstra` in fresh lists) stay the spec the tests check the
+views against.
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ import numpy as np
 # importable from this module because bench/spans.py wraps them under these names.
 from .curiosity import CuriosityParams, curiosity_of, select_frontier, total_curiosity
 from .mapping import (FREE, OCCUPIED, UNKNOWN, MappingConfig, ObjectMap, OccupancyMap,
-                      classify_object_probabilities, edge_labels, occupancy_labels,
-                      probabilities_from_log_odds)
+                      classify_object_probabilities, edge_labels, object_edges,
+                      occupancy_labels, probabilities_from_log_odds)
 from .sensor import (CameraConfig, Detection, IrConfig, camera_observe, detect, fan_codes,
                      ir_scan, sense_cells, wedge_cells)
 from .world import TWO_PI, Cell, GridWorld, Pose, angle_diff, wrap_angle
@@ -150,8 +156,23 @@ def local_frontiers(frontiers: list[Cell], pose: Pose, ir: IrConfig,
     return wedge_cells(frontiers, pose, ir, cell_size)
 
 
+class _Search:
+    """The lists `_dijkstra` writes, kept for the next search over a lattice
+    of the same size: each cell's dist and parent, the settled marks, and
+    the cells the last search wrote to, which the next one resets."""
+
+    __slots__ = ("dist", "parents", "settled", "touched")
+
+    def __init__(self, size: int):
+        self.dist = [math.inf] * size
+        self.parents = [-1] * size
+        self.settled = bytearray(size)
+        self.touched: list[int] = []
+
+
 def _dijkstra(free: bytes, width: int, start: int, cell_size: float,
-              goals: Optional[bytes] = None, settle: Collection[int] = ()
+              goals: Optional[bytes] = None, settle: Collection[int] = (),
+              search: Optional[_Search] = None
               ) -> tuple[list[float], list[int], Optional[int]]:
     """Uniform-cost search over free cells, 8-connected, from `start`.
 
@@ -174,10 +195,20 @@ def _dijkstra(free: bytes, width: int, start: int, cell_size: float,
     shorter cost), and `nearest` is the reachable goal with the smallest
     (dist, row-major index), the row-major tie-break of the full search.
     Cells reached but not yet settled may hold a larger-than-final dist.
+
+    With `search`, a `_Search` of the lattice's size, the search runs in its
+    lists, resetting only the cells the last search there wrote to, and the
+    dist and parents it returns are those lists: they stay valid until the
+    next search in `search`. Without it, the search runs in fresh lists.
     """
-    size = len(free)
-    dist = [math.inf] * size
-    parents = [-1] * size
+    if search is None:
+        search = _Search(len(free))
+    dist, parents, settled, touched = search.dist, search.parents, search.settled, search.touched
+    for i in touched:
+        dist[i] = math.inf
+        parents[i] = -1
+        settled[i] = 0
+    touched.clear()
     if not free[start]:
         return dist, parents, None
     steps = [(dy * width + dx, step * cell_size) for dx, dy, step in _STEPS]
@@ -185,13 +216,13 @@ def _dijkstra(free: bytes, width: int, start: int, cell_size: float,
     nearest: Optional[int] = None
     dist[start] = 0.0
     heap = [(0.0, start)]
-    settled = bytearray(size)
-    pop, push = heapq.heappop, heapq.heappush
+    pop, push, settle_one = heapq.heappop, heapq.heappush, touched.append
     while heap:
         d, i = pop(heap)
         if settled[i]:
             continue
         settled[i] = 1
+        settle_one(i)
         unsettled.discard(i)
         if nearest is None and goals is not None and goals[i]:
             nearest = i
@@ -205,6 +236,8 @@ def _dijkstra(free: bytes, width: int, start: int, cell_size: float,
                     dist[j] = nd
                     parents[j] = i
                     push(heap, (nd, j))
+    # every cell written to was pushed, and is settled or still on the heap
+    touched.extend(j for _, j in heap)
     return dist, parents, nearest
 
 
@@ -288,13 +321,14 @@ _PICKS = {"cdos": _pick_curiosity, "baseline": _pick_heading}
 
 
 def _decide(free: bytes, width: int, start: int, cell_size: float, goals: bytes,
-            wedge: list[Cell], pick: Callable[[list[Cell]], tuple[Cell, float, str]]
+            wedge: list[Cell], pick: Callable[[list[Cell]], tuple[Cell, float, str]],
+            search: Optional[_Search] = None
             ) -> Optional[tuple[Cell, float, str, list[Cell]]]:
     """One planning decision: (goal, loss, mode, path), or None when no
     frontier is reachable from `start`.
 
-    `free`, `width` and `start` are as for `_dijkstra`, and `goals` masks the
-    frontiers there; `wedge` lists the frontiers of the IR wedge as cells.
+    `free`, `width`, `start` and `search` are as for `_dijkstra`, `goals`
+    masks the frontiers there, and `wedge` lists the wedge's frontiers as cells.
     The goal is `pick`'s choice among the reachable frontiers of the IR wedge
     or, when none is reachable, the nearest reachable frontier of all. Both
     pick functions rank each candidate by a key of its own, so a choice made over
@@ -307,7 +341,7 @@ def _decide(free: bytes, width: int, start: int, cell_size: float, goals: bytes,
     choice = pick(wedge) if wedge else None
     dist, parents, nearest = _dijkstra(
         free, width, start, cell_size, goals=goals,
-        settle=[_index(choice[0], width)] if choice is not None else ())
+        settle=[_index(choice[0], width)] if choice is not None else (), search=search)
     if nearest is None:
         return None
     if choice is not None and dist[_index(choice[0], width)] == math.inf:
@@ -364,9 +398,13 @@ class _Explorer:
         # Each cell's curiosity over the classified object map, the total a
         # decision logs; `total_curiosity` is its full-grid spec. A sense only
         # queues the flat indices it gave camera evidence on, and the next
-        # decision updates the array there (`_total_curiosity`).
+        # decision updates the array there (`_total_curiosity`), reading the
+        # curiosity of the classified values 0.0 and 0.5 off the config's
+        # object edges (`_curiosity`; nan stands for the cells past the second).
         self.curiosity = curiosity_of(self.objects.classified(), params)
         self.queued: list[np.ndarray] = []
+        self.object_edges = object_edges(mapping_cfg)
+        self.edge_curiosity = curiosity_of(np.array([0.0, 0.5, math.nan]), params)
         # the framed index of each flat map index; the offsets of a cell and
         # its 4-neighbors
         rows, cols = np.divmod(np.arange(world.width * world.height), world.width)
@@ -389,6 +427,8 @@ class _Explorer:
         # along it. A new explorer stands at its first sense.
         self.settles, self.stalled = 1, 0
         self.path, self.at, self.along = [], np.zeros(0, dtype=np.intp), 0
+        # the planner's lists, made at the first decision; never shared with a fork
+        self.search: Optional[_Search] = None
 
     def fork(self, world: Optional[GridWorld] = None) -> _Explorer:
         """A copy that runs on independently of this explorer, in `world`
@@ -400,6 +440,7 @@ class _Explorer:
         twin.labels, twin.frontier = self.labels.copy(), self.frontier.copy()
         twin.curiosity, twin.queued = self.curiosity.copy(), list(self.queued)
         twin.trajectory, twin.steps = list(self.trajectory), list(self.steps)
+        twin.search = None
         twin.world = self.world if world is None else world
         return twin
 
@@ -462,28 +503,42 @@ class _Explorer:
         if self.queued:
             cells = np.concatenate(self.queued)
             self.queued = []
-            cfg = self.objects.cfg
-            self.curiosity.flat[cells] = curiosity_of(classify_object_probabilities(
-                probabilities_from_log_odds(self.objects.log_odds.flat[cells]),
-                cfg.lambda1, cfg.lambda2), self.params)
+            self.curiosity.flat[cells] = self._curiosity(self.objects.log_odds.flat[cells])
         return float(self.curiosity.sum())
 
-    def _wedge(self, frontiers: np.ndarray, cell: Cell) -> list[Cell]:
-        """`local_frontiers` of the frontiers at the framed indices `frontiers`
-        (ascending), the robot standing in `cell`.
+    def _curiosity(self, log_odds: np.ndarray) -> np.ndarray:
+        """`curiosity_of(classify_object_probabilities(probabilities_from_log_odds(
+        log_odds)))`, cell by cell: log odds below the first object edge
+        classify to 0.0 and those below the second to 0.5, whose curiosity
+        `edge_curiosity` holds, and only those past the second go through the
+        whole chain."""
+        bucket = np.searchsorted(self.object_edges, log_odds, side="right")
+        values = self.edge_curiosity[bucket]
+        past = bucket == 2
+        if past.any():
+            cfg = self.objects.cfg
+            values[past] = curiosity_of(classify_object_probabilities(
+                probabilities_from_log_odds(log_odds[past]), cfg.lambda1, cfg.lambda2),
+                self.params)
+        return values
+
+    def _wedge(self, cell: Cell) -> list[Cell]:
+        """`local_frontiers` of every frontier, the robot standing in `cell`.
 
         Only the frontiers within int(R / cell_size) + 2 cells of `cell` along
-        each axis, R the IR range, are tested. A cell centre within R of a pose
-        in `cell` lies at most floor(R / cell_size) + 1 cells from it along
-        each axis, so the box drops no frontier of the wedge, and the one cell
-        more absorbs the rounding of R / cell_size.
+        each axis, R the IR range, are read off the frontier mask, and they
+        come in row-major order, as `detect_frontiers` lists them. A cell
+        centre within R of a pose in `cell` lies at most floor(R / cell_size)
+        + 1 cells from it along each axis, so the box drops no frontier of the
+        wedge, and the one cell more absorbs the rounding of R / cell_size.
         """
         reach = int(self.sensors.ir.max_range / self.world.cell_size) + 2
-        rows, cols = np.divmod(frontiers, self.stride)
-        near = frontiers[(np.abs(cols - (cell[0] + 1)) <= reach)
-                         & (np.abs(rows - (cell[1] + 1)) <= reach)]
-        return local_frontiers(_cells(near, self.stride), self.pose, self.sensors.ir,
-                               self.world.cell_size)
+        x0, y0 = max(cell[0] + 1 - reach, 0), max(cell[1] + 1 - reach, 0)
+        box = self.frontier.reshape(-1, self.stride)[y0:cell[1] + 2 + reach,
+                                                     x0:cell[0] + 2 + reach]
+        rows, cols = box.nonzero()
+        near = list(zip((cols + (x0 - 1)).tolist(), (rows + (y0 - 1)).tolist()))
+        return local_frontiers(near, self.pose, self.sensors.ir, self.world.cell_size)
 
     def _charge_rotation(self, heading: float) -> None:
         """Add the time of turning in place from the current heading to `heading`."""
@@ -541,14 +596,15 @@ class _Explorer:
             self.settles = 9
         along = self.along + 1
         if along >= len(self.path) or (self.labels[self.at[along:]] == OCCUPIED).any():
-            frontiers = np.flatnonzero(self.frontier)
-            if not frontiers.size:
+            if not self.frontier.any():
                 return False
+            if self.search is None:
+                self.search = _Search(self.labels.size)
             current_cell = self.world.cell_of(self.pose.x, self.pose.y)
             decision = _decide((self.labels == FREE).tobytes(), self.stride,
                                _index(current_cell, self.stride), self.world.cell_size,
-                               self.frontier.tobytes(), self._wedge(frontiers, current_cell),
-                               lambda cells: self.pick(self, cells))
+                               self.frontier.tobytes(), self._wedge(current_cell),
+                               lambda cells: self.pick(self, cells), self.search)
             if decision is None:
                 return False
             goal, loss, mode, path = decision

@@ -282,7 +282,10 @@ class _Tape:
     `poses` holds the pose of every sense so far. Until the run ends (`done`),
     `live` stands at the last of them, its pending sense. `forks[k]` was made
     at the pending sense k * _TAPE_STRIDE. `nbytes` counts the forks' and
-    `live`'s arrays and list slots, `poses`, and the objects `live`'s lists hold.
+    `live`'s arrays and list slots, the planner lists `live` makes at its
+    first decision (two list slots and a settled byte a cell, `_Search`; a
+    fork makes its own only once it decides), `poses`, and the objects
+    `live`'s lists hold.
     """
 
     def __init__(self, explorer: _Explorer):
@@ -290,7 +293,7 @@ class _Tape:
         self.poses = [explorer.pose]
         self.forks = [explorer.fork()]
         self.done = False
-        self.nbytes = 2 * _state_bytes(explorer) + 8 + _POSE_BYTES
+        self.nbytes = 2 * _state_bytes(explorer) + 17 * explorer.labels.size + 8 + _POSE_BYTES
 
     def _advance(self) -> None:
         """Take the pending sense and go to the next one, or end the run."""

@@ -8,8 +8,11 @@ order-invariant.
 
 `occupancy_labels` is the per-cell label rule and the spec. Labels are
 monotone in the log odds, so a config's labels change at two log odds
-(`label_edges`, found once per config by bisection on the rule itself), and
-`edge_labels` reads labels off them with one search and no exp.
+(`label_edges`), and `edge_labels` reads labels off them with one search and
+no exp. The classified object value, 0.0, 0.5 or the probability itself, also
+changes at two log odds (`object_edges`). One bisection over the float64 bit
+patterns (`_edge`) finds both edge sets, once per config, on the rules
+themselves.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -97,30 +100,63 @@ def label_edges(cfg: MappingConfig) -> np.ndarray:
     is FREE below the first edge, OCCUPIED from the second on and UNKNOWN in
     between, which `edge_labels` reads with one search.
 
-    Each edge is the least float64 whose label `occupancy_labels` itself
-    gives past it, found by bisection over the float64 bit patterns between
-    -LOG_ODDS_CAP and LOG_ODDS_CAP; the labels clip to that interval, so an
-    edge is -inf when the cap's own label is already past it and inf when
-    no log odds gets there. Found once per config, at its first use.
+    Each edge is found by `_edge` on `occupancy_labels` itself, once per
+    config, at its first use.
     """
-    def edge(past) -> float:
-        def passed(key: int) -> bool:
-            return past(occupancy_labels(np.array([_float_at(key)]), cfg)[0])
-        lo, hi = _float_key(-LOG_ODDS_CAP), _float_key(LOG_ODDS_CAP)
-        if passed(lo):
-            return -math.inf
-        if not passed(hi):
-            return math.inf
-        while hi - lo > 1:  # passed(hi) and not passed(lo)
-            mid = (lo + hi) // 2
-            if passed(mid):
-                hi = mid
-            else:
-                lo = mid
-        return _float_at(hi)
-    edges = np.array([edge(lambda label: label != FREE), edge(lambda label: label == OCCUPIED)])
-    edges.setflags(write=False)  # shared by every caller
+    def label(x: float) -> int:
+        return occupancy_labels(np.array([x]), cfg)[0]
+    return _edges(lambda x: label(x) != FREE, lambda x: label(x) == OCCUPIED)
+
+
+@functools.lru_cache(maxsize=None)
+def object_edges(cfg: MappingConfig) -> np.ndarray:
+    """The log odds at which the classified object value (the chain
+    `classify_object_probabilities(probabilities_from_log_odds(x))`) stops
+    being 0.0 and starts being the probability itself, as one ascending
+    array: the value is 0.0 below the first edge, 0.5 from it up to the
+    second and the cell's probability from the second on.
+
+    Each edge is found by `_edge` on that chain itself, once per config, at
+    its first use. A value other than 0.0 and 0.5 is a passed-through
+    probability; a probability of exactly 0.5 reads 0.5 whether it passes
+    through or not, so there the test reads the chain's own comparison with
+    lambda2, which keeps it monotone in the log odds.
+    """
+    def value(x: float) -> tuple[float, float]:
+        p = probabilities_from_log_odds(np.array([x]))
+        return p[0], classify_object_probabilities(p, cfg.lambda1, cfg.lambda2)[0]
+
+    def passed_through(x: float) -> bool:
+        p, v = value(x)
+        return v not in (0.0, 0.5) or p == 0.5 > cfg.lambda2
+    return _edges(lambda x: value(x)[1] != 0.0, passed_through)
+
+
+def _edges(*past: Callable[[float], bool]) -> np.ndarray:
+    """`_edge` of each test, as one read-only array shared by every caller."""
+    edges = np.array([_edge(test) for test in past])
+    edges.setflags(write=False)
     return edges
+
+
+def _edge(past: Callable[[float], bool]) -> float:
+    """The least float64 log odds that `past`, a per-cell rule monotone in
+    the log odds, holds at, found by bisection over the float64 bit patterns
+    between -LOG_ODDS_CAP and LOG_ODDS_CAP. The per-cell rules clip the log
+    odds to that interval, so the edge is -inf when `past` holds at the cap
+    already and inf when it holds nowhere."""
+    lo, hi = _float_key(-LOG_ODDS_CAP), _float_key(LOG_ODDS_CAP)
+    if past(_float_at(lo)):
+        return -math.inf
+    if not past(_float_at(hi)):
+        return math.inf
+    while hi - lo > 1:  # past at hi, not at lo
+        mid = (lo + hi) // 2
+        if past(_float_at(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return _float_at(hi)
 
 
 def _float_key(x: float) -> int:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from curiogrid import explorer
+from curiogrid import explorer, harness
 from curiogrid.curiosity import CuriosityParams, curiosity_of, total_curiosity
 from curiogrid.explorer import (MotionConfig, SensorSuite, _cell, _decide, _dijkstra,
                                 _index, _padded, detect_frontiers, explore_cdos,
@@ -294,6 +294,103 @@ class TestDecisionSearch:
         dist, _, nearest = _search(free, (0, 0), 1.0, goals=[(9, 0), (3, 0)])
         assert nearest == (3, 0)
         assert np.isinf(dist[0, 5:]).all()  # the far end was never reached
+
+
+@st.composite
+def search_sequences(draw):
+    """Two lattice sizes, and a sequence of searches over random free masks
+    of either: each with a start cell (free or not), a goal mask or none, the
+    cells to settle, and where it runs: in the lattice's reused `_Search`, in
+    fresh lists, or as `plan_path` or `_ground_truth_reachable` between them."""
+    sizes = [(draw(st.integers(1, 9)), draw(st.integers(1, 9))) for _ in range(2)]
+    calls = []
+    for _ in range(draw(st.integers(1, 12))):
+        k = draw(st.integers(0, 1))
+        width, height = sizes[k]
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        free = rng.random((height, width)) < draw(st.sampled_from([0.3, 0.8, 1.0]))
+        start = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+        if draw(st.booleans()):
+            free[start[1], start[0]] = True
+        cells = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+        goals = draw(st.one_of(st.none(), st.lists(cells, max_size=4)))
+        settle = draw(st.lists(cells, max_size=3))
+        runs = draw(st.sampled_from(["reused", "reused", "fresh", "plan_path", "reachable"]))
+        calls.append((k, free, start, goals, settle, runs))
+    return calls
+
+
+class TestSearchReuse:
+    """`_dijkstra` in a reused `_Search` returns what a search in fresh lists
+    returns, whatever searches ran in it or elsewhere before."""
+
+    @staticmethod
+    def _run(free, start, goals, settle, search=None):
+        flat, width, mask = _framed(free, goals or ())
+        return _dijkstra(flat, width, _index(start, width), 0.5,
+                         goals=None if goals is None else mask,
+                         settle=[_index(c, width) for c in settle], search=search)
+
+    @settings(max_examples=300, deadline=None)
+    @given(search_sequences())
+    def test_reused_search_equals_fresh_search(self, calls):
+        searches, held = {}, {}
+        for k, free, start, goals, settle, runs in calls:
+            if runs in ("plan_path", "reachable") and not free[start[1], start[0]]:
+                continue
+            if runs == "plan_path":
+                occ = OccupancyMap(free.shape[1], free.shape[0], 0.5)
+                occ.log_odds = np.where(free, logit(0.05), logit(0.9))
+                plan_path(occ, start, (0, 0))
+            elif runs == "reachable":
+                harness._ground_truth_reachable(GridWorld(
+                    free.shape[1], free.shape[0], 0.5, ~free,
+                    Pose((start[0] + 0.5) * 0.5, (start[1] + 0.5) * 0.5, 0.0)))
+            else:
+                search = None
+                if runs == "reused":
+                    size = (free.shape[0] + 2) * (free.shape[1] + 2)
+                    search = searches.setdefault(k, explorer._Search(size))
+                dist, parents, nearest = self._run(free, start, goals, settle, search)
+                want = self._run(free, start, goals, settle)
+                assert (list(dist), list(parents), nearest) == want
+                if search is not None:
+                    held[k] = dist, parents, want
+            # each reused search's lists hold its last result until its next search
+            for dist, parents, want in held.values():
+                assert (list(dist), list(parents)) == want[:2]
+
+    def test_start_not_free_after_a_whole_search(self):
+        free = np.ones((5, 6), dtype=bool)
+        search = explorer._Search(7 * 8)
+        dist, _, _ = self._run(free, (0, 0), None, (), search)
+        assert np.isfinite(dist).sum() == 30
+        free[2, 3] = False
+        dist, parents, nearest = self._run(free, (3, 2), [(0, 0)], [(1, 1)], search)
+        assert np.isinf(dist).all() and set(parents) == {-1} and nearest is None
+        assert not any(search.settled) and not search.touched
+
+    @pytest.mark.parametrize("pick", [explorer._pick_curiosity, explorer._pick_heading])
+    def test_fork_and_original_deciding_in_turns(self, pick):
+        world = load_map(fixture_path("sparse.map").read_text()).with_target(None)
+
+        def fresh():
+            return explorer._Explorer(world, suite(), MotionConfig(), 40.0, MappingConfig(),
+                                      0.95, CuriosityParams(), pick)
+        whole = _outcome(fresh().run())
+        ex = fresh()
+        for _ in range(30):
+            assert not ex._sense() and ex._to_next_pose()
+        assert ex.search is not None
+        twin = ex.fork()
+        assert twin.search is None
+        going = [ex, twin]
+        while going:  # one sense and one move each, in turns
+            for one in list(going):
+                if one._sense() or not one._to_next_pose():
+                    going.remove(one)
+        assert twin.search is not None and twin.search is not ex.search
+        assert _outcome(ex._result()) == _outcome(twin._result()) == whole
 
 
 def _brute_force_cost(free, start, goal):
@@ -640,7 +737,7 @@ class TestWedge:
         ex._relabel(np.arange(log_odds.size))
         pose = world.start
         want = local_frontiers(detect_frontiers(ex.occupancy), pose, ir, world.cell_size)
-        assert ex._wedge(np.flatnonzero(ex.frontier), world.cell_of(pose.x, pose.y)) == want
+        assert ex._wedge(world.cell_of(pose.x, pose.y)) == want
 
 
 class TestSenseCache:

@@ -23,11 +23,16 @@ The artifacts, all produced through the CLI with the packaged config:
   - steps.jsonl and trajectory.jsonl of `explore --method baseline --render`
     on sparse.map: 234 decisions, 81 of them "rotate";
   - mission.log of `mission` on sparse.map, and on the copy with the object at
-    (34, 20), whose log runs detection, tracking, grab and retract.
+    (34, 20), whose log runs detection, tracking, grab and retract;
+  - steps.jsonl and trajectory.jsonl of `explore --render` with the cdos and
+    with the baseline method on fixtures/arena_seed7_64.map, a target-less
+    64x64 arena of 63 obstacles (the bench's seed-7 `coverage-large` arena,
+    committed as text): a search over the whole lattice.
 """
 
 import hashlib
 import os
+from pathlib import Path
 
 import pytest
 
@@ -58,7 +63,13 @@ GOLDEN = {
     "baseline/trajectory.jsonl": "505a0625c64ca634925fb30ba22bfb29c44a036bdf852bf46886a1f63931de43",
     "mission/mission.log": "dd9b072d3b72de8007bfd6fb45fd91d984bc392ad751314a0462f1906b437987",
     "mission-found/mission.log": "d6ca8534390b0f136dac83e432ece696df4a82c3257c06fecb815279ee58d46a",
+    "arena64/steps.jsonl": "8ec20ccd28e4414a8ac9a6626eb2ff21394817d00bad655c34ed4ce6eaed5343",
+    "arena64/trajectory.jsonl": "392a1130228579be21e9f57259a815c36272d1cd899d54a1d40d0bca6e49fab4",
+    "arena64-baseline/steps.jsonl": "4998e5981b5ed1fb6c43e0bade2ef58a8fee630ee950bc836bad691cc261becb",
+    "arena64-baseline/trajectory.jsonl": "485f396f275729e410cb2cee3468ed39b5053fd04ac2913d82c21c5b4aba5e9c",
 }
+
+ARENA64 = Path(__file__).parent / "fixtures" / "arena_seed7_64.map"
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +106,9 @@ def artifacts(tmp_path_factory):
                      "--render", str(tmp / "baseline")]) == 0
     assert cli_main(["mission", "--map", sparse, "--out", str(tmp / "mission")]) == 0
     assert cli_main(["mission", "--map", str(found), "--out", str(tmp / "mission-found")]) == 0
+    for method, out in (("cdos", "arena64"), ("baseline", "arena64-baseline")):
+        assert cli_main(["explore", "--map", str(ARENA64), "--method", method,
+                         "--render", str(tmp / out)]) == 0
     digests = {name: hashlib.sha256((tmp / name).read_bytes()).hexdigest()
                for name in GOLDEN}
     if os.environ.get("GOLDEN_PRINT"):

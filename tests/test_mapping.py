@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curiogrid import explorer
+from curiogrid.curiosity import CuriosityParams, curiosity_of
 from curiogrid.harness import default_config
 from curiogrid.mapping import (LOG_ODDS_CAP, Label, MappingConfig, ObjectMap, OccupancyMap,
                                classify_object_probabilities, edge_labels, from_pgm,
-                               label_edges, logit, object_glyphs, occupancy_glyphs,
-                               occupancy_labels, quantize, to_pgm)
-from curiogrid.sensor import Beam, CameraObservation, Detection, IrScan
-from curiogrid.world import Pose
+                               label_edges, logit, object_edges, object_glyphs,
+                               occupancy_glyphs, occupancy_labels,
+                               probabilities_from_log_odds, quantize, to_pgm)
+from curiogrid.sensor import Beam, CameraConfig, CameraObservation, Detection, IrConfig, IrScan
+from curiogrid.world import GridWorld, Pose
 
 
 def single_cell_scan(p_hit_cell=(0, 0), hit=True, distance=0.25):
@@ -152,6 +155,73 @@ class TestLabelEdges:
         checks += [_ulps_around(e, 1 << 10) for e in edges if np.isfinite(e) and e != 0.0]
         x = np.concatenate(checks)
         assert (edge_labels(x, cfg) == occupancy_labels(x, cfg)).all()
+
+
+@st.composite
+def object_configs(draw):
+    """Mapping configs whose object thresholds lie one float apart, on either
+    side of 0.5 or at it, or so close to 0 or 1 that their log odds pass
+    LOG_ODDS_CAP (an edge of -inf or inf)."""
+    p = st.one_of(st.floats(1e-12, 1.0 - 1e-12),
+                  st.sampled_from([1e-12, 1e-10, 2.06e-9, 2.07e-9, 0.1, 0.3, 0.5, 0.95,
+                                   np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                                   1.0 - 2.07e-9, 1.0 - 2.06e-9, 1.0 - 1e-10]))
+    low, high = sorted((draw(p), draw(p)))
+    if low == high or draw(st.booleans()):
+        high = float(np.nextafter(low, 1.0))
+    return MappingConfig(lambda1=low, lambda2=high)
+
+
+def _spec_curiosity(x, cfg, params):
+    """The classified object value's curiosity, as the full chain gives it."""
+    return curiosity_of(classify_object_probabilities(probabilities_from_log_odds(x),
+                                                      cfg.lambda1, cfg.lambda2), params)
+
+
+def _edge_curiosity(x, cfg, params):
+    """The explorer's curiosity of log odds `x`, read off `object_edges`."""
+    world = GridWorld(1, 1, 1.0, np.zeros((1, 1), dtype=bool), Pose(0.5, 0.5, 0.0))
+    ex = explorer._Explorer(world, explorer.SensorSuite(IrConfig(1.0, 1.0), CameraConfig()),
+                            explorer.MotionConfig(), 600.0, cfg, 0.95, params,
+                            explorer._pick_heading)
+    return ex._curiosity(x)
+
+
+class TestObjectEdges:
+    """The explorer reads each cell's curiosity off two object log-odds edges
+    (`object_edges`); the chain `curiosity_of(classify_object_probabilities(
+    probabilities_from_log_odds(x)))` is the spec."""
+
+    def test_packaged_edges_bit_equal_to_the_spec(self):
+        cfg = default_config().mapping_config()
+        params = default_config().curiosity_params()
+        edges = object_edges(cfg)
+        # logit(0.1), and one float past logit(0.95), whose probability is 0.95
+        assert list(edges) == [logit(cfg.lambda1), np.nextafter(logit(cfg.lambda2), np.inf)]
+        assert list(edges) == [-2.197224577336219, 2.94443897916644]
+        for edge in edges:
+            near = _ulps_around(edge, 1 << 20)
+            assert np.array_equal(_edge_curiosity(near, cfg, params),
+                                  _spec_curiosity(near, cfg, params))
+            below, at = classify_object_probabilities(probabilities_from_log_odds(
+                np.array([np.nextafter(edge, -np.inf), edge])), cfg.lambda1, cfg.lambda2)
+            assert below != at
+
+    @settings(max_examples=200, deadline=None)
+    @given(object_configs(),
+           st.sampled_from([CuriosityParams(), CuriosityParams(-0.4, 0.2, 0.9)]),
+           st.lists(st.floats(-1e3, 1e3), max_size=50))
+    def test_edges_match_the_spec_for_any_config(self, cfg, params, values):
+        edges = object_edges(cfg)
+        checks = [np.array(values),
+                  np.array([-1e300, -24.8, -20.0, -1e-300, 0.0, 1e-300, 20.0, 24.8, 1e300])]
+        # log odds whose probability rounds to 0.5, or to a float next to it
+        checks += [np.linspace(-1e-15, 1e-15, 201)]
+        checks += [_ulps_around(x, 1 << 10) for x in (-LOG_ODDS_CAP, LOG_ODDS_CAP)]
+        checks += [_ulps_around(e, 1 << 10) for e in edges if np.isfinite(e) and e != 0.0]
+        x = np.concatenate(checks)
+        assert np.array_equal(_edge_curiosity(x, cfg, params), _spec_curiosity(x, cfg, params))
+        assert edges[0] <= edges[1]
 
 
 class TestObjectMapUpdate:
