@@ -9,6 +9,9 @@ speedup or a refactor must leave every digest as it is.
 The artifacts, all produced through the CLI with the packaged config:
   - trials.csv and summary.csv of a reduced zone run (samples_per_zone = 1,
     both maps, all zones, both methods, workers = 1);
+  - trials.csv and summary.csv of the same zone run at samples_per_zone = 2
+    and budget = 31: trials of both methods end unfound by budget, one of
+    each method after it had sighted the object;
   - sweep.csv of `sweep --vary alpha --values 60,30` on the same reduced
     config;
   - steps.jsonl, trajectory.jsonl and the three .pgm maps of
@@ -42,6 +45,8 @@ from curiogrid.harness import fixture_path
 GOLDEN = {
     "zones/trials.csv": "2c2e6c75d4045b795da890bf9072a8f9ec70454b70684fef61ecafa35bb40ec0",
     "zones/summary.csv": "076c93f6566b2cde5772c0922410eca487663706d078a610319d50e8815da695",
+    "zones-budget/trials.csv": "2d50e1e01a8521146b6a79d5de261ad9757ccd31a6690e950ebe5c4339206965",
+    "zones-budget/summary.csv": "6c19f8fde09b1460f95c767d7f85047a9df7cfa2e2f4668a4b762842be01d192",
     "sweep/sweep.csv": "a57ead25205bd598277757561a38043e6c5c6f5efe19b604095e73ee539b395c",
     "explore/steps.jsonl": "bd5842854ba3f27ebb69089a4cb42bd4b58f0eb074fb5ba7ed84c9c5bd79a98a",
     "explore/trajectory.jsonl": "414ddff6442ed748e1402db51d987146161bfe4879c11c1b499b30687ba36b31",
@@ -82,6 +87,9 @@ def artifacts(tmp_path_factory):
         cfg_text = cfg_text.replace(f"{key} = {name}", f"{key} = {fixture_path(name)}")
     cfg = tmp / "reduced.cfg"
     cfg.write_text(cfg_text)
+    budget_cfg = tmp / "budget.cfg"
+    budget_cfg.write_text(cfg_text.replace("samples_per_zone = 1", "samples_per_zone = 2")
+                          .replace("budget = 600.0", "budget = 31.0"))
     sparse = str(fixture_path("sparse.map"))
     rows = fixture_path("sparse.map").read_text().splitlines()
     offgrid = tmp / "offgrid.map"
@@ -91,6 +99,8 @@ def artifacts(tmp_path_factory):
     found.write_text("\n".join(rows) + "\n")
 
     assert cli_main(["zones", "--config", str(cfg), "--out", str(tmp / "zones")]) == 0
+    assert cli_main(["zones", "--config", str(budget_cfg),
+                     "--out", str(tmp / "zones-budget")]) == 0
     assert cli_main(["sweep", "--config", str(cfg), "--vary", "alpha", "--values", "60,30",
                      "--out", str(tmp / "sweep")]) == 0
     assert cli_main(["explore", "--map", sparse, "--method", "cdos",
