@@ -21,6 +21,11 @@ The full-grid functions (`OccupancyMap.classify` and `occupancy_labels`,
 `detect_frontiers`, `curiosity.total_curiosity`, `local_frontiers` over every
 frontier, and `_dijkstra` in fresh lists) stay the spec the tests check the
 views against.
+
+A sense is one `_fuse` and one `_relabel`. `_fuse` is the one lookup of a
+pose's sensing evidence (the map's cache, or one `sense_cells` walk the cache
+keeps); it adds the evidence and a detection to both belief maps and takes
+the found test. The harness's tapes replay cached senses through it too.
 """
 
 from __future__ import annotations
@@ -447,19 +452,29 @@ class _Explorer:
     def _sense(self) -> bool:
         """Sense at the current pose and fuse the evidence; True once the
         search must stop: the target is found or the budget is spent."""
-        evidence = self.evidence.get(self.pose)
+        self._relabel(self._fuse(self.pose, detect(self.world, self.pose,
+                                                   self.sensors.camera)))
+        return self.found or self.elapsed > self.budget
+
+    def _fuse(self, pose: Pose, det: Optional[Detection]) -> np.ndarray:
+        """Fuse the sensing evidence at `pose` with its detection `det` into
+        both belief maps, without the relabel, and take the found test;
+        returns the IR cells the evidence touched, for `_relabel`.
+
+        The evidence comes from the map's sensing cache, or from one
+        `sense_cells` walk that the cache then keeps.
+        """
+        evidence = self.evidence.get(pose)
         if evidence is None:
-            evidence = sense_cells(self.codes, self.world.cell_size, self.pose,
+            evidence = sense_cells(self.codes, self.world.cell_size, pose,
                                    self.sensors.ir, self.sensors.camera)
             if sum(map(len, _SENSE_CACHE.values())) >= _SENSE_CACHE_LIMIT:
                 for table in _SENSE_CACHE.values():
                     table.clear()
-            self.evidence[self.pose] = evidence
-        det = detect(self.world, self.pose, self.sensors.camera)
+            self.evidence[pose] = evidence
         cells, hits_at, seen_at = evidence
         self.occupancy.add_scan_evidence(cells[:hits_at], cells[hits_at:seen_at])
         self._observe(cells[seen_at:], det)
-        self._relabel(cells[:seen_at])
         # Discovered on a single high-confidence sighting, or once the fused
         # object-map probability of the sighted cell crosses the threshold
         # (detection confidence and cell probability share one scale).
@@ -469,7 +484,7 @@ class _Explorer:
                     self.objects.log_odds[y, x]) > self.threshold):
                 self.found = True
                 self.estimate = det.cell
-        return self.found or self.elapsed > self.budget
+        return cells[:seen_at]
 
     def _relabel(self, touched: np.ndarray) -> None:
         """Bring the labels and the frontier mask up to date after evidence

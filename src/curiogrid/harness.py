@@ -7,10 +7,16 @@ records are sorted into a canonical order before anything is written.
 Trials of one map, method and settings share their search up to the first
 sense that sees the target: before it, `sensor.detect`, a run's only read of
 the target, returns None. A per-process tape runs that search once without a
-target; each trial forks it at its first detection and finishes alone, and a
-target never seen gets a copy of the end state. A fork copies every array and
-list it may change, so each result equals a solo `explore`, whatever the
-process ran before.
+target and records the loop state at every sense. A trial stands at its first
+detection without running the loop again: from the fork stored at or before
+it, it fuses the cached evidence of the senses in between, relabels once and
+restores the recorded state. A cdos trial finishes alone from there. The
+baseline's pick reads no object state, so its moves are the tape's until it
+finds the target: it reads its run off the tape, fusing each sense's evidence
+with its own detection, and logs each decision's total curiosity over its own
+object map. A target never seen gets a copy of the end state. A fork copies
+every array and list it may change, so each result equals a solo `explore`,
+whatever the process ran before.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ import io
 import json
 import math
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -30,8 +35,9 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .curiosity import CuriosityParams
-from .explorer import (ExplorationResult, MotionConfig, SensorSuite, check_run_limits,
-                       detect_frontiers, _dijkstra, _Explorer, _index, _padded, _PICKS)
+from .explorer import (ExplorationResult, MotionConfig, SensorSuite, StepRecord,
+                       check_run_limits, detect_frontiers, _dijkstra, _Explorer, _index,
+                       _padded, _pick_heading, _PICKS)
 from .mapping import (FREE, OCCUPIED, MappingConfig, glyph_text, occupancy_glyphs,
                       object_glyphs, quantize, raster_pgm)
 from .sensor import CameraConfig, IrConfig, detect
@@ -269,6 +275,12 @@ _TAPE_STRIDE, _TAPE_LIMIT = 64, 1 << 24
 # Bytes of one Pose and of one StepRecord object with its list slot, about.
 _POSE_BYTES, _STEP_BYTES = 176, 336
 
+# Bytes of one sense's loop state (`_Tape._state`) with its list slot, and of
+# one decision's path with its framed indices, which the states keep alive:
+# about, fitted with tracemalloc over both methods' tapes on the packaged and
+# the 64x64 maps, whose paths hold 2.7 cells on average.
+_STATE_BYTES, _PATH_BYTES = 168, 184
+
 
 def _state_bytes(ex: _Explorer) -> int:
     arrays = (ex.occupancy.log_odds, ex.objects.log_odds, ex.labels, ex.frontier,
@@ -279,26 +291,43 @@ def _state_bytes(ex: _Explorer) -> int:
 class _Tape:
     """The target-free run of one map, method and settings, taken lazily.
 
-    `poses` holds the pose of every sense so far. Until the run ends (`done`),
-    `live` stands at the last of them, its pending sense. `forks[k]` was made
-    at the pending sense k * _TAPE_STRIDE. `nbytes` counts the forks' and
-    `live`'s arrays and list slots, the planner lists `live` makes at its
-    first decision (two list slots and a settled byte a cell, `_Search`; a
-    fork makes its own only once it decides), `poses`, and the objects
-    `live`'s lists hold.
+    `poses` holds the pose of every sense so far, and `states` the loop state
+    the run was in at each (`_state`). Until the run ends (`done`), `live`
+    stands at the last of them, its pending sense. `forks[k]` was made at the
+    pending sense k * _TAPE_STRIDE. `nbytes` counts the forks' and `live`'s
+    arrays and list slots, the planner lists `live` makes at its first
+    decision (two list slots and a settled byte a cell, `_Search`; a fork
+    makes its own only once it decides), `poses` and `states` with the paths
+    they keep, and the objects `live`'s lists hold.
+
+    A trial in a world with a target reads off the tape what does not depend
+    on the target (`trial`). It stands at its first sighting without running
+    the loop again (`_at`), and a run whose pick reads no object state stays
+    on the tape through its found sense (`_read_off`).
     """
 
     def __init__(self, explorer: _Explorer):
         self.live = explorer
         self.poses = [explorer.pose]
+        self.states = [self._state()]
         self.forks = [explorer.fork()]
         self.done = False
-        self.nbytes = 2 * _state_bytes(explorer) + 17 * explorer.labels.size + 8 + _POSE_BYTES
+        self.nbytes = (2 * _state_bytes(explorer) + 17 * explorer.labels.size + 8
+                       + _POSE_BYTES + _STATE_BYTES)
+
+    def _state(self) -> tuple:
+        """`live`'s loop state at its pending sense, but for the pose: the
+        elapsed time, the lengths of its trajectory and step lists (which
+        only grow), the settle and stall counts, and the path, its framed
+        indices and the position along it."""
+        ex = self.live
+        return (ex.elapsed, len(ex.trajectory), len(ex.steps), ex.settles, ex.stalled,
+                ex.path, ex.at, ex.along)
 
     def _advance(self) -> None:
         """Take the pending sense and go to the next one, or end the run."""
         live = self.live
-        held = len(live.trajectory), len(live.steps)
+        held = len(live.trajectory), len(live.steps), live.path
         if live._sense() or not live._to_next_pose():
             self.done = True  # neither call adds a pose or a step then
             return
@@ -307,12 +336,71 @@ class _Tape:
             self.forks.append(live.fork())
             self.nbytes += _state_bytes(live)
         self.poses.append(live.pose)
+        self.states.append(self._state())
         self.nbytes += (8 + _POSE_BYTES * (len(live.trajectory) - held[0])
-                        + _STEP_BYTES * (len(live.steps) - held[1]))
+                        + _STEP_BYTES * (len(live.steps) - held[1]) + _STATE_BYTES)
+        if live.path is not held[2]:
+            self.nbytes += _PATH_BYTES
+
+    def _at(self, i: int, world: GridWorld) -> _Explorer:
+        """An explorer in `world`, the tape's map, standing at the tape's
+        sense i, as a run in `world` whose `detect` saw nothing before i.
+
+        It forks `live` at its pending sense, or else the fork stored at or
+        before i, and fuses the cached evidence of the senses in between,
+        detecting nothing. One `_relabel` over every cell they touched stands
+        for theirs: labels are per-cell functions of the log odds, and a
+        cell's frontier status reads only its own label and its
+        4-neighbours'. The loop state is restored from `states`, and the
+        trajectory and steps are prefixes of `live`'s.
+        """
+        if i == len(self.poses) - 1 and not self.done:
+            return self.live.fork(world)
+        # a tape that skipped a fork passed the bound and is emptied before its next trial
+        ex = self.forks[i // _TAPE_STRIDE].fork(world)
+        touched = [ex._fuse(pose, None) for pose in self.poses[i - i % _TAPE_STRIDE:i]]
+        if touched:
+            ex._relabel(np.concatenate(touched))
+        ex.pose = self.poses[i]
+        ex.elapsed, n, m, ex.settles, ex.stalled, ex.path, ex.at, ex.along = self.states[i]
+        ex.trajectory, ex.steps = self.live.trajectory[:n], self.live.steps[:m]
+        return ex
+
+    def _read_off(self, i: int, world: GridWorld) -> ExplorationResult:
+        """The run in `world` from its first sighting at sense i, for a pick
+        that reads no object state: its poses, occupancy, decisions and time
+        are the tape's until it finds the target.
+
+        It walks the tape from i, advancing it as far as it reads, and at
+        each sense fuses the cached evidence with its own detection and takes
+        `_sense`'s found test, until it finds or the tape's run ends. Each
+        decision the tape logged from i on is logged again with this run's
+        own total curiosity, summed over its own object map.
+        """
+        ex = self._at(i, world)
+        camera = ex.sensors.camera
+        j = i
+        while True:
+            if j == len(self.poses) - 1 and not self.done:
+                self._advance()
+            ex._fuse(self.poses[j], detect(world, self.poses[j], camera))
+            if ex.found or j == len(self.poses) - 1:
+                break
+            j += 1
+            for s in self.live.steps[len(ex.steps):self.states[j][2]]:
+                ex.steps.append(StepRecord(s.step, s.pose, s.frontier, s.loss,
+                                           ex._total_curiosity(), s.path_length, s.elapsed,
+                                           s.mode))
+        ex.pose = self.poses[j]
+        ex.elapsed, n = self.states[j][:2]
+        ex.trajectory = self.live.trajectory[:n]
+        return ex._result()
 
     def trial(self, world: GridWorld) -> ExplorationResult:
         """The run in `world`, the tape's map with a target: the tape's up to
-        the first sense whose `detect` sees the target, alone from there."""
+        the first sense whose `detect` sees the target, then read off the tape
+        or alone from that sense on; a target never seen gets a copy of the
+        end state."""
         camera = self.live.sensors.camera
         i = 0
         while i < len(self.poses) and detect(world, self.poses[i], camera) is None:
@@ -321,11 +409,9 @@ class _Tape:
                 self._advance()
         if i == len(self.poses):
             return self.live.fork()._result()
-        if i == len(self.poses) - 1 and not self.done:
-            return self.live.fork(world).run()
-        # The senses before i see no target, so the trial runs on from the fork before
-        # i; a tape that skipped a fork passed the bound and is emptied before its next.
-        return self.forks[i // _TAPE_STRIDE].fork(world).run()
+        if self.live.pick is _pick_heading:  # the one pick that reads no object state
+            return self._read_off(i, world)
+        return self._at(i, world).run()
 
 
 # Per-process tapes, by map text and the settings a run reads (`_settings`).
@@ -425,6 +511,7 @@ def run_zone_experiment(cfg: ExperimentConfig,
         groups: dict[tuple[str, str], list] = {}
         for task in tasks:  # by map and method: the trials one tape serves
             groups.setdefault((task[0], task[4]), []).append(task)
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays its import
         with ProcessPoolExecutor(max_workers=min(cfg.workers, len(groups))) as pool:
             records = [r for done in pool.map(_run_trial_tasks, groups.values()) for r in done]
     else:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import re
 import statistics
@@ -9,15 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curiogrid import harness
+from curiogrid import explorer, harness
 from curiogrid.explorer import SensorSuite, explore_cdos
 from curiogrid.harness import (ConfigError, ExperimentConfig, default_config,
                                fixture_path, load_config, parse_config, render_maps,
                                run_fov_sweep, run_trial, run_zone_experiment, steps_jsonl,
                                summary_csv, trials_csv)
 from curiogrid.mapping import from_pgm
-from curiogrid.sensor import CameraConfig, IrConfig
-from curiogrid.world import MapError, load_map
+from curiogrid.sensor import CameraConfig, IrConfig, detect
+from curiogrid.world import MapError, load_map, load_zones, sample_zone_points
 
 TINY_MAP = """cellsize=0.5 heading=0.0
 ##########
@@ -208,7 +209,7 @@ class TestZoneExperiment:
                 tasks.extend(items)
                 return map(fn, tasks)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcess)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
         cfg = tiny_config(tiny_dir, map_dense=str(tiny_dir / "tiny.map"), workers=3)
         pooled = run_zone_experiment(cfg)
         groups = [{(trial[0], trial[4]) for trial in task} for task in tasks]
@@ -328,7 +329,7 @@ def _free_cells(map_text):
 
 def _solo(placement, method, cfg, map_text=POCKET_MAP):
     """`explore` on a fresh parse of `map_text` with the object at `placement`."""
-    key = map_text, placement, method, cfg.budget
+    key = map_text, placement, method, cfg
     if key not in _SOLO:
         world = load_map(map_text).with_target(placement)
         _SOLO[key] = harness.explore(world, method, math.radians(60), math.radians(30), cfg)
@@ -356,19 +357,20 @@ class TestTape:
                              ids=["pocket", "tiny"])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), method=st.sampled_from(harness.METHODS),
-           budget=st.sampled_from([120.0, 1.0]),
+           budget=st.sampled_from([120.0, 1.0]), eta=st.sampled_from([1.9, 0.3]),
            bound=st.sampled_from([(64, 1 << 24), (2, 1 << 24), (3, 1), (2, 20_000)]))
     def test_tape_equals_solo_runs_in_any_order(self, map_text, cells, data, method, budget,
-                                                bound):
-        # cells: the start, and the pocket or the map's own 'T'. stride and
-        # byte bound: the default; a fork every second sense; no fork past the
-        # first and a table emptied at each trial; a few forks until the bound
-        # is passed
+                                                eta, bound):
+        # cells: the start, and the pocket or the map's own 'T'. eta = 0.3
+        # makes most sightings too weak to find on their own. stride and byte
+        # bound: the default; a fork every second sense; no fork past the
+        # first and a table emptied at each trial; a few forks until the
+        # bound is passed
         placements = data.draw(st.lists(st.sampled_from(_free_cells(map_text)),
                                         min_size=1, max_size=10))
         stride, limit = bound
         harness._TAPES.clear()
-        cfg = ExperimentConfig(eta=1.9, budget=budget)
+        cfg = ExperimentConfig(eta=eta, budget=budget)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harness, "_TAPE_STRIDE", stride)
             mp.setattr(harness, "_TAPE_LIMIT", limit)
@@ -376,6 +378,102 @@ class TestTape:
                 assert _fields(self._trial(placement, method, cfg, map_text)) == \
                     _fields(_solo(placement, method, cfg, map_text))
             assert len(harness._TAPES) == 1
+
+    def _sighting(self, placement, cfg, tape):
+        """The first of the tape's senses whose `detect` sees `placement`."""
+        world = load_map(POCKET_MAP).with_target(placement)
+        camera = cfg.sensor_suite(math.radians(60), math.radians(30)).camera
+        return next(i for i, pose in enumerate(tape.poses)
+                    if detect(world, pose, camera) is not None)
+
+    @pytest.mark.parametrize("method", harness.METHODS)
+    def test_weak_sighting_found_past_the_tape_end(self, method):
+        # eta = 0.3: (2, 1) is sighted at the second sense but found senses
+        # later. A fresh tape stops at the sighting; a baseline trial reads on
+        # and advances it, a cdos trial runs alone from there.
+        cfg = ExperimentConfig(eta=0.3, budget=120.0)
+        res = self._trial((2, 1), method, cfg)
+        assert res.found and _fields(res) == _fields(_solo((2, 1), method, cfg))
+        tape = next(iter(harness._TAPES.values()))
+        i = self._sighting((2, 1), cfg, tape)
+        assert res.trajectory.index(tape.poses[i]) < len(res.trajectory) - 2
+        if method == "baseline":
+            assert res.trajectory[-1] in tape.poses[i + 1:]
+        else:
+            assert len(tape.poses) == i + 1 and not tape.done
+
+    @pytest.mark.parametrize("method", harness.METHODS)
+    @pytest.mark.parametrize("budget", [120.0, 1.0], ids=["frontiers", "budget"])
+    def test_sighted_but_never_found(self, method, budget):
+        # (1, 1) is sighted once, weakly, and the run ends unfound when the
+        # frontiers run out, or earlier when the budget is spent. The first
+        # trial takes a fresh tape, the second the tape the first left.
+        cfg = ExperimentConfig(eta=0.3, budget=budget)
+        solo = _solo((1, 1), method, cfg)
+        world = load_map(POCKET_MAP).with_target((1, 1))
+        camera = cfg.sensor_suite(math.radians(60), math.radians(30)).camera
+        assert not solo.found and any(detect(world, p, camera) for p in solo.trajectory)
+        for _ in range(2):
+            assert _fields(self._trial((1, 1), method, cfg)) == _fields(solo)
+
+    @pytest.mark.parametrize("map_id", ["sparse", "dense"])
+    def test_packaged_maps(self, map_id):
+        cfg = replace(default_config(), budget=30.0)
+        text = Path(getattr(cfg, f"map_{map_id}")).read_text()
+        zones = load_zones(Path(cfg.zone_file).read_text(), load_map(text))
+        placements = [cell for zone_id in (2, 3, 5)
+                      for cell in sample_zone_points(zones[zone_id], 1, zone_id)]
+        for method in harness.METHODS:
+            for placement in placements:
+                assert _fields(self._trial(placement, method, cfg, text)) == \
+                    _fields(_solo(placement, method, cfg, text))
+
+    @pytest.mark.parametrize("method", harness.METHODS)
+    def test_emptied_sensing_cache(self, method, monkeypatch):
+        # the tape is whole before the cache is emptied, and a cache of 8
+        # poses is emptied again within the replay of any trial
+        cfg = ExperimentConfig(eta=0.3, budget=120.0)
+        self._trial((8, 4), method, cfg)
+        for table in explorer._SENSE_CACHE.values():
+            table.clear()
+        monkeypatch.setattr(explorer, "_SENSE_CACHE_LIMIT", 8)
+        for placement in ((2, 1), (1, 1), (10, 6)):
+            assert _fields(self._trial(placement, method, cfg)) == \
+                _fields(_solo(placement, method, cfg))
+
+    def test_baseline_trial_decides_nothing_of_its_own(self, monkeypatch):
+        # found senses after its sighting, sighted and never found, never seen
+        cfg = ExperimentConfig(eta=0.3, budget=120.0)
+        own = []
+        for name in ("_sense", "_to_next_pose"):
+            def counted(ex, _call=getattr(harness._Explorer, name), _name=name):
+                if all(ex is not t.live for t in harness._TAPES.values()):
+                    own.append(_name)
+                return _call(ex)
+            monkeypatch.setattr(harness._Explorer, name, counted)
+        for placement in ((2, 1), (1, 1), (8, 4)):
+            assert _fields(self._trial(placement, "baseline", cfg)) == \
+                _fields(_solo(placement, "baseline", cfg))
+        assert own == []
+
+    def test_cdos_trial_senses_from_its_sighting(self, monkeypatch):
+        cfg = ExperimentConfig(eta=0.3, budget=120.0)
+        self._trial((8, 4), "cdos", cfg)  # never seen: the whole tape
+        tape = next(iter(harness._TAPES.values()))
+        sensed = []
+        sense = harness._Explorer._sense
+        monkeypatch.setattr(harness._Explorer, "_sense",
+                            lambda ex: sensed.append(ex.pose) or sense(ex))
+        for placement in ((1, 1), (10, 1)):
+            sensed.clear()
+            world = load_map(POCKET_MAP).with_target(placement)
+            solo = harness.explore(world, "cdos", math.radians(60), math.radians(30), cfg)
+            solo_senses = len(sensed)
+            sensed.clear()
+            assert _fields(self._trial(placement, "cdos", cfg)) == _fields(solo)
+            i = self._sighting(placement, cfg, tape)
+            assert i > 0 and i % harness._TAPE_STRIDE
+            assert sensed[0] == tape.poses[i] and len(sensed) == solo_senses - i
 
     def test_tape_counts_what_it_holds(self):
         # A whole tape's count against the bytes it allocated, within 10%
