@@ -35,9 +35,9 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .curiosity import CuriosityParams
-from .explorer import (ExplorationResult, MotionConfig, SensorSuite, StepRecord,
-                       check_run_limits, detect_frontiers, _dijkstra, _Explorer, _index,
-                       _padded, _pick_heading, _PICKS)
+from .explorer import (ExplorationResult, MotionConfig, SensorSuite, check_run_limits,
+                       detect_frontiers, _dijkstra, _Explorer, _index, _padded,
+                       _pick_heading, _PICKS)
 from .mapping import (FREE, OCCUPIED, MappingConfig, glyph_text, occupancy_glyphs,
                       object_glyphs, quantize, raster_pgm)
 from .sensor import CameraConfig, IrConfig, detect
@@ -387,10 +387,8 @@ class _Tape:
             if ex.found or j == len(self.poses) - 1:
                 break
             j += 1
-            for s in self.live.steps[len(ex.steps):self.states[j][2]]:
-                ex.steps.append(StepRecord(s.step, s.pose, s.frontier, s.loss,
-                                           ex._total_curiosity(), s.path_length, s.elapsed,
-                                           s.mode))
+            for step in self.live.steps[len(ex.steps):self.states[j][2]]:
+                ex.steps.append(replace(step, total_curiosity=ex._total_curiosity()))
         ex.pose = self.poses[j]
         ex.elapsed, n = self.states[j][:2]
         ex.trajectory = self.live.trajectory[:n]

@@ -321,6 +321,11 @@ POCKET_MAP = """cellsize=0.5 heading=0.0
 """
 _SOLO: dict = {}
 
+# Tape stride and byte bound: the default; a fork every second sense; no fork
+# past the first and a table emptied at each trial; a few forks until the
+# bound is passed
+_BOUNDS = [(64, 1 << 24), (2, 1 << 24), (3, 1), (2, 20_000)]
+
 
 def _free_cells(map_text):
     return [(x, y) for y, row in enumerate(map_text.splitlines()[1:])
@@ -358,14 +363,11 @@ class TestTape:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), method=st.sampled_from(harness.METHODS),
            budget=st.sampled_from([120.0, 1.0]), eta=st.sampled_from([1.9, 0.3]),
-           bound=st.sampled_from([(64, 1 << 24), (2, 1 << 24), (3, 1), (2, 20_000)]))
+           bound=st.sampled_from(_BOUNDS))
     def test_tape_equals_solo_runs_in_any_order(self, map_text, cells, data, method, budget,
                                                 eta, bound):
         # cells: the start, and the pocket or the map's own 'T'. eta = 0.3
-        # makes most sightings too weak to find on their own. stride and byte
-        # bound: the default; a fork every second sense; no fork past the
-        # first and a table emptied at each trial; a few forks until the
-        # bound is passed
+        # makes most sightings too weak to find on their own.
         placements = data.draw(st.lists(st.sampled_from(_free_cells(map_text)),
                                         min_size=1, max_size=10))
         stride, limit = bound
@@ -404,10 +406,13 @@ class TestTape:
 
     @pytest.mark.parametrize("method", harness.METHODS)
     @pytest.mark.parametrize("budget", [120.0, 1.0], ids=["frontiers", "budget"])
-    def test_sighted_but_never_found(self, method, budget):
+    @pytest.mark.parametrize("bound", _BOUNDS)
+    def test_sighted_but_never_found(self, method, budget, bound, monkeypatch):
         # (1, 1) is sighted once, weakly, and the run ends unfound when the
         # frontiers run out, or earlier when the budget is spent. The first
         # trial takes a fresh tape, the second the tape the first left.
+        monkeypatch.setattr(harness, "_TAPE_STRIDE", bound[0])
+        monkeypatch.setattr(harness, "_TAPE_LIMIT", bound[1])
         cfg = ExperimentConfig(eta=0.3, budget=budget)
         solo = _solo((1, 1), method, cfg)
         world = load_map(POCKET_MAP).with_target((1, 1))
@@ -429,9 +434,12 @@ class TestTape:
                     _fields(_solo(placement, method, cfg, text))
 
     @pytest.mark.parametrize("method", harness.METHODS)
-    def test_emptied_sensing_cache(self, method, monkeypatch):
+    @pytest.mark.parametrize("bound", _BOUNDS)
+    def test_emptied_sensing_cache(self, method, bound, monkeypatch):
         # the tape is whole before the cache is emptied, and a cache of 8
         # poses is emptied again within the replay of any trial
+        monkeypatch.setattr(harness, "_TAPE_STRIDE", bound[0])
+        monkeypatch.setattr(harness, "_TAPE_LIMIT", bound[1])
         cfg = ExperimentConfig(eta=0.3, budget=120.0)
         self._trial((8, 4), method, cfg)
         for table in explorer._SENSE_CACHE.values():
