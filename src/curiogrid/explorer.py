@@ -25,7 +25,22 @@ views against.
 A sense is one `_fuse` and one `_relabel`. `_fuse` is the one lookup of a
 pose's sensing evidence (the map's cache, or one `sense_cells` walk the cache
 keeps); it adds the evidence and a detection to both belief maps and takes
-the found test. The harness's tapes replay cached senses through it too.
+the found test.
+
+Trials of one map and settings share their search up to the first sense that
+sees the target: before it, `sensor.detect`, a run's only read of the target,
+returns None. A per-process tape (`run_taped`) runs that search once without
+a target and records the loop state at every sense (`_Explorer._record`). A
+trial stands at its first detection without running the loop again: from the
+fork stored at or before it, it fuses the cached evidence of the senses in
+between, relabels once and restores the recorded state. A cdos trial
+finishes alone from there. The baseline's pick reads no object state, so its
+moves are the tape's until it finds the target: it reads its run off the
+tape, fusing each sense's evidence with its own detection, and logs each
+decision's total curiosity over its own object map. A target never seen gets
+a copy of the end state. A fork copies every array and list it may change,
+so each result equals a solo run (`run_solo`), whatever the process ran
+before.
 """
 
 from __future__ import annotations
@@ -33,7 +48,7 @@ from __future__ import annotations
 import copy
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Collection, Optional
 
 import numpy as np
@@ -449,6 +464,20 @@ class _Explorer:
         twin.world = self.world if world is None else world
         return twin
 
+    def _record(self) -> tuple:
+        """The pose, the elapsed time and the loop state at the pending sense,
+        as a tape records it; of the trajectory and steps, which only grow,
+        their lengths."""
+        return (self.pose, self.elapsed, len(self.trajectory), len(self.steps), self.settles,
+                self.stalled, self.path, self.at, self.along)
+
+    def _restore(self, record: tuple, trajectory: list[Pose], steps: list[StepRecord]) -> None:
+        """Stand at the sense `record` (`_record`) was taken at, in a run whose
+        trajectory and steps begin with `trajectory` and `steps`."""
+        (self.pose, self.elapsed, n, m, self.settles, self.stalled, self.path, self.at,
+         self.along) = record
+        self.trajectory, self.steps = trajectory[:n], steps[:m]
+
     def _sense(self) -> bool:
         """Sense at the current pose and fuse the evidence; True once the
         search must stop: the target is found or the budget is spent."""
@@ -649,6 +678,138 @@ class _Explorer:
         while not self._sense() and self._to_next_pose():
             pass
         return self._result()
+
+
+# Senses between two forks a tape stores; about the most bytes the tapes hold
+# over all keys, as `_Tape.nbytes` counts them (a trial that finds the bound
+# passed empties the table first, and a tape stores no more forks past it).
+_TAPE_STRIDE, _TAPE_LIMIT = 64, 1 << 24
+
+# Bytes, about, of one trajectory Pose with its list slot; of one sense's
+# record (`_Explorer._record`) with its list slot; and of one decision: its
+# StepRecord with its list slot (336) and its path with the framed indices,
+# which the records keep alive (184). The records and paths were fitted with
+# tracemalloc over both methods' tapes on the packaged and the 64x64 maps,
+# whose paths hold 2.7 cells on average.
+_POSE_BYTES, _RECORD_BYTES, _DECISION_BYTES = 176, 176, 336 + 184
+
+
+def _state_bytes(ex: _Explorer) -> int:
+    arrays = (ex.occupancy.log_odds, ex.objects.log_odds, ex.labels, ex.frontier,
+              ex.curiosity)
+    return sum(a.nbytes for a in arrays) + 8 * (len(ex.trajectory) + len(ex.steps))
+
+
+class _Tape:
+    """The target-free run of one map and settings, taken lazily (see the
+    module doc).
+
+    `senses` holds the record of every sense so far (`_Explorer._record`).
+    Until the run ends (`done`), `live` stands at the last of them, its
+    pending sense. `forks[k]` was made at the pending sense k * _TAPE_STRIDE.
+    """
+
+    def __init__(self, explorer: _Explorer):
+        self.live = explorer
+        self.senses = [explorer._record()]
+        self.forks = [explorer.fork()]
+        self.done = False
+        self.forked = 2 * _state_bytes(explorer)  # `live`'s at the start, and the forks'
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes the tape holds, about: the forks' and `live`'s arrays and
+        list slots, the planner lists `live` makes at its first decision (two
+        list slots and a settled byte a cell, `_Search`; a fork makes its own
+        only once it decides), the records, and the poses and decisions
+        `live`'s lists hold."""
+        live = self.live
+        return (self.forked + 17 * live.labels.size + _POSE_BYTES * len(live.trajectory)
+                + _DECISION_BYTES * len(live.steps) + _RECORD_BYTES * len(self.senses))
+
+    def _advance(self) -> None:
+        """Take the pending sense and go to the next one, or end the run."""
+        live = self.live
+        if live._sense() or not live._to_next_pose():
+            self.done = True
+            return
+        if (len(self.senses) == _TAPE_STRIDE * len(self.forks)
+                and sum(t.nbytes for t in _TAPES.values()) < _TAPE_LIMIT):
+            self.forks.append(live.fork())
+            self.forked += _state_bytes(live)
+        self.senses.append(live._record())
+
+    def _at(self, i: int, world: GridWorld) -> _Explorer:
+        """An explorer in `world`, the tape's map, standing at sense i as a
+        run whose `detect` saw nothing before it. One `_relabel` over every
+        cell the fused senses touched stands for theirs: labels are per-cell
+        functions of the log odds, and a cell's frontier status reads only its
+        own label and its 4-neighbours'."""
+        if i == len(self.senses) - 1 and not self.done:
+            return self.live.fork(world)
+        # a tape that skipped a fork passed the bound and is emptied before its next trial
+        ex = self.forks[i // _TAPE_STRIDE].fork(world)
+        touched = [ex._fuse(record[0], None)
+                   for record in self.senses[i - i % _TAPE_STRIDE:i]]
+        if touched:
+            ex._relabel(np.concatenate(touched))
+        ex._restore(self.senses[i], self.live.trajectory, self.live.steps)
+        return ex
+
+    def _read_off(self, i: int, world: GridWorld) -> ExplorationResult:
+        """The run in `world` from its first sighting at sense i, for a pick
+        that reads no object state: read off the tape, advancing it as far as
+        it reads."""
+        ex = self._at(i, world)
+        camera = ex.sensors.camera
+        j = i
+        while True:
+            if j == len(self.senses) - 1 and not self.done:
+                self._advance()
+            pose = self.senses[j][0]
+            ex._fuse(pose, detect(world, pose, camera))
+            if ex.found or j == len(self.senses) - 1:
+                break
+            j += 1
+            for step in self.live.steps[len(ex.steps):self.senses[j][3]]:  # to j's step count
+                ex.steps.append(replace(step, total_curiosity=ex._total_curiosity()))
+        ex._restore(self.senses[j], self.live.trajectory, ex.steps)
+        return ex._result()
+
+    def trial(self, world: GridWorld) -> ExplorationResult:
+        """The run in `world`, the tape's map with a target."""
+        camera = self.live.sensors.camera
+        i = 0
+        while i < len(self.senses) and detect(world, self.senses[i][0], camera) is None:
+            i += 1
+            if i == len(self.senses) and not self.done:
+                self._advance()
+        if i == len(self.senses):
+            return self.live.fork()._result()
+        if self.live.pick is _pick_heading:  # the one pick that reads no object state
+            return self._read_off(i, world)
+        return self._at(i, world).run()
+
+
+# Per-process tapes, by `run_taped`'s key.
+_TAPES: dict[tuple, _Tape] = {}
+
+
+def run_taped(key: tuple, world: GridWorld) -> ExplorationResult:
+    """`run_solo(world, settings)` for key = (map, settings), read off the
+    tape of that map without a target; `map` names `world`'s map (by its
+    text, say)."""
+    if sum(t.nbytes for t in _TAPES.values()) >= _TAPE_LIMIT:
+        _TAPES.clear()
+    if key not in _TAPES:  # without the target the map may mark
+        _TAPES[key] = _Tape(_Explorer(world.with_target(None), *key[1]))
+    return _TAPES[key].trial(world)
+
+
+def run_solo(world: GridWorld, settings: tuple) -> ExplorationResult:
+    """The run in `world` under `settings`, what `_Explorer` takes after the
+    world, in its order."""
+    return _Explorer(world, *settings).run()
 
 
 def explore_cdos(world: GridWorld, sensors: SensorSuite,

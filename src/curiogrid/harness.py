@@ -2,21 +2,9 @@
 
 Every trial is a pure function of (map text, placement, settings), so trials
 can be dispatched to a process pool without changing a single output byte:
-records are sorted into a canonical order before anything is written.
-
-Trials of one map, method and settings share their search up to the first
-sense that sees the target: before it, `sensor.detect`, a run's only read of
-the target, returns None. A per-process tape runs that search once without a
-target and records the loop state at every sense. A trial stands at its first
-detection without running the loop again: from the fork stored at or before
-it, it fuses the cached evidence of the senses in between, relabels once and
-restores the recorded state. A cdos trial finishes alone from there. The
-baseline's pick reads no object state, so its moves are the tape's until it
-finds the target: it reads its run off the tape, fusing each sense's evidence
-with its own detection, and logs each decision's total curiosity over its own
-object map. A target never seen gets a copy of the end state. A fork copies
-every array and list it may change, so each result equals a solo `explore`,
-whatever the process ran before.
+records are sorted into a canonical order before anything is written. The
+trials of one map, method and settings are read off one shared target-free
+search, the explorer's tape (`explorer.run_taped`).
 """
 
 from __future__ import annotations
@@ -36,11 +24,11 @@ import numpy as np
 
 from .curiosity import CuriosityParams
 from .explorer import (ExplorationResult, MotionConfig, SensorSuite, check_run_limits,
-                       detect_frontiers, _dijkstra, _Explorer, _index, _padded,
-                       _pick_heading, _PICKS)
+                       detect_frontiers, run_solo, run_taped, _dijkstra, _index, _padded,
+                       _PICKS)
 from .mapping import (FREE, OCCUPIED, MappingConfig, glyph_text, occupancy_glyphs,
                       object_glyphs, quantize, raster_pgm)
-from .sensor import CameraConfig, IrConfig, detect
+from .sensor import CameraConfig, IrConfig
 from .world import GridWorld, load_map, load_zones, sample_zone_points
 
 METHODS = tuple(_PICKS)
@@ -237,7 +225,7 @@ def _ground_truth_reachable(world: GridWorld) -> np.ndarray:
 
 
 def _settings(method: str, alpha: float, beta: float, cfg: ExperimentConfig) -> tuple:
-    """What `_Explorer` takes after the world, in its order."""
+    """The settings of a `method` run, as `run_solo` and `run_taped` take them."""
     if method not in _PICKS:
         raise ConfigError(f"unknown method {method!r}")
     return (cfg.sensor_suite(alpha, beta), cfg.motion_config(), cfg.budget,
@@ -248,7 +236,7 @@ def _settings(method: str, alpha: float, beta: float, cfg: ExperimentConfig) -> 
 def explore(world: GridWorld, method: str, alpha: float, beta: float,
             cfg: ExperimentConfig) -> ExplorationResult:
     """One `method` run on `world`: camera fov alpha, IR fov beta (radians)."""
-    return _Explorer(world, *_settings(method, alpha, beta, cfg)).run()
+    return run_solo(world, _settings(method, alpha, beta, cfg))
 
 
 @functools.lru_cache(maxsize=8)
@@ -267,166 +255,12 @@ def _reachable(map_text: str) -> np.ndarray:
     return mask
 
 
-# Senses between two forks a tape stores; about the most bytes the tapes hold
-# over all keys, as `_Tape.nbytes` counts them (a trial that finds the bound
-# passed empties the table first, and a tape stores no more forks past it).
-_TAPE_STRIDE, _TAPE_LIMIT = 64, 1 << 24
-
-# Bytes of one Pose and of one StepRecord object with its list slot, about.
-_POSE_BYTES, _STEP_BYTES = 176, 336
-
-# Bytes of one sense's loop state (`_Tape._state`) with its list slot, and of
-# one decision's path with its framed indices, which the states keep alive:
-# about, fitted with tracemalloc over both methods' tapes on the packaged and
-# the 64x64 maps, whose paths hold 2.7 cells on average.
-_STATE_BYTES, _PATH_BYTES = 168, 184
-
-
-def _state_bytes(ex: _Explorer) -> int:
-    arrays = (ex.occupancy.log_odds, ex.objects.log_odds, ex.labels, ex.frontier,
-              ex.curiosity)
-    return sum(a.nbytes for a in arrays) + 8 * (len(ex.trajectory) + len(ex.steps))
-
-
-class _Tape:
-    """The target-free run of one map, method and settings, taken lazily.
-
-    `poses` holds the pose of every sense so far, and `states` the loop state
-    the run was in at each (`_state`). Until the run ends (`done`), `live`
-    stands at the last of them, its pending sense. `forks[k]` was made at the
-    pending sense k * _TAPE_STRIDE. `nbytes` counts the forks' and `live`'s
-    arrays and list slots, the planner lists `live` makes at its first
-    decision (two list slots and a settled byte a cell, `_Search`; a fork
-    makes its own only once it decides), `poses` and `states` with the paths
-    they keep, and the objects `live`'s lists hold.
-
-    A trial in a world with a target reads off the tape what does not depend
-    on the target (`trial`). It stands at its first sighting without running
-    the loop again (`_at`), and a run whose pick reads no object state stays
-    on the tape through its found sense (`_read_off`).
-    """
-
-    def __init__(self, explorer: _Explorer):
-        self.live = explorer
-        self.poses = [explorer.pose]
-        self.states = [self._state()]
-        self.forks = [explorer.fork()]
-        self.done = False
-        self.nbytes = (2 * _state_bytes(explorer) + 17 * explorer.labels.size + 8
-                       + _POSE_BYTES + _STATE_BYTES)
-
-    def _state(self) -> tuple:
-        """`live`'s loop state at its pending sense, but for the pose: the
-        elapsed time, the lengths of its trajectory and step lists (which
-        only grow), the settle and stall counts, and the path, its framed
-        indices and the position along it."""
-        ex = self.live
-        return (ex.elapsed, len(ex.trajectory), len(ex.steps), ex.settles, ex.stalled,
-                ex.path, ex.at, ex.along)
-
-    def _advance(self) -> None:
-        """Take the pending sense and go to the next one, or end the run."""
-        live = self.live
-        held = len(live.trajectory), len(live.steps), live.path
-        if live._sense() or not live._to_next_pose():
-            self.done = True  # neither call adds a pose or a step then
-            return
-        if (len(self.poses) == _TAPE_STRIDE * len(self.forks)
-                and sum(t.nbytes for t in _TAPES.values()) < _TAPE_LIMIT):
-            self.forks.append(live.fork())
-            self.nbytes += _state_bytes(live)
-        self.poses.append(live.pose)
-        self.states.append(self._state())
-        self.nbytes += (8 + _POSE_BYTES * (len(live.trajectory) - held[0])
-                        + _STEP_BYTES * (len(live.steps) - held[1]) + _STATE_BYTES)
-        if live.path is not held[2]:
-            self.nbytes += _PATH_BYTES
-
-    def _at(self, i: int, world: GridWorld) -> _Explorer:
-        """An explorer in `world`, the tape's map, standing at the tape's
-        sense i, as a run in `world` whose `detect` saw nothing before i.
-
-        It forks `live` at its pending sense, or else the fork stored at or
-        before i, and fuses the cached evidence of the senses in between,
-        detecting nothing. One `_relabel` over every cell they touched stands
-        for theirs: labels are per-cell functions of the log odds, and a
-        cell's frontier status reads only its own label and its
-        4-neighbours'. The loop state is restored from `states`, and the
-        trajectory and steps are prefixes of `live`'s.
-        """
-        if i == len(self.poses) - 1 and not self.done:
-            return self.live.fork(world)
-        # a tape that skipped a fork passed the bound and is emptied before its next trial
-        ex = self.forks[i // _TAPE_STRIDE].fork(world)
-        touched = [ex._fuse(pose, None) for pose in self.poses[i - i % _TAPE_STRIDE:i]]
-        if touched:
-            ex._relabel(np.concatenate(touched))
-        ex.pose = self.poses[i]
-        ex.elapsed, n, m, ex.settles, ex.stalled, ex.path, ex.at, ex.along = self.states[i]
-        ex.trajectory, ex.steps = self.live.trajectory[:n], self.live.steps[:m]
-        return ex
-
-    def _read_off(self, i: int, world: GridWorld) -> ExplorationResult:
-        """The run in `world` from its first sighting at sense i, for a pick
-        that reads no object state: its poses, occupancy, decisions and time
-        are the tape's until it finds the target.
-
-        It walks the tape from i, advancing it as far as it reads, and at
-        each sense fuses the cached evidence with its own detection and takes
-        `_sense`'s found test, until it finds or the tape's run ends. Each
-        decision the tape logged from i on is logged again with this run's
-        own total curiosity, summed over its own object map.
-        """
-        ex = self._at(i, world)
-        camera = ex.sensors.camera
-        j = i
-        while True:
-            if j == len(self.poses) - 1 and not self.done:
-                self._advance()
-            ex._fuse(self.poses[j], detect(world, self.poses[j], camera))
-            if ex.found or j == len(self.poses) - 1:
-                break
-            j += 1
-            for step in self.live.steps[len(ex.steps):self.states[j][2]]:
-                ex.steps.append(replace(step, total_curiosity=ex._total_curiosity()))
-        ex.pose = self.poses[j]
-        ex.elapsed, n = self.states[j][:2]
-        ex.trajectory = self.live.trajectory[:n]
-        return ex._result()
-
-    def trial(self, world: GridWorld) -> ExplorationResult:
-        """The run in `world`, the tape's map with a target: the tape's up to
-        the first sense whose `detect` sees the target, then read off the tape
-        or alone from that sense on; a target never seen gets a copy of the
-        end state."""
-        camera = self.live.sensors.camera
-        i = 0
-        while i < len(self.poses) and detect(world, self.poses[i], camera) is None:
-            i += 1
-            if i == len(self.poses) and not self.done:
-                self._advance()
-        if i == len(self.poses):
-            return self.live.fork()._result()
-        if self.live.pick is _pick_heading:  # the one pick that reads no object state
-            return self._read_off(i, world)
-        return self._at(i, world).run()
-
-
-# Per-process tapes, by map text and the settings a run reads (`_settings`).
-_TAPES: dict[tuple, _Tape] = {}
-
-
 def run_trial(map_text: str, placement: tuple[int, int], method: str,
               alpha: float, beta: float, cfg: ExperimentConfig) -> ExplorationResult:
     """One exploration run with the object at `placement`: `explore` on the
-    map with that target, taken from the map's tape (see the module doc)."""
-    world = _parsed_map(map_text)
-    key = (map_text, _settings(method, alpha, beta, cfg))
-    if sum(t.nbytes for t in _TAPES.values()) >= _TAPE_LIMIT:
-        _TAPES.clear()
-    if key not in _TAPES:  # without the target the map may mark
-        _TAPES[key] = _Tape(_Explorer(world.with_target(None), *key[1]))
-    return _TAPES[key].trial(world.with_target(placement))
+    map with that target, taken from the map's shared tape (`run_taped`)."""
+    return run_taped((map_text, _settings(method, alpha, beta, cfg)),
+                     _parsed_map(map_text).with_target(placement))
 
 
 def _run_trial_task(args) -> TrialRecord:

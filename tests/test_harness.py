@@ -346,12 +346,17 @@ def _fields(res):
             res.occupancy.log_odds.tobytes(), res.objects.log_odds.tobytes())
 
 
+def _poses(tape):
+    """The pose of each sense the tape recorded."""
+    return [record[0] for record in tape.senses]
+
+
 class TestTape:
     """`run_trial` through a map's shared target-free tape equals a solo run."""
 
     @pytest.fixture(autouse=True)
     def tapes(self, monkeypatch):
-        monkeypatch.setattr(harness, "_TAPES", {})
+        monkeypatch.setattr(explorer, "_TAPES", {})
 
     def _trial(self, placement, method, cfg, map_text=POCKET_MAP):
         return run_trial(map_text, placement, method, math.radians(60), math.radians(30), cfg)
@@ -371,21 +376,21 @@ class TestTape:
         placements = data.draw(st.lists(st.sampled_from(_free_cells(map_text)),
                                         min_size=1, max_size=10))
         stride, limit = bound
-        harness._TAPES.clear()
+        explorer._TAPES.clear()
         cfg = ExperimentConfig(eta=eta, budget=budget)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(harness, "_TAPE_STRIDE", stride)
-            mp.setattr(harness, "_TAPE_LIMIT", limit)
+            mp.setattr(explorer, "_TAPE_STRIDE", stride)
+            mp.setattr(explorer, "_TAPE_LIMIT", limit)
             for placement in placements + cells:
                 assert _fields(self._trial(placement, method, cfg, map_text)) == \
                     _fields(_solo(placement, method, cfg, map_text))
-            assert len(harness._TAPES) == 1
+            assert len(explorer._TAPES) == 1
 
     def _sighting(self, placement, cfg, tape):
         """The first of the tape's senses whose `detect` sees `placement`."""
         world = load_map(POCKET_MAP).with_target(placement)
         camera = cfg.sensor_suite(math.radians(60), math.radians(30)).camera
-        return next(i for i, pose in enumerate(tape.poses)
+        return next(i for i, pose in enumerate(_poses(tape))
                     if detect(world, pose, camera) is not None)
 
     @pytest.mark.parametrize("method", harness.METHODS)
@@ -396,13 +401,13 @@ class TestTape:
         cfg = ExperimentConfig(eta=0.3, budget=120.0)
         res = self._trial((2, 1), method, cfg)
         assert res.found and _fields(res) == _fields(_solo((2, 1), method, cfg))
-        tape = next(iter(harness._TAPES.values()))
+        tape = next(iter(explorer._TAPES.values()))
         i = self._sighting((2, 1), cfg, tape)
-        assert res.trajectory.index(tape.poses[i]) < len(res.trajectory) - 2
+        assert res.trajectory.index(_poses(tape)[i]) < len(res.trajectory) - 2
         if method == "baseline":
-            assert res.trajectory[-1] in tape.poses[i + 1:]
+            assert res.trajectory[-1] in _poses(tape)[i + 1:]
         else:
-            assert len(tape.poses) == i + 1 and not tape.done
+            assert len(tape.senses) == i + 1 and not tape.done
 
     @pytest.mark.parametrize("method", harness.METHODS)
     @pytest.mark.parametrize("budget", [120.0, 1.0], ids=["frontiers", "budget"])
@@ -411,8 +416,8 @@ class TestTape:
         # (1, 1) is sighted once, weakly, and the run ends unfound when the
         # frontiers run out, or earlier when the budget is spent. The first
         # trial takes a fresh tape, the second the tape the first left.
-        monkeypatch.setattr(harness, "_TAPE_STRIDE", bound[0])
-        monkeypatch.setattr(harness, "_TAPE_LIMIT", bound[1])
+        monkeypatch.setattr(explorer, "_TAPE_STRIDE", bound[0])
+        monkeypatch.setattr(explorer, "_TAPE_LIMIT", bound[1])
         cfg = ExperimentConfig(eta=0.3, budget=budget)
         solo = _solo((1, 1), method, cfg)
         world = load_map(POCKET_MAP).with_target((1, 1))
@@ -438,8 +443,8 @@ class TestTape:
     def test_emptied_sensing_cache(self, method, bound, monkeypatch):
         # the tape is whole before the cache is emptied, and a cache of 8
         # poses is emptied again within the replay of any trial
-        monkeypatch.setattr(harness, "_TAPE_STRIDE", bound[0])
-        monkeypatch.setattr(harness, "_TAPE_LIMIT", bound[1])
+        monkeypatch.setattr(explorer, "_TAPE_STRIDE", bound[0])
+        monkeypatch.setattr(explorer, "_TAPE_LIMIT", bound[1])
         cfg = ExperimentConfig(eta=0.3, budget=120.0)
         self._trial((8, 4), method, cfg)
         for table in explorer._SENSE_CACHE.values():
@@ -454,11 +459,11 @@ class TestTape:
         cfg = ExperimentConfig(eta=0.3, budget=120.0)
         own = []
         for name in ("_sense", "_to_next_pose"):
-            def counted(ex, _call=getattr(harness._Explorer, name), _name=name):
-                if all(ex is not t.live for t in harness._TAPES.values()):
+            def counted(ex, _call=getattr(explorer._Explorer, name), _name=name):
+                if all(ex is not t.live for t in explorer._TAPES.values()):
                     own.append(_name)
                 return _call(ex)
-            monkeypatch.setattr(harness._Explorer, name, counted)
+            monkeypatch.setattr(explorer._Explorer, name, counted)
         for placement in ((2, 1), (1, 1), (8, 4)):
             assert _fields(self._trial(placement, "baseline", cfg)) == \
                 _fields(_solo(placement, "baseline", cfg))
@@ -467,10 +472,10 @@ class TestTape:
     def test_cdos_trial_senses_from_its_sighting(self, monkeypatch):
         cfg = ExperimentConfig(eta=0.3, budget=120.0)
         self._trial((8, 4), "cdos", cfg)  # never seen: the whole tape
-        tape = next(iter(harness._TAPES.values()))
+        tape = next(iter(explorer._TAPES.values()))
         sensed = []
-        sense = harness._Explorer._sense
-        monkeypatch.setattr(harness._Explorer, "_sense",
+        sense = explorer._Explorer._sense
+        monkeypatch.setattr(explorer._Explorer, "_sense",
                             lambda ex: sensed.append(ex.pose) or sense(ex))
         for placement in ((1, 1), (10, 1)):
             sensed.clear()
@@ -480,19 +485,22 @@ class TestTape:
             sensed.clear()
             assert _fields(self._trial(placement, "cdos", cfg)) == _fields(solo)
             i = self._sighting(placement, cfg, tape)
-            assert i > 0 and i % harness._TAPE_STRIDE
-            assert sensed[0] == tape.poses[i] and len(sensed) == solo_senses - i
+            assert i > 0 and i % explorer._TAPE_STRIDE
+            assert sensed[0] == _poses(tape)[i] and len(sensed) == solo_senses - i
 
-    def test_tape_counts_what_it_holds(self):
-        # A whole tape's count against the bytes it allocated, within 10%
+    @pytest.mark.parametrize("method", harness.METHODS)
+    @pytest.mark.parametrize("map_id", ["sparse", "dense"])
+    def test_tape_counts_what_it_holds(self, map_id, method):
+        # A whole tape's count against the bytes it allocated, within 10%, on
+        # the maps the byte model was fitted on
         cfg = default_config()
-        text = Path(cfg.map_sparse).read_text()
-        settings_ = harness._settings("cdos", cfg.alphas[0], cfg.betas[0], cfg)
-        harness._Explorer(load_map(text), *settings_).run()  # fill the sensing cache
+        text = Path(getattr(cfg, f"map_{map_id}")).read_text()
+        settings_ = harness._settings(method, cfg.alphas[0], cfg.betas[0], cfg)
+        explorer._Explorer(load_map(text), *settings_).run()  # fill the sensing cache
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            tape = harness._Tape(harness._Explorer(load_map(text), *settings_))
+            tape = explorer._Tape(explorer._Explorer(load_map(text), *settings_))
             while not tape.done:
                 tape._advance()
             held = tracemalloc.get_traced_memory()[0] - before
@@ -510,10 +518,10 @@ class TestTape:
     def test_eviction_keeps_results(self, monkeypatch):
         cfg = ExperimentConfig(eta=1.9, budget=120.0)
         self._trial((10, 6), "cdos", cfg)
-        tape = next(iter(harness._TAPES.values()))
-        monkeypatch.setattr(harness, "_TAPE_LIMIT", tape.nbytes - 1)
+        tape = next(iter(explorer._TAPES.values()))
+        monkeypatch.setattr(explorer, "_TAPE_LIMIT", tape.nbytes - 1)
         res = self._trial((10, 1), "cdos", cfg)
-        assert next(iter(harness._TAPES.values())) is not tape
+        assert next(iter(explorer._TAPES.values())) is not tape
         assert _fields(res) == _fields(_solo((10, 1), "cdos", cfg))
 
     @pytest.mark.parametrize("method", harness.METHODS)

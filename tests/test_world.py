@@ -442,26 +442,25 @@ def test_trace_ray_matches_grid_ray_oracle(case, hit):
 # per-beam trace_ray loop that is its oracle.
 
 def _oracle_beams(world, pose, angles, max_range):
-    """ir_scan's beams, one trace_ray walk each."""
+    """ir_scan's beams, one `_oracle_trace` walk each: a beam that stops
+    within range, at a wall or at the lattice border, hits there."""
     beams = []
     for angle in angles:
-        _, _, t = trace_ray(world.occupied, world.cell_size, pose.x, pose.y, angle, max_range)
-        beams.append(Beam(angle, t, True) if t <= max_range
-                     else Beam(angle, max_range, False))
+        _, _, dist = _oracle_trace(world.occupied, world.cell_size, pose.x, pose.y, angle,
+                                   max_range)
+        beams.append(Beam(angle, max_range, False) if dist is None
+                     else Beam(angle, dist, True))
     return tuple(beams)
 
 
 def _oracle_sweep(blocked, cell_size, pose, cam):
-    """camera_sweep's (seen_free, seen_blocked), one trace_ray walk per beam."""
-    height, width = blocked.shape
-    seen_free, seen_blocked = {}, {}
+    """camera_sweep's seen-free cells, one trace_ray walk per beam."""
+    seen_free = {}
     for angle in beam_angles(pose.heading, cam.fov, cam.ray_count):
-        visited, stop, t = trace_ray(blocked, cell_size, pose.x, pose.y, angle, cam.max_range)
+        visited, _, _ = trace_ray(blocked, cell_size, pose.x, pose.y, angle, cam.max_range)
         for cell in visited:
             seen_free.setdefault(cell)
-        if t <= cam.max_range and 0 <= stop[0] < width and 0 <= stop[1] < height:
-            seen_blocked.setdefault(stop)
-    return list(seen_free), list(seen_blocked)
+    return list(seen_free)
 
 
 def _flat_set(cells, width):
@@ -503,7 +502,7 @@ def test_fan_walk_matches_trace_ray(case, data):
     ir = IrConfig(fov, max_range, count)
 
     assert camera_sweep(world.occupied, cs, pose, cam) == _oracle_sweep(
-        world.occupied, cs, pose, cam)[0]
+        world.occupied, cs, pose, cam)
     labels = np.where(world.occupied, Label.OCCUPIED, Label.FREE)
     assert visible_from(labels, cs, pose, cam) == _oracle_visible(labels, cs, pose, cam)
     angles = beam_angles(pose.heading, fov, count)
@@ -627,7 +626,7 @@ def test_fan_table_far_range_capped_at_lattice_extent():
     cam = CameraConfig(TWO_PI, 1e6, 1.0, 90)
     sensor._FAN_TABLES.clear()
     assert camera_sweep(world.occupied, world.cell_size, pose, cam) == _oracle_sweep(
-        world.occupied, world.cell_size, pose, cam)[0]
+        world.occupied, world.cell_size, pose, cam)
     angles = beam_angles(pose.heading, cam.fov, cam.ray_count)
     assert ir_scan(world, pose, IrConfig(TWO_PI, 1e6, 90)).beams == _oracle_beams(
         world, pose, angles, 1e6)
