@@ -24,6 +24,6 @@ from .mission import (MissionEvent, MissionPhase, MissionTrace, TetherMode,
 from .sensor import (Beam, CameraConfig, CameraObservation, Detection, IrConfig,
                      IrScan, camera_observe, ir_scan)
 from .world import (Cell, GridWorld, MapError, Pose, Zone, ZoneError, load_map,
-                    load_zones, ray_cast, sample_zone_points, serialize_map)
+                    load_zones, sample_zone_points)
 
 __version__ = "0.1.0"

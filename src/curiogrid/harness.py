@@ -139,10 +139,12 @@ _OWNERS = {
 
 def parse_config(text: str, base_dir: Optional[Path] = None) -> ExperimentConfig:
     """Parse a key = value config file; relative paths resolve against base_dir.
-    Keys are ExperimentConfig's fields, but the fov lists are alphas_deg/betas_deg."""
+    Keys are ExperimentConfig's fields, but the fov lists are alphas_deg/betas_deg.
+    A key given twice raises ConfigError."""
     types = {f"{k}_deg" if k in ("alphas", "betas") else k: t
              for k, t in get_type_hints(ExperimentConfig).items()}
     values: dict = {}
+    first: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -154,6 +156,9 @@ def parse_config(text: str, base_dir: Optional[Path] = None) -> ExperimentConfig
         val = val.strip()
         if key not in types:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} (first on line {first[key]})")
+        first[key] = lineno
         try:
             if key in ("alphas_deg", "betas_deg"):
                 values[key.removesuffix("_deg")] = tuple(

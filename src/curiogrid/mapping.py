@@ -260,27 +260,10 @@ class ObjectMap:
                                              self.cfg.lambda1, self.cfg.lambda2)
 
 
-def to_pgm(values: np.ndarray) -> bytes:
-    """Serialize probabilities as binary PGM (P5), byte = round(p * 255)."""
-    return raster_pgm(quantize(values))
-
-
 def raster_pgm(raster: np.ndarray) -> bytes:
     """Binary PGM (P5) of a 2D uint8 raster."""
     height, width = raster.shape
     return f"P5\n{width} {height}\n255\n".encode("ascii") + raster.tobytes()
-
-
-def from_pgm(data: bytes) -> np.ndarray:
-    """Parse a binary PGM produced by to_pgm back into byte values."""
-    parts = data.split(b"\n", 3)
-    if len(parts) != 4 or parts[0] != b"P5":
-        raise ValueError("not a P5 PGM produced by to_pgm")
-    width, height = (int(v) for v in parts[1].split())
-    if parts[2] != b"255":
-        raise ValueError("unsupported maxval")
-    raster = np.frombuffer(parts[3], dtype=np.uint8, count=width * height)
-    return raster.reshape((height, width))
 
 
 def quantize(values: np.ndarray) -> np.ndarray:

@@ -6,22 +6,21 @@ clamped to 1.
 
 Only the two hot walks read memoized fan tables: the explorer's sense
 (`sense_cells`, one per sensing-cache miss) and the prediction of a
-candidate view (`camera_sweep`, through `curiosity.visible_from`); the
-step-by-step view `fan_walk` shows the same walk to the tests. A fan table
-(`_fan_table`) holds every beam's cell offsets and entry distances from one
-origin spot in its cell, stepped exactly as `world.trace_ray` steps, each
-beam to its own range; a walk is one numpy gather of it over a code grid of
-the walls (`fan_codes`), and marks cells over the window of lattice rows and
-columns the table covers rather than the whole lattice. A sense's table is
-one fan table over the IR beams and then the camera beams, plus each IR
-beam's evidence for every step at which it may stop (`_sense_table`), so a
-sense is one gather, one stop search and one flag array. The memo is
-bounded at _FAN_TABLE_LIMIT beam steps.
+candidate view (`camera_sweep`, through `curiosity.visible_from`). A fan
+table (`_fan_table`) holds every beam's cell offsets and entry distances
+from one origin spot in its cell, stepped exactly as `world.trace_ray`
+steps, each beam to its own range; a walk is one numpy gather of it over a
+code grid of the walls (`fan_codes`), and marks cells over the window of
+lattice rows and columns the table covers rather than the whole lattice. A
+sense's table is one fan table over the IR beams and then the camera beams,
+plus each IR beam's evidence for every step at which it may stop
+(`_sense_table`), so a sense is one gather, one stop search and one flag
+array. The memo is bounded at _FAN_TABLE_LIMIT beam steps.
 
 The per-scan API (`ir_scan`, `scan_cells`, `camera_observe`) is the spec
 those walks are tested against, written on `trace_ray`, one walk per beam;
-so are the single rays of `detect` and `world.ray_cast`. The wedge test
-(`wedge_cells`) has its one copy here too.
+so is the single ray of `detect`. The wedge test (`wedge_cells`) has its
+one copy here too.
 """
 
 from __future__ import annotations
@@ -117,11 +116,7 @@ class CameraObservation(NamedTuple):
 
 def beam_angles(heading: float, fov: float, count: int) -> list[float]:
     """Evenly spaced angles across [heading - fov/2, heading + fov/2]."""
-    return _spread(heading - fov / 2.0, fov, count)
-
-
-def _spread(start: float, fov: float, count: int) -> list[float]:
-    """`count` angles fov / (count - 1) apart, the first at `start`."""
+    start = heading - fov / 2.0
     step = fov / (count - 1)
     return [start + i * step for i in range(count)]
 
@@ -315,38 +310,6 @@ def _memo(key: tuple, build: Callable[[], _Table]) -> _Table:
     return table
 
 
-def _table(spot: tuple, max_range: float, width: int, height: int, beams: tuple) -> _FanTable:
-    """The memoized `_fan_table` of the fan `beams` (see `_walk`) from an
-    origin at `spot` (see `_spot`)."""
-    angles = beams[0] if len(beams) == 1 else _spread(*beams)
-    return _memo(spot + (max_range, width, height) + beams, lambda: _fan_table(
-        *spot, width, height, angles, [max_range] * len(angles)))
-
-
-def _walk(codes: np.ndarray, cell_size: float, ox: float, oy: float, max_range: float,
-          *beams) -> tuple[_FanTable, int, int, np.ndarray]:
-    """Walk a ray fan from (ox, oy) over `codes` (see `fan_codes`), each beam
-    stepping, entering and stopping exactly as `trace_ray` does.
-
-    Returns the fan's table, the origin's cell (cx, cy) and the step at
-    which each beam stops: its first cell beyond max_range, outside the
-    lattice or blocked. Steps before the stop lie in the lattice.
-
-    `beams` is the beam angles as one tuple, or a sensor fan's first angle,
-    fov and ray count (`_spread`'s arguments), so that a sensor fan's key
-    needs no angle list, and two headings whose beams fall on the same
-    angles share a table. The tables are memoized by the origin's spot
-    within its cell, range, lattice shape and `beams`: any origin at the
-    same spot within its cell (every cell centre, for a power-of-two cell
-    size) shares one. The two forms give keys of different lengths, which
-    never meet.
-    """
-    height, width = codes.shape[0] - 2, codes.shape[1] - 2
-    cx, cy, spot = _spot(width, height, cell_size, ox, oy)
-    table = _table(spot, max_range, width, height, beams)
-    return table, cx, cy, _stops(codes, table, cx, cy)[1]
-
-
 def _stops(codes: np.ndarray, table: _FanTable | _SenseTable, cx: int,
            cy: int) -> tuple[np.ndarray, np.ndarray]:
     """Each step's code, for the walk of `table` from cell (cx, cy) over
@@ -356,31 +319,6 @@ def _stops(codes: np.ndarray, table: _FanTable | _SenseTable, cx: int,
     # may lie further outside than the border, read whatever the clip gives.
     code = codes.take(table.pad + ((cy + 1) * codes.shape[1] + cx + 1), mode="clip")
     return code, np.logical_or(code, table.beyond).argmax(axis=1)
-
-
-def _lattice(table: _FanTable, cx: int, cy: int, width: int,
-             window: np.ndarray) -> np.ndarray:
-    """The row-major lattice indices of the `window` indices of a fan walked
-    from cell (cx, cy), in a lattice of row length `width`, as int32."""
-    return (window + (cy * width + cx + table.low)).astype(np.int32)
-
-
-class FanWalk(NamedTuple):
-    """A ray fan walked over a code grid (`_walk`), one row per beam, one
-    column per step: `flat` is the row-major lattice index of the cell each
-    step enters, `t` the distance at which it enters it and `stop` the step at
-    which each beam stops. Entries after the stop are meaningless."""
-
-    flat: np.ndarray
-    t: np.ndarray
-    stop: np.ndarray
-
-
-def fan_walk(codes: np.ndarray, cell_size: float, ox: float, oy: float,
-             angles: Sequence[float], max_range: float) -> FanWalk:
-    """Walk the rays at `angles` from (ox, oy) over `codes`, step by step."""
-    table, cx, cy, stop = _walk(codes, cell_size, ox, oy, max_range, tuple(angles))
-    return FanWalk(_lattice(table, cx, cy, codes.shape[1] - 2, table.window), table.t, stop)
 
 
 def _cells(flat: np.ndarray, width: int) -> list[Cell]:
@@ -412,12 +350,24 @@ def camera_sweep(blocked: np.ndarray, cell_size: float, pose: Pose,
                  cfg: CameraConfig) -> list[Cell]:
     """The cells the rays of the camera fan from `pose` (the beams of
     `beam_angles`) traverse over the `blocked` mask (seen free), each once,
-    in walk order."""
-    table, cx, cy, stop = _walk(fan_codes(blocked), cell_size, pose.x, pose.y, cfg.max_range,
-                                pose.heading - cfg.fov / 2.0, cfg.fov, cfg.ray_count)
-    width = blocked.shape[1]
-    seen = table.window[np.arange(table.t.shape[1]) < stop[:, None]]
-    return _cells(_lattice(table, cx, cy, width, _in_walk_order(seen)), width)
+    in walk order, each beam stepped as `trace_ray` steps.
+
+    The fan's table is memoized by the origin's spot in its cell (`_spot`),
+    the range, the lattice shape and the fan's first angle, fov and ray
+    count (a sense's key is longer), so any origin at the same spot (every
+    cell centre, for a power-of-two cell size) and any heading whose beams
+    fall on the same angles share one.
+    """
+    height, width = blocked.shape
+    cx, cy, spot = _spot(width, height, cell_size, pose.x, pose.y)
+    start = pose.heading - cfg.fov / 2.0
+    table = _memo(spot + (cfg.max_range, width, height, start, cfg.fov, cfg.ray_count),
+                  lambda: _fan_table(*spot, width, height,
+                                     beam_angles(pose.heading, cfg.fov, cfg.ray_count),
+                                     [cfg.max_range] * cfg.ray_count))
+    stop = _stops(fan_codes(blocked), table, cx, cy)[1]
+    seen = _in_walk_order(table.window[np.arange(table.t.shape[1]) < stop[:, None]])
+    return _cells(seen + (cy * width + cx + table.low), width)
 
 
 def sense_cells(codes: np.ndarray, cell_size: float, pose: Pose, ir: IrConfig,
@@ -440,7 +390,8 @@ def sense_cells(codes: np.ndarray, cell_size: float, pose: Pose, ir: IrConfig,
     cam_beams = (pose.heading - cam.fov / 2.0, cam.fov, cam.ray_count)
     table = _memo(spot + (width, height, ir.max_range) + ir_beams + (cam.max_range,) + cam_beams,
                   lambda: _sense_table(_fan_table(
-                      *spot, width, height, _spread(*ir_beams) + _spread(*cam_beams),
+                      *spot, width, height, beam_angles(pose.heading, ir.fov, ir.ray_count)
+                      + beam_angles(pose.heading, cam.fov, cam.ray_count),
                       [ir.max_range] * ir.ray_count + [cam.max_range] * cam.ray_count),
                       ir.ray_count, ir.max_range))
     code, stop = _stops(codes, table, cx, cy)

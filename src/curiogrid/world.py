@@ -173,23 +173,6 @@ def load_map(text: str) -> GridWorld:
     return GridWorld(width, height, cell_size, occupied, start, target)
 
 
-def serialize_map(world: GridWorld) -> str:
-    """Inverse of load_map for canonical files."""
-    start_cell = world.cell_of(world.start.x, world.start.y)
-    lines = [f"cellsize={world.cell_size!r} heading={world.start.heading!r}"]
-    for y in range(world.height):
-        row = []
-        for x in range(world.width):
-            if (x, y) == start_cell:
-                row.append("S")
-            elif world.target == (x, y):
-                row.append("T")
-            else:
-                row.append("#" if world.occupied[y, x] else ".")
-        lines.append("".join(row))
-    return "\n".join(lines) + "\n"
-
-
 def ray_steps(cell_size: float, bx1: float, bx0: float, by1: float, by0: float,
               angle: float) -> tuple[int, float, float, int, float, float]:
     """The boundary-stepping state of a ray at `angle` from an origin whose
@@ -247,19 +230,6 @@ def trace_ray(blocked: np.ndarray, cell_size: float, ox: float, oy: float, angle
             t_max_y += t_dy
             cy += step_y
     return visited, (cx, cy), t
-
-
-def ray_cast(world: GridWorld, origin: Pose, angle: float, max_range: float) -> Optional[float]:
-    """Distance from origin to the first blocking boundary along `angle`.
-
-    Returns None when nothing blocks the ray within max_range.
-    """
-    if max_range <= 0:
-        raise ValueError("max_range must be positive")
-    if not world.contains_point(origin.x, origin.y):
-        raise ValueError("ray origin outside world bounds")
-    _, _, t = trace_ray(world.occupied, world.cell_size, origin.x, origin.y, angle, max_range)
-    return t if t <= max_range else None
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from curiogrid.explorer import (MotionConfig, SensorSuite, _cell, _decide, _dijk
                                 explore_rapid_frontier, local_frontiers, path_cost,
                                 plan_path)
 from curiogrid.harness import fixture_path, steps_jsonl
-from curiogrid.mapping import Label, MappingConfig, OccupancyMap, logit, to_pgm
+from curiogrid.mapping import Label, MappingConfig, OccupancyMap, logit, quantize
 from curiogrid.sensor import CameraConfig, Detection, IrConfig
 from curiogrid.world import GridWorld, Pose, load_map
 
@@ -454,8 +454,10 @@ class TestExplorers:
             a = explore(world, suite())
             b = explore(world, suite())
             assert steps_jsonl(a) == steps_jsonl(b)
-            assert to_pgm(a.occupancy.probabilities()) == to_pgm(b.occupancy.probabilities())
-            assert to_pgm(a.objects.raw_probabilities()) == to_pgm(b.objects.raw_probabilities())
+            assert np.array_equal(quantize(a.occupancy.probabilities()),
+                                  quantize(b.occupancy.probabilities()))
+            assert np.array_equal(quantize(a.objects.raw_probabilities()),
+                                  quantize(b.objects.raw_probabilities()))
             assert a.trajectory == b.trajectory
             assert (a.found, a.elapsed, a.target_estimate) == (b.found, b.elapsed, b.target_estimate)
 

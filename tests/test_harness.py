@@ -16,7 +16,6 @@ from curiogrid.harness import (ConfigError, ExperimentConfig, default_config,
                                fixture_path, load_config, parse_config, render_maps,
                                run_fov_sweep, run_trial, run_zone_experiment, steps_jsonl,
                                summary_csv, trials_csv)
-from curiogrid.mapping import from_pgm
 from curiogrid.sensor import CameraConfig, IrConfig, detect
 from curiogrid.world import MapError, load_map, load_zones, sample_zone_points
 
@@ -32,6 +31,18 @@ TINY_MAP = """cellsize=0.5 heading=0.0
 TINY_ZONES = """zone1 = 2,1,3,2
 zone2 = 6,1,8,2
 """
+
+
+def from_pgm(data: bytes) -> np.ndarray:
+    """The byte raster of a binary PGM (P5) as `render_maps` writes it."""
+    parts = data.split(b"\n", 3)
+    if len(parts) != 4 or parts[0] != b"P5":
+        raise ValueError("not a P5 PGM")
+    width, height = (int(v) for v in parts[1].split())
+    if parts[2] != b"255":
+        raise ValueError("unsupported maxval")
+    raster = np.frombuffer(parts[3], dtype=np.uint8, count=width * height)
+    return raster.reshape((height, width))
 
 
 @pytest.fixture
@@ -67,6 +78,15 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("warp_speed = 9\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("budget = 10\nbudget = 600\n", "line 2: duplicate key 'budget' (first on line 1)"),
+        ("alphas_deg = 30\n# wider\nalphas_deg = 60, 90\n",
+         "line 3: duplicate key 'alphas_deg' (first on line 1)"),
+    ])
+    def test_duplicate_key_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
 
     def test_key_set(self):
         keys = {"map_sparse", "map_dense", "zone_file", "samples_per_zone", "seed",

@@ -9,10 +9,10 @@ from curiogrid import explorer
 from curiogrid.curiosity import CuriosityParams, curiosity_of
 from curiogrid.harness import default_config
 from curiogrid.mapping import (LOG_ODDS_CAP, Label, MappingConfig, ObjectMap, OccupancyMap,
-                               classify_object_probabilities, edge_labels, from_pgm,
-                               label_edges, logit, object_edges, object_glyphs,
-                               occupancy_glyphs, occupancy_labels,
-                               probabilities_from_log_odds, quantize, to_pgm)
+                               classify_object_probabilities, edge_labels, label_edges,
+                               logit, object_edges, object_glyphs, occupancy_glyphs,
+                               occupancy_labels, probabilities_from_log_odds, quantize,
+                               raster_pgm)
 from curiogrid.sensor import Beam, CameraConfig, CameraObservation, Detection, IrConfig, IrScan
 from curiogrid.world import GridWorld, Pose
 
@@ -354,20 +354,18 @@ class TestSerialization:
     def test_pgm_round_trip(self):
         rng = np.random.default_rng(3)
         values = rng.uniform(0.0, 1.0, size=(5, 7))
-        data = to_pgm(values)
-        assert data.startswith(b"P5\n7 5\n255\n")
-        assert (from_pgm(data) == quantize(values)).all()
+        raster = quantize(values)
+        assert raster_pgm(raster) == b"P5\n7 5\n255\n" + raster.tobytes()
 
     def test_fresh_map_uniform_mid_gray(self):
         omap = OccupancyMap(4, 4, 1.0)
-        raster = from_pgm(to_pgm(omap.probabilities()))
-        assert (raster == 128).all()
+        assert (quantize(omap.probabilities()) == 128).all()
 
     def test_ascii_matches_pgm_bytes(self):
         rng = np.random.default_rng(11)
         cfg = MappingConfig()
         values = rng.uniform(0.0, 1.0, size=(6, 6))
-        raster = from_pgm(to_pgm(values))
+        raster = quantize(values)
         lines = occupancy_glyphs(raster, cfg).splitlines()
         for y in range(6):
             for x in range(6):

@@ -15,8 +15,7 @@ from curiogrid.sensor import (Beam, CameraConfig, IrConfig, IrScan, beam_angles,
                               camera_observe, camera_sweep, ir_scan, scan_cells,
                               sense_cells)
 from curiogrid.world import (TWO_PI, GridWorld, MapError, Pose, Zone, ZoneError, load_map,
-                             load_zones, ray_cast, sample_zone_points, serialize_map,
-                             trace_ray, wrap_angle)
+                             load_zones, sample_zone_points, trace_ray, wrap_angle)
 
 
 def make_map(rows, cell_size=1.0, heading=0.0):
@@ -82,40 +81,33 @@ class TestLoadMap:
         with pytest.raises(MapError, match=key):
             load_map(header + "\n.S.\n")
 
-    def test_round_trip_identity(self):
-        text = make_map(["#####", "#..T#", "#.S.#", "#####"], cell_size=0.25)
-        assert serialize_map(load_map(text)) == text
+
+def _hit_distance(world, origin, angle, max_range):
+    """The distance `trace_ray` reports from `origin` to the first blocking
+    boundary along `angle`, or None when nothing blocks it within max_range."""
+    _, _, t = trace_ray(world.occupied, world.cell_size, origin.x, origin.y, angle, max_range)
+    return t if t <= max_range else None
 
 
 class TestRayCast:
     def test_empty_world_no_hit(self):
         world = empty_world(11)
         for angle in np.linspace(0.0, 2 * math.pi, 17):
-            assert ray_cast(world, world.start, float(angle), 3.0) is None
+            assert _hit_distance(world, world.start, float(angle), 3.0) is None
 
     def test_wall_ahead_exact_distance(self):
         # start two cells left of a wall: face distance is 2.5 cells
         world = load_map(make_map(["......", ".S..#.", "......"]))
-        assert ray_cast(world, world.start, 0.0, 5.0) == pytest.approx(2.5, abs=1e-12)
+        assert _hit_distance(world, world.start, 0.0, 5.0) == pytest.approx(2.5, abs=1e-12)
 
     def test_wall_behind_no_hit(self):
         world = load_map(make_map(["......", ".S..#.", "......"]))
-        assert ray_cast(world, world.start, math.pi, 1.0) is None
+        assert _hit_distance(world, world.start, math.pi, 1.0) is None
 
     def test_border_counts_as_occupied(self):
         world = load_map(make_map(["...", ".S.", "..."]))
         # 1.5 cells from the start center to the right border
-        assert ray_cast(world, world.start, 0.0, 5.0) == pytest.approx(1.5)
-
-    def test_origin_outside_bounds(self):
-        world = empty_world(5)
-        with pytest.raises(ValueError, match="outside"):
-            ray_cast(world, Pose(-1.0, 1.0, 0.0), 0.0, 2.0)
-
-    def test_bad_max_range(self):
-        world = empty_world(5)
-        with pytest.raises(ValueError, match="max_range"):
-            ray_cast(world, world.start, 0.0, 0.0)
+        assert _hit_distance(world, world.start, 0.0, 5.0) == pytest.approx(1.5)
 
     def test_against_fine_step_oracle(self):
         rows = ["##########",
@@ -127,7 +119,7 @@ class TestRayCast:
                 "##########"]
         world = load_map(make_map(rows, cell_size=0.5))
         for angle in np.linspace(0.0, 2 * math.pi, 73):
-            got = ray_cast(world, world.start, float(angle), 4.0)
+            got = _hit_distance(world, world.start, float(angle), 4.0)
             want = _sampling_oracle(world, world.start.x, world.start.y, float(angle), 4.0)
             if want is None:
                 assert got is None
@@ -149,8 +141,8 @@ class TestRayCast:
         # offset keeps rays off exact lattice corners, where the struck cell
         # legitimately depends on tie-breaking
         for angle in np.linspace(0.0, 2 * math.pi, 49) + 0.0137:
-            d0 = ray_cast(world, world.start, float(angle), 5.0)
-            d1 = ray_cast(mirror, mirror.start, math.pi - float(angle), 5.0)
+            d0 = _hit_distance(world, world.start, float(angle), 5.0)
+            d1 = _hit_distance(mirror, mirror.start, math.pi - float(angle), 5.0)
             if d0 is None:
                 assert d1 is None
             else:
@@ -419,7 +411,7 @@ def test_trace_ray_matches_grid_ray_oracle(case, hit):
     free_start = occupied.copy()
     free_start[int(math.floor(oy / cell_size)), int(math.floor(ox / cell_size))] = False
     world = GridWorld(width, height, cell_size, free_start, Pose(ox, oy, 0.0))
-    assert ray_cast(world, world.start, angle, max_range) == _oracle_trace(
+    assert _hit_distance(world, world.start, angle, max_range) == _oracle_trace(
         free_start, cell_size, ox, oy, angle, max_range)[2]
 
     pose = Pose(ox, oy, angle)
@@ -440,6 +432,20 @@ def test_trace_ray_matches_grid_ray_oracle(case, hit):
 
 # Fan walks against the spec: every consumer of the fan walk must equal the
 # per-beam trace_ray loop that is its oracle.
+
+def _fan_walk(blocked, cell_size, ox, oy, angles, max_range):
+    """The fan table walk of the beams at `angles` from (ox, oy) over the
+    `blocked` mask, step by step, as `camera_sweep` and `sense_cells` walk
+    their tables: one row per beam, one column per step, the row-major
+    lattice index of the cell each step enters and the distance at which it
+    enters it; and the step at which each beam stops. Entries after the stop
+    are meaningless."""
+    height, width = blocked.shape
+    cx, cy, spot = sensor._spot(width, height, cell_size, ox, oy)
+    table = sensor._fan_table(*spot, width, height, angles, [max_range] * len(angles))
+    _, stops = sensor._stops(sensor.fan_codes(blocked), table, cx, cy)
+    return table.window + (cy * width + cx + table.low), table.t, stops
+
 
 def _oracle_beams(world, pose, angles, max_range):
     """ir_scan's beams, one `_oracle_trace` walk each: a beam that stops
@@ -514,15 +520,14 @@ def test_fan_walk_matches_trace_ray(case, data):
     angles = [pose.heading] + angles
     # each beam's cells before its stop, its stop cell and the distance at
     # which it entered it, also when it stopped beyond the range
-    walk = sensor.fan_walk(sensor.fan_codes(world.occupied), cs, pose.x, pose.y, angles,
-                           max_range)
+    flat, entered, stops = _fan_walk(world.occupied, cs, pose.x, pose.y, angles, max_range)
     for row, angle in enumerate(angles):
         visited, (sx, sy), t = trace_ray(world.occupied, cs, pose.x, pose.y, angle, max_range)
-        stop = walk.stop[row]
-        assert walk.flat[row, :stop].tolist() == [y * width + x for x, y in visited]
-        assert walk.t[row, stop] == t
+        stop = stops[row]
+        assert flat[row, :stop].tolist() == [y * width + x for x, y in visited]
+        assert entered[row, stop] == t
         if 0 <= sx < width and 0 <= sy < height:
-            assert walk.flat[row, stop] == sy * width + sx
+            assert flat[row, stop] == sy * width + sx
     ends = data.draw(st.lists(
         st.tuples(st.one_of(st.none(), st.integers(0, 12)),
                   st.sampled_from([0.0, 1e-9, -1e-9, 5e-10, -5e-10]), st.booleans()),
@@ -646,12 +651,12 @@ def test_fan_walk_range_stop_as_trace_ray(cell_size):
         origin = (5 + fraction) * cell_size
         for cells in (1.7, 2.2, 3.96):
             max_range = cells * cell_size
-            walk = sensor.fan_walk(sensor.fan_codes(blocked), cell_size, origin, origin,
-                                   angles, max_range)
+            _, entered, stops = _fan_walk(blocked, cell_size, origin, origin, angles,
+                                          max_range)
             for row, angle in enumerate(angles):
                 _, _, t = trace_ray(blocked, cell_size, origin, origin, angle, max_range)
                 assert t > max_range
-                assert walk.t[row, walk.stop[row]] == t
+                assert entered[row, stops[row]] == t
 
 
 def test_fan_walk_overflowing_crossings_as_trace_ray():
@@ -660,13 +665,22 @@ def test_fan_walk_overflowing_crossings_as_trace_ray():
     blocked = np.zeros((5, 5), dtype=bool)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        walk = sensor.fan_walk(sensor.fan_codes(blocked), 1.0, 2.5, 2.5, [1e-308], 1e6)
+        flat, entered, stops = _fan_walk(blocked, 1.0, 2.5, 2.5, [1e-308], 1e6)
     visited, _, t = trace_ray(blocked, 1.0, 2.5, 2.5, 1e-308, 1e6)
-    stop = walk.stop[0]
-    assert walk.flat[0, :stop].tolist() == [y * 5 + x for x, y in visited]
-    assert walk.t[0, stop] == t
+    stop = stops[0]
+    assert flat[0, :stop].tolist() == [y * 5 + x for x, y in visited]
+    assert entered[0, stop] == t
 
 
-def test_fan_walk_origin_outside_lattice_rejected():
-    with pytest.raises(ValueError, match="outside the lattice"):
-        scan_cells(3, 3, 1.0, IrScan(Pose(5.0, 1.0, 0.0), (Beam(0.0, 1.0, True),)))
+@pytest.mark.parametrize("walk", ["scan_cells", "camera_sweep", "sense_cells"])
+def test_fan_origin_outside_lattice_rejected(walk):
+    pose = Pose(5.0, 1.0, 0.0)
+    blocked = np.zeros((3, 3), dtype=bool)
+    ir, cam = IrConfig(math.radians(30.0), 1.0), CameraConfig(math.radians(60.0), 1.0)
+    calls = {
+        "scan_cells": lambda: scan_cells(3, 3, 1.0, IrScan(pose, (Beam(0.0, 1.0, True),))),
+        "camera_sweep": lambda: camera_sweep(blocked, 1.0, pose, cam),
+        "sense_cells": lambda: sense_cells(sensor.fan_codes(blocked), 1.0, pose, ir, cam),
+    }
+    with pytest.raises(ValueError, match="fan origin outside the lattice"):
+        calls[walk]()
