@@ -9,10 +9,10 @@ from the local set.
 A decision costs what it reads, not the grid. It reads views the loop keeps
 current rather than full-grid passes:
   - the occupancy labels and frontier mask, relabelled at the cells each
-    sense touched, off the config's two label edges (`label_edges`);
+    sense touched, off the config's two label edges (`edge_labels`);
   - each cell's curiosity, updated at the cells the senses since the last
     decision gave camera evidence on, off the config's two object edges
-    (`object_edges`): only cells past the second run the whole chain;
+    (`mapping._edges`): only cells past the second run the whole chain;
   - the local frontiers, read off the frontier mask within the box the IR
     range can reach and tested against the IR wedge there;
   - the planner's lists (`_Search`), kept from the explorer's first decision
@@ -57,11 +57,11 @@ import numpy as np
 # importable from this module because bench/spans.py wraps them under these names.
 from .curiosity import CuriosityParams, curiosity_of, select_frontier, total_curiosity
 from .mapping import (FREE, OCCUPIED, UNKNOWN, MappingConfig, ObjectMap, OccupancyMap,
-                      classify_object_probabilities, edge_labels, object_edges,
-                      occupancy_labels, probabilities_from_log_odds)
+                      classify_object_probabilities, edge_labels, occupancy_labels,
+                      probabilities_from_log_odds, _edges)
 from .sensor import (CameraConfig, Detection, IrConfig, camera_observe, detect, fan_codes,
                      ir_scan, sense_cells, wedge_cells)
-from .world import TWO_PI, Cell, GridWorld, Pose, angle_diff, wrap_angle
+from .world import Cell, GridWorld, Pose, angle_diff, wrap_angle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -79,16 +79,13 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class MotionConfig:
-    """Translation speed and the optional cost of turning in place."""
+    """Translation speed. Turning in place takes no time."""
 
     max_velocity: float = 2.0
-    rotation_penalty: float = 0.0  # seconds per full turn; 0 = rotation is free
 
     def __post_init__(self):
         if not 0.0 < self.max_velocity < math.inf:
             raise ValueError("max_velocity must be positive and finite")
-        if not 0.0 <= self.rotation_penalty < math.inf:
-            raise ValueError("rotation_penalty must be non-negative and finite")
 
 
 def check_run_limits(budget: float, detection_threshold: float) -> None:
@@ -423,7 +420,7 @@ class _Explorer:
         # object edges (`_curiosity`; nan stands for the cells past the second).
         self.curiosity = curiosity_of(self.objects.classified(), params)
         self.queued: list[np.ndarray] = []
-        self.object_edges = object_edges(mapping_cfg)
+        self.object_edges = _edges(mapping_cfg.lambda1, mapping_cfg.lambda2)
         self.edge_curiosity = curiosity_of(np.array([0.0, 0.5, math.nan]), params)
         # the framed index of each flat map index; the offsets of a cell and
         # its 4-neighbors
@@ -584,12 +581,6 @@ class _Explorer:
         near = list(zip((cols + (x0 - 1)).tolist(), (rows + (y0 - 1)).tolist()))
         return local_frontiers(near, self.pose, self.sensors.ir, self.world.cell_size)
 
-    def _charge_rotation(self, heading: float) -> None:
-        """Add the time of turning in place from the current heading to `heading`."""
-        if self.motion.rotation_penalty > 0.0:
-            self.elapsed += (self.motion.rotation_penalty
-                             * abs(angle_diff(heading, self.pose.heading)) / TWO_PI)
-
     def _move_to(self, cell: Cell) -> None:
         if self.world.occupied[cell[1], cell[0]]:
             raise InvariantError(f"planned move into occupied cell {cell}")
@@ -597,7 +588,6 @@ class _Explorer:
         dx, dy = x - self.pose.x, y - self.pose.y
         step = math.hypot(dx, dy)
         heading = self.pose.heading if step < 1e-12 else wrap_angle(math.atan2(dy, dx))
-        self._charge_rotation(heading)
         self.elapsed += step / self.motion.max_velocity
         self.pose = Pose(x, y, heading)
         self.trajectory.append(self.pose)
@@ -607,7 +597,6 @@ class _Explorer:
         if math.hypot(x - self.pose.x, y - self.pose.y) < 1e-12:
             return
         heading = wrap_angle(math.atan2(y - self.pose.y, x - self.pose.x))
-        self._charge_rotation(heading)
         self.pose = Pose(self.pose.x, self.pose.y, heading)
         self.trajectory.append(self.pose)
 

@@ -277,8 +277,9 @@ def _run_trial_task(args) -> TrialRecord:
 
 
 def _run_trial_tasks(tasks: list) -> list[TrialRecord]:
-    """`_run_trial_task` of each task, in order: one pool task, so that one
-    worker builds the tape its trials share."""
+    """`_run_trial_task` of each task of one (map, method), in order: one
+    task of a serial or a pooled run, so that one process builds the tape
+    its trials share."""
     return [_run_trial_task(t) for t in tasks]
 
 
@@ -330,7 +331,7 @@ def run_zone_experiment(cfg: ExperimentConfig,
         raise ConfigError("zone_file is required for zone experiments")
     zone_text = Path(cfg.zone_file).read_text()
 
-    tasks = []
+    groups: dict[tuple[str, str], list] = {}  # by map and method: the trials one tape serves
     for map_index, (map_id, map_path) in enumerate(cfg.maps()):
         map_text = Path(map_path).read_text()
         zones = load_zones(zone_text, _parsed_map(map_text))
@@ -341,19 +342,17 @@ def run_zone_experiment(cfg: ExperimentConfig,
             for placement in placements:
                 reachable = bool(reachable_mask[placement[1], placement[0]])
                 for method in METHODS:
-                    tasks.append((map_id, map_text, zone_id, placement, method,
-                                  alpha, beta, cfg, reachable))
+                    groups.setdefault((map_id, method), []).append(
+                        (map_id, map_text, zone_id, placement, method, alpha, beta, cfg,
+                         reachable))
 
     if cfg.workers > 1:
-        groups: dict[tuple[str, str], list] = {}
-        for task in tasks:  # by map and method: the trials one tape serves
-            groups.setdefault((task[0], task[4]), []).append(task)
         from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays its import
         with ProcessPoolExecutor(max_workers=min(cfg.workers, len(groups))) as pool:
-            records = [r for done in pool.map(_run_trial_tasks, groups.values()) for r in done]
+            done = list(pool.map(_run_trial_tasks, groups.values()))
     else:
-        records = [_run_trial_task(t) for t in tasks]
-    records.sort(key=TrialRecord.sort_key)
+        done = map(_run_trial_tasks, groups.values())
+    records = sorted((r for group in done for r in group), key=TrialRecord.sort_key)
 
     experiment = ZoneExperiment(records, summarize(records))
     if out_dir is not None:

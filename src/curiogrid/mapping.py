@@ -6,13 +6,14 @@ inverse-model probability p adds log(p / (1 - p)) to the cell. Saturation is
 applied when converting back to probability, so the accumulated evidence is
 order-invariant.
 
-`occupancy_labels` is the per-cell label rule and the spec. Labels are
-monotone in the log odds, so a config's labels change at two log odds
-(`label_edges`), and `edge_labels` reads labels off them with one search and
-no exp. The classified object value, 0.0, 0.5 or the probability itself, also
-changes at two log odds (`object_edges`). One bisection over the float64 bit
-patterns (`_edge`) finds both edge sets, once per config, on the rules
-themselves.
+`occupancy_labels` is the per-cell label rule and the spec. A label is two
+comparisons of the cell's probability, which is monotone in the log odds, so
+a config's labels change at two log odds (`_edges(p_free_max, p_occ_min)`),
+and `edge_labels` reads labels off them with one search and no exp. The
+classified object value, 0.0, 0.5 or the probability itself, is the same two
+comparisons with lambda1 and lambda2, so it changes at `_edges(lambda1,
+lambda2)`. One bisection over the float64 bit patterns (`_edge`) finds each
+edge, once per pair of thresholds.
 """
 
 from __future__ import annotations
@@ -94,47 +95,22 @@ def occupancy_labels(log_odds: np.ndarray, cfg: MappingConfig) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def label_edges(cfg: MappingConfig) -> np.ndarray:
-    """The log odds at which `occupancy_labels` stops labelling FREE and
-    starts labelling OCCUPIED, as one ascending array: a cell of log odds x
-    is FREE below the first edge, OCCUPIED from the second on and UNKNOWN in
-    between, which `edge_labels` reads with one search.
+def _edges(low: float, high: float) -> np.ndarray:
+    """The least log odds whose probability (`probabilities_from_log_odds`)
+    is at least `low`, and the least whose probability is above `high`, as
+    one ascending read-only array shared by every caller.
 
-    Each edge is found by `_edge` on `occupancy_labels` itself, once per
-    config, at its first use.
+    Both per-cell rules are those two comparisons: `occupancy_labels` labels
+    a cell FREE below `_edges(p_free_max, p_occ_min)[0]`, OCCUPIED from its
+    second edge on and UNKNOWN in between, which `edge_labels` reads with
+    one search; `classify_object_probabilities` gives 0.0 below
+    `_edges(lambda1, lambda2)[0]`, 0.5 from it up to the second edge and
+    the cell's probability from the second on. Each edge is found by `_edge`
+    on the probability itself, once per pair, at its first use.
     """
-    def label(x: float) -> int:
-        return occupancy_labels(np.array([x]), cfg)[0]
-    return _edges(lambda x: label(x) != FREE, lambda x: label(x) == OCCUPIED)
-
-
-@functools.lru_cache(maxsize=None)
-def object_edges(cfg: MappingConfig) -> np.ndarray:
-    """The log odds at which the classified object value (the chain
-    `classify_object_probabilities(probabilities_from_log_odds(x))`) stops
-    being 0.0 and starts being the probability itself, as one ascending
-    array: the value is 0.0 below the first edge, 0.5 from it up to the
-    second and the cell's probability from the second on.
-
-    Each edge is found by `_edge` on that chain itself, once per config, at
-    its first use. A value other than 0.0 and 0.5 is a passed-through
-    probability; a probability of exactly 0.5 reads 0.5 whether it passes
-    through or not, so there the test reads the chain's own comparison with
-    lambda2, which keeps it monotone in the log odds.
-    """
-    def value(x: float) -> tuple[float, float]:
-        p = probabilities_from_log_odds(np.array([x]))
-        return p[0], classify_object_probabilities(p, cfg.lambda1, cfg.lambda2)[0]
-
-    def passed_through(x: float) -> bool:
-        p, v = value(x)
-        return v not in (0.0, 0.5) or p == 0.5 > cfg.lambda2
-    return _edges(lambda x: value(x)[1] != 0.0, passed_through)
-
-
-def _edges(*past: Callable[[float], bool]) -> np.ndarray:
-    """`_edge` of each test, as one read-only array shared by every caller."""
-    edges = np.array([_edge(test) for test in past])
+    def p(x: float) -> float:
+        return probabilities_from_log_odds(np.array([x]))[0]
+    edges = np.array([_edge(lambda x: p(x) >= low), _edge(lambda x: p(x) > high)])
     edges.setflags(write=False)
     return edges
 
@@ -171,13 +147,14 @@ def _float_at(key: int) -> float:
     return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
-# The label of each bucket `label_edges` splits the log odds into.
+# The label of each bucket the label edges split the log odds into.
 _EDGE_LABELS = np.array([FREE, UNKNOWN, OCCUPIED], dtype=np.int8)
 
 
 def edge_labels(log_odds: np.ndarray, cfg: MappingConfig) -> np.ndarray:
-    """`occupancy_labels` of finite log odds, read off `label_edges`."""
-    return _EDGE_LABELS[np.searchsorted(label_edges(cfg), log_odds, side="right")]
+    """`occupancy_labels` of finite log odds, read off their two edges (`_edges`)."""
+    return _EDGE_LABELS[np.searchsorted(_edges(cfg.p_free_max, cfg.p_occ_min), log_odds,
+                                        side="right")]
 
 
 def classify_object_probabilities(p: np.ndarray, lambda1: float, lambda2: float) -> np.ndarray:

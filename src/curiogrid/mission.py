@@ -130,15 +130,15 @@ def grab_maneuver(pose: Pose, target: Cell, motion: MotionConfig,
                   cell_size: float = 1.0) -> tuple[Pose, float]:
     """Scripted grab: spin 180 degrees, trigger the gripper, back into the object.
 
-    Returns the pose at contact and the maneuver's time cost: the full
-    rotation penalty plus the backup distance over max velocity.
+    Returns the pose at contact and the maneuver's time cost: the backup
+    distance over max velocity (the spin takes no time).
     """
     tx = (target[0] + 0.5) * cell_size
     ty = (target[1] + 0.5) * cell_size
     d = math.hypot(tx - pose.x, ty - pose.y)
     if d > GRAB_RANGE + 1e-12:
         raise ValueError(f"target is {d:.3f} m away, beyond grab range {GRAB_RANGE} m")
-    cost = motion.rotation_penalty + d / motion.max_velocity
+    cost = d / motion.max_velocity
     final = Pose(tx, ty, wrap_angle(pose.heading + math.pi))
     return final, cost
 

@@ -6,16 +6,16 @@ clamped to 1.
 
 Only the two hot walks read memoized fan tables: the explorer's sense
 (`sense_cells`, one per sensing-cache miss) and the prediction of a
-candidate view (`camera_sweep`, through `curiosity.visible_from`). A fan
-table (`_fan_table`) holds every beam's cell offsets and entry distances
-from one origin spot in its cell, stepped exactly as `world.trace_ray`
-steps, each beam to its own range; a walk is one numpy gather of it over a
-code grid of the walls (`fan_codes`), and marks cells over the window of
-lattice rows and columns the table covers rather than the whole lattice. A
-sense's table is one fan table over the IR beams and then the camera beams,
-plus each IR beam's evidence for every step at which it may stop
-(`_sense_table`), so a sense is one gather, one stop search and one flag
-array. The memo is bounded at _FAN_TABLE_LIMIT beam steps.
+candidate view (`camera_sweep`, through `curiosity.visible_from`). Both
+read one kind of table (`_fan_table`): every beam's cell offsets and entry
+distances from one origin spot in its cell, stepped exactly as
+`world.trace_ray` steps, each beam to its own range, plus each IR beam's
+evidence for every step at which it may stop. A sense's table holds the IR
+beams and then the camera beams; a camera sweep's has no IR beams. A walk
+is one numpy gather of the table over a code grid of the walls
+(`fan_codes`), one stop search and one flag array over the window of
+lattice rows and columns the table covers rather than the whole lattice.
+The memo is bounded at _FAN_TABLE_LIMIT beam steps.
 
 The per-scan API (`ir_scan`, `scan_cells`, `camera_observe`) is the spec
 those walks are tested against, written on `trace_ray`, one walk per beam;
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -132,80 +132,63 @@ def detection_confidence(distance: float, conf_scale: float) -> float:
 # (`fan_codes`); free cells are 0 and blocked ones 1.
 _OUTSIDE = 2
 
-# The most beam steps the fan and sense tables hold, over all cell sizes,
-# origins and fans (25 to 30 bytes each, about 2 MB in all); a new table that
-# would pass it empties the memo first.
+# The most beam steps the fan tables hold, over all cell sizes, origins and
+# fans (25 to 30 bytes each, about 2 MB in all); a new table that would pass
+# it empties the memo first.
 _FAN_TABLE_LIMIT = 1 << 16
 
 
 class _FanTable(NamedTuple):
     """Every beam's walk from one origin, one row per beam, padded past the
-    longest walk: each step's index offset into the code grid (`pad`) and
-    into the fan's window of the lattice (`window`), the distance at which it
-    enters its cell (`t`, inf past the walk) and whether that lies beyond the
-    beam's range (`beyond`). The window is the `size` lattice indices from the
-    origin cell's plus `low` on: it holds every cell in the rows and columns
-    the steps reach, so a walk marks the cells it passes over the window,
-    not the whole lattice."""
+    longest walk: each step's index offset into the code grid (`pad`), the
+    distance at which it enters its cell (`t`, inf past the walk) and
+    whether that lies beyond the beam's range (`beyond`); `rows` is each
+    row's first entry and `steps` is 0, 1, ... per column.
+
+    The first `ir` beams form an IR fan (none for a camera sweep's table).
+    A walk fills a flag array of three equal parts: the cells the IR fan
+    passes, the cells it hits and the cells the camera sees. Each part is
+    the window of the lattice indices the steps reach: the cells in their
+    rows and columns, so a walk marks flags over the window, not the whole
+    lattice. `window` is each step's flag in its beam's part (the passes'
+    part for an IR beam), `lattice` the lattice index, less the origin
+    cell's, of each flag of a part (int32), and `parts` the first flags of
+    the second and the third part.
+
+    An IR beam's evidence depends only on the step at which it stops, so
+    these hold it for every stop step, at row * steps + step (`rows` +
+    step): `end`, the step before which the beam passes its cells and at
+    which a hit marks one, at row * steps + end; and `mark`, _OUTSIDE if the
+    beam marks the cell it enters at `end` as hit, else 0. The cell is
+    marked when its code is below `mark`, that is, when the beam hits and
+    the cell lies in the lattice.
+    """
 
     pad: np.ndarray
     window: np.ndarray
     t: np.ndarray
     beyond: np.ndarray
-    low: int
-    size: int
-
-
-class _SenseTable(NamedTuple):
-    """The two fans of one sense from one origin spot, for `sense_cells`:
-    the IR fan's `ir` beams, then the camera fan's, one row per beam, as one
-    `_FanTable` walks them (`steps` is 0, 1, ... per column, `rows` each
-    row's first entry). `pad` and `beyond` are that table's.
-
-    A sense fills a flag array of three equal parts: the cells the IR fan
-    passes, the cells it hits and the cells the camera sees. Each part is
-    the table's window. `window` is each step's flag in its beam's part (the
-    passes' part for an IR beam), `lattice` the lattice index, less the
-    origin cell's, of each flag of a part (int32), and `parts` the first
-    flags of the second and the third part.
-
-    A beam's evidence depends only on the step at which it stops, so these
-    hold it for every stop step, at row * steps + step (`rows` + step):
-      - `limit`: the beam passes (IR) or sees (camera) the cells of the
-        steps before this one;
-      - `end` (IR rows): that step, at row * steps + limit;
-      - `mark` (IR rows): _OUTSIDE if the beam marks the cell it enters at
-        `end` as hit, else 0; the cell is marked when its code is below
-        `mark`, that is, when the beam hits and the cell lies in the
-        lattice.
-    """
-
-    pad: np.ndarray
-    beyond: np.ndarray
     rows: np.ndarray
     steps: np.ndarray
-    limit: np.ndarray
     end: np.ndarray
     mark: np.ndarray
-    window: np.ndarray
     lattice: np.ndarray
     parts: np.ndarray
     ir: int
 
 
-_Table = TypeVar("_Table", _FanTable, _SenseTable)
-
-_FAN_TABLES: dict[tuple, _FanTable | _SenseTable] = {}
+_FAN_TABLES: dict[tuple, _FanTable] = {}
 
 
 def _fan_table(cell_size: float, bx1: float, bx0: float, by1: float, by0: float,
                width: int, height: int, angles: Sequence[float],
-               ranges: Sequence[float]) -> _FanTable:
+               ranges: Sequence[float], ir: int = 0) -> _FanTable:
     """The walks of the beams at `angles` from an origin whose cell
     boundaries lie bx1/bx0 to the right/left and by1/by0 below/above it, each
     stepped as `trace_ray` steps through the first step beyond its own range
-    in `ranges`. A walk from inside a width x height lattice leaves it within
-    width + height - 1 steps, so no walk is longer than width + height steps.
+    in `ranges`, the first `ir` beams an IR fan. A walk from inside a width
+    x height lattice leaves it within width + height - 1 steps, so no walk
+    is longer than width + height steps.
 
     Each beam's crossings of the x and of the y boundaries are running sums,
     as `trace_ray` adds them up; a stable sort merges them, an x crossing
@@ -245,33 +228,21 @@ def _fan_table(cell_size: float, bx1: float, bx0: float, by1: float, by0: float,
     xs[past] = ys[past] = 0
     t[past] = math.inf
     low = int(ys.min()) * width + int(xs.min())
-    return _FanTable(ys * (width + 2) + xs, ys * width + xs - low, t, t > ranges, low,
-                     int(ys.max()) * width + int(xs.max()) - low + 1)
-
-
-def _sense_table(fan: _FanTable, ir: int, ir_range: float) -> _SenseTable:
-    """The `_SenseTable` of the table `fan` of one sense's beams, the IR
-    fan's `ir` beams first: each IR beam's evidence for a stop at each step,
-    as `scan_cells` finds it for the beam `ir_scan` reads there."""
-    rows, cols = len(fan.t), fan.t.shape[1]
-    t = fan.t[:ir]
-    steps = np.arange(cols)
-    # per beam and stop step: whether the beam hits, and the step `end`
+    size = int(ys.max()) * width + int(xs.max()) - low + 1
+    window = ys * width + xs - low
+    window[ir:] += 2 * size
+    # per IR beam and stop step: whether the beam hits, and the step `end`
     # before which it passes its cells and at which a hit marks one. A beam
     # reads the distance at which it enters its stop cell, and `end` comes
     # no later, so that cell is always entered within the distance + 1e-9.
-    hit = t <= ir_range
-    reach = np.nextafter(np.where(hit, t, ir_range) - 1e-9, -np.inf)
-    end = np.minimum((t[:, None, :] > reach[:, :, None]).argmax(axis=2), steps)
-    starts = np.arange(rows) * cols
-    limit = np.empty((rows, cols), dtype=end.dtype)
-    limit[:ir], limit[ir:] = end, steps
-    window = fan.window.copy()
-    window[ir:] += 2 * fan.size
-    return _SenseTable(fan.pad, fan.beyond, starts, steps, limit, starts[:ir, None] + end,
-                       np.where(hit, _OUTSIDE, 0).astype(np.uint8), window,
-                       np.arange(fan.low, fan.low + fan.size, dtype=np.int32),
-                       np.array([fan.size, 2 * fan.size]), ir)
+    beams, stops = np.arange(len(steps)) * (cols + 2), np.arange(cols + 2)
+    hit = t[:ir] <= ranges[:ir]
+    reach = np.nextafter(np.where(hit, t[:ir], ranges[:ir]) - 1e-9, -np.inf)
+    end = np.minimum((t[:ir, None, :] > reach[:, :, None]).argmax(axis=2), stops)
+    return _FanTable(ys * (width + 2) + xs, window, t, t > ranges, beams, stops,
+                     beams[:ir, None] + end, np.where(hit, _OUTSIDE, 0).astype(np.uint8),
+                     np.arange(low, low + size, dtype=np.int32), np.array([size, 2 * size]),
+                     ir)
 
 
 def fan_codes(blocked: np.ndarray) -> np.ndarray:
@@ -296,7 +267,7 @@ def _spot(width: int, height: int, cell_size: float, ox: float,
                     (cy + 1) * cell_size - oy, cy * cell_size - oy)
 
 
-def _memo(key: tuple, build: Callable[[], _Table]) -> _Table:
+def _memo(key: tuple, build: Callable[[], _FanTable]) -> _FanTable:
     """The table memoized under `key`, built by `build` if missing. A new
     table that would take the memo past _FAN_TABLE_LIMIT steps empties it
     first."""
@@ -310,7 +281,7 @@ def _memo(key: tuple, build: Callable[[], _Table]) -> _Table:
     return table
 
 
-def _stops(codes: np.ndarray, table: _FanTable | _SenseTable, cx: int,
+def _stops(codes: np.ndarray, table: _FanTable, cx: int,
            cy: int) -> tuple[np.ndarray, np.ndarray]:
     """Each step's code, for the walk of `table` from cell (cx, cy) over
     `codes`, and the step at which each beam stops: its first cell beyond
@@ -366,8 +337,8 @@ def camera_sweep(blocked: np.ndarray, cell_size: float, pose: Pose,
                                      beam_angles(pose.heading, cfg.fov, cfg.ray_count),
                                      [cfg.max_range] * cfg.ray_count))
     stop = _stops(fan_codes(blocked), table, cx, cy)[1]
-    seen = _in_walk_order(table.window[np.arange(table.t.shape[1]) < stop[:, None]])
-    return _cells(seen + (cy * width + cx + table.low), width)
+    seen = _in_walk_order(table.window[table.steps < stop[:, None]])
+    return _cells(table.lattice.take(seen, mode="wrap") + (cy * width + cx), width)
 
 
 def sense_cells(codes: np.ndarray, cell_size: float, pose: Pose, ir: IrConfig,
@@ -379,27 +350,29 @@ def sense_cells(codes: np.ndarray, cell_size: float, pose: Pose, ir: IrConfig,
     free (as `camera_observe` finds them), each part ascending, in one int32
     array; and the offsets of the second and the third part.
 
-    Both fans are one walk over their memoized `_SenseTable`, built from one
-    `_fan_table` of both fans' beams and found by the origin's spot in its
-    cell, the lattice shape and both fans' ranges, first angles, fovs and
-    ray counts.
+    Both fans are one walk over their memoized `_fan_table`, the IR beams
+    first, found by the origin's spot in its cell, the lattice shape and
+    both fans' ranges, first angles, fovs and ray counts. A camera beam sees
+    the cells of the steps before its stop, an IR beam passes those before
+    its `end`.
     """
     height, width = codes.shape[0] - 2, codes.shape[1] - 2
     cx, cy, spot = _spot(width, height, cell_size, pose.x, pose.y)
     ir_beams = (pose.heading - ir.fov / 2.0, ir.fov, ir.ray_count)
     cam_beams = (pose.heading - cam.fov / 2.0, cam.fov, cam.ray_count)
     table = _memo(spot + (width, height, ir.max_range) + ir_beams + (cam.max_range,) + cam_beams,
-                  lambda: _sense_table(_fan_table(
+                  lambda: _fan_table(
                       *spot, width, height, beam_angles(pose.heading, ir.fov, ir.ray_count)
                       + beam_angles(pose.heading, cam.fov, cam.ray_count),
-                      [ir.max_range] * ir.ray_count + [cam.max_range] * cam.ray_count),
-                      ir.ray_count, ir.max_range))
+                      [ir.max_range] * ir.ray_count + [cam.max_range] * cam.ray_count,
+                      ir.ray_count))
     code, stop = _stops(codes, table, cx, cy)
-    at = table.rows + stop
-    flags = np.zeros(3 * len(table.lattice), dtype=bool)
-    flags[table.window[table.steps < table.limit.take(at)[:, None]]] = True
-    at = at[:table.ir]
+    rows = table.rows[:table.ir]
+    at = rows + stop[:table.ir]
     end = table.end.take(at)
+    limit = np.concatenate((end - rows, stop[table.ir:]))
+    flags = np.zeros(3 * len(table.lattice), dtype=bool)
+    flags[table.window[table.steps < limit[:, None]]] = True
     hits = table.window.take(end[code.take(end) < table.mark.take(at)])
     flags[hits] = False
     flags[hits + table.parts[0]] = True

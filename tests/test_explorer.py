@@ -508,18 +508,6 @@ class TestExplorers:
                      for a, b in zip(res.trajectory, res.trajectory[1:]))
         assert res.elapsed == pytest.approx(length / 2.0, abs=1e-9)
 
-    def test_rotation_penalty_adds_time(self):
-        rows = ["#########",
-                "#.......#",
-                "#S......#",
-                "#..##...#",
-                "#......T#",
-                "#########"]
-        world = load_map(make_map(rows))
-        free = explore_cdos(world, suite(), motion=MotionConfig(2.0, 0.0))
-        taxed = explore_cdos(world, suite(), motion=MotionConfig(2.0, 4.0))
-        assert taxed.elapsed > free.elapsed
-
     def test_step_log_modes_are_known(self):
         rows = ["##########",
                 "#........#",
@@ -857,7 +845,6 @@ def test_explorers_share_one_signature():
     (CameraConfig, "max_range"),
     (CameraConfig, "conf_scale"),
     (MotionConfig, "max_velocity"),
-    (MotionConfig, "rotation_penalty"),
     (CuriosityParams, "offset"),
     (CuriosityParams, "stiffness"),
     (CuriosityParams, "peak"),

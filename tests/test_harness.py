@@ -238,6 +238,41 @@ class TestZoneExperiment:
         serial = run_zone_experiment(replace(cfg, workers=1))
         assert trials_csv(pooled.records) == trials_csv(serial.records)
 
+    def test_serial_run_dispatches_the_pool_groups(self, tiny_dir, monkeypatch):
+        # a serial run hands `_run_trial_tasks` the same (map, method) groups,
+        # in the same order, as a pool gets
+        handed = []
+        run_group = harness._run_trial_tasks
+
+        def recorded(tasks):
+            handed[-1].append([(t[0], t[2], t[3], t[4]) for t in tasks])
+            return run_group(tasks)
+
+        class InProcess:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "_run_trial_tasks", recorded)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+        cfg = tiny_config(tiny_dir, map_dense=str(tiny_dir / "tiny.map"))
+        for workers in (1, 2):
+            handed.append([])
+            run_zone_experiment(replace(cfg, workers=workers))
+        serial, pooled = handed
+        assert serial == pooled
+        assert [{(t[0], t[3]) for t in group} for group in serial] == [
+            {(map_id, method)} for map_id in ("sparse", "dense") for method in harness.METHODS]
+        assert sum(map(len, serial)) == 2 * 2 * 2 * len(harness.METHODS)
+
     def test_missing_zone_file_rejected(self, tiny_dir):
         cfg = tiny_config(tiny_dir)
         cfg = replace(cfg, zone_file=None)

@@ -9,10 +9,9 @@ from curiogrid import explorer
 from curiogrid.curiosity import CuriosityParams, curiosity_of
 from curiogrid.harness import default_config
 from curiogrid.mapping import (LOG_ODDS_CAP, Label, MappingConfig, ObjectMap, OccupancyMap,
-                               classify_object_probabilities, edge_labels, label_edges,
-                               logit, object_edges, object_glyphs, occupancy_glyphs,
-                               occupancy_labels, probabilities_from_log_odds, quantize,
-                               raster_pgm)
+                               _edges, classify_object_probabilities, edge_labels, logit,
+                               object_glyphs, occupancy_glyphs, occupancy_labels,
+                               probabilities_from_log_odds, quantize, raster_pgm)
 from curiogrid.sensor import Beam, CameraConfig, CameraObservation, Detection, IrConfig, IrScan
 from curiogrid.world import GridWorld, Pose
 
@@ -134,7 +133,7 @@ class TestLabelEdges:
 
     def test_packaged_edges_bit_equal_to_the_spec(self):
         cfg = default_config().mapping_config()
-        edges = label_edges(cfg)
+        edges = _edges(cfg.p_free_max, cfg.p_occ_min)
         # one miss lands on the free edge and stays UNKNOWN
         assert edges[0] == logit(cfg.p_miss) == -0.6190392084062235
         assert occupancy_labels(np.array([logit(cfg.p_miss)]), cfg)[0] == Label.UNKNOWN
@@ -149,7 +148,7 @@ class TestLabelEdges:
     def test_edges_match_the_spec_for_any_config(self, cfg, values):
         # log odds are uncapped sums: 40 misses at p_miss 0.35 give -24.8,
         # which an edge clamped to the cap instead of -inf would call FREE
-        edges = label_edges(cfg)
+        edges = _edges(cfg.p_free_max, cfg.p_occ_min)
         checks = [np.array(values), np.array([-1e300, -24.8, -20.0, 0.0, 20.0, 24.8, 1e300])]
         checks += [_ulps_around(x, 1 << 10) for x in (-LOG_ODDS_CAP, LOG_ODDS_CAP)]
         checks += [_ulps_around(e, 1 << 10) for e in edges if np.isfinite(e) and e != 0.0]
@@ -179,7 +178,7 @@ def _spec_curiosity(x, cfg, params):
 
 
 def _edge_curiosity(x, cfg, params):
-    """The explorer's curiosity of log odds `x`, read off `object_edges`."""
+    """The explorer's curiosity of log odds `x`, read off the object edges."""
     world = GridWorld(1, 1, 1.0, np.zeros((1, 1), dtype=bool), Pose(0.5, 0.5, 0.0))
     ex = explorer._Explorer(world, explorer.SensorSuite(IrConfig(1.0, 1.0), CameraConfig()),
                             explorer.MotionConfig(), 600.0, cfg, 0.95, params,
@@ -189,13 +188,13 @@ def _edge_curiosity(x, cfg, params):
 
 class TestObjectEdges:
     """The explorer reads each cell's curiosity off two object log-odds edges
-    (`object_edges`); the chain `curiosity_of(classify_object_probabilities(
+    (`_edges(lambda1, lambda2)`); the chain `curiosity_of(classify_object_probabilities(
     probabilities_from_log_odds(x)))` is the spec."""
 
     def test_packaged_edges_bit_equal_to_the_spec(self):
         cfg = default_config().mapping_config()
         params = default_config().curiosity_params()
-        edges = object_edges(cfg)
+        edges = _edges(cfg.lambda1, cfg.lambda2)
         # logit(0.1), and one float past logit(0.95), whose probability is 0.95
         assert list(edges) == [logit(cfg.lambda1), np.nextafter(logit(cfg.lambda2), np.inf)]
         assert list(edges) == [-2.197224577336219, 2.94443897916644]
@@ -212,7 +211,7 @@ class TestObjectEdges:
            st.sampled_from([CuriosityParams(), CuriosityParams(-0.4, 0.2, 0.9)]),
            st.lists(st.floats(-1e3, 1e3), max_size=50))
     def test_edges_match_the_spec_for_any_config(self, cfg, params, values):
-        edges = object_edges(cfg)
+        edges = _edges(cfg.lambda1, cfg.lambda2)
         checks = [np.array(values),
                   np.array([-1e300, -24.8, -20.0, -1e-300, 0.0, 1e-300, 20.0, 24.8, 1e300])]
         # log odds whose probability rounds to 0.5, or to a float next to it

@@ -311,5 +311,5 @@ def test_sense_tables_share_the_memo_bound(monkeypatch):
         assert cells.tolist() == fresh[0].tolist() and (hits_at, seen_at) == fresh[1:]
         assert camera_sweep(world.occupied, 0.3, pose, cam) == swept
         assert sum(t.beyond.size for t in memo.values()) <= limit
-        held |= {type(t).__name__ for t in memo.values()}
-    assert held == {"_FanTable", "_SenseTable"}
+        held |= {t.ir for t in memo.values()}
+    assert held == {0, ir.ray_count}

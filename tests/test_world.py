@@ -444,7 +444,7 @@ def _fan_walk(blocked, cell_size, ox, oy, angles, max_range):
     cx, cy, spot = sensor._spot(width, height, cell_size, ox, oy)
     table = sensor._fan_table(*spot, width, height, angles, [max_range] * len(angles))
     _, stops = sensor._stops(sensor.fan_codes(blocked), table, cx, cy)
-    return table.window + (cy * width + cx + table.low), table.t, stops
+    return table.lattice.take(table.window, mode="wrap") + (cy * width + cx), table.t, stops
 
 
 def _oracle_beams(world, pose, angles, max_range):
