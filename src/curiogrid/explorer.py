@@ -20,7 +20,8 @@ current rather than full-grid passes:
 The full-grid functions (`OccupancyMap.classify` and `occupancy_labels`,
 `detect_frontiers`, `curiosity.total_curiosity`, `local_frontiers` over every
 frontier, and `_dijkstra` in fresh lists) stay the spec the tests check the
-views against.
+views against. The loop keeps one path, the search's framed indices, and
+logs the goal's search distance as its length (`path_cost`, bit for bit).
 
 A sense is one `_fuse` and one `_relabel`. `_fuse` is the one lookup of a
 pose's sensing evidence (the map's cache, or one `sense_cells` walk the cache
@@ -258,12 +259,13 @@ def _dijkstra(free: bytes, width: int, start: int, cell_size: float,
     return dist, parents, nearest
 
 
-def _extract_path(parents: list[int], start: int, goal: int, width: int) -> list[Cell]:
-    path = [goal]
-    while path[-1] != start:
-        path.append(parents[path[-1]])
-    path.reverse()
-    return [_cell(i, width) for i in path]
+def _chain(parents: list[int], start: int, goal: int) -> list[int]:
+    """The indices from `start` to `goal` along a search's `parents`."""
+    chain = [goal]
+    while chain[-1] != start:
+        chain.append(parents[chain[-1]])
+    chain.reverse()
+    return chain
 
 
 def plan_path(occupancy: OccupancyMap, start: Cell, goal: Cell,
@@ -297,7 +299,7 @@ def plan_path(occupancy: OccupancyMap, start: Cell, goal: Cell,
                                     occupancy.cell_size, goals=goals)
     if nearest is None:
         return None
-    return _extract_path(parents, _index(start, width), nearest, width)
+    return [_cell(i, width) for i in _chain(parents, _index(start, width), nearest)]
 
 
 def path_cost(path: list[Cell], cell_size: float) -> float:
@@ -317,20 +319,15 @@ def _pick_curiosity(ex: _Explorer, frontiers: list[Cell]) -> tuple[Cell, float, 
 
 def _pick_heading(ex: _Explorer, frontiers: list[Cell]) -> tuple[Cell, float, str]:
     """Rapid frontier: the frontier of least heading change, then distance."""
-    cs = ex.world.cell_size
-    pose = ex.pose
-    best = None
-    best_cell = None
-    for cell in frontiers:
+    cs, pose = ex.world.cell_size, ex.pose
+
+    def key(cell: Cell) -> tuple[float, float, int]:
         x, y = (cell[0] + 0.5) * cs, (cell[1] + 0.5) * cs
         d = math.hypot(x - pose.x, y - pose.y)
         turn = 0.0 if d < 1e-12 else abs(angle_diff(math.atan2(y - pose.y, x - pose.x),
                                                     pose.heading))
-        key = (turn, d, cell[1] * ex.world.width + cell[0])
-        if best is None or key < best:
-            best = key
-            best_cell = cell
-    return best_cell, 0.0, "heading"
+        return turn, d, cell[1] * ex.world.width + cell[0]
+    return min(frontiers, key=key), 0.0, "heading"
 
 
 # The frontier pick of each method, by the name the harness gives it.
@@ -340,9 +337,10 @@ _PICKS = {"cdos": _pick_curiosity, "baseline": _pick_heading}
 def _decide(free: bytes, width: int, start: int, cell_size: float, goals: bytes,
             wedge: list[Cell], pick: Callable[[list[Cell]], tuple[Cell, float, str]],
             search: Optional[_Search] = None
-            ) -> Optional[tuple[Cell, float, str, list[Cell]]]:
-    """One planning decision: (goal, loss, mode, path), or None when no
-    frontier is reachable from `start`.
+            ) -> Optional[tuple[Cell, float, str, np.ndarray, float]]:
+    """One planning decision: (goal, loss, mode, path, length), or None when
+    no frontier is reachable from `start`; the path holds the indices from
+    `start` to the goal, and its length is the goal's dist.
 
     `free`, `width`, `start` and `search` are as for `_dijkstra`, `goals`
     masks the frontiers there, and `wedge` lists the wedge's frontiers as cells.
@@ -367,7 +365,8 @@ def _decide(free: bytes, width: int, start: int, cell_size: float, goals: bytes,
     if choice is None:
         choice = _cell(nearest, width), 0.0, "nearest_global"
     goal, loss, mode = choice
-    return goal, loss, mode, _extract_path(parents, start, _index(goal, width), width)
+    at = _index(goal, width)
+    return goal, loss, mode, np.array(_chain(parents, start, at)), dist[at]
 
 
 # The most poses the sensing evidence cache holds, over all maps.
@@ -440,10 +439,10 @@ class _Explorer:
         self.found = False
         self.estimate: Optional[Cell] = None
         # The loop state: senses at the start so far, rotate decisions in a
-        # row, and the path being walked, its framed indices and the position
-        # along it. A new explorer stands at its first sense.
+        # row, and the framed indices of the path being walked and the
+        # position along it. A new explorer stands at its first sense.
         self.settles, self.stalled = 1, 0
-        self.path, self.at, self.along = [], np.zeros(0, dtype=np.intp), 0
+        self.at, self.along = np.zeros(0, dtype=np.intp), 0
         # the planner's lists, made at the first decision; never shared with a fork
         self.search: Optional[_Search] = None
 
@@ -466,13 +465,12 @@ class _Explorer:
         as a tape records it; of the trajectory and steps, which only grow,
         their lengths."""
         return (self.pose, self.elapsed, len(self.trajectory), len(self.steps), self.settles,
-                self.stalled, self.path, self.at, self.along)
+                self.stalled, self.at, self.along)
 
     def _restore(self, record: tuple, trajectory: list[Pose], steps: list[StepRecord]) -> None:
         """Stand at the sense `record` (`_record`) was taken at, in a run whose
         trajectory and steps begin with `trajectory` and `steps`."""
-        (self.pose, self.elapsed, n, m, self.settles, self.stalled, self.path, self.at,
-         self.along) = record
+        self.pose, self.elapsed, n, m, self.settles, self.stalled, self.at, self.along = record
         self.trajectory, self.steps = trajectory[:n], steps[:m]
 
     def _sense(self) -> bool:
@@ -628,7 +626,7 @@ class _Explorer:
                 return True
             self.settles = 9
         along = self.along + 1
-        if along >= len(self.path) or (self.labels[self.at[along:]] == OCCUPIED).any():
+        if along >= len(self.at) or (self.labels[self.at[along:]] == OCCUPIED).any():
             if not self.frontier.any():
                 return False
             if self.search is None:
@@ -640,7 +638,7 @@ class _Explorer:
                                lambda cells: self.pick(self, cells), self.search)
             if decision is None:
                 return False
-            goal, loss, mode, path = decision
+            goal, loss, mode, at, length = decision
             # Standing on the frontier: face its unknown neighbor and sense
             # until the evidence resolves it. The stall guard only trips for
             # degenerate sensor geometries that can never resolve it.
@@ -648,17 +646,15 @@ class _Explorer:
             if self.stalled > 64:
                 return False
             self.steps.append(StepRecord(len(self.steps), self.pose, goal, loss,
-                                         self._total_curiosity(),
-                                         path_cost(path, self.world.cell_size), self.elapsed,
+                                         self._total_curiosity(), length, self.elapsed,
                                          "rotate" if self.stalled else mode))
+            self.at = at
             if self.stalled:  # the path is the current cell: the next call decides again
-                self.path = path
                 self._rotate_to_face(self._unknown_neighbor(goal))
                 return True
-            self.path, self.at = path, np.array([_index(c, self.stride) for c in path])
             along = 1  # a fresh path is believed free throughout
         self.along = along
-        self._move_to(self.path[along])
+        self._move_to(_cell(int(self.at[along]), self.stride))
         return True
 
     def run(self) -> ExplorationResult:
@@ -675,12 +671,12 @@ class _Explorer:
 _TAPE_STRIDE, _TAPE_LIMIT = 64, 1 << 24
 
 # Bytes, about, of one trajectory Pose with its list slot; of one sense's
-# record (`_Explorer._record`) with its list slot; and of one decision: its
-# StepRecord with its list slot (336) and its path with the framed indices,
-# which the records keep alive (184). The records and paths were fitted with
-# tracemalloc over both methods' tapes on the packaged and the 64x64 maps,
+# record (`_Explorer._record`, 8 slots) with its list slot; and of one
+# decision: its StepRecord with its list slot (336) and its path's framed
+# indices, which the records keep alive (48). The records and paths were
+# fitted with tracemalloc over both methods' tapes on the packaged maps,
 # whose paths hold 2.7 cells on average.
-_POSE_BYTES, _RECORD_BYTES, _DECISION_BYTES = 176, 176, 336 + 184
+_POSE_BYTES, _RECORD_BYTES, _DECISION_BYTES = 176, 168, 336 + 48
 
 
 def _state_bytes(ex: _Explorer) -> int:

@@ -7,15 +7,15 @@ clamped to 1.
 Only the two hot walks read memoized fan tables: the explorer's sense
 (`sense_cells`, one per sensing-cache miss) and the prediction of a
 candidate view (`camera_sweep`, through `curiosity.visible_from`). Both
-read one kind of table (`_fan_table`): every beam's cell offsets and entry
-distances from one origin spot in its cell, stepped exactly as
-`world.trace_ray` steps, each beam to its own range, plus each IR beam's
-evidence for every step at which it may stop. A sense's table holds the IR
-beams and then the camera beams; a camera sweep's has no IR beams. A walk
-is one numpy gather of the table over a code grid of the walls
-(`fan_codes`), one stop search and one flag array over the window of
-lattice rows and columns the table covers rather than the whole lattice.
-The memo is bounded at _FAN_TABLE_LIMIT beam steps.
+read one kind of table (`_fan_table`): every beam's cell offsets from one
+origin spot in its cell, stepped exactly as `world.trace_ray` steps, which
+steps lie beyond the beam's own range, and each IR beam's evidence for
+every step at which it may stop; no distances, since no walk reads them. A
+sense's table holds the IR beams and then the camera beams; a camera
+sweep's has no IR beams. A walk is one numpy gather of the table over a
+code grid of the walls (`fan_codes`), one stop search and one flag array
+over the window of lattice rows and columns the table covers rather than
+the whole lattice. The memo is bounded at _FAN_TABLE_LIMIT beam steps.
 
 The per-scan API (`ir_scan`, `scan_cells`, `camera_observe`) is the spec
 those walks are tested against, written on `trace_ray`, one walk per beam;
@@ -31,7 +31,8 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .world import TWO_PI, Cell, GridWorld, Pose, angle_diff, ray_steps, trace_ray
+from .world import (TWO_PI, Cell, GridWorld, Pose, angle_diff, ray_origin, ray_steps,
+                    trace_ray)
 
 
 def rays_per_fov(fov: float) -> int:
@@ -133,27 +134,27 @@ def detection_confidence(distance: float, conf_scale: float) -> float:
 _OUTSIDE = 2
 
 # The most beam steps the fan tables hold, over all cell sizes, origins and
-# fans (25 to 30 bytes each, about 2 MB in all); a new table that would pass
-# it empties the memo first.
+# fans (17 to 22 bytes each, about 1.4 MB in all); a new table that would
+# pass it empties the memo first.
 _FAN_TABLE_LIMIT = 1 << 16
 
 
 class _FanTable(NamedTuple):
     """Every beam's walk from one origin, one row per beam, padded past the
-    longest walk: each step's index offset into the code grid (`pad`), the
-    distance at which it enters its cell (`t`, inf past the walk) and
-    whether that lies beyond the beam's range (`beyond`); `rows` is each
-    row's first entry and `steps` is 0, 1, ... per column.
+    longest walk: each step's index offset into the code grid (`pad`) and
+    whether it enters its cell beyond the beam's range (`beyond`, True past
+    the walk); `rows` is each row's first entry and `steps` is 0, 1, ... per
+    column. The entry distances only build `beyond`, `end` and `mark`.
 
     The first `ir` beams form an IR fan (none for a camera sweep's table).
     A walk fills a flag array of three equal parts: the cells the IR fan
     passes, the cells it hits and the cells the camera sees. Each part is
-    the window of the lattice indices the steps reach: the cells in their
-    rows and columns, so a walk marks flags over the window, not the whole
-    lattice. `window` is each step's flag in its beam's part (the passes'
-    part for an IR beam), `lattice` the lattice index, less the origin
-    cell's, of each flag of a part (int32), and `parts` the first flags of
-    the second and the third part.
+    the window of the lattice indices the steps reach: the `size`
+    consecutive indices from `low`, less the origin cell's, which hold the
+    cells in the steps' rows and columns, so a walk marks flags over the
+    window, not the whole lattice. `window` is each step's flag in its
+    beam's part (the passes' part for an IR beam); the flag f of any part
+    stands for the lattice index f % size + low, plus the origin cell's.
 
     An IR beam's evidence depends only on the step at which it stops, so
     these hold it for every stop step, at row * steps + step (`rows` +
@@ -166,14 +167,13 @@ class _FanTable(NamedTuple):
 
     pad: np.ndarray
     window: np.ndarray
-    t: np.ndarray
     beyond: np.ndarray
     rows: np.ndarray
     steps: np.ndarray
     end: np.ndarray
     mark: np.ndarray
-    lattice: np.ndarray
-    parts: np.ndarray
+    low: int
+    size: int
     ir: int
 
 
@@ -239,10 +239,9 @@ def _fan_table(cell_size: float, bx1: float, bx0: float, by1: float, by0: float,
     hit = t[:ir] <= ranges[:ir]
     reach = np.nextafter(np.where(hit, t[:ir], ranges[:ir]) - 1e-9, -np.inf)
     end = np.minimum((t[:ir, None, :] > reach[:, :, None]).argmax(axis=2), stops)
-    return _FanTable(ys * (width + 2) + xs, window, t, t > ranges, beams, stops,
+    return _FanTable(ys * (width + 2) + xs, window, t > ranges, beams, stops,
                      beams[:ir, None] + end, np.where(hit, _OUTSIDE, 0).astype(np.uint8),
-                     np.arange(low, low + size, dtype=np.int32), np.array([size, 2 * size]),
-                     ir)
+                     low, size, ir)
 
 
 def fan_codes(blocked: np.ndarray) -> np.ndarray:
@@ -256,15 +255,12 @@ def fan_codes(blocked: np.ndarray) -> np.ndarray:
 
 def _spot(width: int, height: int, cell_size: float, ox: float,
           oy: float) -> tuple[int, int, tuple]:
-    """The cell (cx, cy) of a fan origin (ox, oy) in a width x height lattice
-    and the origin's spot within it: the cell size and the offsets from the
-    origin to the cell's right, left, lower and upper boundaries."""
-    cx = int(math.floor(ox / cell_size))
-    cy = int(math.floor(oy / cell_size))
+    """`world.ray_origin` of a fan origin (ox, oy), which must lie in a width
+    x height lattice."""
+    cx, cy, spot = ray_origin(cell_size, ox, oy)
     if not (0 <= cx < width and 0 <= cy < height):
         raise ValueError("fan origin outside the lattice")
-    return cx, cy, (cell_size, (cx + 1) * cell_size - ox, cx * cell_size - ox,
-                    (cy + 1) * cell_size - oy, cy * cell_size - oy)
+    return cx, cy, spot
 
 
 def _memo(key: tuple, build: Callable[[], _FanTable]) -> _FanTable:
@@ -338,7 +334,7 @@ def camera_sweep(blocked: np.ndarray, cell_size: float, pose: Pose,
                                      [cfg.max_range] * cfg.ray_count))
     stop = _stops(fan_codes(blocked), table, cx, cy)[1]
     seen = _in_walk_order(table.window[table.steps < stop[:, None]])
-    return _cells(table.lattice.take(seen, mode="wrap") + (cy * width + cx), width)
+    return _cells(seen % table.size + (table.low + cy * width + cx), width)
 
 
 def sense_cells(codes: np.ndarray, cell_size: float, pose: Pose, ir: IrConfig,
@@ -371,14 +367,15 @@ def sense_cells(codes: np.ndarray, cell_size: float, pose: Pose, ir: IrConfig,
     at = rows + stop[:table.ir]
     end = table.end.take(at)
     limit = np.concatenate((end - rows, stop[table.ir:]))
-    flags = np.zeros(3 * len(table.lattice), dtype=bool)
+    size = table.size
+    flags = np.zeros(3 * size, dtype=bool)
     flags[table.window[table.steps < limit[:, None]]] = True
     hits = table.window.take(end[code.take(end) < table.mark.take(at)])
     flags[hits] = False
-    flags[hits + table.parts[0]] = True
+    flags[hits + size] = True
     cells = np.flatnonzero(flags)
-    hits_at, seen_at = np.searchsorted(cells, table.parts)
-    return (table.lattice.take(cells, mode="wrap") + (cy * width + cx),
+    hits_at, seen_at = np.searchsorted(cells, (size, 2 * size))
+    return ((cells % size + (table.low + cy * width + cx)).astype(np.int32),
             int(hits_at), int(seen_at))
 
 

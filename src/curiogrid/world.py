@@ -173,6 +173,16 @@ def load_map(text: str) -> GridWorld:
     return GridWorld(width, height, cell_size, occupied, start, target)
 
 
+def ray_origin(cell_size: float, ox: float, oy: float) -> tuple[int, int, tuple]:
+    """The cell (cx, cy) of a ray origin (ox, oy) and the origin's spot in
+    it: the cell size and the offsets from the origin to the cell's right,
+    left, lower and upper boundaries, as `ray_steps` takes them."""
+    cx = int(math.floor(ox / cell_size))
+    cy = int(math.floor(oy / cell_size))
+    return cx, cy, (cell_size, (cx + 1) * cell_size - ox, cx * cell_size - ox,
+                    (cy + 1) * cell_size - oy, cy * cell_size - oy)
+
+
 def ray_steps(cell_size: float, bx1: float, bx0: float, by1: float, by0: float,
               angle: float) -> tuple[int, float, float, int, float, float]:
     """The boundary-stepping state of a ray at `angle` from an origin whose
@@ -211,11 +221,8 @@ def trace_ray(blocked: np.ndarray, cell_size: float, ox: float, oy: float, angle
     lattice and a blocked cell if inside.
     """
     height, width = blocked.shape
-    cx = int(math.floor(ox / cell_size))
-    cy = int(math.floor(oy / cell_size))
-    step_x, t_max_x, t_dx, step_y, t_max_y, t_dy = ray_steps(
-        cell_size, (cx + 1) * cell_size - ox, cx * cell_size - ox,
-        (cy + 1) * cell_size - oy, cy * cell_size - oy, angle)
+    cx, cy, spot = ray_origin(cell_size, ox, oy)
+    step_x, t_max_x, t_dx, step_y, t_max_y, t_dy = ray_steps(*spot, angle)
 
     visited: list[Cell] = []
     t = 0.0

@@ -17,6 +17,8 @@ from curiogrid.mapping import Label, MappingConfig, OccupancyMap, logit, quantiz
 from curiogrid.sensor import CameraConfig, Detection, IrConfig
 from curiogrid.world import GridWorld, Pose, load_map
 
+from oracle import outcome
+
 
 def make_map(rows, cell_size=0.5, heading=0.0):
     return f"cellsize={cell_size!r} heading={heading!r}\n" + "\n".join(rows) + "\n"
@@ -212,9 +214,17 @@ def _search(free, start, cell_size, goals=(), settle=()):
 
 
 def _decide_cells(free, start, cell_size, frontiers, wedge, pick):
-    """`_decide` over a 2D free mask, with the start and frontiers as cells."""
+    """`_decide` over a 2D free mask, with the start, the frontiers and the
+    path as cells; the length it returns must be the path's `path_cost`,
+    bit for bit."""
     flat, width, goals = _framed(free, frontiers)
-    return _decide(flat, width, _index(start, width), cell_size, goals, wedge, pick)
+    decision = _decide(flat, width, _index(start, width), cell_size, goals, wedge, pick)
+    if decision is None:
+        return None
+    goal, loss, mode, at, length = decision
+    path = explorer._cells(at, width)
+    assert length == path_cost(path, cell_size)
+    return goal, loss, mode, path
 
 
 def _extract_path(parents, start, goal):
@@ -377,7 +387,7 @@ class TestSearchReuse:
         def fresh():
             return explorer._Explorer(world, suite(), MotionConfig(), 40.0, MappingConfig(),
                                       0.95, CuriosityParams(), pick)
-        whole = _outcome(fresh().run())
+        whole = outcome(fresh().run())
         ex = fresh()
         for _ in range(30):
             assert not ex._sense() and ex._to_next_pose()
@@ -390,7 +400,7 @@ class TestSearchReuse:
                 if one._sense() or not one._to_next_pose():
                     going.remove(one)
         assert twin.search is not None and twin.search is not ex.search
-        assert _outcome(ex._result()) == _outcome(twin._result()) == whole
+        assert outcome(ex._result()) == outcome(twin._result()) == whole
 
 
 def _brute_force_cost(free, start, goal):
@@ -563,11 +573,6 @@ class TestExplorers:
             want += logit(0.49)
         x, y = world.cell_of(world.start.x, world.start.y)
         assert res.occupancy.log_odds[y, x] == want
-
-
-def _outcome(res):
-    return (res.trajectory, res.steps, res.elapsed, res.found, res.target_estimate,
-            res.occupancy.log_odds.tobytes(), res.objects.log_odds.tobytes())
 
 
 @st.composite
@@ -754,7 +759,7 @@ class TestSenseCache:
         misses.clear()
         cold = explore(world.with_target((5, 35)), suite())
         assert warm.steps
-        assert _outcome(warm) == _outcome(cold)
+        assert outcome(warm) == outcome(cold)
         return warm_misses, len(misses)
 
     @pytest.mark.parametrize("explore", [explore_cdos, explore_rapid_frontier])
@@ -807,7 +812,7 @@ class TestFork:
         def fresh():
             return explorer._Explorer(world, suite(), MotionConfig(), budget, MappingConfig(),
                                       0.95, CuriosityParams(), pick)
-        whole = _outcome(fresh().run())
+        whole = outcome(fresh().run())
         ex = fresh()
         senses = 1
         while not ex._sense() and ex._to_next_pose():
@@ -816,8 +821,8 @@ class TestFork:
         for _ in range(int(fraction * senses)):  # each stays short of the last sense
             assert not ex._sense() and ex._to_next_pose()
         twin = ex.fork()
-        assert _outcome(twin.run()) == whole
-        assert _outcome(ex.run()) == whole
+        assert outcome(twin.run()) == whole
+        assert outcome(ex.run()) == whole
 
     @settings(max_examples=150, deadline=None)
     @given(small_worlds(), st.sampled_from([explorer._pick_curiosity, explorer._pick_heading]),

@@ -12,6 +12,10 @@ The artifacts, all produced through the CLI with the packaged config:
   - trials.csv and summary.csv of the same zone run at samples_per_zone = 2
     and budget = 31: trials of both methods end unfound by budget, one of
     each method after it had sighted the object;
+  - trials.csv and summary.csv of the reduced zone run on copies of both
+    maps with `cellsize=0.3`: a cell size that is no power of two gives
+    nearly every origin spot its own fan table, so the run builds over a
+    thousand of them and empties their memo;
   - sweep.csv of `sweep --vary alpha --values 60,30` on the same reduced
     config;
   - steps.jsonl, trajectory.jsonl and the three .pgm maps of
@@ -47,6 +51,8 @@ GOLDEN = {
     "zones/summary.csv": "076c93f6566b2cde5772c0922410eca487663706d078a610319d50e8815da695",
     "zones-budget/trials.csv": "2d50e1e01a8521146b6a79d5de261ad9757ccd31a6690e950ebe5c4339206965",
     "zones-budget/summary.csv": "6c19f8fde09b1460f95c767d7f85047a9df7cfa2e2f4668a4b762842be01d192",
+    "zones-0.3/trials.csv": "17c24b47eff382db1cc97d5529b737f132b7118f3afd7caa33314afbfea3b29b",
+    "zones-0.3/summary.csv": "ffb029daeba8c5ee1691367fac96b18c12658cb55d25b00cb95d40fe6d054301",
     "sweep/sweep.csv": "a57ead25205bd598277757561a38043e6c5c6f5efe19b604095e73ee539b395c",
     "explore/steps.jsonl": "bd5842854ba3f27ebb69089a4cb42bd4b58f0eb074fb5ba7ed84c9c5bd79a98a",
     "explore/trajectory.jsonl": "414ddff6442ed748e1402db51d987146161bfe4879c11c1b499b30687ba36b31",
@@ -90,6 +96,14 @@ def artifacts(tmp_path_factory):
     budget_cfg = tmp / "budget.cfg"
     budget_cfg.write_text(cfg_text.replace("samples_per_zone = 1", "samples_per_zone = 2")
                           .replace("budget = 600.0", "budget = 31.0"))
+    cell_cfg = tmp / "cell-0.3.cfg"
+    cell_text = cfg_text
+    for name in ("sparse.map", "dense.map"):
+        copy = tmp / f"cell-0.3-{name}"
+        copy.write_text(fixture_path(name).read_text()
+                        .replace("cellsize=0.25 ", "cellsize=0.3 ", 1))
+        cell_text = cell_text.replace(str(fixture_path(name)), str(copy))
+    cell_cfg.write_text(cell_text)
     sparse = str(fixture_path("sparse.map"))
     rows = fixture_path("sparse.map").read_text().splitlines()
     offgrid = tmp / "offgrid.map"
@@ -101,6 +115,7 @@ def artifacts(tmp_path_factory):
     assert cli_main(["zones", "--config", str(cfg), "--out", str(tmp / "zones")]) == 0
     assert cli_main(["zones", "--config", str(budget_cfg),
                      "--out", str(tmp / "zones-budget")]) == 0
+    assert cli_main(["zones", "--config", str(cell_cfg), "--out", str(tmp / "zones-0.3")]) == 0
     assert cli_main(["sweep", "--config", str(cfg), "--vary", "alpha", "--values", "60,30",
                      "--out", str(tmp / "sweep")]) == 0
     assert cli_main(["explore", "--map", sparse, "--method", "cdos",

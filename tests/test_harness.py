@@ -19,6 +19,8 @@ from curiogrid.harness import (ConfigError, ExperimentConfig, default_config,
 from curiogrid.sensor import CameraConfig, IrConfig, detect
 from curiogrid.world import MapError, load_map, load_zones, sample_zone_points
 
+from oracle import outcome
+
 TINY_MAP = """cellsize=0.5 heading=0.0
 ##########
 #........#
@@ -396,11 +398,6 @@ def _solo(placement, method, cfg, map_text=POCKET_MAP):
     return _SOLO[key]
 
 
-def _fields(res):
-    return (res.trajectory, res.steps, res.elapsed, res.found, res.target_estimate,
-            res.occupancy.log_odds.tobytes(), res.objects.log_odds.tobytes())
-
-
 def _poses(tape):
     """The pose of each sense the tape recorded."""
     return [record[0] for record in tape.senses]
@@ -437,8 +434,8 @@ class TestTape:
             mp.setattr(explorer, "_TAPE_STRIDE", stride)
             mp.setattr(explorer, "_TAPE_LIMIT", limit)
             for placement in placements + cells:
-                assert _fields(self._trial(placement, method, cfg, map_text)) == \
-                    _fields(_solo(placement, method, cfg, map_text))
+                assert outcome(self._trial(placement, method, cfg, map_text)) == \
+                    outcome(_solo(placement, method, cfg, map_text))
             assert len(explorer._TAPES) == 1
 
     def _sighting(self, placement, cfg, tape):
@@ -455,7 +452,7 @@ class TestTape:
         # and advances it, a cdos trial runs alone from there.
         cfg = ExperimentConfig(eta=0.3, budget=120.0)
         res = self._trial((2, 1), method, cfg)
-        assert res.found and _fields(res) == _fields(_solo((2, 1), method, cfg))
+        assert res.found and outcome(res) == outcome(_solo((2, 1), method, cfg))
         tape = next(iter(explorer._TAPES.values()))
         i = self._sighting((2, 1), cfg, tape)
         assert res.trajectory.index(_poses(tape)[i]) < len(res.trajectory) - 2
@@ -479,19 +476,42 @@ class TestTape:
         camera = cfg.sensor_suite(math.radians(60), math.radians(30)).camera
         assert not solo.found and any(detect(world, p, camera) for p in solo.trajectory)
         for _ in range(2):
-            assert _fields(self._trial((1, 1), method, cfg)) == _fields(solo)
+            assert outcome(self._trial((1, 1), method, cfg)) == outcome(solo)
 
-    @pytest.mark.parametrize("map_id", ["sparse", "dense"])
-    def test_packaged_maps(self, map_id):
+    @staticmethod
+    def _packaged(map_id):
+        """A short-budget config, the text of a packaged map and one sampled
+        placement in each of three of its zones."""
         cfg = replace(default_config(), budget=30.0)
         text = Path(getattr(cfg, f"map_{map_id}")).read_text()
         zones = load_zones(Path(cfg.zone_file).read_text(), load_map(text))
-        placements = [cell for zone_id in (2, 3, 5)
-                      for cell in sample_zone_points(zones[zone_id], 1, zone_id)]
+        return cfg, text, [cell for zone_id in (2, 3, 5)
+                           for cell in sample_zone_points(zones[zone_id], 1, zone_id)]
+
+    @pytest.mark.parametrize("map_id", ["sparse", "dense"])
+    def test_packaged_maps(self, map_id):
+        cfg, text, placements = self._packaged(map_id)
         for method in harness.METHODS:
             for placement in placements:
-                assert _fields(self._trial(placement, method, cfg, text)) == \
-                    _fields(_solo(placement, method, cfg, text))
+                assert outcome(self._trial(placement, method, cfg, text)) == \
+                    outcome(_solo(placement, method, cfg, text))
+
+    @pytest.mark.parametrize("map_id", ["sparse", "dense"])
+    def test_a_run_has_at_most_one_lead(self, map_id):
+        # Only a detection's cell gets positive object evidence, and `detect`
+        # reports only the target, so a run's object log odds are positive at
+        # its target alone, if anywhere: a scored decision sums one lead term
+        # at most.
+        cfg, text, placements = self._packaged(map_id)
+        leads = []
+        for method in harness.METHODS:
+            for placement in placements:
+                for res in (self._trial(placement, method, cfg, text),
+                            _solo(placement, method, cfg, text)):
+                    ys, xs = np.nonzero(res.objects.log_odds > 0.0)
+                    leads.append(list(zip(xs.tolist(), ys.tolist())))
+                    assert leads[-1] in ([], [placement])
+        assert any(leads)
 
     @pytest.mark.parametrize("method", harness.METHODS)
     @pytest.mark.parametrize("bound", _BOUNDS)
@@ -506,8 +526,8 @@ class TestTape:
             table.clear()
         monkeypatch.setattr(explorer, "_SENSE_CACHE_LIMIT", 8)
         for placement in ((2, 1), (1, 1), (10, 6)):
-            assert _fields(self._trial(placement, method, cfg)) == \
-                _fields(_solo(placement, method, cfg))
+            assert outcome(self._trial(placement, method, cfg)) == \
+                outcome(_solo(placement, method, cfg))
 
     def test_baseline_trial_decides_nothing_of_its_own(self, monkeypatch):
         # found senses after its sighting, sighted and never found, never seen
@@ -520,8 +540,8 @@ class TestTape:
                 return _call(ex)
             monkeypatch.setattr(explorer._Explorer, name, counted)
         for placement in ((2, 1), (1, 1), (8, 4)):
-            assert _fields(self._trial(placement, "baseline", cfg)) == \
-                _fields(_solo(placement, "baseline", cfg))
+            assert outcome(self._trial(placement, "baseline", cfg)) == \
+                outcome(_solo(placement, "baseline", cfg))
         assert own == []
 
     def test_cdos_trial_senses_from_its_sighting(self, monkeypatch):
@@ -538,7 +558,7 @@ class TestTape:
             solo = harness.explore(world, "cdos", math.radians(60), math.radians(30), cfg)
             solo_senses = len(sensed)
             sensed.clear()
-            assert _fields(self._trial(placement, "cdos", cfg)) == _fields(solo)
+            assert outcome(self._trial(placement, "cdos", cfg)) == outcome(solo)
             i = self._sighting(placement, cfg, tape)
             assert i > 0 and i % explorer._TAPE_STRIDE
             assert sensed[0] == _poses(tape)[i] and len(sensed) == solo_senses - i
@@ -577,14 +597,14 @@ class TestTape:
         monkeypatch.setattr(explorer, "_TAPE_LIMIT", tape.nbytes - 1)
         res = self._trial((10, 1), "cdos", cfg)
         assert next(iter(explorer._TAPES.values())) is not tape
-        assert _fields(res) == _fields(_solo((10, 1), "cdos", cfg))
+        assert outcome(res) == outcome(_solo((10, 1), "cdos", cfg))
 
     @pytest.mark.parametrize("method", harness.METHODS)
     def test_undetected_results_share_nothing(self, method):
         cfg = ExperimentConfig(eta=1.9, budget=120.0)
         a = self._trial((8, 4), method, cfg)
         b = self._trial((8, 4), method, cfg)
-        assert not a.found and _fields(a) == _fields(b)
+        assert not a.found and outcome(a) == outcome(b)
         for x, y in ((a.occupancy.log_odds, b.occupancy.log_odds),
                      (a.objects.log_odds, b.objects.log_odds)):
             assert not np.shares_memory(x, y)
@@ -594,8 +614,8 @@ class TestTape:
         a.objects.log_odds += 1.0
         a.trajectory.clear()
         a.steps.clear()
-        assert _fields(b) == _fields(_solo((8, 4), method, cfg))
-        assert _fields(self._trial((8, 4), method, cfg)) == _fields(b)
+        assert outcome(b) == outcome(_solo((8, 4), method, cfg))
+        assert outcome(self._trial((8, 4), method, cfg)) == outcome(b)
 
 
 class TestTrialPurity:

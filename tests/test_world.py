@@ -437,14 +437,14 @@ def _fan_walk(blocked, cell_size, ox, oy, angles, max_range):
     """The fan table walk of the beams at `angles` from (ox, oy) over the
     `blocked` mask, step by step, as `camera_sweep` and `sense_cells` walk
     their tables: one row per beam, one column per step, the row-major
-    lattice index of the cell each step enters and the distance at which it
-    enters it; and the step at which each beam stops. Entries after the stop
-    are meaningless."""
+    lattice index of the cell each step enters and whether it enters it
+    beyond the range; and the step at which each beam stops. Entries after
+    the stop are meaningless."""
     height, width = blocked.shape
     cx, cy, spot = sensor._spot(width, height, cell_size, ox, oy)
     table = sensor._fan_table(*spot, width, height, angles, [max_range] * len(angles))
     _, stops = sensor._stops(sensor.fan_codes(blocked), table, cx, cy)
-    return table.lattice.take(table.window, mode="wrap") + (cy * width + cx), table.t, stops
+    return table.window % table.size + (table.low + cy * width + cx), table.beyond, stops
 
 
 def _oracle_beams(world, pose, angles, max_range):
@@ -518,14 +518,14 @@ def test_fan_walk_matches_trace_ray(case, data):
     # exactly. Besides the measured scan, a made-up one whose beams end on
     # the k-th cell boundary, or up to 1e-9 off it, or at max_range.
     angles = [pose.heading] + angles
-    # each beam's cells before its stop, its stop cell and the distance at
-    # which it entered it, also when it stopped beyond the range
-    flat, entered, stops = _fan_walk(world.occupied, cs, pose.x, pose.y, angles, max_range)
+    # each beam's cells before its stop, its stop cell and whether it
+    # entered it beyond the range, also when it stopped there
+    flat, beyond, stops = _fan_walk(world.occupied, cs, pose.x, pose.y, angles, max_range)
     for row, angle in enumerate(angles):
         visited, (sx, sy), t = trace_ray(world.occupied, cs, pose.x, pose.y, angle, max_range)
         stop = stops[row]
         assert flat[row, :stop].tolist() == [y * width + x for x, y in visited]
-        assert entered[row, stop] == t
+        assert beyond[row, stop] == (t > max_range)
         if 0 <= sx < width and 0 <= sy < height:
             assert flat[row, stop] == sy * width + sx
     ends = data.draw(st.lists(
@@ -636,8 +636,8 @@ def test_fan_table_far_range_capped_at_lattice_extent():
     assert ir_scan(world, pose, IrConfig(TWO_PI, 1e6, 90)).beams == _oracle_beams(
         world, pose, angles, 1e6)
     (table,) = sensor._FAN_TABLES.values()
-    assert table.t.shape[0] == 90
-    assert table.t.shape[1] <= world.width + world.height + 2
+    assert table.beyond.shape[0] == 90
+    assert table.beyond.shape[1] <= world.width + world.height + 2
 
 
 @pytest.mark.parametrize("cell_size", [1.0, 0.3])
@@ -651,12 +651,12 @@ def test_fan_walk_range_stop_as_trace_ray(cell_size):
         origin = (5 + fraction) * cell_size
         for cells in (1.7, 2.2, 3.96):
             max_range = cells * cell_size
-            _, entered, stops = _fan_walk(blocked, cell_size, origin, origin, angles,
-                                          max_range)
+            _, beyond, stops = _fan_walk(blocked, cell_size, origin, origin, angles,
+                                         max_range)
             for row, angle in enumerate(angles):
                 _, _, t = trace_ray(blocked, cell_size, origin, origin, angle, max_range)
                 assert t > max_range
-                assert entered[row, stops[row]] == t
+                assert beyond[row, stops[row]]
 
 
 def test_fan_walk_overflowing_crossings_as_trace_ray():
@@ -665,11 +665,11 @@ def test_fan_walk_overflowing_crossings_as_trace_ray():
     blocked = np.zeros((5, 5), dtype=bool)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        flat, entered, stops = _fan_walk(blocked, 1.0, 2.5, 2.5, [1e-308], 1e6)
+        flat, beyond, stops = _fan_walk(blocked, 1.0, 2.5, 2.5, [1e-308], 1e6)
     visited, _, t = trace_ray(blocked, 1.0, 2.5, 2.5, 1e-308, 1e6)
     stop = stops[0]
     assert flat[0, :stop].tolist() == [y * 5 + x for x, y in visited]
-    assert entered[0, stop] == t
+    assert beyond[0, stop] == (t > 1e6)
 
 
 @pytest.mark.parametrize("walk", ["scan_cells", "camera_sweep", "sense_cells"])
