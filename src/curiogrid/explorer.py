@@ -25,8 +25,9 @@ logs the goal's search distance as its length (`path_cost`, bit for bit).
 
 A sense is one `_fuse` and one `_relabel`. `_fuse` is the one lookup of a
 pose's sensing evidence (the map's cache, or one `sense_cells` walk the cache
-keeps); it adds the evidence and a detection to both belief maps and takes
-the found test.
+keeps); it converts the cached int32 indices to intp once, adds the evidence
+and a detection to both belief maps with one take-add-put each and takes the
+found test. `_relabel` labels the log odds `_fuse` wrote, without reading them again.
 
 Trials of one map and settings share their search up to the first sense that
 sees the target: before it, `sensor.detect`, a run's only read of the target,
@@ -176,15 +177,14 @@ def local_frontiers(frontiers: list[Cell], pose: Pose, ir: IrConfig,
 
 class _Search:
     """The lists `_dijkstra` writes, kept for the next search over a lattice
-    of the same size: each cell's dist and parent, the settled marks, and
-    the cells the last search wrote to, which the next one resets."""
+    of the same size: each cell's dist and parent, and the cells the last
+    search wrote to, which the next one resets."""
 
-    __slots__ = ("dist", "parents", "settled", "touched")
+    __slots__ = ("dist", "parents", "touched")
 
     def __init__(self, size: int):
         self.dist = [math.inf] * size
         self.parents = [-1] * size
-        self.settled = bytearray(size)
         self.touched: list[int] = []
 
 
@@ -221,15 +221,15 @@ def _dijkstra(free: bytes, width: int, start: int, cell_size: float,
     """
     if search is None:
         search = _Search(len(free))
-    dist, parents, settled, touched = search.dist, search.parents, search.settled, search.touched
+    dist, parents, touched = search.dist, search.parents, search.touched
     for i in touched:
         dist[i] = math.inf
         parents[i] = -1
-        settled[i] = 0
     touched.clear()
     if not free[start]:
         return dist, parents, None
     steps = [(dy * width + dx, step * cell_size) for dx, dy, step in _STEPS]
+    open_ = bytearray(free)  # free and not yet settled: one byte read per neighbour
     unsettled = set(settle)
     nearest: Optional[int] = None
     dist[start] = 0.0
@@ -237,9 +237,9 @@ def _dijkstra(free: bytes, width: int, start: int, cell_size: float,
     pop, push, settle_one = heapq.heappop, heapq.heappush, touched.append
     while heap:
         d, i = pop(heap)
-        if settled[i]:
+        if not open_[i]:
             continue
-        settled[i] = 1
+        open_[i] = 0
         settle_one(i)
         unsettled.discard(i)
         if nearest is None and goals is not None and goals[i]:
@@ -248,7 +248,7 @@ def _dijkstra(free: bytes, width: int, start: int, cell_size: float,
             break
         for offset, cost in steps:
             j = i + offset
-            if free[j]:
+            if open_[j]:
                 nd = d + cost
                 if nd < dist[j]:
                     dist[j] = nd
@@ -476,17 +476,18 @@ class _Explorer:
     def _sense(self) -> bool:
         """Sense at the current pose and fuse the evidence; True once the
         search must stop: the target is found or the budget is spent."""
-        self._relabel(self._fuse(self.pose, detect(self.world, self.pose,
-                                                   self.sensors.camera)))
+        self._relabel(*self._fuse(self.pose, detect(self.world, self.pose,
+                                                    self.sensors.camera)))
         return self.found or self.elapsed > self.budget
 
-    def _fuse(self, pose: Pose, det: Optional[Detection]) -> np.ndarray:
+    def _fuse(self, pose: Pose, det: Optional[Detection]) -> tuple[np.ndarray, np.ndarray]:
         """Fuse the sensing evidence at `pose` with its detection `det` into
         both belief maps, without the relabel, and take the found test;
-        returns the IR cells the evidence touched, for `_relabel`.
+        returns the IR cells the evidence touched (intp) and their new log
+        odds, for `_relabel`.
 
         The evidence comes from the map's sensing cache, or from one
-        `sense_cells` walk that the cache then keeps.
+        `sense_cells` walk that the cache then keeps as int32.
         """
         evidence = self.evidence.get(pose)
         if evidence is None:
@@ -497,7 +498,9 @@ class _Explorer:
                     table.clear()
             self.evidence[pose] = evidence
         cells, hits_at, seen_at = evidence
-        self.occupancy.add_scan_evidence(cells[:hits_at], cells[hits_at:seen_at])
+        cells = cells.astype(np.intp)
+        touched = cells[:seen_at]
+        values = self.occupancy.add_scan_evidence(touched, hits_at)
         self._observe(cells[seen_at:], det)
         # Discovered on a single high-confidence sighting, or once the fused
         # object-map probability of the sighted cell crosses the threshold
@@ -508,15 +511,15 @@ class _Explorer:
                     self.objects.log_odds[y, x]) > self.threshold):
                 self.found = True
                 self.estimate = det.cell
-        return cells[:seen_at]
+        return touched, values
 
-    def _relabel(self, touched: np.ndarray) -> None:
+    def _relabel(self, touched: np.ndarray, values: np.ndarray) -> None:
         """Bring the labels and the frontier mask up to date after evidence
-        at the flat map indices `touched`: labels are per-cell functions of
-        the log odds, read off the config's two log-odds edges
-        (`edge_labels`), and a cell's frontier status reads only its own
-        label and its 4-neighbors'."""
-        new = edge_labels(self.occupancy.log_odds.ravel()[touched], self.occupancy.cfg)
+        at the flat map indices `touched`, whose log odds are now `values`:
+        labels are per-cell functions of the log odds, read off the config's
+        two log-odds edges (`edge_labels`), and a cell's frontier status
+        reads only its own label and its 4-neighbors'."""
+        new = edge_labels(values, self.occupancy.cfg)
         framed = self.framed[touched]
         changed = framed[self.labels[framed] != new]
         if not changed.size:
@@ -542,7 +545,7 @@ class _Explorer:
         if self.queued:
             cells = np.concatenate(self.queued)
             self.queued = []
-            self.curiosity.flat[cells] = self._curiosity(self.objects.log_odds.flat[cells])
+            self.curiosity.put(cells, self._curiosity(self.objects.log_odds.take(cells)))
         return float(self.curiosity.sum())
 
     def _curiosity(self, log_odds: np.ndarray) -> np.ndarray:
@@ -551,7 +554,7 @@ class _Explorer:
         classify to 0.0 and those below the second to 0.5, whose curiosity
         `edge_curiosity` holds, and only those past the second go through the
         whole chain."""
-        bucket = np.searchsorted(self.object_edges, log_odds, side="right")
+        bucket = self.object_edges.searchsorted(log_odds, "right")
         values = self.edge_curiosity[bucket]
         past = bucket == 2
         if past.any():
@@ -705,11 +708,10 @@ class _Tape:
     def nbytes(self) -> int:
         """The bytes the tape holds, about: the forks' and `live`'s arrays and
         list slots, the planner lists `live` makes at its first decision (two
-        list slots and a settled byte a cell, `_Search`; a fork makes its own
-        only once it decides), the records, and the poses and decisions
-        `live`'s lists hold."""
+        list slots a cell, `_Search`; a fork makes its own only once it
+        decides), the records, and the poses and decisions `live`'s lists hold."""
         live = self.live
-        return (self.forked + 17 * live.labels.size + _POSE_BYTES * len(live.trajectory)
+        return (self.forked + 16 * live.labels.size + _POSE_BYTES * len(live.trajectory)
                 + _DECISION_BYTES * len(live.steps) + _RECORD_BYTES * len(self.senses))
 
     def _advance(self) -> None:
@@ -734,10 +736,11 @@ class _Tape:
             return self.live.fork(world)
         # a tape that skipped a fork passed the bound and is emptied before its next trial
         ex = self.forks[i // _TAPE_STRIDE].fork(world)
-        touched = [ex._fuse(record[0], None)
+        touched = [ex._fuse(record[0], None)[0]
                    for record in self.senses[i - i % _TAPE_STRIDE:i]]
         if touched:
-            ex._relabel(np.concatenate(touched))
+            touched = np.concatenate(touched)
+            ex._relabel(touched, ex.occupancy.log_odds.take(touched))
         ex._restore(self.senses[i], self.live.trajectory, self.live.steps)
         return ex
 

@@ -4,7 +4,8 @@ Both maps accumulate evidence as log odds against a uniform 0.5 prior, which
 realizes the standard recursive Bayesian filter: fusing an observation with
 inverse-model probability p adds log(p / (1 - p)) to the cell. Saturation is
 applied when converting back to probability, so the accumulated evidence is
-order-invariant.
+order-invariant. A fusion reads and writes each cell once per map: one `take`,
+in-place adds and one `put` (`add_scan_evidence` serves every IR fusion).
 
 `occupancy_labels` is the per-cell label rule and the spec. A label is two
 comparisons of the cell's probability, which is monotone in the log odds, so
@@ -153,8 +154,7 @@ _EDGE_LABELS = np.array([FREE, UNKNOWN, OCCUPIED], dtype=np.int8)
 
 def edge_labels(log_odds: np.ndarray, cfg: MappingConfig) -> np.ndarray:
     """`occupancy_labels` of finite log odds, read off their two edges (`_edges`)."""
-    return _EDGE_LABELS[np.searchsorted(_edges(cfg.p_free_max, cfg.p_occ_min), log_odds,
-                                        side="right")]
+    return _EDGE_LABELS[_edges(cfg.p_free_max, cfg.p_occ_min).searchsorted(log_odds, "right")]
 
 
 def classify_object_probabilities(p: np.ndarray, lambda1: float, lambda2: float) -> np.ndarray:
@@ -179,13 +179,19 @@ class OccupancyMap:
     def integrate_scan(self, scan: IrScan) -> None:
         """Fuse one IR scan: miss evidence at the cells it passes, hit evidence
         at the cells it hits (see `sensor.scan_cells`), each at most once."""
-        self.add_scan_evidence(*scan_cells(self.width, self.height, self.cell_size, scan))
+        free, hits = scan_cells(self.width, self.height, self.cell_size, scan)
+        self.add_scan_evidence(np.concatenate((free, hits)), len(free))
 
-    def add_scan_evidence(self, free: np.ndarray, hits: np.ndarray) -> None:
-        """Add miss evidence at the `free` and hit evidence at the `hits` flat
-        indices; each array must hold a cell at most once."""
-        self.log_odds.flat[free] += logit(self.cfg.p_miss)
-        self.log_odds.flat[hits] += logit(self.cfg.p_hit)
+    def add_scan_evidence(self, cells: np.ndarray, hits_at: int) -> np.ndarray:
+        """Add miss evidence at the flat indices `cells[:hits_at]` and hit
+        evidence at `cells[hits_at:]`, which hold a cell at most once, and
+        return the cells' new log odds: one `take`, the adds and one `put`,
+        which index any memory layout as `.flat` does."""
+        values = self.log_odds.take(cells)
+        values[:hits_at] += logit(self.cfg.p_miss)
+        values[hits_at:] += logit(self.cfg.p_hit)
+        self.log_odds.put(cells, values)
+        return values
 
     def probabilities(self) -> np.ndarray:
         return probabilities_from_log_odds(self.log_odds)
@@ -220,13 +226,14 @@ class ObjectMap:
         detected cell fuses the detection confidence as evidence. Blocked
         cells carry no object evidence either way.
         """
-        if det is None:
-            self.log_odds.flat[seen_free] += logit(self.cfg.p_miss_cam)
-            return
-        det_index = det.cell[1] * self.width + det.cell[0]
-        self.log_odds.flat[seen_free[seen_free != det_index]] += logit(self.cfg.p_miss_cam)
-        ev = min(max(det.conf, _EV_MIN), _EV_MAX)
-        self.log_odds.flat[det_index] += logit(ev)
+        if det is not None:
+            seen_free = seen_free[seen_free != det.cell[1] * self.width + det.cell[0]]
+        values = self.log_odds.take(seen_free)
+        values += logit(self.cfg.p_miss_cam)
+        self.log_odds.put(seen_free, values)
+        if det is not None:
+            ev = min(max(det.conf, _EV_MIN), _EV_MAX)
+            self.log_odds[det.cell[1], det.cell[0]] += logit(ev)
 
     def raw_probabilities(self) -> np.ndarray:
         return probabilities_from_log_odds(self.log_odds)

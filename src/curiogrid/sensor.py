@@ -354,9 +354,9 @@ def sense_cells(codes: np.ndarray, cell_size: float, pose: Pose, ir: IrConfig,
     """
     height, width = codes.shape[0] - 2, codes.shape[1] - 2
     cx, cy, spot = _spot(width, height, cell_size, pose.x, pose.y)
-    ir_beams = (pose.heading - ir.fov / 2.0, ir.fov, ir.ray_count)
-    cam_beams = (pose.heading - cam.fov / 2.0, cam.fov, cam.ray_count)
-    table = _memo(spot + (width, height, ir.max_range) + ir_beams + (cam.max_range,) + cam_beams,
+    table = _memo((*spot, width, height, ir.max_range, pose.heading - ir.fov / 2.0, ir.fov,
+                   ir.ray_count, cam.max_range, pose.heading - cam.fov / 2.0, cam.fov,
+                   cam.ray_count),
                   lambda: _fan_table(
                       *spot, width, height, beam_angles(pose.heading, ir.fov, ir.ray_count)
                       + beam_angles(pose.heading, cam.fov, cam.ray_count),
@@ -373,8 +373,8 @@ def sense_cells(codes: np.ndarray, cell_size: float, pose: Pose, ir: IrConfig,
     hits = table.window.take(end[code.take(end) < table.mark.take(at)])
     flags[hits] = False
     flags[hits + size] = True
-    cells = np.flatnonzero(flags)
-    hits_at, seen_at = np.searchsorted(cells, (size, 2 * size))
+    cells = flags.nonzero()[0]
+    hits_at, seen_at = cells.searchsorted((size, 2 * size))
     return ((cells % size + (table.low + cy * width + cx)).astype(np.int32),
             int(hits_at), int(seen_at))
 

@@ -13,8 +13,8 @@ from curiogrid.explorer import (MotionConfig, SensorSuite, _cell, _decide, _dijk
                                 explore_rapid_frontier, local_frontiers, path_cost,
                                 plan_path)
 from curiogrid.harness import fixture_path, steps_jsonl
-from curiogrid.mapping import Label, MappingConfig, OccupancyMap, logit, quantize
-from curiogrid.sensor import CameraConfig, Detection, IrConfig
+from curiogrid.mapping import Label, MappingConfig, ObjectMap, OccupancyMap, logit, quantize
+from curiogrid.sensor import CameraConfig, Detection, IrConfig, camera_observe, ir_scan
 from curiogrid.world import GridWorld, Pose, load_map
 
 from oracle import outcome
@@ -378,7 +378,7 @@ class TestSearchReuse:
         free[2, 3] = False
         dist, parents, nearest = self._run(free, (3, 2), [(0, 0)], [(1, 1)], search)
         assert np.isinf(dist).all() and set(parents) == {-1} and nearest is None
-        assert not any(search.settled) and not search.touched
+        assert dist is search.dist and parents is search.parents and not search.touched
 
     @pytest.mark.parametrize("pick", [explorer._pick_curiosity, explorer._pick_heading])
     def test_fork_and_original_deciding_in_turns(self, pick):
@@ -576,6 +576,29 @@ class TestExplorers:
 
 
 @st.composite
+def small_worlds(draw, cell_sizes=(0.25, 0.5)):
+    """A walled lattice of up to 9 x 8 cells of one of `cell_sizes` with
+    random inner walls, a start on a free cell, and a target on a free cell
+    or none."""
+    width, height = draw(st.integers(3, 9)), draw(st.integers(3, 8))
+    cell_size = draw(st.sampled_from(cell_sizes))
+    occupied = np.ones((height, width), dtype=bool)
+    inner = draw(st.lists(st.integers(0, 3), min_size=(width - 2) * (height - 2),
+                          max_size=(width - 2) * (height - 2)))
+    occupied[1:-1, 1:-1] = np.reshape(inner, (height - 2, width - 2)) == 0
+    free = [(x, y) for y in range(1, height - 1) for x in range(1, width - 1)
+            if not occupied[y, x]]
+    if not free:
+        occupied[1, 1] = False
+        free = [(1, 1)]
+    sx, sy = draw(st.sampled_from(free))
+    start = Pose((sx + 0.5) * cell_size, (sy + 0.5) * cell_size,
+                 draw(st.integers(0, 7)) * math.pi / 4.0)
+    target = draw(st.one_of(st.none(), st.sampled_from(free)))
+    return GridWorld(width, height, cell_size, occupied, start, target)
+
+
+@st.composite
 def evidence_sequences(draw):
     """A small lattice, mapping constants, and a sequence of scan evidence:
     each step a set of flat cell indices split into miss and hit parts."""
@@ -587,17 +610,46 @@ def evidence_sequences(draw):
     return width, height, cfg, steps
 
 
+def _assert_views_current(ex):
+    h, w = ex.occupancy.log_odds.shape
+    assert np.array_equal(ex.labels.reshape(h + 2, w + 2)[1:-1, 1:-1], ex.occupancy.classify())
+    assert explorer._cells(np.flatnonzero(ex.frontier), ex.stride) == \
+        detect_frontiers(ex.occupancy)
+
+
+def _checked_senses(ex):
+    """Make every `_sense` of `ex` check the fused sense, and return the
+    poses it sensed at: the values `_fuse` returns are the log odds at the
+    cells it touched, bit for bit; both belief maps equal the spec fuse
+    (`integrate_scan` of `ir_scan`, `integrate_observation` of
+    `camera_observe`) of the same scans; and the views equal their spec."""
+    world, sensors, cfg = ex.world, ex.sensors, ex.occupancy.cfg
+    occupancy = OccupancyMap(world.width, world.height, world.cell_size, cfg)
+    objects = ObjectMap(world.width, world.height, world.cell_size, cfg)
+    fuse, sense, poses = ex._fuse, ex._sense, []
+
+    def checked_fuse(pose, det):
+        touched, values = fuse(pose, det)
+        assert values.tobytes() == ex.occupancy.log_odds.take(touched).tobytes()
+        occupancy.integrate_scan(ir_scan(world, pose, sensors.ir))
+        objects.integrate_observation(camera_observe(world, pose, sensors.camera))
+        return touched, values
+
+    def checked_sense():
+        stop = sense()
+        assert ex.occupancy.log_odds.tobytes() == occupancy.log_odds.tobytes()
+        assert ex.objects.log_odds.tobytes() == objects.log_odds.tobytes()
+        _assert_views_current(ex)
+        poses.append(ex.pose)
+        return stop
+    ex._fuse, ex._sense = checked_fuse, checked_sense
+    return poses
+
+
 class TestMaintainedViews:
     """The explorer's labels and frontiers, kept current from each sense's
-    touched cells, equal `classify()` and `detect_frontiers()` recomputed."""
-
-    @staticmethod
-    def _assert_views_current(ex):
-        h, w = ex.occupancy.log_odds.shape
-        assert np.array_equal(ex.labels.reshape(h + 2, w + 2)[1:-1, 1:-1],
-                              ex.occupancy.classify())
-        assert explorer._cells(np.flatnonzero(ex.frontier), ex.stride) == \
-            detect_frontiers(ex.occupancy)
+    touched cells and their new log odds, equal `classify()` and
+    `detect_frontiers()` recomputed."""
 
     @settings(max_examples=200, deadline=None)
     @given(evidence_sequences())
@@ -607,13 +659,12 @@ class TestMaintainedViews:
                           Pose(0.5, 0.5, 0.0))
         ex = explorer._Explorer(world, suite(), MotionConfig(), 600.0, cfg, 0.95,
                                 CuriosityParams(), explorer._pick_heading)
-        self._assert_views_current(ex)
+        _assert_views_current(ex)
         for free, hits in steps:
             # as `_sense` passes them: the misses, then the hits, in one array
             cells = np.array(sorted(free) + sorted(hits), dtype=np.int32)
-            ex.occupancy.add_scan_evidence(cells[:len(free)], cells[len(free):])
-            ex._relabel(cells)
-            self._assert_views_current(ex)
+            ex._relabel(cells, ex.occupancy.add_scan_evidence(cells, len(free)))
+            _assert_views_current(ex)
 
     @pytest.mark.parametrize("pick", [explorer._pick_curiosity, explorer._pick_heading])
     def test_views_match_after_a_run(self, pick):
@@ -622,7 +673,17 @@ class TestMaintainedViews:
                                 CuriosityParams(), pick)
         ex.run()
         assert ex.steps
-        self._assert_views_current(ex)
+        _assert_views_current(ex)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_worlds((0.25, 0.3)),
+           st.sampled_from([explorer._pick_curiosity, explorer._pick_heading]))
+    def test_every_sense_fuses_the_spec(self, world, pick):
+        ex = explorer._Explorer(world, suite(), MotionConfig(), 600.0, MappingConfig(), 0.95,
+                                CuriosityParams(), pick)
+        poses = _checked_senses(ex)
+        ex.run()
+        assert poses
 
 
 @st.composite
@@ -729,7 +790,7 @@ class TestWedge:
         ex = explorer._Explorer(world, SensorSuite(ir, CameraConfig()), MotionConfig(), 600.0,
                                 MappingConfig(), 0.95, CuriosityParams(), explorer._pick_heading)
         ex.occupancy.log_odds[...] = log_odds
-        ex._relabel(np.arange(log_odds.size))
+        ex._relabel(np.arange(log_odds.size), log_odds.ravel())
         pose = world.start
         want = local_frontiers(detect_frontiers(ex.occupancy), pose, ir, world.cell_size)
         assert ex._wedge(world.cell_of(pose.x, pose.y)) == want
@@ -773,27 +834,23 @@ class TestSenseCache:
         self._warm_then_cold(explore, misses)
         assert sum(map(len, explorer._SENSE_CACHE.values())) == 1
 
-
-@st.composite
-def small_worlds(draw):
-    """A walled lattice of up to 9 x 8 cells with random inner walls, a
-    start on a free cell, and a target on a free cell or none."""
-    width, height = draw(st.integers(3, 9)), draw(st.integers(3, 8))
-    cell_size = draw(st.sampled_from([0.25, 0.5]))
-    occupied = np.ones((height, width), dtype=bool)
-    inner = draw(st.lists(st.integers(0, 3), min_size=(width - 2) * (height - 2),
-                          max_size=(width - 2) * (height - 2)))
-    occupied[1:-1, 1:-1] = np.reshape(inner, (height - 2, width - 2)) == 0
-    free = [(x, y) for y in range(1, height - 1) for x in range(1, width - 1)
-            if not occupied[y, x]]
-    if not free:
-        occupied[1, 1] = False
-        free = [(1, 1)]
-    sx, sy = draw(st.sampled_from(free))
-    start = Pose((sx + 0.5) * cell_size, (sy + 0.5) * cell_size,
-                 draw(st.integers(0, 7)) * math.pi / 4.0)
-    target = draw(st.one_of(st.none(), st.sampled_from(free)))
-    return GridWorld(width, height, cell_size, occupied, start, target)
+    @pytest.mark.parametrize("cell_size", [0.25, 0.3])
+    @pytest.mark.parametrize("pick", [explorer._pick_curiosity, explorer._pick_heading])
+    def test_cached_senses_fuse_the_spec(self, cell_size, pick, misses):
+        # every sense of a cold run walks its fans, every one of the warm
+        # rerun reads the cache, and each fuses what the spec fuses
+        text = fixture_path("sparse.map").read_text()
+        world = load_map(text.replace("cellsize=0.25", f"cellsize={cell_size}", 1))
+        assert world.cell_size == cell_size
+        explorer._SENSE_CACHE.clear()
+        for warm in (False, True):
+            misses.clear()
+            ex = explorer._Explorer(world.with_target((5, 35)), suite(), MotionConfig(), 20.0,
+                                    MappingConfig(), 0.95, CuriosityParams(), pick)
+            poses = _checked_senses(ex)
+            ex.run()
+            assert ex.steps
+            assert len(misses) == (0 if warm else len(set(poses)))
 
 
 def _packaged_world(name, target):

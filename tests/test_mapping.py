@@ -77,6 +77,28 @@ class TestOccupancyUpdate:
         assert p[1, 2] == pytest.approx(0.35)
         assert (p[1, 3:] == 0.5).all()
 
+    @pytest.mark.parametrize("layout", ["F", "strided"])
+    def test_scan_evidence_in_any_memory_layout(self, layout):
+        # take and put index the cells in row-major order whatever the
+        # layout, and write through to the array itself
+        rng = np.random.default_rng(3)
+        prior = rng.normal(size=(5, 7))
+        cells = rng.permutation(35)[:20].astype(np.int32)
+        c_order = OccupancyMap(7, 5, 1.0)
+        c_order.log_odds = prior.copy()
+        other = OccupancyMap(7, 5, 1.0)
+        other.log_odds = (np.asfortranarray(prior) if layout == "F"
+                          else np.repeat(prior, 2, axis=1)[:, ::2])
+        assert not other.log_odds.flags.c_contiguous
+        got = other.add_scan_evidence(cells, 12)
+        assert got.tobytes() == c_order.add_scan_evidence(cells, 12).tobytes()
+        assert other.log_odds.tobytes() == c_order.log_odds.tobytes()
+        want = prior.copy()  # one evidence bump per cell, cell by cell
+        for k, i in enumerate(cells.tolist()):
+            want[i // 7, i % 7] += logit(c_order.cfg.p_miss if k < 12 else c_order.cfg.p_hit)
+        assert c_order.log_odds.tobytes() == want.tobytes()
+        assert got.tobytes() == want.ravel()[cells].tobytes()
+
     def test_probabilities_stay_inside_open_interval(self):
         omap = OccupancyMap(1, 1, 1.0)
         for _ in range(10_000):
