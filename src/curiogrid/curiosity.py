@@ -82,10 +82,10 @@ def visible_from(occ_labels: np.ndarray, cell_size: float, pose: Pose,
                  cam: CameraConfig) -> list[Cell]:
     """Cells a camera sweep from `pose` would see free, against belief occupancy.
 
-    This is `camera_sweep` over the cells labeled OCCUPIED; unknown cells are
-    treated as transparent. Blocking cells themselves are not part of the
-    result, which mirrors the fact that blocked cells never receive object
-    evidence.
+    This is `camera_sweep` over the cells labeled OCCUPIED, so the cells come
+    in row-major order; unknown cells are treated as transparent. Blocking
+    cells themselves are not part of the result, which mirrors the fact that
+    blocked cells never receive object evidence.
     """
     return camera_sweep(occ_labels == OCCUPIED, cell_size, pose, cam)
 

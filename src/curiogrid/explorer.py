@@ -436,8 +436,7 @@ class _Explorer:
         self.elapsed = 0.0
         self.trajectory = [world.start]
         self.steps: list[StepRecord] = []
-        self.found = False
-        self.estimate: Optional[Cell] = None
+        self.estimate: Optional[Cell] = None  # the target's cell, once found
         # The loop state: senses at the start so far, rotate decisions in a
         # row, and the framed indices of the path being walked and the
         # position along it. A new explorer stands at its first sense.
@@ -478,7 +477,7 @@ class _Explorer:
         search must stop: the target is found or the budget is spent."""
         self._relabel(*self._fuse(self.pose, detect(self.world, self.pose,
                                                     self.sensors.camera)))
-        return self.found or self.elapsed > self.budget
+        return self.estimate is not None or self.elapsed > self.budget
 
     def _fuse(self, pose: Pose, det: Optional[Detection]) -> tuple[np.ndarray, np.ndarray]:
         """Fuse the sensing evidence at `pose` with its detection `det` into
@@ -509,7 +508,6 @@ class _Explorer:
             x, y = det.cell
             if (det.conf > self.threshold or probabilities_from_log_odds(
                     self.objects.log_odds[y, x]) > self.threshold):
-                self.found = True
                 self.estimate = det.cell
         return touched, values
 
@@ -610,10 +608,9 @@ class _Explorer:
         raise InvariantError(f"frontier {cell} has no unknown neighbor")
 
     def _result(self) -> ExplorationResult:
-        if self.found and self.estimate is None:
-            raise InvariantError("found flag without a target estimate")
         return ExplorationResult(self.occupancy, self.objects, self.elapsed,
-                                 self.found, self.estimate, self.trajectory, self.steps)
+                                 self.estimate is not None, self.estimate, self.trajectory,
+                                 self.steps)
 
     def _to_next_pose(self) -> bool:
         """Move or turn to the next sensing pose, deciding where to go once
@@ -756,7 +753,7 @@ class _Tape:
                 self._advance()
             pose = self.senses[j][0]
             ex._fuse(pose, detect(world, pose, camera))
-            if ex.found or j == len(self.senses) - 1:
+            if ex.estimate is not None or j == len(self.senses) - 1:
                 break
             j += 1
             for step in self.live.steps[len(ex.steps):self.senses[j][3]]:  # to j's step count

@@ -201,10 +201,7 @@ def run_mission(world: GridWorld, sensors: SensorSuite,
             if path is not None:
                 for step in path[1:]:
                     x, y = world.cell_center(step)
-                    d = math.hypot(x - pose.x, y - pose.y)
-                    if d < 1e-12:
-                        continue
-                    t += d / motion.max_velocity
+                    t += math.hypot(x - pose.x, y - pose.y) / motion.max_velocity
                     pose = Pose(x, y, wrap_angle(math.atan2(y - pose.y, x - pose.x)))
                     if math.hypot(tx - pose.x, ty - pose.y) <= GRAB_RANGE:
                         break

@@ -4,23 +4,23 @@ Both sensors are modeled as 2D ray fans. The camera additionally reports a
 target detection whose confidence decays with distance as conf_scale / d,
 clamped to 1.
 
-Only the two hot walks read memoized fan tables: the explorer's sense
-(`sense_cells`, one per sensing-cache miss) and the prediction of a
-candidate view (`camera_sweep`, through `curiosity.visible_from`). Both
-read one kind of table (`_fan_table`): every beam's cell offsets from one
-origin spot in its cell, stepped exactly as `world.trace_ray` steps, which
-steps lie beyond the beam's own range, and each IR beam's evidence for
-every step at which it may stop; no distances, since no walk reads them. A
-sense's table holds the IR beams and then the camera beams; a camera
-sweep's has no IR beams. A walk is one numpy gather of the table over a
-code grid of the walls (`fan_codes`), one stop search and one flag array
-over the window of lattice rows and columns the table covers rather than
-the whole lattice. The memo is bounded at _FAN_TABLE_LIMIT beam steps.
+One walk reads the memoized fan tables: `sense_cells`, which the explorer
+calls once per sensing-cache miss. A camera sweep (`camera_sweep`, the
+prediction of a candidate view through `curiosity.visible_from`) is a sense
+with no IR fan, its cells in row-major order. The walk reads one kind of
+table (`_fan_table`): every beam's cell offsets from one origin spot in its
+cell, stepped exactly as `world.trace_ray` steps, which steps lie beyond the
+beam's own range, and each IR beam's evidence for every step at which it may
+stop; no distances, since the walk reads none. A table holds the IR beams,
+if any, and then the camera beams. The walk is one numpy gather of the table
+over a code grid of the walls (`fan_codes`), one stop search and one flag
+array over the window of lattice rows and columns the table covers rather
+than the whole lattice. The memo is bounded at _FAN_TABLE_LIMIT beam steps.
 
 The per-scan API (`ir_scan`, `scan_cells`, `camera_observe`) is the spec
-those walks are tested against, written on `trace_ray`, one walk per beam;
-so is the single ray of `detect`. The wedge test (`wedge_cells`) has its
-one copy here too.
+the walk is tested against, written on `trace_ray`, one walk per beam; so is
+the single ray of `detect`. The wedge test (`wedge_cells`) has its one copy
+here too.
 """
 
 from __future__ import annotations
@@ -288,18 +288,6 @@ def _stops(codes: np.ndarray, table: _FanTable, cx: int,
     return code, np.logical_or(code, table.beyond).argmax(axis=1)
 
 
-def _cells(flat: np.ndarray, width: int) -> list[Cell]:
-    """The (x, y) cells of row-major flat indices, in order."""
-    ys, xs = np.divmod(flat, width)
-    return list(zip(xs.tolist(), ys.tolist()))
-
-
-def _in_walk_order(flat: np.ndarray) -> np.ndarray:
-    """`flat` without repeats, each index where it first occurs."""
-    _, first = np.unique(flat, return_index=True)
-    return flat[np.sort(first)]
-
-
 def ir_scan(world: GridWorld, pose: Pose, cfg: IrConfig) -> IrScan:
     """Sweep the IR fan; beams that strike nothing report max_range, hit=False."""
     if not world.contains_point(pose.x, pose.y):
@@ -317,51 +305,45 @@ def camera_sweep(blocked: np.ndarray, cell_size: float, pose: Pose,
                  cfg: CameraConfig) -> list[Cell]:
     """The cells the rays of the camera fan from `pose` (the beams of
     `beam_angles`) traverse over the `blocked` mask (seen free), each once,
-    in walk order, each beam stepped as `trace_ray` steps.
-
-    The fan's table is memoized by the origin's spot in its cell (`_spot`),
-    the range, the lattice shape and the fan's first angle, fov and ray
-    count (a sense's key is longer), so any origin at the same spot (every
-    cell centre, for a power-of-two cell size) and any heading whose beams
-    fall on the same angles share one.
-    """
-    height, width = blocked.shape
-    cx, cy, spot = _spot(width, height, cell_size, pose.x, pose.y)
-    start = pose.heading - cfg.fov / 2.0
-    table = _memo(spot + (cfg.max_range, width, height, start, cfg.fov, cfg.ray_count),
-                  lambda: _fan_table(*spot, width, height,
-                                     beam_angles(pose.heading, cfg.fov, cfg.ray_count),
-                                     [cfg.max_range] * cfg.ray_count))
-    stop = _stops(fan_codes(blocked), table, cx, cy)[1]
-    seen = _in_walk_order(table.window[table.steps < stop[:, None]])
-    return _cells(seen % table.size + (table.low + cy * width + cx), width)
+    in row-major order: the camera part of a `sense_cells` walk with no IR
+    fan, as cells."""
+    cells, _, seen_at = sense_cells(fan_codes(blocked), cell_size, pose, None, cfg)
+    ys, xs = np.divmod(cells[seen_at:], blocked.shape[1])
+    return list(zip(xs.tolist(), ys.tolist()))
 
 
-def sense_cells(codes: np.ndarray, cell_size: float, pose: Pose, ir: IrConfig,
+def sense_cells(codes: np.ndarray, cell_size: float, pose: Pose, ir: Optional[IrConfig],
                 cam: CameraConfig) -> tuple[np.ndarray, int, int]:
     """The cells one sense at `pose` gives evidence on, with the walls of
     the code grid `codes` (see `fan_codes`): the flat (row-major) indices of
     the cells the IR fan passes, then of those it hits (as `scan_cells`
     finds them for this pose's `ir_scan`), then of those the camera fan sees
     free (as `camera_observe` finds them), each part ascending, in one int32
-    array; and the offsets of the second and the third part.
+    array; and the offsets of the second and the third part. With `ir`
+    None, the two IR parts are empty.
 
     Both fans are one walk over their memoized `_fan_table`, the IR beams
     first, found by the origin's spot in its cell, the lattice shape and
-    both fans' ranges, first angles, fovs and ray counts. A camera beam sees
-    the cells of the steps before its stop, an IR beam passes those before
-    its `end`.
+    each fan's range, first angle, fov and ray count (the camera's, then the
+    IR fan's, if any; so a key without an IR fan is shorter). Any origin at
+    the same spot (every cell centre, for a power-of-two cell size) and any
+    heading whose beams fall on the same angles share one table. A camera
+    beam sees the cells of the steps before its stop, an IR beam passes
+    those before its `end`.
     """
     height, width = codes.shape[0] - 2, codes.shape[1] - 2
     cx, cy, spot = _spot(width, height, cell_size, pose.x, pose.y)
-    table = _memo((*spot, width, height, ir.max_range, pose.heading - ir.fov / 2.0, ir.fov,
-                   ir.ray_count, cam.max_range, pose.heading - cam.fov / 2.0, cam.fov,
-                   cam.ray_count),
-                  lambda: _fan_table(
-                      *spot, width, height, beam_angles(pose.heading, ir.fov, ir.ray_count)
-                      + beam_angles(pose.heading, cam.fov, cam.ray_count),
-                      [ir.max_range] * ir.ray_count + [cam.max_range] * cam.ray_count,
-                      ir.ray_count))
+    key = (*spot, width, height, cam.max_range, pose.heading - cam.fov / 2.0, cam.fov,
+           cam.ray_count)
+    fans = (cam,)
+    if ir is not None:
+        key += (ir.max_range, pose.heading - ir.fov / 2.0, ir.fov, ir.ray_count)
+        fans = (ir, cam)
+    table = _memo(key, lambda: _fan_table(
+        *spot, width, height,
+        [a for fan in fans for a in beam_angles(pose.heading, fan.fov, fan.ray_count)],
+        [fan.max_range for fan in fans for _ in range(fan.ray_count)],
+        0 if ir is None else ir.ray_count))
     code, stop = _stops(codes, table, cx, cy)
     rows = table.rows[:table.ir]
     at = rows + stop[:table.ir]

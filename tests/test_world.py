@@ -354,7 +354,7 @@ def _oracle_integrate(omap, scan):
 def _oracle_visible(labels, cell_size, pose, cam):
     height, width = labels.shape
     blocked = labels == Label.OCCUPIED
-    seen = {}
+    seen = set()
     for angle in beam_angles(pose.heading, cam.fov, cam.ray_count):
         for cx, cy, t in _grid_ray(pose.x, pose.y, angle, cell_size):
             if t > cam.max_range:
@@ -363,8 +363,8 @@ def _oracle_visible(labels, cell_size, pose, cam):
                 break
             if blocked[cy, cx]:
                 break
-            seen.setdefault((cx, cy))
-    return list(seen)
+            seen.add((cx, cy))
+    return sorted(seen, key=lambda c: (c[1], c[0]))  # row-major, as visible_from lists them
 
 
 @st.composite
@@ -435,11 +435,11 @@ def test_trace_ray_matches_grid_ray_oracle(case, hit):
 
 def _fan_walk(blocked, cell_size, ox, oy, angles, max_range):
     """The fan table walk of the beams at `angles` from (ox, oy) over the
-    `blocked` mask, step by step, as `camera_sweep` and `sense_cells` walk
-    their tables: one row per beam, one column per step, the row-major
-    lattice index of the cell each step enters and whether it enters it
-    beyond the range; and the step at which each beam stops. Entries after
-    the stop are meaningless."""
+    `blocked` mask, step by step, as `sense_cells` walks its tables: one
+    row per beam, one column per step, the row-major lattice index of the
+    cell each step enters and whether it enters it beyond the range; and
+    the step at which each beam stops. Entries after the stop are
+    meaningless."""
     height, width = blocked.shape
     cx, cy, spot = sensor._spot(width, height, cell_size, ox, oy)
     table = sensor._fan_table(*spot, width, height, angles, [max_range] * len(angles))
@@ -460,13 +460,13 @@ def _oracle_beams(world, pose, angles, max_range):
 
 
 def _oracle_sweep(blocked, cell_size, pose, cam):
-    """camera_sweep's seen-free cells, one trace_ray walk per beam."""
-    seen_free = {}
+    """camera_sweep's seen-free cells, one trace_ray walk per beam, in
+    row-major order."""
+    seen_free = set()
     for angle in beam_angles(pose.heading, cam.fov, cam.ray_count):
         visited, _, _ = trace_ray(blocked, cell_size, pose.x, pose.y, angle, cam.max_range)
-        for cell in visited:
-            seen_free.setdefault(cell)
-    return list(seen_free)
+        seen_free.update(visited)
+    return sorted(seen_free, key=lambda c: (c[1], c[0]))
 
 
 def _flat_set(cells, width):
