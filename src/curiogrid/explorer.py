@@ -14,9 +14,16 @@ current rather than full-grid passes:
     decision gave camera evidence on, off the config's two object edges
     (`mapping._edges`): only cells past the second run the whole chain;
   - the local frontiers, read off the frontier mask within the box the IR
-    range can reach and tested against the IR wedge there;
+    range can reach through the IR fan's wedge stencil (`wedge_stencil`), a
+    memoized superset of the wedge, and tested against the wedge
+    (`wedge_cells`) only where the stencil keeps a frontier;
+  - the path-blocked check, which reads only the cells the last relabel
+    turned OCCUPIED;
   - the planner's lists (`_Search`), kept from the explorer's first decision
     on, each search resetting only the cells the last one reached.
+What the settings fix is computed once, not per step: the log-odds steps
+and label edges (on `MappingConfig`), the planner's steps (`_steps`) and the
+4-neighbour offsets.
 The full-grid functions (`OccupancyMap.classify` and `occupancy_labels`,
 `detect_frontiers`, `curiosity.total_curiosity`, `local_frontiers` over every
 frontier, and `_dijkstra` in fresh lists) stay the spec the tests check the
@@ -25,9 +32,10 @@ logs the goal's search distance as its length (`path_cost`, bit for bit).
 
 A sense is one `_fuse` and one `_relabel`. `_fuse` is the one lookup of a
 pose's sensing evidence (the map's cache, or one `sense_cells` walk the cache
-keeps); it converts the cached int32 indices to intp once, adds the evidence
-and a detection to both belief maps with one take-add-put each and takes the
-found test. `_relabel` labels the log odds `_fuse` wrote, without reading them again.
+keeps); it converts the cached int32 IR indices to intp once, adds the
+evidence and a detection to both belief maps with one take-add-put each and
+takes the found test. `_relabel` labels the log odds `_fuse` wrote, without
+reading them again.
 
 Trials of one map and settings share their search up to the first sense that
 sees the target: before it, `sensor.detect`, a run's only read of the target,
@@ -48,6 +56,7 @@ before.
 from __future__ import annotations
 
 import copy
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field, replace
@@ -62,7 +71,7 @@ from .mapping import (FREE, OCCUPIED, UNKNOWN, MappingConfig, ObjectMap, Occupan
                       classify_object_probabilities, edge_labels, occupancy_labels,
                       probabilities_from_log_odds, _edges)
 from .sensor import (CameraConfig, Detection, IrConfig, camera_observe, detect, fan_codes,
-                     ir_scan, sense_cells, wedge_cells)
+                     ir_scan, sense_cells, wedge_cells, wedge_stencil)
 from .world import Cell, GridWorld, Pose, angle_diff, wrap_angle
 
 SQRT2 = math.sqrt(2.0)
@@ -129,16 +138,17 @@ class ExplorationResult:
     steps: list[StepRecord] = field(default_factory=list)
 
 
-def _frontier_subset(labels: np.ndarray, cells: np.ndarray, width: int) -> np.ndarray:
+def _frontier_subset(labels: np.ndarray, cells: np.ndarray, four: np.ndarray) -> np.ndarray:
     """The frontiers among `cells`: FREE cells with at least one UNKNOWN
     4-neighbor, in the given order.
 
     `labels` is the flat label array of a lattice framed by one non-FREE cell
-    on every side, `width` its row length, and `cells` indices into it; only
-    FREE cells, which lie inside the frame, have their neighbors read.
+    on every side, `cells` indices into it and `four` the index offsets of a
+    cell's 4-neighbors there; only FREE cells, which lie inside the frame,
+    have their neighbors read.
     """
     cells = cells[labels[cells] == FREE]
-    around = labels[cells[:, None] + (-width, -1, 1, width)]
+    around = labels[cells[:, None] + four]
     return cells[(around == UNKNOWN).any(axis=1)]
 
 
@@ -166,7 +176,8 @@ def _cells(indices: np.ndarray, width: int) -> list[Cell]:
 def detect_frontiers(occupancy: OccupancyMap) -> list[Cell]:
     """Free belief cells with at least one unknown 4-neighbor, row-major order."""
     labels, width = _padded(occupancy.classify(), OCCUPIED)
-    return _cells(_frontier_subset(labels, np.arange(labels.size), width), width)
+    return _cells(_frontier_subset(labels, np.arange(labels.size),
+                                   np.array((-width, -1, 1, width))), width)
 
 
 def local_frontiers(frontiers: list[Cell], pose: Pose, ir: IrConfig,
@@ -228,7 +239,7 @@ def _dijkstra(free: bytes, width: int, start: int, cell_size: float,
     touched.clear()
     if not free[start]:
         return dist, parents, None
-    steps = [(dy * width + dx, step * cell_size) for dx, dy, step in _STEPS]
+    steps = _steps(width, cell_size)
     open_ = bytearray(free)  # free and not yet settled: one byte read per neighbour
     unsettled = set(settle)
     nearest: Optional[int] = None
@@ -257,6 +268,12 @@ def _dijkstra(free: bytes, width: int, start: int, cell_size: float,
     # every cell written to was pushed, and is settled or still on the heap
     touched.extend(j for _, j in heap)
     return dist, parents, nearest
+
+
+@functools.lru_cache(maxsize=64)
+def _steps(width: int, cell_size: float) -> tuple[tuple[int, float], ...]:
+    """`_STEPS` as (index offset, cost in meters) in a lattice of row length `width`."""
+    return tuple((dy * width + dx, step * cell_size) for dx, dy, step in _STEPS)
 
 
 def _chain(parents: list[int], start: int, goal: int) -> list[int]:
@@ -422,10 +439,11 @@ class _Explorer:
         self.object_edges = _edges(mapping_cfg.lambda1, mapping_cfg.lambda2)
         self.edge_curiosity = curiosity_of(np.array([0.0, 0.5, math.nan]), params)
         # the framed index of each flat map index; the offsets of a cell and
-        # its 4-neighbors
+        # its 4-neighbors, and of the 4-neighbors alone
         rows, cols = np.divmod(np.arange(world.width * world.height), world.width)
         self.framed = (rows + 1) * self.stride + cols + 1
         self.cross = np.array([0, -self.stride, -1, 1, self.stride])
+        self.four = self.cross[1:]
         occupied = world.occupied
         # the walls as the sensing-cache misses walk them; forks share it
         self.codes = fan_codes(occupied)
@@ -442,6 +460,8 @@ class _Explorer:
         # position along it. A new explorer stands at its first sense.
         self.settles, self.stalled = 1, 0
         self.at, self.along = np.zeros(0, dtype=np.intp), 0
+        # the framed indices the last `_relabel` turned OCCUPIED
+        self.turned = self.at
         # the planner's lists, made at the first decision; never shared with a fork
         self.search: Optional[_Search] = None
 
@@ -497,8 +517,9 @@ class _Explorer:
                     table.clear()
             self.evidence[pose] = evidence
         cells, hits_at, seen_at = evidence
-        cells = cells.astype(np.intp)
-        touched = cells[:seen_at]
+        # an intp copy of the IR part alone; the camera part stays a view of
+        # the cache, so what keeps `touched` or the queue keeps no whole copy
+        touched = cells[:seen_at].astype(np.intp)
         values = self.occupancy.add_scan_evidence(touched, hits_at)
         self._observe(cells[seen_at:], det)
         # Discovered on a single high-confidence sighting, or once the fused
@@ -513,19 +534,22 @@ class _Explorer:
 
     def _relabel(self, touched: np.ndarray, values: np.ndarray) -> None:
         """Bring the labels and the frontier mask up to date after evidence
-        at the flat map indices `touched`, whose log odds are now `values`:
-        labels are per-cell functions of the log odds, read off the config's
-        two log-odds edges (`edge_labels`), and a cell's frontier status
-        reads only its own label and its 4-neighbors'."""
+        at the flat map indices `touched`, whose log odds are now `values`,
+        and keep the cells it turned OCCUPIED (`turned`): labels are per-cell
+        functions of the log odds, read off the config's two log-odds edges
+        (`edge_labels`), and a cell's frontier status reads only its own
+        label and its 4-neighbors'."""
         new = edge_labels(values, self.occupancy.cfg)
         framed = self.framed[touched]
         changed = framed[self.labels[framed] != new]
         if not changed.size:
+            self.turned = changed
             return
         self.labels[framed] = new
+        self.turned = changed[self.labels[changed] == OCCUPIED]
         around = (changed[:, None] + self.cross).ravel()
         self.frontier[around] = False
-        self.frontier[_frontier_subset(self.labels, around, self.stride)] = True
+        self.frontier[_frontier_subset(self.labels, around, self.four)] = True
 
     def _observe(self, seen: np.ndarray, det: Optional[Detection]) -> None:
         """Fuse a camera sweep, given as for `ObjectMap.add_observation_evidence`,
@@ -565,18 +589,20 @@ class _Explorer:
     def _wedge(self, cell: Cell) -> list[Cell]:
         """`local_frontiers` of every frontier, the robot standing in `cell`.
 
-        Only the frontiers within int(R / cell_size) + 2 cells of `cell` along
-        each axis, R the IR range, are read off the frontier mask, and they
-        come in row-major order, as `detect_frontiers` lists them. A cell
-        centre within R of a pose in `cell` lies at most floor(R / cell_size)
-        + 1 cells from it along each axis, so the box drops no frontier of the
-        wedge, and the one cell more absorbs the rounding of R / cell_size.
+        Only the frontiers the IR fan's wedge stencil (`wedge_stencil`) keeps
+        around `cell` are read off the frontier mask, in row-major order, as
+        `detect_frontiers` lists them; the stencil is a superset of the
+        wedge, and `local_frontiers` decides each of them.
         """
-        reach = int(self.sensors.ir.max_range / self.world.cell_size) + 2
-        x0, y0 = max(cell[0] + 1 - reach, 0), max(cell[1] + 1 - reach, 0)
+        stencil = wedge_stencil(self.pose, self.world.cell_size, self.sensors.ir)
+        reach = len(stencil) // 2
+        # the framed row and column of the stencil's corner, and of the box's
+        x, y = cell[0] + 1 - reach, cell[1] + 1 - reach
+        x0, y0 = max(x, 0), max(y, 0)
         box = self.frontier.reshape(-1, self.stride)[y0:cell[1] + 2 + reach,
                                                      x0:cell[0] + 2 + reach]
-        rows, cols = box.nonzero()
+        rows, cols = (box & stencil[y0 - y:y0 - y + box.shape[0],
+                                    x0 - x:x0 - x + box.shape[1]]).nonzero()
         near = list(zip((cols + (x0 - 1)).tolist(), (rows + (y0 - 1)).tolist()))
         return local_frontiers(near, self.pose, self.sensors.ir, self.world.cell_size)
 
@@ -625,8 +651,12 @@ class _Explorer:
                 self.settles += 1
                 return True
             self.settles = 9
+        # A path is believed free when planned, and each sense's check finds
+        # the rest of it short of OCCUPIED, so only the last relabel can
+        # have blocked it.
         along = self.along + 1
-        if along >= len(self.at) or (self.labels[self.at[along:]] == OCCUPIED).any():
+        if along >= len(self.at) or (self.turned.size and not set(
+                self.turned.tolist()).isdisjoint(self.at[along:].tolist())):
             if not self.frontier.any():
                 return False
             if self.search is None:

@@ -75,6 +75,26 @@ class MappingConfig:
         if self.p_free_max > self.p_occ_min:
             raise ValueError("p_free_max must not exceed p_occ_min")
 
+    # What the settings fix, computed once per config at first use: the
+    # log-odds steps of the three evidence probabilities, and the label edges.
+
+    @functools.cached_property
+    def miss_step(self) -> float:
+        return logit(self.p_miss)
+
+    @functools.cached_property
+    def hit_step(self) -> float:
+        return logit(self.p_hit)
+
+    @functools.cached_property
+    def cam_miss_step(self) -> float:
+        return logit(self.p_miss_cam)
+
+    @functools.cached_property
+    def label_edges(self) -> np.ndarray:
+        """`_edges(p_free_max, p_occ_min)`, the log odds the labels change at."""
+        return _edges(self.p_free_max, self.p_occ_min)
+
 
 def logit(p: float) -> float:
     return math.log(p / (1.0 - p))
@@ -153,8 +173,9 @@ _EDGE_LABELS = np.array([FREE, UNKNOWN, OCCUPIED], dtype=np.int8)
 
 
 def edge_labels(log_odds: np.ndarray, cfg: MappingConfig) -> np.ndarray:
-    """`occupancy_labels` of finite log odds, read off their two edges (`_edges`)."""
-    return _EDGE_LABELS[_edges(cfg.p_free_max, cfg.p_occ_min).searchsorted(log_odds, "right")]
+    """`occupancy_labels` of finite log odds, read off their two edges
+    (`MappingConfig.label_edges`)."""
+    return _EDGE_LABELS[cfg.label_edges.searchsorted(log_odds, "right")]
 
 
 def classify_object_probabilities(p: np.ndarray, lambda1: float, lambda2: float) -> np.ndarray:
@@ -188,8 +209,8 @@ class OccupancyMap:
         return the cells' new log odds: one `take`, the adds and one `put`,
         which index any memory layout as `.flat` does."""
         values = self.log_odds.take(cells)
-        values[:hits_at] += logit(self.cfg.p_miss)
-        values[hits_at:] += logit(self.cfg.p_hit)
+        values[:hits_at] += self.cfg.miss_step
+        values[hits_at:] += self.cfg.hit_step
         self.log_odds.put(cells, values)
         return values
 
@@ -229,7 +250,7 @@ class ObjectMap:
         if det is not None:
             seen_free = seen_free[seen_free != det.cell[1] * self.width + det.cell[0]]
         values = self.log_odds.take(seen_free)
-        values += logit(self.cfg.p_miss_cam)
+        values += self.cfg.cam_miss_step
         self.log_odds.put(seen_free, values)
         if det is not None:
             ev = min(max(det.conf, _EV_MIN), _EV_MAX)

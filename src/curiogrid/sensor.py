@@ -20,7 +20,10 @@ than the whole lattice. The memo is bounded at _FAN_TABLE_LIMIT beam steps.
 The per-scan API (`ir_scan`, `scan_cells`, `camera_observe`) is the spec
 the walk is tested against, written on `trace_ray`, one walk per beam; so is
 the single ray of `detect`. The wedge test (`wedge_cells`) has its one copy
-here too.
+here too. It is the spec of the explorer's local frontiers, and it decides
+every candidate the wedge stencil (`wedge_stencil`) keeps: a memoized
+boolean superset of a fan's wedge, shared by the poses at one spot of any
+cell and one heading.
 """
 
 from __future__ import annotations
@@ -263,18 +266,14 @@ def _spot(width: int, height: int, cell_size: float, ox: float,
     return cx, cy, spot
 
 
-def _memo(key: tuple, build: Callable[[], _FanTable]) -> _FanTable:
-    """The table memoized under `key`, built by `build` if missing. A new
-    table that would take the memo past _FAN_TABLE_LIMIT steps empties it
+def _keep(memo: dict, key: tuple, item, size: Callable[[object], int], limit: int):
+    """Store `item` under `key` in `memo` and return it. An item that would
+    take the memo past `limit`, summing `size` over its items, empties it
     first."""
-    table = _FAN_TABLES.get(key)
-    if table is None:
-        table = build()
-        if (sum(t.beyond.size for t in _FAN_TABLES.values()) + table.beyond.size
-                > _FAN_TABLE_LIMIT):
-            _FAN_TABLES.clear()
-        _FAN_TABLES[key] = table
-    return table
+    if sum(map(size, memo.values())) + size(item) > limit:
+        memo.clear()
+    memo[key] = item
+    return item
 
 
 def _stops(codes: np.ndarray, table: _FanTable, cx: int,
@@ -335,15 +334,16 @@ def sense_cells(codes: np.ndarray, cell_size: float, pose: Pose, ir: Optional[Ir
     cx, cy, spot = _spot(width, height, cell_size, pose.x, pose.y)
     key = (*spot, width, height, cam.max_range, pose.heading - cam.fov / 2.0, cam.fov,
            cam.ray_count)
-    fans = (cam,)
     if ir is not None:
         key += (ir.max_range, pose.heading - ir.fov / 2.0, ir.fov, ir.ray_count)
-        fans = (ir, cam)
-    table = _memo(key, lambda: _fan_table(
-        *spot, width, height,
-        [a for fan in fans for a in beam_angles(pose.heading, fan.fov, fan.ray_count)],
-        [fan.max_range for fan in fans for _ in range(fan.ray_count)],
-        0 if ir is None else ir.ray_count))
+    table = _FAN_TABLES.get(key)
+    if table is None:
+        fans = (cam,) if ir is None else (ir, cam)
+        table = _keep(_FAN_TABLES, key, _fan_table(
+            *spot, width, height,
+            [a for fan in fans for a in beam_angles(pose.heading, fan.fov, fan.ray_count)],
+            [fan.max_range for fan in fans for _ in range(fan.ray_count)],
+            0 if ir is None else ir.ray_count), lambda t: t.beyond.size, _FAN_TABLE_LIMIT)
     code, stop = _stops(codes, table, cx, cy)
     rows = table.rows[:table.ir]
     at = rows + stop[:table.ir]
@@ -422,6 +422,80 @@ def wedge_cells(cells: Iterable[Cell], pose: Pose, cfg: IrConfig | CameraConfig,
                                        pose.heading)) <= half:
             out.append(cell)
     return out
+
+
+# A wedge stencil's key rounds the origin's offset in its cell (in cells) and
+# the heading (in radians) to multiples of _WEDGE_QUANTUM; the stencil widens
+# the wedge by _WEDGE_MARGIN of each. The memo holds at most _STENCIL_LIMIT
+# cells (bytes); a new stencil that would pass it empties the memo first.
+_WEDGE_QUANTUM = 2.0 ** -20
+_WEDGE_MARGIN = 2.0 * _WEDGE_QUANTUM
+_STENCIL_LIMIT = 1 << 16
+
+_STENCILS: dict[tuple, np.ndarray] = {}
+
+
+def wedge_stencil(pose: Pose, cell_size: float, cfg: IrConfig | CameraConfig) -> np.ndarray:
+    """A superset of the wedge around the cell of `pose`: a read-only boolean
+    square of 2 * reach + 1 cells a side, reach = int(cfg.max_range /
+    cell_size) + 2, centred on that cell, True at every cell whose centre
+    `wedge_cells` may keep from `pose`, and at few others. A cell centre
+    within the range lies at most floor(range / cell_size) + 1 cells from the
+    pose's cell along each axis, so the square misses none; the one cell more
+    absorbs the rounding of range / cell_size.
+
+    The stencil is memoized under the pose's offset in its cell and its
+    heading, each rounded to a multiple q of _WEDGE_QUANTUM, the cell size and
+    the fan's range and fov, so poses at the same spot of any cell share it.
+    It is built for the key's own offset and heading, with a margin m = 2q
+    (_WEDGE_MARGIN) wider than any rounding of the key:
+      - a pose with that key lies within q / sqrt(2) cells of the key's
+        offset, to which the float rounding of `wedge_cells`' absolute
+        coordinates adds under q / 4 for a lattice of fewer than 2^28 cells a
+        side: within d < q in all;
+      - so a centre r cells from the key's offset is within r + d < r + m
+        cells of the pose;
+      - the pose's heading is within q / 2 of the key's, so its wedge lies
+        in the wedge W of half-angle fov / 2 + 1e-12 + m about the key's
+        heading, moved by under q cells from the key's offset.
+    So the stencil keeps every centre within range + m cells that lies
+    within m cells (plus 1e-12 m) of the key's offset or of W from that
+    offset. What the margin adds, `wedge_cells` decides.
+    """
+    u, v = pose.x / cell_size, pose.y / cell_size
+    q = _WEDGE_QUANTUM
+    key = (round((u - math.floor(u)) / q), round((v - math.floor(v)) / q),
+           round(pose.heading / q), cell_size, cfg.max_range, cfg.fov)
+    stencil = _STENCILS.get(key)
+    if stencil is None:
+        stencil = _keep(_STENCILS, key, _wedge_square(*key[:4], cfg), np.size, _STENCIL_LIMIT)
+    return stencil
+
+
+def _wedge_square(kx: int, ky: int, kh: int, cell_size: float,
+                  cfg: IrConfig | CameraConfig) -> np.ndarray:
+    """The stencil of `wedge_stencil` for the rounded offset (kx, ky) and
+    heading kh, in multiples of _WEDGE_QUANTUM."""
+    q, m = _WEDGE_QUANTUM, _WEDGE_MARGIN
+    reach = int(cfg.max_range / cell_size) + 2
+    centres = np.arange(-reach, reach + 1) + 0.5
+    dx, dy = centres - kx * q, (centres - ky * q)[:, None]
+    # Each centre's offset along the heading and across it (a turn t from
+    # the heading gives r cos t and r |sin t|), and, for the edge of W at
+    # the half-angle w on its side, r sin(t - w) and r cos(t - w): a centre
+    # lies in W when the first is not positive, and else within m of W when
+    # it is at most m and the second is not negative (the edge's nearest
+    # point is not its apex), or when it lies within m of the apex.
+    cos, sin = math.cos(kh * q), math.sin(kh * q)
+    along, across = dx * cos + dy * sin, np.abs(dy * cos - dx * sin)
+    w = min(cfg.fov / 2.0 + 1e-12 + m, math.pi)
+    past = across * math.cos(w) - along * math.sin(w)
+    r = np.hypot(dx, dy)
+    stencil = (r <= cfg.max_range / cell_size + m) & (
+        (past <= 0.0) | ((past <= m) & (across * math.sin(w) + along * math.cos(w) >= 0.0))
+        | (r <= m + 1e-12 / cell_size))
+    stencil.setflags(write=False)
+    return stencil
 
 
 def detect(world: GridWorld, pose: Pose, cfg: CameraConfig) -> Optional[Detection]:

@@ -1,21 +1,22 @@
 import inspect
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from curiogrid import explorer, harness
+from curiogrid import explorer, harness, sensor
 from curiogrid.curiosity import CuriosityParams, curiosity_of, total_curiosity
 from curiogrid.explorer import (MotionConfig, SensorSuite, _cell, _decide, _dijkstra,
                                 _index, _padded, detect_frontiers, explore_cdos,
                                 explore_rapid_frontier, local_frontiers, path_cost,
                                 plan_path)
-from curiogrid.harness import fixture_path, steps_jsonl
+from curiogrid.harness import default_config, fixture_path, run_zone_experiment, steps_jsonl
 from curiogrid.mapping import Label, MappingConfig, ObjectMap, OccupancyMap, logit, quantize
 from curiogrid.sensor import CameraConfig, Detection, IrConfig, camera_observe, ir_scan
-from curiogrid.world import GridWorld, Pose, load_map
+from curiogrid.world import GridWorld, Pose, angle_diff, load_map
 
 from oracle import outcome
 
@@ -686,6 +687,29 @@ class TestMaintainedViews:
         assert poses
 
 
+class TestPathCheck:
+    """The walk goes on along its path unless the sense just taken turned a
+    cell of the rest of it OCCUPIED; then the explorer decides again."""
+
+    @pytest.mark.parametrize("pick", [explorer._pick_curiosity, explorer._pick_heading])
+    def test_only_a_blocked_rest_of_the_path_replans(self, pick):
+        world = load_map(fixture_path("sparse.map").read_text()).with_target(None)
+        ex = explorer._Explorer(world, suite(), MotionConfig(), 600.0, MappingConfig(), 0.95,
+                                CuriosityParams(), pick)
+        while len(ex.at) - ex.along < 4:  # stand on a path with 3 cells to go
+            assert not ex._sense() and ex._to_next_pose()
+        assert not ex._sense()
+        for k in range(-ex.along, len(ex.at) - ex.along):  # each cell of the path
+            twin = ex.fork()
+            x, y = explorer._cell(int(twin.at[twin.along + k]), twin.stride)
+            twin.occupancy.log_odds[y, x] = logit(0.9)
+            flat = np.array([y * world.width + x])
+            twin._relabel(flat, twin.occupancy.log_odds.take(flat))
+            decided = len(twin.steps)
+            assert twin._to_next_pose()
+            assert len(twin.steps) == decided + (k > 0)
+
+
 @st.composite
 def camera_evidence_sequences(draw):
     """A small lattice, mapping constants, a curiosity curve and a sequence
@@ -760,7 +784,8 @@ def wedge_cases(draw):
     """A belief map of random labels, an IR fan, and a pose anywhere in a
     cell: at its centre, on its corner or off both. Cell sizes include ones
     that are not a power of two, and ranges that are not a multiple of the
-    cell size or that pass exactly through a cell centre."""
+    cell size or that pass exactly through a cell centre or end just short
+    of it."""
     cell_size, max_range = draw(st.sampled_from(
         [(0.25, 1.9), (0.3, 2.0), (0.3, 0.6), (0.1, 0.3), (0.5, 2.0), (1.0, 2.5), (0.3, None)]))
     width, height = draw(st.integers(1, 40)), draw(st.integers(1, 40))
@@ -773,6 +798,8 @@ def wedge_cases(draw):
     if max_range is None:  # the range circle through a cell centre
         far = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
         max_range = math.hypot((far[0] + 0.5) * cell_size - x, (far[1] + 0.5) * cell_size - y)
+        if draw(st.booleans()):
+            max_range = math.nextafter(max_range, 0.0)
         max_range = max(max_range, 1e-3)
     fov = draw(st.sampled_from([math.radians(30.0), math.radians(120.0), 2 * math.pi]))
     pose = Pose(x, y, draw(st.floats(-math.pi, math.pi)))
@@ -780,20 +807,106 @@ def wedge_cases(draw):
     return world, log_odds, IrConfig(fov, max_range)
 
 
+def _wedge_explorer(world, log_odds, ir):
+    """An explorer in `world` with the IR fan `ir`, its belief set to `log_odds`."""
+    ex = explorer._Explorer(world, SensorSuite(ir, CameraConfig()), MotionConfig(), 600.0,
+                            MappingConfig(), 0.95, CuriosityParams(), explorer._pick_heading)
+    ex.occupancy.log_odds[...] = log_odds
+    ex._relabel(np.arange(log_odds.size), log_odds.ravel())
+    return ex
+
+
 class TestWedge:
+    """The explorer's wedge, read through a memoized superset stencil and
+    decided by `wedge_cells`, equals the wedge filter over every frontier."""
+
     @settings(max_examples=300, deadline=None)
     @given(wedge_cases())
     def test_box_bounded_wedge_matches_full_filter(self, case):
         # the explorer's wedge, tested only over the frontiers in the box
         # around its cell, equals the wedge filter over every frontier
         world, log_odds, ir = case
-        ex = explorer._Explorer(world, SensorSuite(ir, CameraConfig()), MotionConfig(), 600.0,
-                                MappingConfig(), 0.95, CuriosityParams(), explorer._pick_heading)
-        ex.occupancy.log_odds[...] = log_odds
-        ex._relabel(np.arange(log_odds.size), log_odds.ravel())
+        ex = _wedge_explorer(world, log_odds, ir)
         pose = world.start
         want = local_frontiers(detect_frontiers(ex.occupancy), pose, ir, world.cell_size)
         assert ex._wedge(world.cell_of(pose.x, pose.y)) == want
+
+    @pytest.mark.parametrize("cell_size", [0.25, 0.3])
+    def test_a_warm_stencil_serves_every_cell(self, cell_size, monkeypatch):
+        # Poses at the centre of every cell, and within the rounding of the
+        # key off it, share the stencil the first one built. The ranges run
+        # through the centres 5 cells away, where at 0.3 m rounding decides
+        # the wedge cell by cell, and a fifth of a quantum short of them, so
+        # that the off-centre poses reach centres the key's own does not.
+        monkeypatch.setattr(sensor, "_STENCILS", {})
+        q = sensor._WEDGE_QUANTUM * cell_size
+        rng = np.random.default_rng(5)
+        labels = rng.choice(3, size=(16, 18), p=[0.6, 0.05, 0.35])
+        log_odds = np.choose(labels, [logit(0.05), logit(0.9), 0.0])
+        for max_range in (math.hypot(3 * cell_size, 4 * cell_size), 5 * cell_size - 0.2 * q):
+            ir = IrConfig(math.radians(120.0), max_range)
+            world = GridWorld(18, 16, cell_size, np.zeros((16, 18), dtype=bool),
+                              Pose(0.5 * cell_size, 0.5 * cell_size, 0.7))
+            ex = _wedge_explorer(world, log_odds, ir)
+            frontiers = detect_frontiers(ex.occupancy)
+            for cy in range(16):
+                for cx in range(18):
+                    for off in ((0.0, 0.0), (0.4 * q, 0.4 * q), (-0.45 * q, 0.3 * q),
+                                (0.2 * q, -0.45 * q)):
+                        ex.pose = Pose((cx + 0.5) * cell_size + off[0],
+                                       (cy + 0.5) * cell_size + off[1], 0.7)
+                        assert ex._wedge((cx, cy)) == local_frontiers(frontiers, ex.pose, ir,
+                                                                      cell_size)
+        assert len(sensor._STENCILS) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(wedge_cases(), st.data())
+    def test_headings_of_one_key_share_a_stencil(self, case, data):
+        # A fan whose edge runs a third of a quantum inside the bearing of a
+        # frontier's centre at the key's own heading: headings that turn
+        # toward it by up to half a quantum keep it.
+        world, log_odds, ir = case
+        ex = _wedge_explorer(world, log_odds, ir)
+        cs, pose = world.cell_size, world.start
+        frontiers = detect_frontiers(ex.occupancy)
+        q = sensor._WEDGE_QUANTUM
+        key = round(pose.heading / q) * q
+        far = [c for c in frontiers
+               if math.hypot((c[0] + 0.5) * cs - pose.x, (c[1] + 0.5) * cs - pose.y) > 1e-9]
+        if far:
+            c = data.draw(st.sampled_from(far))
+            dx, dy = (c[0] + 0.5) * cs - pose.x, (c[1] + 0.5) * cs - pose.y
+            turn = angle_diff(math.atan2(dy, dx), key)
+            if abs(turn) > q:
+                ir = IrConfig(2 * (abs(turn) - q / 3), max(ir.max_range, math.hypot(dx, dy)))
+                ex.sensors = SensorSuite(ir, ex.sensors.camera)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sensor, "_STENCILS", {})
+            for k in (-0.49, -0.45, -0.2, 0.0, 0.2, 0.45, 0.49):
+                ex.pose = Pose(pose.x, pose.y, key + k * q)
+                want = local_frontiers(frontiers, ex.pose, ir, cs)
+                assert ex._wedge(world.cell_of(pose.x, pose.y)) == want
+            assert len(sensor._STENCILS) == 1
+
+    def test_a_zone_run_at_0_3_m_builds_few_stencils(self, tmp_path, monkeypatch):
+        # every move ends on a cell centre and faces one of 8 neighbours, so
+        # the packaged 0.3 m zone run needs one stencil per heading key, each
+        # built once
+        builds = []
+        square = sensor._wedge_square
+        monkeypatch.setattr(sensor, "_wedge_square", lambda *a: builds.append(a[:4]) or square(*a))
+        monkeypatch.setattr(sensor, "_STENCILS", {})
+        monkeypatch.setattr(explorer, "_TAPES", {})
+        maps = {}
+        for name in ("sparse.map", "dense.map"):
+            maps[name] = tmp_path / name
+            maps[name].write_text(fixture_path(name).read_text()
+                                  .replace("cellsize=0.25 ", "cellsize=0.3 ", 1))
+        cfg = replace(default_config(), map_sparse=str(maps["sparse.map"]),
+                      map_dense=str(maps["dense.map"]), samples_per_zone=1)
+        run_zone_experiment(cfg, out_dir=tmp_path / "out")
+        assert 0 < len(builds) <= 12
+        assert len(set(builds)) == len(builds) == len(sensor._STENCILS)
 
 
 class TestSenseCache:

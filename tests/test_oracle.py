@@ -4,8 +4,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curiogrid import explorer, harness
-from curiogrid.harness import default_config, run_trial
+from curiogrid import explorer, harness, mapping, sensor
+from curiogrid.harness import default_config, fixture_path, run_trial
 from curiogrid.world import Pose, load_map
 
 import oracle
@@ -94,3 +94,70 @@ def test_a_run_does_not_depend_on_where_the_map_lies(case, method, shift):
     assert [replace(s, total_curiosity=0.0) for s in moved.steps] == [
         replace(s, pose=pose(s.pose), frontier=cell(s.frontier), total_curiosity=0.0)
         for s in run.steps]
+
+
+# The loop's fast paths, each by every attribute a caller looks it up at.
+FAST_PATHS = {
+    "sense_cells": [(sensor, "sense_cells"), (explorer, "sense_cells")],
+    "add_scan_evidence": [(mapping.OccupancyMap, "add_scan_evidence")],
+    "add_observation_evidence": [(mapping.ObjectMap, "add_observation_evidence")],
+    "_fuse": [(explorer._Explorer, "_fuse")],
+    "_decide": [(explorer, "_decide")],
+    "_wedge": [(explorer._Explorer, "_wedge")],
+    "wedge_stencil": [(sensor, "wedge_stencil"), (explorer, "wedge_stencil")],
+    "_wedge_square": [(sensor, "_wedge_square")],
+    "edge_labels": [(mapping, "edge_labels"), (explorer, "edge_labels")],
+    "_edges": [(mapping, "_edges"), (explorer, "_edges")],
+}
+
+
+class Reached(Exception):
+    """A fast path was called."""
+
+
+def _patched(patch, names):
+    """Make each fast path in `names` raise `Reached`, over empty memos, so
+    that a run which needs one cannot read it out of a cache."""
+    for name in names:
+        for owner, attr in FAST_PATHS[name]:
+            def reached(*args, name=name, **kwargs):
+                raise Reached(name)
+            patch.setattr(owner, attr, reached)
+    for owner, attr in ((explorer, "_SENSE_CACHE"), (sensor, "_FAN_TABLES"),
+                        (sensor, "_STENCILS")):
+        patch.setattr(owner, attr, {})
+
+
+@pytest.mark.parametrize("name", sorted(FAST_PATHS))
+def test_every_patched_fast_path_stops_the_loop(name):
+    # each patch is live: a loop run reaches that path
+    cfg = default_config()
+    world = load_map(fixture_path("sparse.map").read_text())
+    with pytest.MonkeyPatch.context() as patch:
+        _patched(patch, [name])
+        with pytest.raises(Reached, match=name):
+            harness.explore(world, "cdos", cfg.alphas[0], cfg.betas[0], cfg)
+
+
+def _run_patched(text, target, method):
+    """The oracle's run on the map `text` with every fast path patched to raise."""
+    cfg = default_config()
+    alpha, beta = cfg.alphas[0], cfg.betas[0]
+    world = load_map(text).with_target(target)
+    with pytest.MonkeyPatch.context() as patch:
+        _patched(patch, FAST_PATHS)
+        return oracle.run(world, method, cfg.sensor_suite(alpha, beta), cfg.motion_config(),
+                          cfg.budget, cfg.mapping_config(), cfg.detection_threshold,
+                          cfg.curiosity_params())
+
+
+@settings(max_examples=6, deadline=None)
+@given(walled_maps(), st.sampled_from(harness.METHODS))
+def test_the_oracle_reaches_no_fast_path(case, method):
+    assert _run_patched(*case, method).trajectory
+
+
+def test_the_oracle_scores_without_a_fast_path():
+    # a lead makes the cdos pick score its candidates' camera views
+    res = _run_patched(fixture_path("sparse.map").read_text(), (12, 22), "cdos")
+    assert any(step.loss > 0.0 for step in res.steps)
