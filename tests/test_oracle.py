@@ -44,12 +44,17 @@ def tapes(monkeypatch):
 
 
 @settings(max_examples=24, deadline=None)
-@given(walled_maps(), st.sampled_from(harness.METHODS))
-def test_loop_equals_the_spec(case, method):
-    # a solo run and a trial read off the map's tape, each field for field
-    # against the reference loop of the per-scan spec
+@given(walled_maps(), st.sampled_from(harness.METHODS), st.sampled_from([None, 0.9]))
+def test_loop_equals_the_spec(case, method, p_hit):
+    # A solo run and a trial read off the map's tape, each field for field
+    # against the reference loop of the per-scan spec. Under the packaged
+    # settings no walk is ever blocked. At p_hit = 0.9 one hit turns a cell
+    # seen free once OCCUPIED, and a beam's hit at a lattice corner can fall
+    # on a free cell, so some walks find their path blocked and replan.
     text, target = case
     cfg = default_config()
+    if p_hit is not None:
+        cfg = replace(cfg, p_hit=p_hit)
     alpha, beta = cfg.alphas[0], cfg.betas[0]
     world = load_map(text).with_target(target)
     want = oracle.outcome(oracle.run(
