@@ -61,4 +61,41 @@ MUTANTS = [
      "isdisjoint(self.at[along:].tolist())",
      "isdisjoint(self.at[along + 1:].tolist())",
      ["tests/test_explorer.py::TestPathCheck::test_only_a_blocked_rest_of_the_path_replans"]),
+    # The label edges (mapping._edge): the cap returned, not -inf, when the
+    # rule holds at the cap already, so uncapped log odds below it go FREE.
+    ("src/curiogrid/mapping.py",
+     "        return -math.inf\n",
+     "        return -LOG_ODDS_CAP\n",
+     ["tests/test_mapping.py::TestLabelEdges::test_edges_match_the_spec_for_any_config"]),
+    # The label edges (mapping._edges): the free edge one ulp low.
+    ("src/curiogrid/mapping.py",
+     "    edges = np.array([_edge(lambda x: p(x) >= low), ",
+     "    edges = np.array([np.nextafter(_edge(lambda x: p(x) >= low), -np.inf), ",
+     ["tests/test_mapping.py::TestLabelEdges::test_packaged_edges_bit_equal_to_the_spec"]),
+    # The sense table (sensor.sense_cells): every beam, the camera's too,
+    # walked with the first fan's range, the IR range when there is an IR fan.
+    ("src/curiogrid/sensor.py",
+     "            [fan.max_range for fan in fans for _ in range(fan.ray_count)],\n",
+     "            [fans[0].max_range for fan in fans for _ in range(fan.ray_count)],\n",
+     ["tests/test_world.py::test_sense_cells_with_unequal_fans"]),
+    # The IR hit mark (sensor._fan_table): a hit marked on the cell it enters
+    # even when that cell lies outside the lattice.
+    ("src/curiogrid/sensor.py",
+     "np.where(hit, _OUTSIDE, 0)",
+     "np.where(hit, _OUTSIDE + 1, 0)",
+     ["tests/test_world.py::test_sense_cells_with_unequal_fans",
+      "tests/test_world.py::test_fan_walk_matches_trace_ray"]),
+    # The package surface (curiogrid/__init__.py): the mission module
+    # imported eagerly, so the zone path loads it.
+    ("src/curiogrid/__init__.py",
+     "__version__ = \"0.1.0\"\n",
+     "__version__ = \"0.1.0\"\nfrom .mission import run_mission  # noqa: E402\n",
+     ["tests/test_package.py::test_the_zone_path_loads_no_mission_module"]),
+    # The CLI (curiogrid/cli.py): the mission module imported at the top, so
+    # `zones`, `sweep` and `explore` load it too.
+    ("src/curiogrid/cli.py",
+     "from .world import MapError, ZoneError, load_map\n",
+     "from .mission import mission_log_lines, run_mission\n"
+     "from .world import MapError, ZoneError, load_map\n",
+     ["tests/test_package.py::test_the_zone_path_loads_no_mission_module"]),
 ]

@@ -21,7 +21,6 @@ from pathlib import Path
 from .explorer import InvariantError
 from .harness import (METHODS, ConfigError, default_config, explore, load_config, render_maps,
                       run_fov_sweep, run_zone_experiment, steps_jsonl, trajectory_jsonl)
-from .mission import mission_log_lines, run_mission
 from .world import MapError, ZoneError, load_map
 
 
@@ -118,6 +117,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_mission(args) -> int:
+    from .mission import mission_log_lines, run_mission  # only this command loads it
     cfg = _config_from(args)
     world = load_map(Path(args.map).read_text())
     sensors = cfg.sensor_suite(cfg.alphas[0], cfg.betas[0])
