@@ -98,4 +98,22 @@ MUTANTS = [
      "from .mission import mission_log_lines, run_mission\n"
      "from .world import MapError, ZoneError, load_map\n",
      ["tests/test_package.py::test_the_zone_path_loads_no_mission_module"]),
+    # The sense table memo (sensor.sense_cells): tables left out of the memo
+    # count, so the memo outgrows its bound.
+    ("src/curiogrid/sensor.py",
+     "lambda t: t.beyond.size, _FAN_TABLE_LIMIT)",
+     "lambda t: 0, _FAN_TABLE_LIMIT)",
+     ["tests/test_sensor.py::test_sense_tables_share_the_memo_bound"]),
+    # The curiosity curve (curiosity.cell_curiosity): a second formula, which
+    # squares with `pow` and so differs from `curiosity_of` in the last bit.
+    ("src/curiogrid/curiosity.py",
+     "    return float(curiosity_of(p, params))\n",
+     "    return max(0.0, -((p + params.offset) ** 2) / (4.0 * params.stiffness) + params.peak)\n",
+     ["tests/test_curiosity.py::TestOneCurve::test_past_lambda2_as_in_an_array"]),
+    # The camera sweep (curiosity.visible_from): unknown cells block the rays
+    # too (FREE is 0).
+    ("src/curiogrid/curiosity.py",
+     "fan_codes(occ_labels == OCCUPIED)",
+     "fan_codes(occ_labels != 0)",
+     ["tests/test_world.py::test_trace_ray_matches_grid_ray_oracle"]),
 ]

@@ -1,11 +1,13 @@
 """Curiosity scoring over the object map and curiosity-driven frontier choice.
 
 Cell curiosity is an inverted parabola over object probability, peaking at
-p = 0.5 and clamped at zero. A candidate frontier is scored by the expected
+p = 0.5 and clamped at zero. It has one formula, `curiosity_of`, which
+`cell_curiosity` calls for one cell, so a view's score and the logged total
+curiosity read the same bits. A candidate frontier is scored by the expected
 drop in total curiosity after simulating what the camera would observe from
-there: each visible cell's probability is extrapolated by the ratio of its
-current distance to its distance from the candidate, fused as new evidence,
-re-classified, and re-scored.
+there (`visible_from`, the camera sweep): each visible cell's probability is
+extrapolated by the ratio of its current distance to its distance from the
+candidate, fused as new evidence, re-classified, and re-scored.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .mapping import OCCUPIED, ObjectMap, OccupancyMap, classify_object_probabilities
-from .sensor import CameraConfig, camera_sweep
+from .sensor import CameraConfig, fan_codes, sense_cells
 from .world import Cell, Pose
 
 
@@ -43,16 +45,18 @@ class FrontierChoice(NamedTuple):
 
 
 def cell_curiosity(p: float, params: CuriosityParams = CuriosityParams()) -> float:
-    """Curiosity attached to a single cell of object probability p."""
+    """`curiosity_of` of one cell of object probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("probability must be in [0, 1]")
-    return max(0.0, -((p + params.offset) ** 2) / (4.0 * params.stiffness) + params.peak)
+    return float(curiosity_of(p, params))
 
 
 def curiosity_of(values: np.ndarray, params: CuriosityParams) -> np.ndarray:
-    """Vectorized curiosity curve over an array of probabilities."""
-    arr = np.asarray(values, dtype=float)
-    return np.maximum(0.0, -((arr + params.offset) ** 2) / (4.0 * params.stiffness) + params.peak)
+    """The curiosity curve over an array of probabilities (or one), squared
+    as a product: numpy's `**` squares an array so, but a scalar with `pow`,
+    which rounds some values otherwise."""
+    shifted = np.asarray(values, dtype=float) + params.offset
+    return np.maximum(0.0, -(shifted * shifted) / (4.0 * params.stiffness) + params.peak)
 
 
 def total_curiosity(objects: ObjectMap, params: CuriosityParams = CuriosityParams()) -> float:
@@ -80,14 +84,15 @@ def bayes_fuse(p_prior: float, p_evidence: float) -> float:
 
 def visible_from(occ_labels: np.ndarray, cell_size: float, pose: Pose,
                  cam: CameraConfig) -> list[Cell]:
-    """Cells a camera sweep from `pose` would see free, against belief occupancy.
-
-    This is `camera_sweep` over the cells labeled OCCUPIED, so the cells come
-    in row-major order; unknown cells are treated as transparent. Blocking
-    cells themselves are not part of the result, which mirrors the fact that
-    blocked cells never receive object evidence.
-    """
-    return camera_sweep(occ_labels == OCCUPIED, cell_size, pose, cam)
+    """The camera sweep: the cells the camera fan from `pose` would see free,
+    each once, in row-major order; the camera part of a `sense_cells` walk
+    with no IR fan. Cells labeled OCCUPIED block the rays and are not part of
+    the result, as blocked cells never receive object evidence; unknown cells
+    are transparent."""
+    cells, _, seen_at = sense_cells(fan_codes(occ_labels == OCCUPIED), cell_size, pose,
+                                    None, cam)
+    ys, xs = np.divmod(cells[seen_at:], occ_labels.shape[1])
+    return list(zip(xs.tolist(), ys.tolist()))
 
 
 def expected_curiosity_loss(objects: ObjectMap, occupancy: OccupancyMap,

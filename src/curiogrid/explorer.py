@@ -132,10 +132,13 @@ class ExplorationResult:
     occupancy: OccupancyMap
     objects: ObjectMap
     elapsed: float
-    found: bool
     target_estimate: Optional[Cell]
     trajectory: list[Pose] = field(default_factory=list)
     steps: list[StepRecord] = field(default_factory=list)
+
+    @property
+    def found(self) -> bool:
+        return self.target_estimate is not None
 
 
 def _frontier_subset(labels: np.ndarray, cells: np.ndarray, four: np.ndarray) -> np.ndarray:
@@ -634,9 +637,8 @@ class _Explorer:
         raise InvariantError(f"frontier {cell} has no unknown neighbor")
 
     def _result(self) -> ExplorationResult:
-        return ExplorationResult(self.occupancy, self.objects, self.elapsed,
-                                 self.estimate is not None, self.estimate, self.trajectory,
-                                 self.steps)
+        return ExplorationResult(self.occupancy, self.objects, self.elapsed, self.estimate,
+                                 self.trajectory, self.steps)
 
     def _to_next_pose(self) -> bool:
         """Move or turn to the next sensing pose, deciding where to go once

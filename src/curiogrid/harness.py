@@ -15,7 +15,7 @@ import io
 import json
 import math
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional, get_type_hints
@@ -246,8 +246,8 @@ def explore(world: GridWorld, method: str, alpha: float, beta: float,
 
 @functools.lru_cache(maxsize=8)
 def _parsed_map(map_text: str) -> GridWorld:
-    """`load_map`, once per map text and process; callers must not mutate
-    the world (`with_target` copies it). A MapError is raised, not cached."""
+    """`load_map`, once per map text and process; its wall grid is read-only,
+    and `with_target` shares it. A MapError is raised, not cached."""
     return load_map(map_text)
 
 
@@ -297,8 +297,11 @@ class ZoneSummary:
 
 @dataclass
 class ZoneExperiment:
-    records: list[TrialRecord] = field(default_factory=list)
-    summaries: list[ZoneSummary] = field(default_factory=list)
+    records: list[TrialRecord]
+
+    @property
+    def summaries(self) -> list[ZoneSummary]:
+        return summarize(self.records)
 
 
 def summarize(records: list[TrialRecord]) -> list[ZoneSummary]:
@@ -354,7 +357,7 @@ def run_zone_experiment(cfg: ExperimentConfig,
         done = map(_run_trial_tasks, groups.values())
     records = sorted((r for group in done for r in group), key=TrialRecord.sort_key)
 
-    experiment = ZoneExperiment(records, summarize(records))
+    experiment = ZoneExperiment(records)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -450,7 +453,7 @@ def _overlay_bytes(result: ExplorationResult) -> np.ndarray:
         out[y, x] = _OVERLAY_BYTES["frontier"]
     classified = result.objects.classified()
     out[classified > result.objects.cfg.lambda2] = _OVERLAY_BYTES["object"]
-    if result.found and result.target_estimate is not None:
+    if result.found:
         tx, ty = result.target_estimate
         out[ty, tx] = _OVERLAY_BYTES["target"]
     return out

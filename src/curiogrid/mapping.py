@@ -186,8 +186,8 @@ def classify_object_probabilities(p: np.ndarray, lambda1: float, lambda2: float)
     return out
 
 
-class OccupancyMap:
-    """Free/occupied/unknown belief over the lattice, built from IR scans."""
+class _BeliefMap:
+    """Log odds per cell of a width x height lattice, all at the 0.5 prior."""
 
     def __init__(self, width: int, height: int, cell_size: float,
                  cfg: MappingConfig = MappingConfig()):
@@ -196,6 +196,10 @@ class OccupancyMap:
         self.cell_size = cell_size
         self.cfg = cfg
         self.log_odds = np.zeros((height, width), dtype=float)
+
+
+class OccupancyMap(_BeliefMap):
+    """Free/occupied/unknown belief over the lattice, built from IR scans."""
 
     def integrate_scan(self, scan: IrScan) -> None:
         """Fuse one IR scan: miss evidence at the cells it passes, hit evidence
@@ -222,16 +226,8 @@ class OccupancyMap:
         return occupancy_labels(self.log_odds, self.cfg)
 
 
-class ObjectMap:
+class ObjectMap(_BeliefMap):
     """Per-cell probability that the target object occupies the cell."""
-
-    def __init__(self, width: int, height: int, cell_size: float,
-                 cfg: MappingConfig = MappingConfig()):
-        self.width = width
-        self.height = height
-        self.cell_size = cell_size
-        self.cfg = cfg
-        self.log_odds = np.zeros((height, width), dtype=float)
 
     def integrate_observation(self, obs: CameraObservation) -> None:
         """Fuse one camera sweep."""

@@ -10,7 +10,7 @@ exploration, tracking, grabbing, and retraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -152,11 +152,14 @@ class MissionRecord:
 
 @dataclass
 class MissionTrace:
-    records: list[MissionRecord] = field(default_factory=list)
-    exploration: Optional[ExplorationResult] = None
-    final_phase: Optional[MissionPhase] = None  # None = mission ended with object
-    object_retrieved: bool = False
-    elapsed: float = 0.0
+    records: list[MissionRecord]
+    exploration: ExplorationResult
+    final_phase: Optional[MissionPhase]  # None = mission ended with object
+    elapsed: float
+
+    @property
+    def object_retrieved(self) -> bool:
+        return self.final_phase is None
 
 
 def run_mission(world: GridWorld, sensors: SensorSuite,
@@ -170,13 +173,13 @@ def run_mission(world: GridWorld, sensors: SensorSuite,
     a real curiosity-driven exploration, followed by tracking to within grab
     range, the grab, and the retraction drive back to the start cell.
     """
-    trace = MissionTrace()
+    records: list[MissionRecord] = []
     phase: Optional[MissionPhase] = MissionPhase.AERIAL_EXPLORATION
     t = 0.0
 
     def fire(event: MissionEvent, **kwargs) -> None:
         nonlocal phase
-        trace.records.append(MissionRecord(t, phase, event))
+        records.append(MissionRecord(t, phase, event))
         phase = step_mission(phase, event, detection_threshold=detection_threshold, **kwargs)
 
     fire(MissionEvent.HIDDEN_SPACE_FOUND)
@@ -184,7 +187,6 @@ def run_mission(world: GridWorld, sensors: SensorSuite,
 
     result = explore_cdos(world, sensors, motion, budget, mapping_cfg, detection_threshold,
                           params)
-    trace.exploration = result
     t += result.elapsed
 
     pose = result.trajectory[-1]
@@ -228,10 +230,7 @@ def run_mission(world: GridWorld, sensors: SensorSuite,
     if back is not None:
         t += path_cost(back, world.cell_size) / motion.max_velocity
     fire(MissionEvent.RETRACT_COMPLETE, object_aboard=result.found)
-    trace.object_retrieved = result.found
-    trace.final_phase = phase
-    trace.elapsed = t
-    return trace
+    return MissionTrace(records, result, phase, t)
 
 
 def mission_log_lines(trace: MissionTrace) -> list[str]:

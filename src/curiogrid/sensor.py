@@ -5,17 +5,17 @@ target detection whose confidence decays with distance as conf_scale / d,
 clamped to 1.
 
 One walk reads the memoized fan tables: `sense_cells`, which the explorer
-calls once per sensing-cache miss. A camera sweep (`camera_sweep`, the
-prediction of a candidate view through `curiosity.visible_from`) is a sense
-with no IR fan, its cells in row-major order. The walk reads one kind of
-table (`_fan_table`): every beam's cell offsets from one origin spot in its
-cell, stepped exactly as `world.trace_ray` steps, which steps lie beyond the
-beam's own range, and each IR beam's evidence for every step at which it may
-stop; no distances, since the walk reads none. A table holds the IR beams,
-if any, and then the camera beams. The walk is one numpy gather of the table
-over a code grid of the walls (`fan_codes`), one stop search and one flag
-array over the window of lattice rows and columns the table covers rather
-than the whole lattice. The memo is bounded at _FAN_TABLE_LIMIT beam steps.
+calls once per sensing-cache miss; the camera sweep that predicts a
+candidate view (`curiosity.visible_from`) is a sense with no IR fan. The
+walk reads one kind of table (`_fan_table`): every beam's cell offsets from
+one origin spot in its cell, stepped exactly as `world.trace_ray` steps,
+which steps lie beyond the beam's own range, and each IR beam's evidence for
+every step at which it may stop; no distances, since the walk reads none. A
+table holds the IR beams, if any, and then the camera beams. The walk is one
+numpy gather of the table over a code grid of the walls (`fan_codes`), one
+stop search and one flag array over the window of lattice rows and columns
+the table covers rather than the whole lattice. The memo is bounded at
+_FAN_TABLE_LIMIT beam steps.
 
 The per-scan API (`ir_scan`, `scan_cells`, `camera_observe`) is the spec
 the walk is tested against, written on `trace_ray`, one walk per beam; so is
@@ -298,17 +298,6 @@ def ir_scan(world: GridWorld, pose: Pose, cfg: IrConfig) -> IrScan:
         hit = bool(t <= cfg.max_range)
         beams.append(Beam(angle, float(t if hit else cfg.max_range), hit))
     return IrScan(pose, tuple(beams))
-
-
-def camera_sweep(blocked: np.ndarray, cell_size: float, pose: Pose,
-                 cfg: CameraConfig) -> list[Cell]:
-    """The cells the rays of the camera fan from `pose` (the beams of
-    `beam_angles`) traverse over the `blocked` mask (seen free), each once,
-    in row-major order: the camera part of a `sense_cells` walk with no IR
-    fan, as cells."""
-    cells, _, seen_at = sense_cells(fan_codes(blocked), cell_size, pose, None, cfg)
-    ys, xs = np.divmod(cells[seen_at:], blocked.shape[1])
-    return list(zip(xs.tolist(), ys.tolist()))
 
 
 def sense_cells(codes: np.ndarray, cell_size: float, pose: Pose, ir: Optional[IrConfig],

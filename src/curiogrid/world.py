@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -107,9 +107,9 @@ class GridWorld:
         return (cell[0] + 0.5) * self.cell_size, (cell[1] + 0.5) * self.cell_size
 
     def with_target(self, cell: Optional[Cell]) -> "GridWorld":
-        """Copy of this world with the object placed at `cell` (or removed)."""
-        return GridWorld(self.width, self.height, self.cell_size,
-                         np.array(self.occupied), self.start, cell)
+        """This world with the object placed at `cell` (or removed); the two
+        share the read-only wall grid."""
+        return replace(self, target=cell)
 
 
 _HEADER_RE = re.compile(r"^cellsize=(\S+)\s+heading=(\S+)\s*$")

@@ -17,13 +17,17 @@ wedge stencil, `edge_labels` or `mapping._edges`
 (tests/test_oracle.py patches each to raise). `_dijkstra` in fresh lists is
 shared: the loop runs it in reused ones. So a test that compares a run with
 it checks the whole loop against its spec, not a path against itself.
+
+Two smaller references serve several test modules: `brute_force_cost`, a
+path cost without `_dijkstra`, and `scored_selection`, the cdos argmax by a
+literal sort of every candidate scored in full with `curiosity._loss_over`.
 """
 
 import math
 
 import numpy as np
 
-from curiogrid.curiosity import (bayes_fuse, cell_curiosity, predict_observation,
+from curiogrid.curiosity import (_loss_over, bayes_fuse, cell_curiosity, predict_observation,
                                  total_curiosity)
 from curiogrid.explorer import (ExplorationResult, InvariantError, StepRecord, _dijkstra,
                                 detect_frontiers, local_frontiers, path_cost)
@@ -36,8 +40,8 @@ from curiogrid.world import Pose, angle_diff, trace_ray, wrap_angle
 
 def outcome(res):
     """What two runs are compared on: the trajectory, the steps, the elapsed
-    time, the found flag, the estimate and both log-odds arrays."""
-    return (res.trajectory, res.steps, res.elapsed, res.found, res.target_estimate,
+    time, the estimate (which gives the found flag) and both log-odds arrays."""
+    return (res.trajectory, res.steps, res.elapsed, res.target_estimate,
             res.occupancy.log_odds.tobytes(), res.objects.log_odds.tobytes())
 
 
@@ -164,7 +168,7 @@ def run(world, method, sensors, motion, budget, mapping_cfg, threshold, params):
     occupancy = OccupancyMap(world.width, world.height, cs, mapping_cfg)
     objects = ObjectMap(world.width, world.height, cs, mapping_cfg)
     pose, elapsed, trajectory, steps = world.start, 0.0, [world.start], []
-    found, estimate = False, None
+    estimate = None
     settles, stalled, path, along = 1, 0, [], 0
     while True:
         _fuse_scan(occupancy, ir_scan(world, pose, sensors.ir))
@@ -173,8 +177,8 @@ def run(world, method, sensors, motion, budget, mapping_cfg, threshold, params):
         det = obs.detection
         if det is not None and (det.conf > threshold or probabilities_from_log_odds(
                 objects.log_odds[det.cell[1], det.cell[0]]) > threshold):
-            found, estimate = True, det.cell
-        if found or elapsed > budget:
+            estimate = det.cell
+        if estimate is not None or elapsed > budget:
             break
         labels = occupancy.classify()
         here = world.cell_of(pose.x, pose.y)
@@ -217,4 +221,52 @@ def run(world, method, sensors, motion, budget, mapping_cfg, threshold, params):
         elapsed += step / motion.max_velocity
         pose = Pose(cx, cy, heading)
         trajectory.append(pose)
-    return ExplorationResult(occupancy, objects, elapsed, found, estimate, trajectory, steps)
+    return ExplorationResult(occupancy, objects, elapsed, estimate, trajectory, steps)
+
+
+def brute_force_cost(free, start, goal):
+    """The least cost of an 8-connected path from `start` to `goal` over the
+    `free` mask, or None: plain uniform-cost search with a scan-min
+    frontier, no heap."""
+    h, w = free.shape
+    dist = {start: 0.0}
+    done = set()
+    while True:
+        pending = [(d, c) for c, d in dist.items() if c not in done]
+        if not pending:
+            return None
+        d, cell = min(pending)
+        if cell == goal:
+            return d
+        done.add(cell)
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                if dx == 0 and dy == 0:
+                    continue
+                nx, ny = cell[0] + dx, cell[1] + dy
+                if not (0 <= nx < w and 0 <= ny < h) or not free[ny, nx]:
+                    continue
+                nd = d + (math.sqrt(2.0) if dx and dy else 1.0)
+                if nd < dist.get((nx, ny), math.inf):
+                    dist[(nx, ny)] = nd
+
+
+def scored_selection(frontiers, obj, occ, current, cam, params):
+    """(cell, loss) of the cdos argmax over `frontiers`, each candidate
+    scored in full by `_loss_over` over the lead cells, with the documented
+    tie-breaks (least distance, then row-major index) by sorting."""
+    raw = obj.raw_probabilities()
+    classified = obj.classified()
+    labels = occ.classify()
+    cs = occ.cell_size
+    rows = []
+    for cell in frontiers:
+        x, y = (cell[0] + 0.5) * cs, (cell[1] + 0.5) * cs
+        dist = math.hypot(x - current.x, y - current.y)
+        heading = current.heading if dist < 1e-12 else math.atan2(y - current.y,
+                                                                  x - current.x)
+        loss = _loss_over(raw, classified, labels, obj.cfg.lambda1, obj.cfg.lambda2,
+                          cs, current, Pose(x, y, heading), cam, params, leads_only=True)
+        rows.append((-loss, dist, cell[1] * occ.width + cell[0], cell, loss))
+    rows.sort()
+    return rows[0][3], rows[0][4]

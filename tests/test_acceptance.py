@@ -16,7 +16,6 @@ import pytest
 
 from curiogrid.cli import main as cli_main
 from curiogrid.curiosity import CuriosityParams, cell_curiosity, select_frontier
-from curiogrid.curiosity import _loss_over
 from curiogrid.explorer import path_cost, plan_path
 from curiogrid.harness import (default_config, fixture_path, run_fov_sweep,
                                run_zone_experiment, summarize)
@@ -26,6 +25,8 @@ from curiogrid.mission import (MissionEvent, MissionPhase, TetherMode, TetherSta
                                TransitionError, mode_from_tether, step_mission)
 from curiogrid.sensor import Beam, CameraConfig, IrScan
 from curiogrid.world import Pose
+
+from oracle import brute_force_cost, scored_selection
 
 
 def _report(line: str) -> None:
@@ -82,24 +83,6 @@ def test_criterion_03_update_order_invariance():
 
 # --- criterion 4 -----------------------------------------------------------
 
-def _exhaustive_argmax(frontiers, obj, occ, current, cam, params):
-    raw = obj.raw_probabilities()
-    classified = obj.classified()
-    labels = occ.classify()
-    rows = []
-    for cell in frontiers:
-        x, y = cell[0] + 0.5, cell[1] + 0.5
-        dist = math.hypot(x - current.x, y - current.y)
-        heading = current.heading if dist < 1e-12 else math.atan2(y - current.y,
-                                                                  x - current.x)
-        loss = _loss_over(raw, classified, labels, obj.cfg.lambda1, obj.cfg.lambda2,
-                          occ.cell_size, current, Pose(x, y, heading), cam, params,
-                          leads_only=True)
-        rows.append((-loss, dist, cell[1] * occ.width + cell[0], cell))
-    rows.sort()
-    return rows[0][3]
-
-
 def test_criterion_04_frontier_selection_oracle():
     rng = np.random.default_rng(4)
     cam = CameraConfig(math.radians(60), 3.0, 1.0)
@@ -124,36 +107,12 @@ def test_criterion_04_frontier_selection_oracle():
         cx, cy = free_cells[int(rng.integers(len(free_cells)))]
         current = Pose(cx + 0.5, cy + 0.5, float(rng.uniform(0.0, 2 * math.pi)))
         got = select_frontier(frontiers, obj, occ, current, cam, params)
-        assert got.cell == _exhaustive_argmax(frontiers, obj, occ, current, cam, params)
+        assert got.cell == scored_selection(frontiers, obj, occ, current, cam, params)[0]
         checked += 1
     _report("criterion 4 — frontier argmax matches exhaustive oracle on 50 maps")
 
 
 # --- criterion 5 -----------------------------------------------------------
-
-def _brute_force_cost(free, start, goal):
-    h, w = free.shape
-    dist = {start: 0.0}
-    done = set()
-    while True:
-        pending = [(d, c) for c, d in dist.items() if c not in done]
-        if not pending:
-            return None
-        d, cell = min(pending)
-        if cell == goal:
-            return d
-        done.add(cell)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                nx, ny = cell[0] + dx, cell[1] + dy
-                if not (0 <= nx < w and 0 <= ny < h) or not free[ny, nx]:
-                    continue
-                nd = d + (math.sqrt(2.0) if dx and dy else 1.0)
-                if nd < dist.get((nx, ny), math.inf):
-                    dist[(nx, ny)] = nd
-
 
 def test_criterion_05_path_planner_oracle():
     rng = np.random.default_rng(5)
@@ -164,7 +123,7 @@ def test_criterion_05_path_planner_oracle():
         occ = OccupancyMap(20, 20, 1.0)
         occ.log_odds = np.where(blocked, logit(0.9), logit(0.05))
         path = plan_path(occ, (0, 0), (19, 19))
-        want = _brute_force_cost(~blocked, (0, 0), (19, 19))
+        want = brute_force_cost(~blocked, (0, 0), (19, 19))
         if path is None:
             assert want is None
         else:

@@ -18,7 +18,7 @@ from curiogrid.mapping import Label, MappingConfig, ObjectMap, OccupancyMap, log
 from curiogrid.sensor import CameraConfig, Detection, IrConfig, camera_observe, ir_scan
 from curiogrid.world import GridWorld, Pose, angle_diff, load_map
 
-from oracle import outcome
+from oracle import brute_force_cost, outcome
 
 
 def make_map(rows, cell_size=0.5, heading=0.0):
@@ -160,7 +160,7 @@ class TestPlanPath:
             occ = OccupancyMap(20, 20, 1.0)
             occ.log_odds = np.where(grid, logit(0.9), logit(0.05))
             path = plan_path(occ, (0, 0), (19, 19))
-            want = _brute_force_cost(~grid, (0, 0), (19, 19))
+            want = brute_force_cost(~grid, (0, 0), (19, 19))
             if path is None:
                 assert want is None
             else:
@@ -402,33 +402,6 @@ class TestSearchReuse:
                     going.remove(one)
         assert twin.search is not None and twin.search is not ex.search
         assert outcome(ex._result()) == outcome(twin._result()) == whole
-
-
-def _brute_force_cost(free, start, goal):
-    """Plain uniform-cost search with a scan-min frontier, no heap."""
-    h, w = free.shape
-    dist = {start: 0.0}
-    done = set()
-    while True:
-        candidates = [(d, c) for c, d in dist.items() if c not in done]
-        if not candidates:
-            return None
-        d, cell = min(candidates)
-        if cell == goal:
-            return d
-        done.add(cell)
-        x, y = cell
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                nx, ny = x + dx, y + dy
-                if not (0 <= nx < w and 0 <= ny < h) or not free[ny, nx]:
-                    continue
-                step = math.sqrt(2.0) if dx and dy else 1.0
-                nd = d + step
-                if nd < dist.get((nx, ny), math.inf):
-                    dist[(nx, ny)] = nd
 
 
 class TestExplorers:

@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from curiogrid import explorer, harness
 from curiogrid.explorer import SensorSuite, explore_cdos
-from curiogrid.harness import (ConfigError, ExperimentConfig, default_config,
+from curiogrid.harness import (ConfigError, ExperimentConfig, ZoneExperiment, default_config,
                                fixture_path, load_config, parse_config, render_maps,
                                run_fov_sweep, run_trial, run_zone_experiment, steps_jsonl,
-                               summary_csv, trials_csv)
+                               summarize, summary_csv, trials_csv)
 from curiogrid.sensor import CameraConfig, IrConfig, detect
 from curiogrid.world import MapError, load_map, load_zones, sample_zone_points
 
@@ -182,6 +182,13 @@ class TestZoneExperiment:
         assert trials_csv(a.records) == trials_csv(b.records)
         assert summary_csv(a.summaries) == summary_csv(b.summaries)
 
+    def test_summaries_are_read_off_the_records(self, tiny_dir):
+        exp = run_zone_experiment(tiny_config(tiny_dir, samples_per_zone=2))
+        assert exp.summaries == summarize(exp.records)
+        assert summarize(exp.records[:2]) == ZoneExperiment(exp.records[:2]).summaries
+        with pytest.raises(TypeError):
+            ZoneExperiment(exp.records, summaries=[])
+
     def test_csv_row_count(self, tiny_dir):
         cfg = tiny_config(tiny_dir, samples_per_zone=3)
         exp = run_zone_experiment(cfg)
@@ -321,8 +328,7 @@ class TestRenderMaps:
     def test_fresh_result_uniform_gray(self):
         from curiogrid.explorer import ExplorationResult
         from curiogrid.mapping import ObjectMap, OccupancyMap
-        result = ExplorationResult(OccupancyMap(8, 6, 0.5), ObjectMap(8, 6, 0.5),
-                                   0.0, False, None)
+        result = ExplorationResult(OccupancyMap(8, 6, 0.5), ObjectMap(8, 6, 0.5), 0.0, None)
         for name in ("occupancy", "objects"):
             raster = from_pgm(render_maps(result, "pgm")[name])
             assert (raster == 128).all()
@@ -332,6 +338,15 @@ class TestRenderMaps:
         for fmt in ("pgm", "ascii"):
             art = render_maps(result, fmt)
             assert set(art) == {"occupancy", "objects", "combined"}
+
+    def test_found_is_read_off_the_estimate(self):
+        from curiogrid.explorer import ExplorationResult
+        from curiogrid.mapping import ObjectMap, OccupancyMap
+        maps = OccupancyMap(8, 6, 0.5), ObjectMap(8, 6, 0.5)
+        assert not ExplorationResult(*maps, 0.0, None).found
+        assert ExplorationResult(*maps, 0.0, (2, 3)).found
+        with pytest.raises(TypeError):
+            ExplorationResult(*maps, 0.0, found=True, target_estimate=None)
 
     def test_found_run_marks_target(self):
         result = self.run_once()

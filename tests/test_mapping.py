@@ -400,6 +400,16 @@ class TestSerialization:
         assert object_glyphs(raster) == ".?*\n"
 
 
+def test_belief_maps_share_one_init():
+    assert OccupancyMap.__init__ is ObjectMap.__init__
+    cfg = MappingConfig(lambda1=0.2)
+    for kind in (OccupancyMap, ObjectMap):
+        belief = kind(3, 2, 0.5, cfg)
+        assert (belief.width, belief.height, belief.cell_size, belief.cfg) == (3, 2, 0.5, cfg)
+        assert belief.log_odds.shape == (2, 3) and belief.log_odds.dtype == float
+        assert not belief.log_odds.any()
+
+
 def test_mapping_config_validation():
     with pytest.raises(ValueError):
         MappingConfig(lambda1=0.9, lambda2=0.2)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from curiogrid.explorer import MotionConfig, SensorSuite
-from curiogrid.mission import (MissionEvent, MissionPhase, TetherMode, TetherState,
-                               TransitionError, grab_maneuver, mission_log_lines,
+from curiogrid.mission import (MissionEvent, MissionPhase, MissionTrace, TetherMode,
+                               TetherState, TransitionError, grab_maneuver, mission_log_lines,
                                mode_from_tether, run_mission, step_mission)
 from curiogrid.sensor import CameraConfig, IrConfig
 from curiogrid.world import Pose, load_map
@@ -152,6 +152,16 @@ class TestRunMission:
         events = [r.event for r in trace.records]
         assert events == [MissionEvent.HIDDEN_SPACE_FOUND, MissionEvent.TOUCHDOWN,
                           MissionEvent.FRONTIERS_EXHAUSTED, MissionEvent.RETRACT_COMPLETE]
+
+    def test_object_retrieved_is_read_off_the_final_phase(self):
+        world = mission_world(["#######", "#.....#", "#S...T#", "#.....#", "#######"])
+        trace = run_mission(world, mission_suite())
+        for final_phase, retrieved in ((None, True), (MissionPhase.AERIAL_CONTINUE, False)):
+            built = MissionTrace(trace.records, trace.exploration, final_phase, trace.elapsed)
+            assert built.object_retrieved is retrieved
+        with pytest.raises(TypeError):
+            MissionTrace(trace.records, trace.exploration, None, trace.elapsed,
+                         object_retrieved=False)
 
     def test_timestamps_monotone(self):
         world = mission_world(["#######", "#.....#", "#S...T#", "#.....#", "#######"])

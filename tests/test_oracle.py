@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curiogrid import explorer, harness, mapping, sensor
+from curiogrid import curiosity, explorer, harness, mapping, sensor
 from curiogrid.harness import default_config, fixture_path, run_trial
 from curiogrid.world import Pose, load_map
 
@@ -103,7 +103,8 @@ def test_a_run_does_not_depend_on_where_the_map_lies(case, method, shift):
 
 # The loop's fast paths, each by every attribute a caller looks it up at.
 FAST_PATHS = {
-    "sense_cells": [(sensor, "sense_cells"), (explorer, "sense_cells")],
+    "sense_cells": [(sensor, "sense_cells"), (explorer, "sense_cells"),
+                    (curiosity, "sense_cells")],
     "add_scan_evidence": [(mapping.OccupancyMap, "add_scan_evidence")],
     "add_observation_evidence": [(mapping.ObjectMap, "add_observation_evidence")],
     "_fuse": [(explorer._Explorer, "_fuse")],

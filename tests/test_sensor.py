@@ -8,9 +8,9 @@ from curiogrid import sensor
 from curiogrid.curiosity import visible_from
 from curiogrid.explorer import local_frontiers
 from curiogrid.mapping import Label
-from curiogrid.sensor import (CameraConfig, IrConfig, beam_angles, camera_observe,
-                              camera_sweep, detect, detection_confidence, ir_scan,
-                              rays_per_fov, sense_cells, wedge_cells)
+from curiogrid.sensor import (CameraConfig, IrConfig, beam_angles, camera_observe, detect,
+                              detection_confidence, ir_scan, rays_per_fov, sense_cells,
+                              wedge_cells)
 from curiogrid.world import GridWorld, Pose, angle_diff, load_map, trace_ray, wrap_angle
 
 
@@ -268,7 +268,7 @@ def test_wedge_cells_match_the_scalar_rule_on_the_boundary(case):
 @pytest.mark.parametrize("cell_size", [0.25, 0.3])
 def test_one_table_memo_serves_every_walk(cell_size, monkeypatch):
     # from one pose, at a cell centre and off it: sense_cells builds one
-    # table for both fans, camera_sweep one, ir_scan none (it walks
+    # table for both fans, visible_from one, ir_scan none (it walks
     # trace_ray), and a second pass builds nothing
     builds = []
     build = sensor._fan_table
@@ -286,7 +286,7 @@ def test_one_table_memo_serves_every_walk(cell_size, monkeypatch):
             assert len(builds) == held
             sense_cells(sensor.fan_codes(world.occupied), cell_size, pose, ir, cam)
             assert len(builds) == held + built
-            camera_sweep(world.occupied, cell_size, pose, cam)
+            visible_from(world.occupied, cell_size, pose, cam)
             assert len(builds) == held + 2 * built
 
 
@@ -307,11 +307,11 @@ def test_sense_tables_share_the_memo_bound(monkeypatch):
         pose = Pose(0.4 + (0.37 * k) % 2.6, 0.4 + 0.11 * k, 0.7 * k)
         monkeypatch.setattr(sensor, "_FAN_TABLES", {})
         fresh = sense_cells(codes, 0.3, pose, ir, cam)
-        swept = camera_sweep(world.occupied, 0.3, pose, cam)
+        swept = visible_from(world.occupied, 0.3, pose, cam)
         monkeypatch.setattr(sensor, "_FAN_TABLES", memo)
         cells, hits_at, seen_at = sense_cells(codes, 0.3, pose, ir, cam)
         assert cells.tolist() == fresh[0].tolist() and (hits_at, seen_at) == fresh[1:]
-        assert camera_sweep(world.occupied, 0.3, pose, cam) == swept
+        assert visible_from(world.occupied, 0.3, pose, cam) == swept
         assert sum(t.beyond.size for t in memo.values()) <= limit
         held |= {t.ir for t in memo.values()}
     assert held == {0, ir.ray_count}

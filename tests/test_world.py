@@ -12,8 +12,7 @@ from curiogrid.explorer import explore_cdos
 from curiogrid.harness import default_config, fixture_path
 from curiogrid.mapping import Label, OccupancyMap, logit
 from curiogrid.sensor import (Beam, CameraConfig, IrConfig, IrScan, beam_angles,
-                              camera_observe, camera_sweep, ir_scan, scan_cells,
-                              sense_cells)
+                              camera_observe, ir_scan, scan_cells, sense_cells)
 from curiogrid.world import (TWO_PI, GridWorld, MapError, Pose, Zone, ZoneError, load_map,
                              load_zones, sample_zone_points, trace_ray, wrap_angle)
 
@@ -267,6 +266,12 @@ def test_with_target_keeps_world_immutable():
         world.occupied[0, 0] = True
 
 
+def test_with_target_shares_the_wall_grid():
+    world = empty_world(5)
+    assert world.with_target((1, 1)).occupied is world.occupied
+    assert world.with_target((1, 1)).with_target(None).occupied is world.occupied
+
+
 # Reference oracle for trace_ray: the unbounded boundary-stepping generator and
 # the three stop loops that walked it before the bounded walker replaced them.
 
@@ -460,8 +465,8 @@ def _oracle_beams(world, pose, angles, max_range):
 
 
 def _oracle_sweep(blocked, cell_size, pose, cam):
-    """camera_sweep's seen-free cells, one trace_ray walk per beam, in
-    row-major order."""
+    """The camera fan's seen-free cells over the `blocked` mask, one
+    trace_ray walk per beam, in row-major order."""
     seen_free = set()
     for angle in beam_angles(pose.heading, cam.fov, cam.ray_count):
         visited, _, _ = trace_ray(blocked, cell_size, pose.x, pose.y, angle, cam.max_range)
@@ -507,7 +512,7 @@ def test_fan_walk_matches_trace_ray(case, data):
     cam = CameraConfig(fov, max_range, 1.0, count)
     ir = IrConfig(fov, max_range, count)
 
-    assert camera_sweep(world.occupied, cs, pose, cam) == _oracle_sweep(
+    assert visible_from(world.occupied, cs, pose, cam) == _oracle_sweep(
         world.occupied, cs, pose, cam)
     labels = np.where(world.occupied, Label.OCCUPIED, Label.FREE)
     assert visible_from(labels, cs, pose, cam) == _oracle_visible(labels, cs, pose, cam)
@@ -630,7 +635,7 @@ def test_fan_table_far_range_capped_at_lattice_extent():
     pose = Pose(world.start.x, world.start.y, 0.3)
     cam = CameraConfig(TWO_PI, 1e6, 1.0, 90)
     sensor._FAN_TABLES.clear()
-    assert camera_sweep(world.occupied, world.cell_size, pose, cam) == _oracle_sweep(
+    assert visible_from(world.occupied, world.cell_size, pose, cam) == _oracle_sweep(
         world.occupied, world.cell_size, pose, cam)
     angles = beam_angles(pose.heading, cam.fov, cam.ray_count)
     assert ir_scan(world, pose, IrConfig(TWO_PI, 1e6, 90)).beams == _oracle_beams(
@@ -672,14 +677,14 @@ def test_fan_walk_overflowing_crossings_as_trace_ray():
     assert beyond[0, stop] == (t > 1e6)
 
 
-@pytest.mark.parametrize("walk", ["scan_cells", "camera_sweep", "sense_cells"])
+@pytest.mark.parametrize("walk", ["scan_cells", "visible_from", "sense_cells"])
 def test_fan_origin_outside_lattice_rejected(walk):
     pose = Pose(5.0, 1.0, 0.0)
     blocked = np.zeros((3, 3), dtype=bool)
     ir, cam = IrConfig(math.radians(30.0), 1.0), CameraConfig(math.radians(60.0), 1.0)
     calls = {
         "scan_cells": lambda: scan_cells(3, 3, 1.0, IrScan(pose, (Beam(0.0, 1.0, True),))),
-        "camera_sweep": lambda: camera_sweep(blocked, 1.0, pose, cam),
+        "visible_from": lambda: visible_from(blocked, 1.0, pose, cam),
         "sense_cells": lambda: sense_cells(sensor.fan_codes(blocked), 1.0, pose, ir, cam),
     }
     with pytest.raises(ValueError, match="fan origin outside the lattice"):
