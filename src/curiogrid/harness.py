@@ -463,18 +463,18 @@ def render_maps(result: ExplorationResult, fmt: str) -> dict[str, bytes | str]:
     """Three artifacts per run: occupancy map, object map, combined overlay.
 
     fmt "pgm" yields binary P5 images (probability * 255 for the two belief
-    maps); fmt "ascii" yields glyph grids derived from the same quantized
-    bytes, so the two formats always agree cell for cell.
+    maps); fmt "ascii" yields glyph grids: the occupancy map's labels
+    (`classify()`, the one label rule), and the object map and the overlay
+    from the same bytes as the images.
     """
-    occ_bytes = quantize(result.occupancy.probabilities())
     obj_bytes = quantize(result.objects.classified())
     overlay = _overlay_bytes(result)
     if fmt == "pgm":
-        return {"occupancy": raster_pgm(occ_bytes), "objects": raster_pgm(obj_bytes),
-                "combined": raster_pgm(overlay)}
+        return {"occupancy": raster_pgm(quantize(result.occupancy.probabilities())),
+                "objects": raster_pgm(obj_bytes), "combined": raster_pgm(overlay)}
     if fmt == "ascii":
         return {
-            "occupancy": occupancy_glyphs(occ_bytes, result.occupancy.cfg),
+            "occupancy": occupancy_glyphs(result.occupancy.classify()),
             "objects": object_glyphs(obj_bytes),
             "combined": glyph_text(overlay, _OVERLAY_GLYPHS),
         }

@@ -272,17 +272,16 @@ def quantize(values: np.ndarray) -> np.ndarray:
     return np.floor(np.clip(np.asarray(values, dtype=float), 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
 
 
-def glyph_text(byte_values: np.ndarray, glyphs: str) -> str:
-    """ASCII rows of a uint8 raster, byte b drawn as glyphs[b] (256 glyphs)."""
+def glyph_text(values: np.ndarray, glyphs: str) -> str:
+    """ASCII rows of a 2D array of small non-negative ints, value b drawn as glyphs[b]."""
     table = np.array(list(glyphs))
-    return "\n".join(map("".join, table[byte_values].tolist())) + "\n"
+    return "\n".join(map("".join, table[values].tolist())) + "\n"
 
 
-def occupancy_glyphs(byte_values: np.ndarray, cfg: MappingConfig) -> str:
-    """ASCII view of occupancy bytes: '.' free, '#' occupied, '?' unknown."""
-    return glyph_text(byte_values, "".join(
-        "." if b / 255.0 < cfg.p_free_max else "#" if b / 255.0 > cfg.p_occ_min else "?"
-        for b in range(256)))
+def occupancy_glyphs(labels: np.ndarray) -> str:
+    """ASCII view of occupancy labels (`classify()`): '.' free, '#' occupied,
+    '?' unknown."""
+    return glyph_text(labels, ".#?")
 
 
 def object_glyphs(byte_values: np.ndarray) -> str:

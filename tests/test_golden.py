@@ -65,7 +65,7 @@ GOLDEN = {
     "found/occupancy.pgm": "8e870fc9a4d374cde28af4a48c5388b5bb7673d1b2e2750eeac39caff2890f28",
     "found/objects.pgm": "416ddd4f3ed58a158cd6160e4a4c27a5f3da40989c15595ac4e5283f9d012c9f",
     "found/combined.pgm": "40e70d4c40b55443c20692b7016f114da647eaa1ac54bc643a4f2f56fe5d45b3",
-    "found-ascii/occupancy.txt": "e8c4ffca37da61dbf3fa2e86323fca7ef06115eb66e40c1af411970d275a690c",
+    "found-ascii/occupancy.txt": "9a4e36c5dfd5948efed7d6514bfb667a196cb2bb4dd174d69125bc839122d9ce",
     "found-ascii/objects.txt": "b48acfd1aa4d67f3a4a69b001dce6478112656440d7c058be1e8ea6e78f0ae6d",
     "found-ascii/combined.txt": "19c46d7611321d0482cd73f481564da3db7e1550e0d5facb071a14d54c8a3f93",
     "offgrid/steps.jsonl": "bef0b4ad38aff1773b41c1b88db0c81a801cb0f133f6e19a3994031781ee1cea",

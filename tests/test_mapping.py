@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from curiogrid import explorer
 from curiogrid.curiosity import CuriosityParams, curiosity_of
-from curiogrid.harness import default_config
+from curiogrid.harness import default_config, render_maps
 from curiogrid.mapping import (LOG_ODDS_CAP, Label, MappingConfig, ObjectMap, OccupancyMap,
                                _edges, classify_object_probabilities, edge_labels, logit,
                                object_glyphs, occupancy_glyphs, occupancy_labels,
@@ -382,17 +382,27 @@ class TestSerialization:
         omap = OccupancyMap(4, 4, 1.0)
         assert (quantize(omap.probabilities()) == 128).all()
 
-    def test_ascii_matches_pgm_bytes(self):
+    def test_ascii_occupancy_draws_the_labels(self):
         rng = np.random.default_rng(11)
-        cfg = MappingConfig()
-        values = rng.uniform(0.0, 1.0, size=(6, 6))
-        raster = quantize(values)
-        lines = occupancy_glyphs(raster, cfg).splitlines()
+        omap = OccupancyMap(6, 6, 1.0)
+        omap.log_odds[:] = rng.uniform(-2.0, 2.0, size=(6, 6))
+        labels = omap.classify()
+        lines = occupancy_glyphs(labels).splitlines()
         for y in range(6):
             for x in range(6):
-                v = raster[y, x] / 255.0
-                want = "." if v < cfg.p_free_max else "#" if v > cfg.p_occ_min else "?"
+                want = {Label.FREE: ".", Label.OCCUPIED: "#", Label.UNKNOWN: "?"}[labels[y, x]]
                 assert lines[y][x] == want
+
+    def test_one_ir_miss_draws_unknown(self):
+        # one miss leaves p just above p_free_max, UNKNOWN by the label rule,
+        # though its byte (89) lies below p_free_max * 255
+        cfg = MappingConfig()
+        omap = OccupancyMap(3, 1, 1.0, cfg)
+        omap.log_odds[0, 1] += logit(cfg.p_miss)
+        assert omap.classify()[0, 1] == Label.UNKNOWN
+        assert quantize(omap.probabilities())[0, 1] / 255.0 < cfg.p_free_max
+        result = explorer.ExplorationResult(omap, ObjectMap(3, 1, 1.0, cfg), 0.0, None)
+        assert render_maps(result, "ascii")["occupancy"] == "???\n"
 
     def test_object_glyphs(self):
         classified = np.array([[0.0, 0.5, 0.97]])
