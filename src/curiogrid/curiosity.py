@@ -7,7 +7,9 @@ curiosity read the same bits. A candidate frontier is scored by the expected
 drop in total curiosity after simulating what the camera would observe from
 there (`visible_from`, the camera sweep): each visible cell's probability is
 extrapolated by the ratio of its current distance to its distance from the
-candidate, fused as new evidence, re-classified, and re-scored.
+candidate, fused as new evidence, re-classified, and re-scored. Each
+distance and bearing to a cell centre is taken from whole cells
+(`world.cell_offset`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .mapping import OCCUPIED, ObjectMap, OccupancyMap, classify_object_probabilities
 from .sensor import CameraConfig, fan_codes, sense_cells
-from .world import Cell, Pose
+from .world import Cell, Pose, cell_offset
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,8 @@ def _loss_over(raw: np.ndarray, classified: np.ndarray, occ_labels: np.ndarray,
                lambda1: float, lambda2: float, cell_size: float, current: Pose,
                candidate: Pose, cam: CameraConfig, params: CuriosityParams,
                leads_only: bool = False) -> float:
+    ax, ay, au, av = cell_offset(cell_size, current.x, current.y)
+    bx, by, bu, bv = cell_offset(cell_size, candidate.x, candidate.y)
     loss = 0.0
     for cx, cy in visible_from(occ_labels, cell_size, candidate, cam):
         p_raw = raw[cy, cx]
@@ -128,10 +132,8 @@ def _loss_over(raw: np.ndarray, classified: np.ndarray, occ_labels: np.ndarray,
         c_now = cell_curiosity(p_class, params)
         if c_now <= 0.0:
             continue
-        x = (cx + 0.5) * cell_size
-        y = (cy + 0.5) * cell_size
-        d_now = math.hypot(x - current.x, y - current.y)
-        d_next = math.hypot(x - candidate.x, y - candidate.y)
+        d_now = math.hypot((cx - ax) * cell_size - au, (cy - ay) * cell_size - av)
+        d_next = math.hypot((cx - bx) * cell_size - bu, (cy - by) * cell_size - bv)
         if d_now <= 1e-12:
             continue
         p_evidence = 1.0 if d_next <= 1e-12 else predict_observation(p_raw, d_now, d_next)
@@ -164,18 +166,19 @@ def select_frontier(frontiers: Sequence[Cell], objects: ObjectMap,
         classified = objects.classified()
         labels = occupancy.classify()
     cs = occupancy.cell_size
+    px, py, u, v = cell_offset(cs, current.x, current.y)
     best: tuple[float, float, int] | None = None
     best_cell: Cell | None = None
     best_loss = 0.0
     for cell in frontiers:
-        x, y = (cell[0] + 0.5) * cs, (cell[1] + 0.5) * cs
-        dist = math.hypot(x - current.x, y - current.y)
+        dx, dy = (cell[0] - px) * cs - u, (cell[1] - py) * cs - v
+        dist = math.hypot(dx, dy)
         loss = 0.0
         if scored:
-            heading = (current.heading if dist < 1e-12
-                       else math.atan2(y - current.y, x - current.x))
+            heading = current.heading if dist < 1e-12 else math.atan2(dy, dx)
             loss = _loss_over(raw, classified, labels, objects.cfg.lambda1,
-                              objects.cfg.lambda2, cs, current, Pose(x, y, heading), cam,
+                              objects.cfg.lambda2, cs, current,
+                              Pose((cell[0] + 0.5) * cs, (cell[1] + 0.5) * cs, heading), cam,
                               params, leads_only=True)
         key = (-loss, dist, cell[1] * occupancy.width + cell[0])
         if best is None or key < best:

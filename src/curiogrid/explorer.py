@@ -14,9 +14,8 @@ current rather than full-grid passes:
     decision gave camera evidence on, off the config's two object edges
     (`mapping._edges`): only cells past the second run the whole chain;
   - the local frontiers, read off the frontier mask within the box the IR
-    range can reach through the IR fan's wedge stencil (`wedge_stencil`), a
-    memoized superset of the wedge, and tested against the wedge
-    (`wedge_cells`) only where the stencil keeps a frontier;
+    range can reach through the IR fan's wedge stencil (`wedge_stencil`),
+    the memoized wedge around a cell, which `wedge_cells` builds, so exact;
   - the path-blocked check, which reads only the cells the last relabel
     turned OCCUPIED;
   - the planner's lists (`_Search`), kept from the explorer's first decision
@@ -29,6 +28,11 @@ The full-grid functions (`OccupancyMap.classify` and `occupancy_labels`,
 frontier, and `_dijkstra` in fresh lists) stay the spec the tests check the
 views against. The loop keeps one path, the search's framed indices, and
 logs the goal's search distance as its length (`path_cost`, bit for bit).
+
+Every offset from the pose to a cell centre, for the wedge, the baseline's
+pick and each move or turn, is taken from whole cells (`world.cell_offset`).
+Every pose of a run stands at a cell centre, so a run's distances, headings
+and elapsed time depend on the cell deltas alone, not on where the map lies.
 
 A sense is one `_fuse` and one `_relabel`. `_fuse` is the one lookup of a
 pose's sensing evidence (the map's cache, or one `sense_cells` walk the cache
@@ -72,7 +76,7 @@ from .mapping import (FREE, OCCUPIED, UNKNOWN, MappingConfig, ObjectMap, Occupan
                       probabilities_from_log_odds, _edges)
 from .sensor import (CameraConfig, Detection, IrConfig, camera_observe, detect, fan_codes,
                      ir_scan, sense_cells, wedge_cells, wedge_stencil)
-from .world import Cell, GridWorld, Pose, angle_diff, wrap_angle
+from .world import Cell, GridWorld, Pose, angle_diff, cell_offset, wrap_angle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -340,12 +344,12 @@ def _pick_curiosity(ex: _Explorer, frontiers: list[Cell]) -> tuple[Cell, float, 
 def _pick_heading(ex: _Explorer, frontiers: list[Cell]) -> tuple[Cell, float, str]:
     """Rapid frontier: the frontier of least heading change, then distance."""
     cs, pose = ex.world.cell_size, ex.pose
+    px, py, u, v = cell_offset(cs, pose.x, pose.y)
 
     def key(cell: Cell) -> tuple[float, float, int]:
-        x, y = (cell[0] + 0.5) * cs, (cell[1] + 0.5) * cs
-        d = math.hypot(x - pose.x, y - pose.y)
-        turn = 0.0 if d < 1e-12 else abs(angle_diff(math.atan2(y - pose.y, x - pose.x),
-                                                    pose.heading))
+        dx, dy = (cell[0] - px) * cs - u, (cell[1] - py) * cs - v
+        d = math.hypot(dx, dy)
+        turn = 0.0 if d < 1e-12 else abs(angle_diff(math.atan2(dy, dx), pose.heading))
         return turn, d, cell[1] * ex.world.width + cell[0]
     return min(frontiers, key=key), 0.0, "heading"
 
@@ -590,12 +594,10 @@ class _Explorer:
         return values
 
     def _wedge(self, cell: Cell) -> list[Cell]:
-        """`local_frontiers` of every frontier, the robot standing in `cell`.
-
-        Only the frontiers the IR fan's wedge stencil (`wedge_stencil`) keeps
-        around `cell` are read off the frontier mask, in row-major order, as
-        `detect_frontiers` lists them; the stencil is a superset of the
-        wedge, and `local_frontiers` decides each of them.
+        """`local_frontiers` of every frontier, the robot standing in `cell`:
+        the frontiers the IR fan's wedge stencil (`wedge_stencil`, exact)
+        keeps around `cell`, read off the frontier mask in row-major order,
+        as `detect_frontiers` lists them.
         """
         stencil = wedge_stencil(self.pose, self.world.cell_size, self.sensors.ir)
         reach = len(stencil) // 2
@@ -606,26 +608,29 @@ class _Explorer:
                                                      x0:cell[0] + 2 + reach]
         rows, cols = (box & stencil[y0 - y:y0 - y + box.shape[0],
                                     x0 - x:x0 - x + box.shape[1]]).nonzero()
-        near = list(zip((cols + (x0 - 1)).tolist(), (rows + (y0 - 1)).tolist()))
-        return local_frontiers(near, self.pose, self.sensors.ir, self.world.cell_size)
+        return list(zip((cols + (x0 - 1)).tolist(), (rows + (y0 - 1)).tolist()))
+
+    def _toward(self, cell: Cell) -> tuple[float, float]:
+        """The offset from the pose to the centre of `cell`, from whole cells."""
+        cs = self.world.cell_size
+        px, py, u, v = cell_offset(cs, self.pose.x, self.pose.y)
+        return (cell[0] - px) * cs - u, (cell[1] - py) * cs - v
 
     def _move_to(self, cell: Cell) -> None:
         if self.world.occupied[cell[1], cell[0]]:
             raise InvariantError(f"planned move into occupied cell {cell}")
-        x, y = self.world.cell_center(cell)
-        dx, dy = x - self.pose.x, y - self.pose.y
+        dx, dy = self._toward(cell)
         step = math.hypot(dx, dy)
         heading = self.pose.heading if step < 1e-12 else wrap_angle(math.atan2(dy, dx))
         self.elapsed += step / self.motion.max_velocity
-        self.pose = Pose(x, y, heading)
+        self.pose = Pose(*self.world.cell_center(cell), heading)
         self.trajectory.append(self.pose)
 
     def _rotate_to_face(self, cell: Cell) -> None:
-        x, y = self.world.cell_center(cell)
-        if math.hypot(x - self.pose.x, y - self.pose.y) < 1e-12:
+        dx, dy = self._toward(cell)
+        if math.hypot(dx, dy) < 1e-12:
             return
-        heading = wrap_angle(math.atan2(y - self.pose.y, x - self.pose.x))
-        self.pose = Pose(self.pose.x, self.pose.y, heading)
+        self.pose = Pose(self.pose.x, self.pose.y, wrap_angle(math.atan2(dy, dx)))
         self.trajectory.append(self.pose)
 
     def _unknown_neighbor(self, cell: Cell) -> Cell:

@@ -19,11 +19,16 @@ _FAN_TABLE_LIMIT beam steps.
 
 The per-scan API (`ir_scan`, `scan_cells`, `camera_observe`) is the spec
 the walk is tested against, written on `trace_ray`, one walk per beam; so is
-the single ray of `detect`. The wedge test (`wedge_cells`) has its one copy
-here too. It is the spec of the explorer's local frontiers, and it decides
-every candidate the wedge stencil (`wedge_stencil`) keeps: a memoized
-boolean superset of a fan's wedge, shared by the poses at one spot of any
-cell and one heading.
+the single ray of `detect`. The wedge test (`wedge_cells`, and `_in_wedge`
+for one offset, which `detect` shares) has its one copy here too. It is the
+spec of the explorer's local frontiers, and it builds the wedge stencil
+(`wedge_stencil`): the memoized boolean wedge around a cell, exact by
+construction.
+
+Both memos are keyed by an origin's spot in its cell. A ray from a cell
+centre meets its cell's boundaries exactly half a cell out, and the wedge
+reads offsets from whole cells, so every cell centre is one spot at any
+cell size: a run's poses share one table per fan and heading.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .world import (TWO_PI, Cell, GridWorld, Pose, angle_diff, ray_origin, ray_steps,
-                    trace_ray)
+from .world import (TWO_PI, Cell, GridWorld, Pose, angle_diff, cell_offset, ray_origin,
+                    ray_steps, trace_ray)
 
 
 def rays_per_fov(fov: float) -> int:
@@ -314,8 +319,8 @@ def sense_cells(codes: np.ndarray, cell_size: float, pose: Pose, ir: Optional[Ir
     first, found by the origin's spot in its cell, the lattice shape and
     each fan's range, first angle, fov and ray count (the camera's, then the
     IR fan's, if any; so a key without an IR fan is shorter). Any origin at
-    the same spot (every cell centre, for a power-of-two cell size) and any
-    heading whose beams fall on the same angles share one table. A camera
+    the same spot (every cell centre, at any cell size) and any heading
+    whose beams fall on the same angles share one table. A camera
     beam sees the cells of the steps before its stop, an IR beam passes
     those before its `end`.
     """
@@ -399,112 +404,77 @@ def camera_observe(world: GridWorld, pose: Pose, cfg: CameraConfig) -> CameraObs
 def wedge_cells(cells: Iterable[Cell], pose: Pose, cfg: IrConfig | CameraConfig,
                 cell_size: float) -> list[Cell]:
     """The cells whose centers lie within cfg.max_range of `pose` and within
-    cfg.fov / 2 (+1e-12) of its heading; a center at the pose is always in."""
-    half = cfg.fov / 2.0 + 1e-12
+    cfg.fov / 2 (+1e-12) of its heading; a center at the pose is always in.
+    Each offset is taken from whole cells (`world.cell_offset`)."""
+    px, py, u, v = cell_offset(cell_size, pose.x, pose.y)
     out = []
     for cell in cells:
-        x, y = (cell[0] + 0.5) * cell_size, (cell[1] + 0.5) * cell_size
-        d = math.hypot(x - pose.x, y - pose.y)
-        if d > cfg.max_range:
-            continue
-        if d < 1e-12 or abs(angle_diff(math.atan2(y - pose.y, x - pose.x),
-                                       pose.heading)) <= half:
+        dx, dy = (cell[0] - px) * cell_size - u, (cell[1] - py) * cell_size - v
+        if _in_wedge(dx, dy, math.hypot(dx, dy), pose.heading, cfg):
             out.append(cell)
     return out
 
 
-# A wedge stencil's key rounds the origin's offset in its cell (in cells) and
-# the heading (in radians) to multiples of _WEDGE_QUANTUM; the stencil widens
-# the wedge by _WEDGE_MARGIN of each. The memo holds at most _STENCIL_LIMIT
-# cells (bytes); a new stencil that would pass it empties the memo first.
-_WEDGE_QUANTUM = 2.0 ** -20
-_WEDGE_MARGIN = 2.0 * _WEDGE_QUANTUM
+def _in_wedge(dx: float, dy: float, d: float, heading: float,
+              cfg: IrConfig | CameraConfig) -> bool:
+    """The wedge rule of `wedge_cells` for one offset (dx, dy) from the pose,
+    at distance d = hypot(dx, dy)."""
+    return d <= cfg.max_range and (d < 1e-12 or abs(angle_diff(math.atan2(dy, dx), heading))
+                                   <= cfg.fov / 2.0 + 1e-12)
+
+
+# The most cells (bytes) the wedge stencils hold; a new stencil that would
+# pass it empties the memo first.
 _STENCIL_LIMIT = 1 << 16
 
 _STENCILS: dict[tuple, np.ndarray] = {}
 
 
 def wedge_stencil(pose: Pose, cell_size: float, cfg: IrConfig | CameraConfig) -> np.ndarray:
-    """A superset of the wedge around the cell of `pose`: a read-only boolean
-    square of 2 * reach + 1 cells a side, reach = int(cfg.max_range /
-    cell_size) + 2, centred on that cell, True at every cell whose centre
-    `wedge_cells` may keep from `pose`, and at few others. A cell centre
-    within the range lies at most floor(range / cell_size) + 1 cells from the
-    pose's cell along each axis, so the square misses none; the one cell more
-    absorbs the rounding of range / cell_size.
-
-    The stencil is memoized under the pose's offset in its cell and its
-    heading, each rounded to a multiple q of _WEDGE_QUANTUM, the cell size and
-    the fan's range and fov, so poses at the same spot of any cell share it.
-    It is built for the key's own offset and heading, with a margin m = 2q
-    (_WEDGE_MARGIN) wider than any rounding of the key:
-      - a pose with that key lies within q / sqrt(2) cells of the key's
-        offset, to which the float rounding of `wedge_cells`' absolute
-        coordinates adds under q / 4 for a lattice of fewer than 2^28 cells a
-        side: within d < q in all;
-      - so a centre r cells from the key's offset is within r + d < r + m
-        cells of the pose;
-      - the pose's heading is within q / 2 of the key's, so its wedge lies
-        in the wedge W of half-angle fov / 2 + 1e-12 + m about the key's
-        heading, moved by under q cells from the key's offset.
-    So the stencil keeps every centre within range + m cells that lies
-    within m cells (plus 1e-12 m) of the key's offset or of W from that
-    offset. What the margin adds, `wedge_cells` decides.
+    """The wedge around the cell of `pose`: a read-only boolean square of
+    2 * reach + 1 cells a side, reach = int(cfg.max_range / cell_size) + 2,
+    centred on that cell, True at exactly the cells `wedge_cells` keeps, by
+    which it is built. A centre within range lies at most floor(range /
+    cell_size) + 1 cells out along each axis; the one cell more absorbs the
+    rounding of range / cell_size. `wedge_cells` reads a cell's delta from
+    the pose's cell, the pose's offset in it and its heading, so the stencil
+    is memoized under those, the cell size and the fan's range and fov.
     """
-    u, v = pose.x / cell_size, pose.y / cell_size
-    q = _WEDGE_QUANTUM
-    key = (round((u - math.floor(u)) / q), round((v - math.floor(v)) / q),
-           round(pose.heading / q), cell_size, cfg.max_range, cfg.fov)
+    cx, cy, u, v = cell_offset(cell_size, pose.x, pose.y)
+    key = (u, v, pose.heading, cell_size, cfg.max_range, cfg.fov)
     stencil = _STENCILS.get(key)
     if stencil is None:
-        stencil = _keep(_STENCILS, key, _wedge_square(*key[:4], cfg), np.size, _STENCIL_LIMIT)
-    return stencil
-
-
-def _wedge_square(kx: int, ky: int, kh: int, cell_size: float,
-                  cfg: IrConfig | CameraConfig) -> np.ndarray:
-    """The stencil of `wedge_stencil` for the rounded offset (kx, ky) and
-    heading kh, in multiples of _WEDGE_QUANTUM."""
-    q, m = _WEDGE_QUANTUM, _WEDGE_MARGIN
-    reach = int(cfg.max_range / cell_size) + 2
-    # a float range: adding 0.5 to an int one runs numpy's int-to-float
-    # loop, which nothing else in a run does (64 KB more resident code)
-    centres = np.arange(-reach, reach + 1.0) + 0.5
-    dx, dy = centres - kx * q, (centres - ky * q)[:, None]
-    # Each centre's offset along the heading and across it (a turn t from
-    # the heading gives r cos t and r |sin t|), and, for the edge of W at
-    # the half-angle w on its side, r sin(t - w) and r cos(t - w): a centre
-    # lies in W when the first is not positive, and else within m of W when
-    # it is at most m and the second is not negative (the edge's nearest
-    # point is not its apex), or when it lies within m of the apex.
-    cos, sin = math.cos(kh * q), math.sin(kh * q)
-    along, across = dx * cos + dy * sin, np.abs(dy * cos - dx * sin)
-    w = min(cfg.fov / 2.0 + 1e-12 + m, math.pi)
-    past = across * math.cos(w) - along * math.sin(w)
-    r = np.hypot(dx, dy)
-    stencil = (r <= cfg.max_range / cell_size + m) & (
-        (past <= 0.0) | ((past <= m) & (across * math.sin(w) + along * math.cos(w) >= 0.0))
-        | (r <= m + 1e-12 / cell_size))
-    stencil.setflags(write=False)
+        reach = int(cfg.max_range / cell_size) + 2
+        stencil = np.zeros((2 * reach + 1, 2 * reach + 1), dtype=bool)
+        square = [(cx + i, cy + j) for j in range(-reach, reach + 1)
+                  for i in range(-reach, reach + 1)]
+        for x, y in wedge_cells(square, pose, cfg, cell_size):
+            stencil[y - cy + reach, x - cx + reach] = True
+        stencil.setflags(write=False)
+        _keep(_STENCILS, key, stencil, np.size, _STENCIL_LIMIT)
     return stencil
 
 
 def detect(world: GridWorld, pose: Pose, cfg: CameraConfig) -> Optional[Detection]:
     """The camera's target detection from `pose`, or None.
 
-    The target is detected when its cell lies in the camera wedge
-    (`wedge_cells`) and the ray through the cell center reaches it
-    unblocked. This is the only part of a camera observation that depends on
-    the target.
+    The target is detected when its cell lies in the camera wedge (the
+    rule of `wedge_cells`) and the ray through the cell center reaches it
+    unblocked; the one offset to the target gives the wedge test, the
+    distance and the bearing. This is the only part of a camera observation
+    that depends on the target.
     """
-    if world.target is None or not wedge_cells((world.target,), pose, cfg, world.cell_size):
+    if world.target is None:
         return None
-    tx, ty = world.cell_center(world.target)
-    d = math.hypot(tx - pose.x, ty - pose.y)
+    cs, (tx, ty) = world.cell_size, world.target
+    px, py, u, v = cell_offset(cs, pose.x, pose.y)
+    dx, dy = (tx - px) * cs - u, (ty - py) * cs - v
+    d = math.hypot(dx, dy)
+    if not _in_wedge(dx, dy, d, pose.heading, cfg):
+        return None
     if d < 1e-12:
         return Detection(world.target, 0.0, 1.0)
-    bearing = math.atan2(ty - pose.y, tx - pose.x)
-    _, _, t = trace_ray(world.occupied, world.cell_size, pose.x, pose.y, bearing, d)
+    _, _, t = trace_ray(world.occupied, cs, pose.x, pose.y, math.atan2(dy, dx), d)
     if t <= d:
         return None
     return Detection(world.target, d, detection_confidence(d, cfg.conf_scale))

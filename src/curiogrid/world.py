@@ -5,6 +5,10 @@ top row of the map file; cell coordinates are (x, y) = (column, row). World
 coordinates are meters, x growing right and y growing down, so the center of
 cell (cx, cy) sits at ((cx + 0.5) * cell_size, (cy + 0.5) * cell_size).
 Headings are radians measured from the +x axis toward +y.
+
+Every offset from a pose to a cell centre is taken from whole cells
+(`cell_offset`), so from a cell centre, where every pose of a run stands,
+each distance and bearing depends on the cell delta alone, at any cell size.
 """
 
 from __future__ import annotations
@@ -173,14 +177,29 @@ def load_map(text: str) -> GridWorld:
     return GridWorld(width, height, cell_size, occupied, start, target)
 
 
+def cell_offset(cell_size: float, x: float, y: float) -> tuple[int, int, float, float]:
+    """The cell (cx, cy) of the point (x, y) and the point's offset (u, v)
+    from that cell's centre. The offset from the point to the centre of a
+    cell (tx, ty) is ((tx - cx) * cell_size - u, (ty - cy) * cell_size - v);
+    at a cell centre u = v = 0.0 exactly, so it is whole cells."""
+    cx = int(math.floor(x / cell_size))
+    cy = int(math.floor(y / cell_size))
+    return cx, cy, x - (cx + 0.5) * cell_size, y - (cy + 0.5) * cell_size
+
+
 def ray_origin(cell_size: float, ox: float, oy: float) -> tuple[int, int, tuple]:
     """The cell (cx, cy) of a ray origin (ox, oy) and the origin's spot in
     it: the cell size and the offsets from the origin to the cell's right,
-    left, lower and upper boundaries, as `ray_steps` takes them."""
-    cx = int(math.floor(ox / cell_size))
-    cy = int(math.floor(oy / cell_size))
-    return cx, cy, (cell_size, (cx + 1) * cell_size - ox, cx * cell_size - ox,
-                    (cy + 1) * cell_size - oy, cy * cell_size - oy)
+    left, lower and upper boundaries, as `ray_steps` takes them. Along an
+    axis on which the origin sits at its cell's centre they lie exactly half
+    a cell out; along any other, offsets from the centre could round an
+    origin on a boundary into the wrong cell, so they are (cx + 1) *
+    cell_size - ox and cx * cell_size - ox."""
+    cx, cy, u, v = cell_offset(cell_size, ox, oy)
+    half = cell_size / 2.0
+    bx = (half, -half) if u == 0.0 else ((cx + 1) * cell_size - ox, cx * cell_size - ox)
+    by = (half, -half) if v == 0.0 else ((cy + 1) * cell_size - oy, cy * cell_size - oy)
+    return cx, cy, (cell_size, *bx, *by)
 
 
 def ray_steps(cell_size: float, bx1: float, bx0: float, by1: float, by0: float,

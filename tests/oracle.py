@@ -9,7 +9,8 @@ start's whole free component with `_dijkstra` in fresh lists, picks with a
 cdos or heading pick of its own, and logs `total_curiosity` and the
 `path_cost` of the cell path. The cdos pick scores each candidate as
 `select_frontier` does, over the cells one `trace_ray` per camera beam sees
-against the believed walls.
+against the believed walls. Every offset from a pose to a cell centre is
+taken from whole cells (`_offset`), as the loop takes it.
 
 It reaches none of the loop's fast paths: not `_fuse`, `sense_cells`,
 `add_scan_evidence`, `add_observation_evidence`, `_decide`, `_wedge`, the
@@ -43,6 +44,14 @@ def outcome(res):
     time, the estimate (which gives the found flag) and both log-odds arrays."""
     return (res.trajectory, res.steps, res.elapsed, res.target_estimate,
             res.occupancy.log_odds.tobytes(), res.objects.log_odds.tobytes())
+
+
+def _offset(cell_size, pose, cell):
+    """The offset from `pose` to the centre of `cell`, from whole cells: the
+    cell delta from the pose's cell, less the pose's offset from its centre."""
+    px, py = math.floor(pose.x / cell_size), math.floor(pose.y / cell_size)
+    return ((cell[0] - px) * cell_size - (pose.x - (px + 0.5) * cell_size),
+            (cell[1] - py) * cell_size - (pose.y - (py + 0.5) * cell_size))
 
 
 def _fuse_scan(occupancy, scan):
@@ -86,9 +95,8 @@ def _lead_loss(raw, classified, labels, cfg, cell_size, current, candidate, cam,
         c_now = cell_curiosity(classified[cy, cx], params)
         if not p_raw > 0.5 or c_now <= 0.0:
             continue
-        x, y = (cx + 0.5) * cell_size, (cy + 0.5) * cell_size
-        d_now = math.hypot(x - current.x, y - current.y)
-        d_next = math.hypot(x - candidate.x, y - candidate.y)
+        d_now = math.hypot(*_offset(cell_size, current, (cx, cy)))
+        d_next = math.hypot(*_offset(cell_size, candidate, (cx, cy)))
         if d_now <= 1e-12:
             continue
         p_evidence = 1.0 if d_next <= 1e-12 else predict_observation(p_raw, d_now, d_next)
@@ -106,13 +114,14 @@ def _cdos_pick(frontiers, objects, occupancy, pose, cam, params):
     scored = bool((raw > 0.5).any())
 
     def key(cell):
-        x, y = (cell[0] + 0.5) * cs, (cell[1] + 0.5) * cs
-        dist = math.hypot(x - pose.x, y - pose.y)
+        dx, dy = _offset(cs, pose, cell)
+        dist = math.hypot(dx, dy)
         loss = 0.0
         if scored:
-            heading = pose.heading if dist < 1e-12 else math.atan2(y - pose.y, x - pose.x)
+            heading = pose.heading if dist < 1e-12 else math.atan2(dy, dx)
             loss = _lead_loss(raw, classified, labels, objects.cfg, cs, pose,
-                              Pose(x, y, heading), cam, params)
+                              Pose((cell[0] + 0.5) * cs, (cell[1] + 0.5) * cs, heading),
+                              cam, params)
         return -loss, dist, cell[1] * occupancy.width + cell[0]
     best = min((key(cell), cell) for cell in frontiers)
     return best[1], -best[0][0]
@@ -122,10 +131,9 @@ def _heading_pick(frontiers, world, pose):
     """The baseline's pick: the least heading change, then the least
     distance, then the first in row-major order."""
     def key(cell):
-        x, y = world.cell_center(cell)
-        d = math.hypot(x - pose.x, y - pose.y)
-        turn = 0.0 if d < 1e-12 else abs(angle_diff(math.atan2(y - pose.y, x - pose.x),
-                                                    pose.heading))
+        dx, dy = _offset(world.cell_size, pose, cell)
+        d = math.hypot(dx, dy)
+        turn = 0.0 if d < 1e-12 else abs(angle_diff(math.atan2(dy, dx), pose.heading))
         return turn, d, cell[1] * world.width + cell[0]
     return min(frontiers, key=key), 0.0, "heading"
 
@@ -206,20 +214,19 @@ def run(world, method, sensors, motion, budget, mapping_cfg, threshold, params):
                              if 0 <= goal[0] + dx < world.width
                              and 0 <= goal[1] + dy < world.height
                              and labels[goal[1] + dy, goal[0] + dx] == UNKNOWN))
-                cx, cy = world.cell_center((x, y))
-                pose = Pose(pose.x, pose.y, wrap_angle(math.atan2(cy - pose.y, cx - pose.x)))
+                dx, dy = _offset(cs, pose, (x, y))
+                pose = Pose(pose.x, pose.y, wrap_angle(math.atan2(dy, dx)))
                 trajectory.append(pose)
                 continue
             along = 1
         x, y = path[along]
         if world.occupied[y, x]:
             raise InvariantError(f"planned move into occupied cell {(x, y)}")
-        cx, cy = world.cell_center((x, y))
-        step = math.hypot(cx - pose.x, cy - pose.y)
-        heading = pose.heading if step < 1e-12 else wrap_angle(
-            math.atan2(cy - pose.y, cx - pose.x))
+        dx, dy = _offset(cs, pose, (x, y))
+        step = math.hypot(dx, dy)
+        heading = pose.heading if step < 1e-12 else wrap_angle(math.atan2(dy, dx))
         elapsed += step / motion.max_velocity
-        pose = Pose(cx, cy, heading)
+        pose = Pose(*world.cell_center((x, y)), heading)
         trajectory.append(pose)
     return ExplorationResult(occupancy, objects, elapsed, estimate, trajectory, steps)
 
@@ -261,12 +268,12 @@ def scored_selection(frontiers, obj, occ, current, cam, params):
     cs = occ.cell_size
     rows = []
     for cell in frontiers:
-        x, y = (cell[0] + 0.5) * cs, (cell[1] + 0.5) * cs
-        dist = math.hypot(x - current.x, y - current.y)
-        heading = current.heading if dist < 1e-12 else math.atan2(y - current.y,
-                                                                  x - current.x)
-        loss = _loss_over(raw, classified, labels, obj.cfg.lambda1, obj.cfg.lambda2,
-                          cs, current, Pose(x, y, heading), cam, params, leads_only=True)
+        dx, dy = _offset(cs, current, cell)
+        dist = math.hypot(dx, dy)
+        heading = current.heading if dist < 1e-12 else math.atan2(dy, dx)
+        loss = _loss_over(raw, classified, labels, obj.cfg.lambda1, obj.cfg.lambda2, cs,
+                          current, Pose((cell[0] + 0.5) * cs, (cell[1] + 0.5) * cs, heading),
+                          cam, params, leads_only=True)
         rows.append((-loss, dist, cell[1] * occ.width + cell[0], cell, loss))
     rows.sort()
     return rows[0][3], rows[0][4]

@@ -768,9 +768,11 @@ def wedge_cases(draw):
     cx, cy = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
     at = st.one_of(st.just(0.5), st.just(0.0), st.floats(0.0, 0.999))
     x, y = (cx + draw(at)) * cell_size, (cy + draw(at)) * cell_size
-    if max_range is None:  # the range circle through a cell centre
+    if max_range is None:  # the range circle through a cell centre, from whole cells
         far = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
-        max_range = math.hypot((far[0] + 0.5) * cell_size - x, (far[1] + 0.5) * cell_size - y)
+        px, py = math.floor(x / cell_size), math.floor(y / cell_size)
+        max_range = math.hypot((far[0] - px) * cell_size - (x - (px + 0.5) * cell_size),
+                               (far[1] - py) * cell_size - (y - (py + 0.5) * cell_size))
         if draw(st.booleans()):
             max_range = math.nextafter(max_range, 0.0)
         max_range = max(max_range, 1e-3)
@@ -790,13 +792,13 @@ def _wedge_explorer(world, log_odds, ir):
 
 
 class TestWedge:
-    """The explorer's wedge, read through a memoized superset stencil and
-    decided by `wedge_cells`, equals the wedge filter over every frontier."""
+    """The explorer's wedge, read through the memoized wedge stencil, equals
+    the wedge filter over every frontier."""
 
     @settings(max_examples=300, deadline=None)
     @given(wedge_cases())
     def test_box_bounded_wedge_matches_full_filter(self, case):
-        # the explorer's wedge, tested only over the frontiers in the box
+        # the explorer's wedge, read only over the frontiers in the box
         # around its cell, equals the wedge filter over every frontier
         world, log_odds, ir = case
         ex = _wedge_explorer(world, log_odds, ir)
@@ -804,82 +806,63 @@ class TestWedge:
         want = local_frontiers(detect_frontiers(ex.occupancy), pose, ir, world.cell_size)
         assert ex._wedge(world.cell_of(pose.x, pose.y)) == want
 
-    @pytest.mark.parametrize("cell_size", [0.25, 0.3])
+    @pytest.mark.parametrize("cell_size", [0.25, 0.3, 0.2])
     def test_a_warm_stencil_serves_every_cell(self, cell_size, monkeypatch):
-        # Poses at the centre of every cell, and within the rounding of the
-        # key off it, share the stencil the first one built. The ranges run
-        # through the centres 5 cells away, where at 0.3 m rounding decides
-        # the wedge cell by cell, and a fifth of a quantum short of them, so
-        # that the off-centre poses reach centres the key's own does not.
+        # The stencil is exact: from the centre of every cell, and from poses
+        # off it, the explorer's wedge equals the wedge filter over every
+        # frontier. The ranges run through the centres 5 cells away and just
+        # short of them. Poses at every centre share the stencil the first
+        # one built; a pose off the centre reads one of its own spot.
         monkeypatch.setattr(sensor, "_STENCILS", {})
-        q = sensor._WEDGE_QUANTUM * cell_size
         rng = np.random.default_rng(5)
         labels = rng.choice(3, size=(16, 18), p=[0.6, 0.05, 0.35])
         log_odds = np.choose(labels, [logit(0.05), logit(0.9), 0.0])
-        for max_range in (math.hypot(3 * cell_size, 4 * cell_size), 5 * cell_size - 0.2 * q):
+        for max_range in (math.hypot(3 * cell_size, 4 * cell_size), 5 * cell_size - 1e-9):
             ir = IrConfig(math.radians(120.0), max_range)
             world = GridWorld(18, 16, cell_size, np.zeros((16, 18), dtype=bool),
                               Pose(0.5 * cell_size, 0.5 * cell_size, 0.7))
             ex = _wedge_explorer(world, log_odds, ir)
             frontiers = detect_frontiers(ex.occupancy)
-            for cy in range(16):
-                for cx in range(18):
-                    for off in ((0.0, 0.0), (0.4 * q, 0.4 * q), (-0.45 * q, 0.3 * q),
-                                (0.2 * q, -0.45 * q)):
-                        ex.pose = Pose((cx + 0.5) * cell_size + off[0],
-                                       (cy + 0.5) * cell_size + off[1], 0.7)
+            sensor._STENCILS.clear()
+            for off in ((0.0, 0.0), (0.3, 0.1), (-0.45, 0.25), (0.2, -0.4)):
+                for cy in range(16):
+                    for cx in range(18):
+                        ex.pose = Pose((cx + 0.5 + off[0]) * cell_size,
+                                       (cy + 0.5 + off[1]) * cell_size, 0.7)
                         assert ex._wedge((cx, cy)) == local_frontiers(frontiers, ex.pose, ir,
                                                                       cell_size)
-        assert len(sensor._STENCILS) == 2
-
-    @settings(max_examples=60, deadline=None)
-    @given(wedge_cases(), st.data())
-    def test_headings_of_one_key_share_a_stencil(self, case, data):
-        # A fan whose edge runs a third of a quantum inside the bearing of a
-        # frontier's centre at the key's own heading: headings that turn
-        # toward it by up to half a quantum keep it.
-        world, log_odds, ir = case
-        ex = _wedge_explorer(world, log_odds, ir)
-        cs, pose = world.cell_size, world.start
-        frontiers = detect_frontiers(ex.occupancy)
-        q = sensor._WEDGE_QUANTUM
-        key = round(pose.heading / q) * q
-        far = [c for c in frontiers
-               if math.hypot((c[0] + 0.5) * cs - pose.x, (c[1] + 0.5) * cs - pose.y) > 1e-9]
-        if far:
-            c = data.draw(st.sampled_from(far))
-            dx, dy = (c[0] + 0.5) * cs - pose.x, (c[1] + 0.5) * cs - pose.y
-            turn = angle_diff(math.atan2(dy, dx), key)
-            if abs(turn) > q:
-                ir = IrConfig(2 * (abs(turn) - q / 3), max(ir.max_range, math.hypot(dx, dy)))
-                ex.sensors = SensorSuite(ir, ex.sensors.camera)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sensor, "_STENCILS", {})
-            for k in (-0.49, -0.45, -0.2, 0.0, 0.2, 0.45, 0.49):
-                ex.pose = Pose(pose.x, pose.y, key + k * q)
-                want = local_frontiers(frontiers, ex.pose, ir, cs)
-                assert ex._wedge(world.cell_of(pose.x, pose.y)) == want
-            assert len(sensor._STENCILS) == 1
+                if off == (0.0, 0.0):
+                    assert len(sensor._STENCILS) == 1
 
     def test_a_zone_run_at_0_3_m_builds_few_stencils(self, tmp_path, monkeypatch):
-        # every move ends on a cell centre and faces one of 8 neighbours, so
-        # the packaged 0.3 m zone run needs one stencil per heading key, each
-        # built once
-        builds = []
-        square = sensor._wedge_square
-        monkeypatch.setattr(sensor, "_wedge_square", lambda *a: builds.append(a[:4]) or square(*a))
-        monkeypatch.setattr(sensor, "_STENCILS", {})
-        monkeypatch.setattr(explorer, "_TAPES", {})
-        maps = {}
-        for name in ("sparse.map", "dense.map"):
-            maps[name] = tmp_path / name
-            maps[name].write_text(fixture_path(name).read_text()
-                                  .replace("cellsize=0.25 ", "cellsize=0.3 ", 1))
-        cfg = replace(default_config(), map_sparse=str(maps["sparse.map"]),
-                      map_dense=str(maps["dense.map"]), samples_per_zone=1)
-        run_zone_experiment(cfg, out_dir=tmp_path / "out")
-        assert 0 < len(builds) <= 12
-        assert len(set(builds)) == len(builds) == len(sensor._STENCILS)
+        # Every move ends on a cell centre and faces one of 8 neighbours, so
+        # the packaged zone run at 0.3 m needs one stencil per heading, each
+        # built once (one `wedge_cells` call over its square). Every centre
+        # is one spot for the fan tables too: the run builds at most twice
+        # the tables it builds at 0.25 m (its candidate headings, atan2 of
+        # whole-cell offsets that are not exact at 0.3 m, fall on more angles).
+        stencils, tables = [], {}
+        wedge, table = sensor.wedge_cells, sensor._fan_table
+        monkeypatch.setattr(sensor, "wedge_cells",
+                            lambda *a: stencils.append((a[1].heading, a[2])) or wedge(*a))
+        for cell_size in (0.25, 0.3):
+            built = tables[cell_size] = []
+            monkeypatch.setattr(sensor, "_fan_table", lambda *a: built.append(a) or table(*a))
+            for owner, memo in ((sensor, "_STENCILS"), (sensor, "_FAN_TABLES"),
+                                (explorer, "_TAPES"), (explorer, "_SENSE_CACHE")):
+                monkeypatch.setattr(owner, memo, {})
+            stencils.clear()
+            maps = {}
+            for name in ("sparse.map", "dense.map"):
+                maps[name] = tmp_path / f"{cell_size}-{name}"
+                maps[name].write_text(fixture_path(name).read_text()
+                                      .replace("cellsize=0.25 ", f"cellsize={cell_size} ", 1))
+            cfg = replace(default_config(), map_sparse=str(maps["sparse.map"]),
+                          map_dense=str(maps["dense.map"]), samples_per_zone=1)
+            run_zone_experiment(cfg, out_dir=tmp_path / f"out-{cell_size}")
+        assert 0 < len(stencils) <= 12
+        assert len(set(stencils)) == len(stencils) == len(sensor._STENCILS)
+        assert 0 < len(tables[0.3]) <= 2 * len(tables[0.25])
 
 
 class TestSenseCache:

@@ -231,10 +231,8 @@ def wedge_boundary_cases(draw):
     pose = Pose(draw(st.floats(0.0, 10 * cell_size)), draw(st.floats(0.0, 10 * cell_size)),
                 0.0)
 
-    def offset(cell):
-        return (cell[0] + 0.5) * cell_size - pose.x, (cell[1] + 0.5) * cell_size - pose.y
-
-    on_range, left, right = (offset(draw(st.sampled_from(cells))) for _ in range(3))
+    on_range, left, right = (_offset(draw(st.sampled_from(cells)), pose, cell_size)
+                             for _ in range(3))
     max_range = math.hypot(*on_range)
     right_bearing = math.atan2(right[1], right[0])
     spread = wrap_angle(math.atan2(left[1], left[0]) - right_bearing)
@@ -244,13 +242,20 @@ def wedge_boundary_cases(draw):
     return cells, Pose(pose.x, pose.y, heading), IrConfig(spread - 2e-12, max_range), cell_size
 
 
-def _wedge_rule(x, y, pose, cfg):
+def _offset(cell, pose, cell_size):
+    """The offset from `pose` to the centre of `cell`, from whole cells: the
+    cell delta from the pose's cell, less the pose's offset from its centre."""
+    px, py = math.floor(pose.x / cell_size), math.floor(pose.y / cell_size)
+    return ((cell[0] - px) * cell_size - (pose.x - (px + 0.5) * cell_size),
+            (cell[1] - py) * cell_size - (pose.y - (py + 0.5) * cell_size))
+
+
+def _wedge_rule(cell, pose, cfg, cell_size):
     """The wedge rule as `wedge_cells` documents it, in scalar math."""
-    d = math.hypot(x - pose.x, y - pose.y)
+    dx, dy = _offset(cell, pose, cell_size)
+    d = math.hypot(dx, dy)
     return d <= cfg.max_range and (
-        d < 1e-12
-        or abs(angle_diff(math.atan2(y - pose.y, x - pose.x), pose.heading))
-        <= cfg.fov / 2.0 + 1e-12)
+        d < 1e-12 or abs(angle_diff(math.atan2(dy, dx), pose.heading)) <= cfg.fov / 2.0 + 1e-12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -261,8 +266,7 @@ def test_wedge_cells_match_the_scalar_rule_on_the_boundary(case):
     in the last ulp (numpy's, say) would flip some of them."""
     cells, pose, cfg, cell_size = case
     assert wedge_cells(cells, pose, cfg, cell_size) == [
-        c for c in cells
-        if _wedge_rule((c[0] + 0.5) * cell_size, (c[1] + 0.5) * cell_size, pose, cfg)]
+        c for c in cells if _wedge_rule(c, pose, cfg, cell_size)]
 
 
 @pytest.mark.parametrize("cell_size", [0.25, 0.3])

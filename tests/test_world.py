@@ -280,16 +280,22 @@ def _grid_ray(ox, oy, angle, cell_size):
     dy = math.sin(angle)
     cx = int(math.floor(ox / cell_size))
     cy = int(math.floor(oy / cell_size))
+    # the boundaries right/left and below/above the origin: half a cell out
+    # along an axis on which it sits at its cell's centre
+    right, left = (cell_size / 2, -cell_size / 2) if ox == (cx + 0.5) * cell_size else (
+        (cx + 1) * cell_size - ox, cx * cell_size - ox)
+    below, above = (cell_size / 2, -cell_size / 2) if oy == (cy + 0.5) * cell_size else (
+        (cy + 1) * cell_size - oy, cy * cell_size - oy)
     if dx > 0.0:
-        step_x, t_max_x, t_dx = 1, ((cx + 1) * cell_size - ox) / dx, cell_size / dx
+        step_x, t_max_x, t_dx = 1, right / dx, cell_size / dx
     elif dx < 0.0:
-        step_x, t_max_x, t_dx = -1, (cx * cell_size - ox) / dx, -cell_size / dx
+        step_x, t_max_x, t_dx = -1, left / dx, -cell_size / dx
     else:
         step_x, t_max_x, t_dx = 0, math.inf, math.inf
     if dy > 0.0:
-        step_y, t_max_y, t_dy = 1, ((cy + 1) * cell_size - oy) / dy, cell_size / dy
+        step_y, t_max_y, t_dy = 1, below / dy, cell_size / dy
     elif dy < 0.0:
-        step_y, t_max_y, t_dy = -1, (cy * cell_size - oy) / dy, -cell_size / dy
+        step_y, t_max_y, t_dy = -1, above / dy, -cell_size / dy
     else:
         step_y, t_max_y, t_dy = 0, math.inf, math.inf
     t = 0.0
