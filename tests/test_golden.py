@@ -13,9 +13,10 @@ The artifacts, all produced through the CLI with the packaged config:
     and budget = 31: trials of both methods end unfound by budget, one of
     each method after it had sighted the object;
   - trials.csv and summary.csv of the reduced zone run on copies of both
-    maps with `cellsize=0.3`: a cell size that is no power of two gives
-    nearly every origin spot its own fan table, so the run builds over a
-    thousand of them and empties their memo;
+    maps with `cellsize=0.3`: a cell size that is no power of two, where
+    each offset from a cell centre is a rounded product of whole cells, the
+    same from every cell, so the run builds about as many fan tables as at
+    0.25 m;
   - sweep.csv of `sweep --vary alpha --values 60,30` on the same reduced
     config;
   - steps.jsonl, trajectory.jsonl and the three .pgm maps of
@@ -51,8 +52,8 @@ GOLDEN = {
     "zones/summary.csv": "076c93f6566b2cde5772c0922410eca487663706d078a610319d50e8815da695",
     "zones-budget/trials.csv": "2d50e1e01a8521146b6a79d5de261ad9757ccd31a6690e950ebe5c4339206965",
     "zones-budget/summary.csv": "6c19f8fde09b1460f95c767d7f85047a9df7cfa2e2f4668a4b762842be01d192",
-    "zones-0.3/trials.csv": "17c24b47eff382db1cc97d5529b737f132b7118f3afd7caa33314afbfea3b29b",
-    "zones-0.3/summary.csv": "ffb029daeba8c5ee1691367fac96b18c12658cb55d25b00cb95d40fe6d054301",
+    "zones-0.3/trials.csv": "cb4d2eeee2f47312bc8cbd4eecd8b6a98108a7719d7518847fd7852ceb2450ae",
+    "zones-0.3/summary.csv": "cc71b77afaf37644f90a7785eaa6bc08d853782579bb1e58828ecf5045b8d0e9",
     "sweep/sweep.csv": "a57ead25205bd598277757561a38043e6c5c6f5efe19b604095e73ee539b395c",
     "explore/steps.jsonl": "bd5842854ba3f27ebb69089a4cb42bd4b58f0eb074fb5ba7ed84c9c5bd79a98a",
     "explore/trajectory.jsonl": "414ddff6442ed748e1402db51d987146161bfe4879c11c1b499b30687ba36b31",
@@ -68,8 +69,8 @@ GOLDEN = {
     "found-ascii/occupancy.txt": "9a4e36c5dfd5948efed7d6514bfb667a196cb2bb4dd174d69125bc839122d9ce",
     "found-ascii/objects.txt": "b48acfd1aa4d67f3a4a69b001dce6478112656440d7c058be1e8ea6e78f0ae6d",
     "found-ascii/combined.txt": "19c46d7611321d0482cd73f481564da3db7e1550e0d5facb071a14d54c8a3f93",
-    "offgrid/steps.jsonl": "bef0b4ad38aff1773b41c1b88db0c81a801cb0f133f6e19a3994031781ee1cea",
-    "offgrid/trajectory.jsonl": "8bd1f52a74aa084d66e7e03f10e9801e4b7cdd6d09b6f4102aed3e2245bf2512",
+    "offgrid/steps.jsonl": "27159978bdbb59ff4ea8e408d58c4da6e63cb68718543d0dd6dd6e15c126818d",
+    "offgrid/trajectory.jsonl": "73d09e0bc3ec433f23d27d47131a9dfe6a6bae1779f02b397b37be4fb0a21232",
     "baseline/steps.jsonl": "7a1d579513624dcaf9384bb29953f67f6b8652127ba87fb1e647a8ff0a7c9a4f",
     "baseline/trajectory.jsonl": "505a0625c64ca634925fb30ba22bfb29c44a036bdf852bf46886a1f63931de43",
     "mission/mission.log": "dd9b072d3b72de8007bfd6fb45fd91d984bc392ad751314a0462f1906b437987",
