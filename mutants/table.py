@@ -42,19 +42,30 @@ MUTANTS = [
      "        self.occupancy.add_scan_evidence(touched, hits_at)\n",
      ["tests/test_explorer.py::TestMaintainedViews::test_every_sense_fuses_the_spec",
       "tests/test_oracle.py::test_loop_equals_the_spec"]),
-    # The wedge stencil (sensor.wedge_stencil): no margin at all.
+    # The wedge (sensor.wedge_cells): offsets read from absolute centres,
+    # whose rounding at 0.3 m depends on the cell index, so a stencil built
+    # at one cell serves others wrongly where a range or an edge runs
+    # through centres. (The shift test's runs meet no such centre: it lets
+    # this mutant live.)
     ("src/curiogrid/sensor.py",
-     "_WEDGE_MARGIN = 2.0 * _WEDGE_QUANTUM\n",
-     "_WEDGE_MARGIN = 0.0\n",
-     ["tests/test_explorer.py::TestWedge::test_a_warm_stencil_serves_every_cell[0.3]",
-      "tests/test_explorer.py::TestWedge::test_headings_of_one_key_share_a_stencil"]),
-    # The wedge (explorer._Explorer._wedge): the stencil's candidates taken
-    # without `wedge_cells` deciding them.
-    ("src/curiogrid/explorer.py",
-     "        return local_frontiers(near, self.pose, self.sensors.ir, self.world.cell_size)\n",
-     "        return near\n",
-     ["tests/test_explorer.py::TestWedge::test_box_bounded_wedge_matches_full_filter",
-      "tests/test_explorer.py::TestWedge::test_a_warm_stencil_serves_every_cell[0.25]"]),
+     "        dx, dy = (cell[0] - px) * cell_size - u, (cell[1] - py) * cell_size - v\n",
+     "        dx, dy = (cell[0] + 0.5) * cell_size - pose.x, (cell[1] + 0.5) * cell_size - pose.y\n",
+     ["tests/test_explorer.py::TestWedge::test_a_warm_stencil_serves_every_cell[0.3]"]),
+    # The ray origin (world.ray_origin): no centre rule, so at 0.3 m each
+    # cell centre is its own fan-table spot.
+    ("src/curiogrid/world.py",
+     "    bx = (half, -half) if u == 0.0 else ((cx + 1) * cell_size - ox, cx * cell_size - ox)\n"
+     "    by = (half, -half) if v == 0.0 else ((cy + 1) * cell_size - oy, cy * cell_size - oy)\n",
+     "    bx = (cx + 1) * cell_size - ox, cx * cell_size - ox\n"
+     "    by = (cy + 1) * cell_size - oy, cy * cell_size - oy\n",
+     ["tests/test_explorer.py::TestWedge::test_a_zone_run_at_0_3_m_builds_few_stencils",
+      "tests/test_oracle.py::test_a_run_does_not_depend_on_where_the_map_lies"]),
+    # The wedge stencil (sensor.wedge_stencil): keyed without the pose's
+    # offset in its cell, so an off-centre pose reads a centre's stencil.
+    ("src/curiogrid/sensor.py",
+     "    key = (u, v, pose.heading, cell_size, cfg.max_range, cfg.fov)\n",
+     "    key = (pose.heading, cell_size, cfg.max_range, cfg.fov)\n",
+     ["tests/test_explorer.py::TestWedge::test_a_warm_stencil_serves_every_cell[0.25]"]),
     # The path-blocked check (explorer._Explorer._to_next_pose): the rest of
     # the path read one cell late.
     ("src/curiogrid/explorer.py",

@@ -182,8 +182,7 @@ def cell_offset(cell_size: float, x: float, y: float) -> tuple[int, int, float, 
     from that cell's centre. The offset from the point to the centre of a
     cell (tx, ty) is ((tx - cx) * cell_size - u, (ty - cy) * cell_size - v);
     at a cell centre u = v = 0.0 exactly, so it is whole cells."""
-    cx = int(math.floor(x / cell_size))
-    cy = int(math.floor(y / cell_size))
+    cx, cy = math.floor(x / cell_size), math.floor(y / cell_size)
     return cx, cy, x - (cx + 0.5) * cell_size, y - (cy + 0.5) * cell_size
 
 

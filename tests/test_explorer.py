@@ -16,7 +16,7 @@ from curiogrid.explorer import (MotionConfig, SensorSuite, _cell, _decide, _dijk
 from curiogrid.harness import default_config, fixture_path, run_zone_experiment, steps_jsonl
 from curiogrid.mapping import Label, MappingConfig, ObjectMap, OccupancyMap, logit, quantize
 from curiogrid.sensor import CameraConfig, Detection, IrConfig, camera_observe, ir_scan
-from curiogrid.world import GridWorld, Pose, angle_diff, load_map
+from curiogrid.world import GridWorld, Pose, load_map
 
 from oracle import brute_force_cost, outcome
 

@@ -295,7 +295,8 @@ def test_one_table_memo_serves_every_walk(cell_size, monkeypatch):
 
 
 def test_sense_tables_share_the_memo_bound(monkeypatch):
-    # at 0.3 m every origin spot gets its own sense and camera-sweep tables;
+    # at 0.3 m each of these origins, off its cell's centre, is a spot of its
+    # own and gets its own sense and camera-sweep tables;
     # with a bound of about one spot's tables the memo empties often, never
     # holds more steps than the bound, and each walk equals one over a fresh
     # memo
