@@ -127,4 +127,22 @@ MUTANTS = [
      "fan_codes(occ_labels == OCCUPIED)",
      "fan_codes(occ_labels != 0)",
      ["tests/test_world.py::test_trace_ray_matches_grid_ray_oracle"]),
+    # The object classes (mapping.object_classes): log odds on an edge put
+    # in the class below it.
+    ("src/curiogrid/mapping.py",
+     "    return cfg.object_edges.searchsorted(log_odds, \"right\")\n",
+     "    return cfg.object_edges.searchsorted(log_odds, \"left\")\n",
+     ["tests/test_mapping.py::TestObjectEdges::test_packaged_edges_bit_equal_to_the_spec"]),
+    # The overlay (harness.render_maps): unknown object cells marked as
+    # objects too.
+    ("src/curiogrid/harness.py",
+     "    overlay[classes == 2] = 4\n",
+     "    overlay[classes >= 1] = 4\n",
+     ["tests/test_mapping.py::TestSerialization::test_both_views_follow_the_classes_below_half"]),
+    # The cdos pick (curiosity.select_frontier): every visible cell scored,
+    # not the leads alone.
+    ("src/curiogrid/curiosity.py",
+     "            seen = [c for c in visible_from(labels, cs, candidate, cam) if c in leads]\n",
+     "            seen = visible_from(labels, cs, candidate, cam)\n",
+     ["tests/test_curiosity.py::TestSelectFrontierOracle::test_matches_full_scoring"]),
 ]

@@ -7,8 +7,10 @@ curiosity read the same bits. A candidate frontier is scored by the expected
 drop in total curiosity after simulating what the camera would observe from
 there (`visible_from`, the camera sweep): each visible cell's probability is
 extrapolated by the ratio of its current distance to its distance from the
-candidate, fused as new evidence, re-classified, and re-scored. Each
-distance and bearing to a cell centre is taken from whole cells
+candidate, fused as new evidence, re-classified, and re-scored. `_loss_over`
+sums that drop over the cells its caller names: `expected_curiosity_loss`
+names every visible cell, and the cdos pick (`select_frontier`) the lead
+cells the sweep sees, listed once per call. Each distance and bearing to a cell centre is taken from whole cells
 (`world.cell_offset`).
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,25 +111,21 @@ def expected_curiosity_loss(objects: ObjectMap, occupancy: OccupancyMap,
     distance) are skipped since the distance ratio is undefined there; a cell
     at the candidate position itself counts as a certain observation.
     """
-    raw = objects.raw_probabilities()
-    classified = objects.classified()
-    labels = occupancy.classify()
-    return _loss_over(raw, classified, labels, objects.cfg.lambda1,
-                      objects.cfg.lambda2, occupancy.cell_size, current,
-                      candidate, cam, params)
+    return _loss_over(objects.raw_probabilities(), objects.classified(),
+                      visible_from(occupancy.classify(), occupancy.cell_size, candidate, cam),
+                      objects.cfg.lambda1, objects.cfg.lambda2, occupancy.cell_size, current,
+                      candidate, params)
 
 
-def _loss_over(raw: np.ndarray, classified: np.ndarray, occ_labels: np.ndarray,
+def _loss_over(raw: np.ndarray, classified: np.ndarray, cells: Iterable[Cell],
                lambda1: float, lambda2: float, cell_size: float, current: Pose,
-               candidate: Pose, cam: CameraConfig, params: CuriosityParams,
-               leads_only: bool = False) -> float:
+               candidate: Pose, params: CuriosityParams) -> float:
+    """`expected_curiosity_loss` summed over `cells`, in their order."""
     ax, ay, au, av = cell_offset(cell_size, current.x, current.y)
     bx, by, bu, bv = cell_offset(cell_size, candidate.x, candidate.y)
     loss = 0.0
-    for cx, cy in visible_from(occ_labels, cell_size, candidate, cam):
+    for cx, cy in cells:
         p_raw = raw[cy, cx]
-        if leads_only and not p_raw > 0.5:
-            continue
         p_class = classified[cy, cx]
         c_now = cell_curiosity(p_class, params)
         if c_now <= 0.0:
@@ -151,7 +149,9 @@ def select_frontier(frontiers: Sequence[Cell], objects: ObjectMap,
     Candidates are scored only on lead cells, whose raw object probability
     exceeds 0.5 (the argmax side condition): exploring alone never raises a
     cell above the prior, so positive scores always trace back to camera
-    evidence. A map without leads scores every candidate 0.0, so no candidate
+    evidence. The leads are listed once per call, and a candidate's score
+    sums over the leads its camera sweep sees, in the sweep's row-major
+    order. A map without leads scores every candidate 0.0, so no candidate
     is scored at all then. When no candidate scores, everything ties at zero
     and the tie-break applies: nearest the current pose, then lowest
     row-major cell index. The candidate's simulated heading faces along the
@@ -159,10 +159,13 @@ def select_frontier(frontiers: Sequence[Cell], objects: ObjectMap,
     """
     if not frontiers:
         raise ValueError("no frontiers to select from")
+    leads: set[Cell] = set()
     # a log odds <= 0 gives a probability <= 0.5: only a positive one can be a lead
-    raw = objects.raw_probabilities() if (objects.log_odds > 0).any() else None
-    scored = raw is not None and bool((raw > 0.5).any())
-    if scored:
+    if (objects.log_odds > 0).any():
+        raw = objects.raw_probabilities()
+        ys, xs = (raw > 0.5).nonzero()
+        leads = set(zip(xs.tolist(), ys.tolist()))
+    if leads:
         classified = objects.classified()
         labels = occupancy.classify()
     cs = occupancy.cell_size
@@ -174,12 +177,12 @@ def select_frontier(frontiers: Sequence[Cell], objects: ObjectMap,
         dx, dy = (cell[0] - px) * cs - u, (cell[1] - py) * cs - v
         dist = math.hypot(dx, dy)
         loss = 0.0
-        if scored:
+        if leads:
             heading = current.heading if dist < 1e-12 else math.atan2(dy, dx)
-            loss = _loss_over(raw, classified, labels, objects.cfg.lambda1,
-                              objects.cfg.lambda2, cs, current,
-                              Pose((cell[0] + 0.5) * cs, (cell[1] + 0.5) * cs, heading), cam,
-                              params, leads_only=True)
+            candidate = Pose((cell[0] + 0.5) * cs, (cell[1] + 0.5) * cs, heading)
+            seen = [c for c in visible_from(labels, cs, candidate, cam) if c in leads]
+            loss = _loss_over(raw, classified, seen, objects.cfg.lambda1, objects.cfg.lambda2,
+                              cs, current, candidate, params)
         key = (-loss, dist, cell[1] * occupancy.width + cell[0])
         if best is None or key < best:
             best = key

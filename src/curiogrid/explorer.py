@@ -11,8 +11,9 @@ current rather than full-grid passes:
   - the occupancy labels and frontier mask, relabelled at the cells each
     sense touched, off the config's two label edges (`edge_labels`);
   - each cell's curiosity, updated at the cells the senses since the last
-    decision gave camera evidence on, off the config's two object edges
-    (`mapping._edges`): only cells past the second run the whole chain;
+    decision gave camera evidence on, off the cells' object classes
+    (`object_classes`): only cells whose probability passes through run the
+    whole chain;
   - the local frontiers, read off the frontier mask within the box the IR
     range can reach through the IR fan's wedge stencil (`wedge_stencil`),
     the memoized wedge around a cell, which `wedge_cells` builds, so exact;
@@ -20,8 +21,8 @@ current rather than full-grid passes:
     turned OCCUPIED;
   - the planner's lists (`_Search`), kept from the explorer's first decision
     on, each search resetting only the cells the last one reached.
-What the settings fix is computed once, not per step: the log-odds steps
-and label edges (on `MappingConfig`), the planner's steps (`_steps`) and the
+What the settings fix is computed once, not per step: the log-odds steps,
+label edges and object edges (on `MappingConfig`), the planner's steps (`_steps`) and the
 4-neighbour offsets.
 The full-grid functions (`OccupancyMap.classify` and `occupancy_labels`,
 `detect_frontiers`, `curiosity.total_curiosity`, `local_frontiers` over every
@@ -72,8 +73,8 @@ import numpy as np
 # importable from this module because bench/spans.py wraps them under these names.
 from .curiosity import CuriosityParams, curiosity_of, select_frontier, total_curiosity
 from .mapping import (FREE, OCCUPIED, UNKNOWN, MappingConfig, ObjectMap, OccupancyMap,
-                      classify_object_probabilities, edge_labels, occupancy_labels,
-                      probabilities_from_log_odds, _edges)
+                      classify_object_probabilities, edge_labels, object_classes,
+                      occupancy_labels, probabilities_from_log_odds)
 from .sensor import (CameraConfig, Detection, IrConfig, camera_observe, detect, fan_codes,
                      ir_scan, sense_cells, wedge_cells, wedge_stencil)
 from .world import Cell, GridWorld, Pose, angle_diff, cell_offset, wrap_angle
@@ -439,11 +440,10 @@ class _Explorer:
         # decision logs; `total_curiosity` is its full-grid spec. A sense only
         # queues the flat indices it gave camera evidence on, and the next
         # decision updates the array there (`_total_curiosity`), reading the
-        # curiosity of the classified values 0.0 and 0.5 off the config's
-        # object edges (`_curiosity`; nan stands for the cells past the second).
+        # curiosity of the classified values 0.0 and 0.5 off the cells' object
+        # classes (`_curiosity`; nan stands for the class that passes through).
         self.curiosity = curiosity_of(self.objects.classified(), params)
         self.queued: list[np.ndarray] = []
-        self.object_edges = _edges(mapping_cfg.lambda1, mapping_cfg.lambda2)
         self.edge_curiosity = curiosity_of(np.array([0.0, 0.5, math.nan]), params)
         # the framed index of each flat map index; the offsets of a cell and
         # its 4-neighbors, and of the 4-neighbors alone
@@ -579,13 +579,12 @@ class _Explorer:
 
     def _curiosity(self, log_odds: np.ndarray) -> np.ndarray:
         """`curiosity_of(classify_object_probabilities(probabilities_from_log_odds(
-        log_odds)))`, cell by cell: log odds below the first object edge
-        classify to 0.0 and those below the second to 0.5, whose curiosity
-        `edge_curiosity` holds, and only those past the second go through the
-        whole chain."""
-        bucket = self.object_edges.searchsorted(log_odds, "right")
-        values = self.edge_curiosity[bucket]
-        past = bucket == 2
+        log_odds)))`, cell by cell: the curiosity of the classes 0.0 and 0.5
+        (`object_classes`) is in `edge_curiosity`, and only the cells whose
+        probability passes through go through the whole chain."""
+        classes = object_classes(log_odds, self.objects.cfg)
+        values = self.edge_curiosity[classes]
+        past = classes == 2
         if past.any():
             cfg = self.objects.cfg
             values[past] = curiosity_of(classify_object_probabilities(
@@ -620,16 +619,12 @@ class _Explorer:
         if self.world.occupied[cell[1], cell[0]]:
             raise InvariantError(f"planned move into occupied cell {cell}")
         dx, dy = self._toward(cell)
-        step = math.hypot(dx, dy)
-        heading = self.pose.heading if step < 1e-12 else wrap_angle(math.atan2(dy, dx))
-        self.elapsed += step / self.motion.max_velocity
-        self.pose = Pose(*self.world.cell_center(cell), heading)
+        self.elapsed += math.hypot(dx, dy) / self.motion.max_velocity
+        self.pose = Pose(*self.world.cell_center(cell), wrap_angle(math.atan2(dy, dx)))
         self.trajectory.append(self.pose)
 
     def _rotate_to_face(self, cell: Cell) -> None:
         dx, dy = self._toward(cell)
-        if math.hypot(dx, dy) < 1e-12:
-            return
         self.pose = Pose(self.pose.x, self.pose.y, wrap_angle(math.atan2(dy, dx)))
         self.trajectory.append(self.pose)
 

@@ -26,8 +26,7 @@ from .curiosity import CuriosityParams
 from .explorer import (ExplorationResult, MotionConfig, SensorSuite, check_run_limits,
                        detect_frontiers, run_solo, run_taped, _dijkstra, _index, _padded,
                        _PICKS)
-from .mapping import (FREE, OCCUPIED, MappingConfig, glyph_text, occupancy_glyphs,
-                      object_glyphs, quantize, raster_pgm)
+from .mapping import MappingConfig, glyph_text, object_classes, quantize, raster_pgm
 from .sensor import CameraConfig, IrConfig
 from .world import GridWorld, load_map, load_zones, sample_zone_points
 
@@ -436,48 +435,34 @@ def sweep_csv(rows: list[SweepRow]) -> bytes:
                   repr(r.mean_dt)] for r in rows))
 
 
-# Byte values used in the combined overlay rendering; the ASCII overlay maps
-# the same values to glyphs one-to-one.
-_OVERLAY_BYTES = {"occupied": 0, "free": 255, "unknown": 128,
-                  "frontier": 200, "object": 64, "target": 32}
-_OVERLAY_GLYPHS = "".join({0: "#", 255: ".", 128: "?", 200: "F", 64: "*", 32: "T"}.get(b, " ")
-                          for b in range(256))
-
-
-def _overlay_bytes(result: ExplorationResult) -> np.ndarray:
-    labels = result.occupancy.classify()
-    out = np.full(labels.shape, _OVERLAY_BYTES["unknown"], dtype=np.uint8)
-    out[labels == FREE] = _OVERLAY_BYTES["free"]
-    out[labels == OCCUPIED] = _OVERLAY_BYTES["occupied"]
-    for x, y in detect_frontiers(result.occupancy):
-        out[y, x] = _OVERLAY_BYTES["frontier"]
-    classified = result.objects.classified()
-    out[classified > result.objects.cfg.lambda2] = _OVERLAY_BYTES["object"]
-    if result.found:
-        tx, ty = result.target_estimate
-        out[ty, tx] = _OVERLAY_BYTES["target"]
-    return out
-
-
 def render_maps(result: ExplorationResult, fmt: str) -> dict[str, bytes | str]:
     """Three artifacts per run: occupancy map, object map, combined overlay.
 
-    fmt "pgm" yields binary P5 images (probability * 255 for the two belief
-    maps); fmt "ascii" yields glyph grids: the occupancy map's labels
-    (`classify()`, the one label rule), and the object map and the overlay
-    from the same bytes as the images.
+    fmt "pgm" yields binary P5 images (probability * 255 for the occupancy
+    map, the classified value * 255 for the object map); fmt "ascii" yields
+    glyph grids of the occupancy labels (`classify()`) and the object classes
+    (`object_classes`). The overlay codes each cell by its label, then marks
+    the frontiers, the cells whose object probability passes through and the
+    target's estimate; both formats draw those codes.
     """
-    obj_bytes = quantize(result.objects.classified())
-    overlay = _overlay_bytes(result)
+    labels = result.occupancy.classify()
+    classes = object_classes(result.objects.log_odds, result.objects.cfg)
+    # codes: the labels FREE 0, OCCUPIED 1, UNKNOWN 2; frontier 3, object 4, target 5
+    overlay = labels.copy()
+    for x, y in detect_frontiers(result.occupancy):
+        overlay[y, x] = 3
+    overlay[classes == 2] = 4
+    if result.found:
+        tx, ty = result.target_estimate
+        overlay[ty, tx] = 5
     if fmt == "pgm":
+        overlay_bytes = np.array([255, 0, 128, 200, 64, 32], dtype=np.uint8)
         return {"occupancy": raster_pgm(quantize(result.occupancy.probabilities())),
-                "objects": raster_pgm(obj_bytes), "combined": raster_pgm(overlay)}
+                "objects": raster_pgm(quantize(result.objects.classified())),
+                "combined": raster_pgm(overlay_bytes[overlay])}
     if fmt == "ascii":
-        return {
-            "occupancy": occupancy_glyphs(result.occupancy.classify()),
-            "objects": object_glyphs(obj_bytes),
-            "combined": glyph_text(overlay, _OVERLAY_GLYPHS),
-        }
+        return {"occupancy": glyph_text(labels, ".#?"), "objects": glyph_text(classes, ".?*"),
+                "combined": glyph_text(overlay, ".#?F*T")}
     raise ValueError(f"unsupported render format {fmt!r}")
 
 

@@ -9,12 +9,13 @@ in-place adds and one `put` (`add_scan_evidence` serves every IR fusion).
 
 `occupancy_labels` is the per-cell label rule and the spec. A label is two
 comparisons of the cell's probability, which is monotone in the log odds, so
-a config's labels change at two log odds (`_edges(p_free_max, p_occ_min)`),
-and `edge_labels` reads labels off them with one search and no exp. The
-classified object value, 0.0, 0.5 or the probability itself, is the same two
-comparisons with lambda1 and lambda2, so it changes at `_edges(lambda1,
-lambda2)`. One bisection over the float64 bit patterns (`_edge`) finds each
-edge, once per pair of thresholds.
+a config's labels change at two log odds (`MappingConfig.label_edges`),
+and `edge_labels` reads labels off them with one search and no exp.
+`classify_object_probabilities` is the object rule and the spec: 0.0 below
+lambda1, 0.5 up to lambda2 and the probability itself past it. Its class, 0,
+1 or 2, changes at two log odds too (`MappingConfig.object_edges`), and
+`object_classes` reads it off them the same way. One bisection over the
+float64 bit patterns (`_edge`) finds each edge, once per pair of thresholds.
 """
 
 from __future__ import annotations
@@ -95,6 +96,11 @@ class MappingConfig:
         """`_edges(p_free_max, p_occ_min)`, the log odds the labels change at."""
         return _edges(self.p_free_max, self.p_occ_min)
 
+    @functools.cached_property
+    def object_edges(self) -> np.ndarray:
+        """`_edges(lambda1, lambda2)`, the log odds the object classes change at."""
+        return _edges(self.lambda1, self.lambda2)
+
 
 def logit(p: float) -> float:
     return math.log(p / (1.0 - p))
@@ -126,7 +132,8 @@ def _edges(low: float, high: float) -> np.ndarray:
     second edge on and UNKNOWN in between, which `edge_labels` reads with
     one search; `classify_object_probabilities` gives 0.0 below
     `_edges(lambda1, lambda2)[0]`, 0.5 from it up to the second edge and
-    the cell's probability from the second on. Each edge is found by `_edge`
+    the cell's probability from the second on, which `object_classes` reads
+    the same way. Each edge is found by `_edge`
     on the probability itself, once per pair, at its first use.
     """
     def p(x: float) -> float:
@@ -184,6 +191,14 @@ def classify_object_probabilities(p: np.ndarray, lambda1: float, lambda2: float)
     out[out < lambda1] = 0.0
     out[(out >= lambda1) & (out <= lambda2)] = 0.5
     return out
+
+
+def object_classes(log_odds: np.ndarray, cfg: MappingConfig) -> np.ndarray:
+    """The class of each cell of finite object log odds under
+    `classify_object_probabilities`: 0 where it gives 0.0, 1 where it gives
+    0.5 and 2 where the probability passes through, read off the two edges
+    (`MappingConfig.object_edges`)."""
+    return cfg.object_edges.searchsorted(log_odds, "right")
 
 
 class _BeliefMap:
@@ -268,7 +283,7 @@ def raster_pgm(raster: np.ndarray) -> bytes:
 
 
 def quantize(values: np.ndarray) -> np.ndarray:
-    """The byte quantization shared by PGM output and ASCII glyph mapping."""
+    """The byte a PGM image draws each value as, clipped to [0, 1]."""
     return np.floor(np.clip(np.asarray(values, dtype=float), 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
 
 
@@ -277,13 +292,3 @@ def glyph_text(values: np.ndarray, glyphs: str) -> str:
     table = np.array(list(glyphs))
     return "\n".join(map("".join, table[values].tolist())) + "\n"
 
-
-def occupancy_glyphs(labels: np.ndarray) -> str:
-    """ASCII view of occupancy labels (`classify()`): '.' free, '#' occupied,
-    '?' unknown."""
-    return glyph_text(labels, ".#?")
-
-
-def object_glyphs(byte_values: np.ndarray) -> str:
-    """ASCII view of classified object bytes: '.' free, '?' unknown, '*' object."""
-    return glyph_text(byte_values, "." * 128 + "?" + "*" * 127)

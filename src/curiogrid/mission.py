@@ -127,7 +127,7 @@ def step_mission(phase: MissionPhase, event: MissionEvent, *,
 
 
 def grab_maneuver(pose: Pose, target: Cell, motion: MotionConfig,
-                  cell_size: float = 1.0) -> tuple[Pose, float]:
+                  cell_size: float) -> tuple[Pose, float]:
     """Scripted grab: spin 180 degrees, trigger the gripper, back into the object.
 
     Returns the pose at contact and the maneuver's time cost: the backup

@@ -14,14 +14,16 @@ taken from whole cells (`_offset`), as the loop takes it.
 
 It reaches none of the loop's fast paths: not `_fuse`, `sense_cells`,
 `add_scan_evidence`, `add_observation_evidence`, `_decide`, `_wedge`, the
-wedge stencil, `edge_labels` or `mapping._edges`
-(tests/test_oracle.py patches each to raise). `_dijkstra` in fresh lists is
+wedge stencil, `edge_labels`, `object_classes` or `mapping._edges`
+(tests/test_oracle.py patches each to raise): it labels and classifies
+through `classify()`, `classified()` and `total_curiosity`. `_dijkstra` in fresh lists is
 shared: the loop runs it in reused ones. So a test that compares a run with
 it checks the whole loop against its spec, not a path against itself.
 
 Two smaller references serve several test modules: `brute_force_cost`, a
 path cost without `_dijkstra`, and `scored_selection`, the cdos argmax by a
-literal sort of every candidate scored in full with `curiosity._loss_over`.
+literal sort of every candidate scored in full with `curiosity._loss_over`
+over the lead cells of its camera sweep.
 """
 
 import math
@@ -29,7 +31,7 @@ import math
 import numpy as np
 
 from curiogrid.curiosity import (_loss_over, bayes_fuse, cell_curiosity, predict_observation,
-                                 total_curiosity)
+                                 total_curiosity, visible_from)
 from curiogrid.explorer import (ExplorationResult, InvariantError, StepRecord, _dijkstra,
                                 detect_frontiers, local_frontiers, path_cost)
 from curiogrid.mapping import (FREE, LOG_ODDS_CAP, OCCUPIED, UNKNOWN, ObjectMap,
@@ -260,8 +262,9 @@ def brute_force_cost(free, start, goal):
 
 def scored_selection(frontiers, obj, occ, current, cam, params):
     """(cell, loss) of the cdos argmax over `frontiers`, each candidate
-    scored in full by `_loss_over` over the lead cells, with the documented
-    tie-breaks (least distance, then row-major index) by sorting."""
+    scored in full by `_loss_over` over the lead cells (raw probability above
+    0.5) its sweep (`visible_from`) sees, with the documented tie-breaks
+    (least distance, then row-major index) by sorting."""
     raw = obj.raw_probabilities()
     classified = obj.classified()
     labels = occ.classify()
@@ -271,9 +274,10 @@ def scored_selection(frontiers, obj, occ, current, cam, params):
         dx, dy = _offset(cs, current, cell)
         dist = math.hypot(dx, dy)
         heading = current.heading if dist < 1e-12 else math.atan2(dy, dx)
-        loss = _loss_over(raw, classified, labels, obj.cfg.lambda1, obj.cfg.lambda2, cs,
-                          current, Pose((cell[0] + 0.5) * cs, (cell[1] + 0.5) * cs, heading),
-                          cam, params, leads_only=True)
+        candidate = Pose((cell[0] + 0.5) * cs, (cell[1] + 0.5) * cs, heading)
+        leads = [(x, y) for x, y in visible_from(labels, cs, candidate, cam) if raw[y, x] > 0.5]
+        loss = _loss_over(raw, classified, leads, obj.cfg.lambda1, obj.cfg.lambda2, cs,
+                          current, candidate, params)
         rows.append((-loss, dist, cell[1] * occ.width + cell[0], cell, loss))
     rows.sort()
     return rows[0][3], rows[0][4]

@@ -10,8 +10,8 @@ from curiogrid.curiosity import CuriosityParams, curiosity_of
 from curiogrid.harness import default_config, render_maps
 from curiogrid.mapping import (LOG_ODDS_CAP, Label, MappingConfig, ObjectMap, OccupancyMap,
                                _edges, classify_object_probabilities, edge_labels, logit,
-                               object_glyphs, occupancy_glyphs, occupancy_labels,
-                               probabilities_from_log_odds, quantize, raster_pgm)
+                               object_classes, occupancy_labels, probabilities_from_log_odds,
+                               quantize, raster_pgm)
 from curiogrid.sensor import Beam, CameraConfig, CameraObservation, Detection, IrConfig, IrScan
 from curiogrid.world import GridWorld, Pose
 
@@ -199,6 +199,17 @@ def _spec_curiosity(x, cfg, params):
                                                       cfg.lambda1, cfg.lambda2), params)
 
 
+def _spec_classes(x, cfg):
+    """The class of each log odds in `x` under `classify_object_probabilities`
+    (0 where it gives 0.0, 1 where it gives 0.5, 2 where the probability
+    passes through), checked against the values the rule gives."""
+    p = probabilities_from_log_odds(x)
+    classes = (p >= cfg.lambda1).astype(int) + (p > cfg.lambda2)
+    values = np.choose(classes, [np.zeros_like(p), np.full_like(p, 0.5), p])
+    assert np.array_equal(classify_object_probabilities(p, cfg.lambda1, cfg.lambda2), values)
+    return classes
+
+
 def _edge_curiosity(x, cfg, params):
     """The explorer's curiosity of log odds `x`, read off the object edges."""
     world = GridWorld(1, 1, 1.0, np.zeros((1, 1), dtype=bool), Pose(0.5, 0.5, 0.0))
@@ -209,19 +220,23 @@ def _edge_curiosity(x, cfg, params):
 
 
 class TestObjectEdges:
-    """The explorer reads each cell's curiosity off two object log-odds edges
-    (`_edges(lambda1, lambda2)`); the chain `curiosity_of(classify_object_probabilities(
-    probabilities_from_log_odds(x)))` is the spec."""
+    """`object_classes` reads each cell's object class off two log-odds edges
+    (`MappingConfig.object_edges`, `_edges(lambda1, lambda2)`), and the
+    explorer each cell's curiosity off the classes; `classify_object_probabilities`
+    of `probabilities_from_log_odds(x)`, and the chain `curiosity_of` of it,
+    are the spec."""
 
     def test_packaged_edges_bit_equal_to_the_spec(self):
         cfg = default_config().mapping_config()
         params = default_config().curiosity_params()
-        edges = _edges(cfg.lambda1, cfg.lambda2)
+        edges = cfg.object_edges
+        assert edges is _edges(cfg.lambda1, cfg.lambda2)
         # logit(0.1), and one float past logit(0.95), whose probability is 0.95
         assert list(edges) == [logit(cfg.lambda1), np.nextafter(logit(cfg.lambda2), np.inf)]
         assert list(edges) == [-2.197224577336219, 2.94443897916644]
         for edge in edges:
             near = _ulps_around(edge, 1 << 20)
+            assert np.array_equal(object_classes(near, cfg), _spec_classes(near, cfg))
             assert np.array_equal(_edge_curiosity(near, cfg, params),
                                   _spec_curiosity(near, cfg, params))
             below, at = classify_object_probabilities(probabilities_from_log_odds(
@@ -233,7 +248,8 @@ class TestObjectEdges:
            st.sampled_from([CuriosityParams(), CuriosityParams(-0.4, 0.2, 0.9)]),
            st.lists(st.floats(-1e3, 1e3), max_size=50))
     def test_edges_match_the_spec_for_any_config(self, cfg, params, values):
-        edges = _edges(cfg.lambda1, cfg.lambda2)
+        edges = cfg.object_edges
+        assert edges is _edges(cfg.lambda1, cfg.lambda2)
         checks = [np.array(values),
                   np.array([-1e300, -24.8, -20.0, -1e-300, 0.0, 1e-300, 20.0, 24.8, 1e300])]
         # log odds whose probability rounds to 0.5, or to a float next to it
@@ -241,6 +257,7 @@ class TestObjectEdges:
         checks += [_ulps_around(x, 1 << 10) for x in (-LOG_ODDS_CAP, LOG_ODDS_CAP)]
         checks += [_ulps_around(e, 1 << 10) for e in edges if np.isfinite(e) and e != 0.0]
         x = np.concatenate(checks)
+        assert np.array_equal(object_classes(x, cfg), _spec_classes(x, cfg))
         assert np.array_equal(_edge_curiosity(x, cfg, params), _spec_curiosity(x, cfg, params))
         assert edges[0] <= edges[1]
 
@@ -387,7 +404,8 @@ class TestSerialization:
         omap = OccupancyMap(6, 6, 1.0)
         omap.log_odds[:] = rng.uniform(-2.0, 2.0, size=(6, 6))
         labels = omap.classify()
-        lines = occupancy_glyphs(labels).splitlines()
+        result = explorer.ExplorationResult(omap, ObjectMap(6, 6, 1.0), 0.0, None)
+        lines = render_maps(result, "ascii")["occupancy"].splitlines()
         for y in range(6):
             for x in range(6):
                 want = {Label.FREE: ".", Label.OCCUPIED: "#", Label.UNKNOWN: "?"}[labels[y, x]]
@@ -405,9 +423,28 @@ class TestSerialization:
         assert render_maps(result, "ascii")["occupancy"] == "???\n"
 
     def test_object_glyphs(self):
-        classified = np.array([[0.0, 0.5, 0.97]])
-        raster = quantize(classified)
-        assert object_glyphs(raster) == ".?*\n"
+        # raw 0.05, 0.5 and 0.97 classify to 0.0, 0.5 and 0.97
+        objects = ObjectMap(3, 1, 1.0)
+        objects.log_odds[0] = [logit(0.05), 0.0, logit(0.97)]
+        result = explorer.ExplorationResult(OccupancyMap(3, 1, 1.0), objects, 0.0, None)
+        assert render_maps(result, "ascii")["objects"] == ".?*\n"
+        assert render_maps(result, "pgm")["objects"] == raster_pgm(quantize(objects.classified()))
+
+    def test_both_views_follow_the_classes_below_half(self):
+        # lambda2 < 0.5: raw 0.3 is unknown, and 0.45 and 0.5 pass through,
+        # so only an object class decides '*', not a value above lambda2
+        cfg = MappingConfig(lambda1=0.2, lambda2=0.4)
+        objects = ObjectMap(5, 1, 1.0, cfg)
+        objects.log_odds[0] = [logit(p) for p in (0.1, 0.3, 0.45, 0.5, 0.9)]
+        occupancy = OccupancyMap(5, 1, 1.0, cfg)
+        occupancy.log_odds[:] = -5.0  # all FREE, so no frontier
+        maps = render_maps(explorer.ExplorationResult(occupancy, objects, 0.0, None), "ascii")
+        classes = _spec_classes(objects.log_odds, cfg)
+        assert classes.tolist() == [[0, 1, 2, 2, 2]]
+        assert maps["objects"] == ".?***\n"
+        assert maps["combined"] == "..***\n"
+        pgm = render_maps(explorer.ExplorationResult(occupancy, objects, 0.0, None), "pgm")
+        assert pgm["combined"].endswith(bytes([255, 255, 64, 64, 64]))
 
 
 def test_belief_maps_share_one_init():

@@ -118,7 +118,8 @@ FAST_PATHS = {
     "_wedge": [(explorer._Explorer, "_wedge")],
     "wedge_stencil": [(sensor, "wedge_stencil"), (explorer, "wedge_stencil")],
     "edge_labels": [(mapping, "edge_labels"), (explorer, "edge_labels")],
-    "_edges": [(mapping, "_edges"), (explorer, "_edges")],
+    "_edges": [(mapping, "_edges")],
+    "object_classes": [(mapping, "object_classes"), (explorer, "object_classes")],
 }
 
 
