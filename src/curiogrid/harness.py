@@ -24,11 +24,11 @@ import numpy as np
 
 from .curiosity import CuriosityParams
 from .explorer import (ExplorationResult, MotionConfig, SensorSuite, check_run_limits,
-                       detect_frontiers, run_solo, run_taped, _dijkstra, _index, _padded,
-                       _PICKS)
+                       detect_frontiers, path_cost, run_solo, run_taped, _dijkstra, _index,
+                       _padded, _PICKS)
 from .mapping import MappingConfig, glyph_text, object_classes, quantize, raster_pgm
 from .sensor import CameraConfig, IrConfig
-from .world import GridWorld, load_map, load_zones, sample_zone_points
+from .world import GridWorld, cell_offset, load_map, load_zones, sample_zone_points
 
 METHODS = tuple(_PICKS)
 
@@ -209,10 +209,11 @@ class TrialRecord:
 
 
 def _trajectory_length(result: ExplorationResult) -> float:
-    total = 0.0
-    for a, b in zip(result.trajectory, result.trajectory[1:]):
-        total += math.hypot(b.x - a.x, b.y - a.y)
-    return total
+    """The `path_cost` of the cells the run's poses stand in; a turn in
+    place, which stays in its cell, adds nothing."""
+    cs = result.occupancy.cell_size
+    cells = [cell_offset(cs, p.x, p.y)[:2] for p in result.trajectory]
+    return path_cost([c for c, prev in zip(cells, [None] + cells) if c != prev], cs)
 
 
 def placement_seed(base_seed: int, map_index: int, zone_id: int) -> int:

@@ -16,8 +16,9 @@ from curiogrid.harness import (ConfigError, ExperimentConfig, ZoneExperiment, de
                                fixture_path, load_config, parse_config, render_maps,
                                run_fov_sweep, run_trial, run_zone_experiment, steps_jsonl,
                                summarize, summary_csv, trials_csv)
+from curiogrid.mapping import ObjectMap, OccupancyMap
 from curiogrid.sensor import CameraConfig, IrConfig, detect
-from curiogrid.world import MapError, load_map, load_zones, sample_zone_points
+from curiogrid.world import MapError, Pose, load_map, load_zones, sample_zone_points
 
 from oracle import outcome
 
@@ -683,3 +684,17 @@ class TestTrialPurity:
         default = run_trial(TINY_MAP, (8, 3), "baseline", math.radians(60), math.radians(30),
                             tiny_config(tiny_dir)).steps[0].total_curiosity
         assert first[0] == first[1] != default
+
+
+def test_path_length_takes_whole_cells():
+    # at 0.3 m the absolute centres of neighbouring cells lie 0.3 apart, give
+    # or take a few ulps by cell index (cells 1 and 2: 0.30000000000000004);
+    # a trial's path length is the path_cost of its cells, wherever the map
+    # lies, and a turn in place adds nothing
+    cs = 0.3
+    for x0 in (0, 1, 3, 8, 40):
+        cells = [(x0, 3), (x0 + 1, 3), (x0 + 1, 3), (x0 + 2, 4)]
+        trajectory = [Pose((x + 0.5) * cs, (y + 0.5) * cs, 0.0) for x, y in cells]
+        result = explorer.ExplorationResult(OccupancyMap(50, 10, cs), ObjectMap(50, 10, cs),
+                                            0.0, None, trajectory)
+        assert harness._trajectory_length(result) == 0.3 + math.sqrt(2.0) * 0.3
