@@ -52,7 +52,7 @@ GOLDEN = {
     "zones/summary.csv": "076c93f6566b2cde5772c0922410eca487663706d078a610319d50e8815da695",
     "zones-budget/trials.csv": "2d50e1e01a8521146b6a79d5de261ad9757ccd31a6690e950ebe5c4339206965",
     "zones-budget/summary.csv": "6c19f8fde09b1460f95c767d7f85047a9df7cfa2e2f4668a4b762842be01d192",
-    "zones-0.3/trials.csv": "cb4d2eeee2f47312bc8cbd4eecd8b6a98108a7719d7518847fd7852ceb2450ae",
+    "zones-0.3/trials.csv": "92338fc66f2e238f015edd681e415b1353c682a75ed23ff09b3cf803349ae472",
     "zones-0.3/summary.csv": "cc71b77afaf37644f90a7785eaa6bc08d853782579bb1e58828ecf5045b8d0e9",
     "sweep/sweep.csv": "a57ead25205bd598277757561a38043e6c5c6f5efe19b604095e73ee539b395c",
     "explore/steps.jsonl": "bd5842854ba3f27ebb69089a4cb42bd4b58f0eb074fb5ba7ed84c9c5bd79a98a",
