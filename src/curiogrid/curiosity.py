@@ -22,7 +22,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .mapping import OCCUPIED, ObjectMap, OccupancyMap, classify_object_probabilities
+from .mapping import (OCCUPIED, MappingConfig, ObjectMap, OccupancyMap,
+                      classify_object_probabilities)
 from .sensor import CameraConfig, fan_codes, sense_cells
 from .world import Cell, Pose, cell_offset
 
@@ -113,21 +114,19 @@ def expected_curiosity_loss(objects: ObjectMap, occupancy: OccupancyMap,
     """
     return _loss_over(objects.raw_probabilities(), objects.classified(),
                       visible_from(occupancy.classify(), occupancy.cell_size, candidate, cam),
-                      objects.cfg.lambda1, objects.cfg.lambda2, occupancy.cell_size, current,
-                      candidate, params)
+                      objects.cfg, occupancy.cell_size, current, candidate, params)
 
 
 def _loss_over(raw: np.ndarray, classified: np.ndarray, cells: Iterable[Cell],
-               lambda1: float, lambda2: float, cell_size: float, current: Pose,
-               candidate: Pose, params: CuriosityParams) -> float:
+               cfg: MappingConfig, cell_size: float, current: Pose, candidate: Pose,
+               params: CuriosityParams) -> float:
     """`expected_curiosity_loss` summed over `cells`, in their order."""
     ax, ay, au, av = cell_offset(cell_size, current.x, current.y)
     bx, by, bu, bv = cell_offset(cell_size, candidate.x, candidate.y)
     loss = 0.0
     for cx, cy in cells:
         p_raw = raw[cy, cx]
-        p_class = classified[cy, cx]
-        c_now = cell_curiosity(p_class, params)
+        c_now = cell_curiosity(classified[cy, cx], params)
         if c_now <= 0.0:
             continue
         d_now = math.hypot((cx - ax) * cell_size - au, (cy - ay) * cell_size - av)
@@ -135,7 +134,8 @@ def _loss_over(raw: np.ndarray, classified: np.ndarray, cells: Iterable[Cell],
         if d_now <= 1e-12:
             continue
         p_evidence = 1.0 if d_next <= 1e-12 else predict_observation(p_raw, d_now, d_next)
-        post = classify_object_probabilities(bayes_fuse(p_raw, p_evidence), lambda1, lambda2)
+        post = classify_object_probabilities(bayes_fuse(p_raw, p_evidence), cfg.lambda1,
+                                             cfg.lambda2)
         c_post = cell_curiosity(float(post), params)
         loss += c_now - c_post
     return loss
@@ -181,8 +181,7 @@ def select_frontier(frontiers: Sequence[Cell], objects: ObjectMap,
             heading = current.heading if dist < 1e-12 else math.atan2(dy, dx)
             candidate = Pose((cell[0] + 0.5) * cs, (cell[1] + 0.5) * cs, heading)
             seen = [c for c in visible_from(labels, cs, candidate, cam) if c in leads]
-            loss = _loss_over(raw, classified, seen, objects.cfg.lambda1, objects.cfg.lambda2,
-                              cs, current, candidate, params)
+            loss = _loss_over(raw, classified, seen, objects.cfg, cs, current, candidate, params)
         key = (-loss, dist, cell[1] * occupancy.width + cell[0])
         if best is None or key < best:
             best = key

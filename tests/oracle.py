@@ -276,8 +276,7 @@ def scored_selection(frontiers, obj, occ, current, cam, params):
         heading = current.heading if dist < 1e-12 else math.atan2(dy, dx)
         candidate = Pose((cell[0] + 0.5) * cs, (cell[1] + 0.5) * cs, heading)
         leads = [(x, y) for x, y in visible_from(labels, cs, candidate, cam) if raw[y, x] > 0.5]
-        loss = _loss_over(raw, classified, leads, obj.cfg.lambda1, obj.cfg.lambda2, cs,
-                          current, candidate, params)
+        loss = _loss_over(raw, classified, leads, obj.cfg, cs, current, candidate, params)
         rows.append((-loss, dist, cell[1] * occ.width + cell[0], cell, loss))
     rows.sort()
     return rows[0][3], rows[0][4]
