@@ -10,8 +10,8 @@ extrapolated by the ratio of its current distance to its distance from the
 candidate, fused as new evidence, re-classified, and re-scored. `_loss_over`
 sums that drop over the cells its caller names: `expected_curiosity_loss`
 names every visible cell, and the cdos pick (`select_frontier`) the lead
-cells the sweep sees, listed once per call. Each distance and bearing to a cell centre is taken from whole cells
-(`world.cell_offset`).
+cells the sweep sees, listed once per call. Each distance and bearing to a
+cell centre is taken from whole cells (`world.cell_offset`).
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ current rather than full-grid passes:
   - the planner's lists (`_Search`), kept from the explorer's first decision
     on, each search resetting only the cells the last one reached.
 What the settings fix is computed once, not per step: the log-odds steps,
-label edges and object edges (on `MappingConfig`), the planner's steps (`_steps`) and the
-4-neighbour offsets.
+label edges and object edges (on `MappingConfig`), the planner's steps
+(`_steps`) and the 4-neighbour offsets.
 The full-grid functions (`OccupancyMap.classify` and `occupancy_labels`,
 `detect_frontiers`, `curiosity.total_curiosity`, `local_frontiers` over every
 frontier, and `_dijkstra` in fresh lists) stay the spec the tests check the

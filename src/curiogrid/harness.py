@@ -28,7 +28,7 @@ from .explorer import (ExplorationResult, MotionConfig, SensorSuite, check_run_l
                        _padded, _PICKS)
 from .mapping import MappingConfig, glyph_text, object_classes, quantize, raster_pgm
 from .sensor import CameraConfig, IrConfig
-from .world import GridWorld, cell_offset, load_map, load_zones, sample_zone_points
+from .world import GridWorld, load_map, load_zones, sample_zone_points
 
 METHODS = tuple(_PICKS)
 
@@ -212,7 +212,7 @@ def _trajectory_length(result: ExplorationResult) -> float:
     """The `path_cost` of the cells the run's poses stand in; a turn in
     place, which stays in its cell, adds nothing."""
     cs = result.occupancy.cell_size
-    cells = [cell_offset(cs, p.x, p.y)[:2] for p in result.trajectory]
+    cells = [(math.floor(p.x / cs), math.floor(p.y / cs)) for p in result.trajectory]
     return path_cost([c for c, prev in zip(cells, [None] + cells) if c != prev], cs)
 
 

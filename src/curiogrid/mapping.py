@@ -133,8 +133,8 @@ def _edges(low: float, high: float) -> np.ndarray:
     one search; `classify_object_probabilities` gives 0.0 below
     `_edges(lambda1, lambda2)[0]`, 0.5 from it up to the second edge and
     the cell's probability from the second on, which `object_classes` reads
-    the same way. Each edge is found by `_edge`
-    on the probability itself, once per pair, at its first use.
+    the same way. Each edge is found by `_edge` on the probability itself,
+    once per pair, at its first use.
     """
     def p(x: float) -> float:
         return probabilities_from_log_odds(np.array([x]))[0]
@@ -291,4 +291,3 @@ def glyph_text(values: np.ndarray, glyphs: str) -> str:
     """ASCII rows of a 2D array of small non-negative ints, value b drawn as glyphs[b]."""
     table = np.array(list(glyphs))
     return "\n".join(map("".join, table[values].tolist())) + "\n"
-
