@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import statistics
@@ -212,8 +213,8 @@ def _trajectory_length(result: ExplorationResult) -> float:
     """The `path_cost` of the cells the run's poses stand in; a turn in
     place, which stays in its cell, adds nothing."""
     cs = result.occupancy.cell_size
-    cells = [(math.floor(p.x / cs), math.floor(p.y / cs)) for p in result.trajectory]
-    return path_cost([c for c, prev in zip(cells, [None] + cells) if c != prev], cs)
+    cells = ((math.floor(p.x / cs), math.floor(p.y / cs)) for p in result.trajectory)
+    return path_cost([cell for cell, _ in itertools.groupby(cells)], cs)
 
 
 def placement_seed(base_seed: int, map_index: int, zone_id: int) -> int:
