@@ -16,9 +16,10 @@ It reaches none of the loop's fast paths: not `_fuse`, `sense_cells`,
 `add_scan_evidence`, `add_observation_evidence`, `_decide`, `_wedge`, the
 wedge stencil, `edge_labels`, `object_classes` or `mapping._edges`
 (tests/test_oracle.py patches each to raise): it labels and classifies
-through `classify()`, `classified()` and `total_curiosity`. `_dijkstra` in fresh lists is
-shared: the loop runs it in reused ones. So a test that compares a run with
-it checks the whole loop against its spec, not a path against itself.
+through `classify()`, `classified()` and `total_curiosity`. `_dijkstra` in
+fresh lists is shared: the loop runs it in reused ones. So a test that
+compares a run with it checks the whole loop against its spec, not a path
+against itself.
 
 Two smaller references serve several test modules: `brute_force_cost`, a
 path cost without `_dijkstra`, and `scored_selection`, the cdos argmax by a
