@@ -145,4 +145,19 @@ MUTANTS = [
      "            seen = [c for c in visible_from(labels, cs, candidate, cam) if c in leads]\n",
      "            seen = visible_from(labels, cs, candidate, cam)\n",
      ["tests/test_curiosity.py::TestSelectFrontierOracle::test_matches_full_scoring"]),
+    # The run settings (explorer.RunSettings): the curiosity curve left out of
+    # equality and hash, so runs under two curves share one tape.
+    ("src/curiogrid/explorer.py",
+     "    params: CuriosityParams = CuriosityParams()\n",
+     "    params: CuriosityParams = field(default=CuriosityParams(), compare=False)\n",
+     ["tests/test_harness.py::TestTrialPurity::"
+      "test_baseline_step_log_reads_configured_curiosity_constants",
+      "tests/test_harness.py::TestRunSettings::test_one_config_builds_equal_settings"]),
+    # The run settings (explorer.RunSettings): no budget rule, so a budget of
+    # zero or nan passes.
+    ("src/curiogrid/explorer.py",
+     "        if not 0.0 < self.budget < math.inf:\n"
+     "            raise ValueError(\"budget must be positive and finite\")\n",
+     "",
+     ["tests/test_harness.py::TestRunSettings::test_a_bad_field_raises_naming_it"]),
 ]

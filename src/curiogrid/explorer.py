@@ -4,7 +4,8 @@ Both explorers share the same skeleton: sense at every traversed cell, keep
 the two belief maps current, and repeatedly commit to a frontier until either
 the detector fires above the confidence threshold, the frontiers run out, or
 the time budget is gone. They differ only in how the next frontier is picked
-from the local set.
+from the local set. What a run fixes, the method with the rest, is one
+hashable `RunSettings`, which checks its rules when built.
 
 A decision costs what it reads, not the grid. It reads views the loop keeps
 current rather than full-grid passes:
@@ -21,9 +22,6 @@ current rather than full-grid passes:
     turned OCCUPIED;
   - the planner's lists (`_Search`), kept from the explorer's first decision
     on, each search resetting only the cells the last one reached.
-What the settings fix is computed once, not per step: the log-odds steps,
-label edges and object edges (on `MappingConfig`), the planner's steps
-(`_steps`) and the 4-neighbour offsets.
 The full-grid functions (`OccupancyMap.classify` and `occupancy_labels`,
 `detect_frontiers`, `curiosity.total_curiosity`, `local_frontiers` over every
 frontier, and `_dijkstra` in fresh lists) stay the spec the tests check the
@@ -35,27 +33,23 @@ pick and each move or turn, is taken from whole cells (`world.cell_offset`).
 Every pose of a run stands at a cell centre, so a run's distances, headings
 and elapsed time depend on the cell deltas alone, not on where the map lies.
 
-A sense is one `_fuse` and one `_relabel`. `_fuse` is the one lookup of a
-pose's sensing evidence (the map's cache, or one `sense_cells` walk the cache
-keeps); it converts the cached int32 IR indices to intp once, adds the
-evidence and a detection to both belief maps with one take-add-put each and
-takes the found test. `_relabel` labels the log odds `_fuse` wrote, without
-reading them again.
+A sense is one `_fuse`, the one lookup and fusion of a pose's sensing
+evidence, and one `_relabel` of the log odds it wrote.
 
 Trials of one map and settings share their search up to the first sense that
 sees the target: before it, `sensor.detect`, a run's only read of the target,
-returns None. A per-process tape (`run_taped`) runs that search once without
-a target and records the loop state at every sense (`_Explorer._record`). A
-trial stands at its first detection without running the loop again: from the
-fork stored at or before it, it fuses the cached evidence of the senses in
-between, relabels once and restores the recorded state. A cdos trial
-finishes alone from there. The baseline's pick reads no object state, so its
-moves are the tape's until it finds the target: it reads its run off the
-tape, fusing each sense's evidence with its own detection, and logs each
-decision's total curiosity over its own object map. A target never seen gets
-a copy of the end state. A fork copies every array and list it may change,
-so each result equals a solo run (`run_solo`), whatever the process ran
-before.
+returns None. A per-process tape (`run_taped`, keyed by map and settings) runs
+that search once without a target and records the loop state at every sense
+(`_Explorer._record`). A trial stands at its first detection without running
+the loop again: from the fork stored at or before it, it fuses the cached
+evidence of the senses in between, relabels once and restores the recorded
+state. A cdos trial finishes alone from there. The baseline's pick reads no
+object state, so its moves are the tape's until it finds the target: it reads
+its run off the tape, fusing each sense's evidence with its own detection, and
+logs each decision's total curiosity over its own object map. A target never
+seen gets a copy of the end state. A fork copies every array and list it may
+change, so each result equals a solo run (`run_solo`), whatever the process
+ran before.
 """
 
 from __future__ import annotations
@@ -104,18 +98,31 @@ class MotionConfig:
             raise ValueError("max_velocity must be positive and finite")
 
 
-def check_run_limits(budget: float, detection_threshold: float) -> None:
-    """Reject a budget (s) that is not positive and finite, or a threshold outside (0, 1)."""
-    if not 0.0 < budget < math.inf:
-        raise ValueError("budget must be positive and finite")
-    if not 0.0 < detection_threshold < 1.0:
-        raise ValueError("detection_threshold must be in (0, 1)")
-
-
 @dataclass(frozen=True)
 class SensorSuite:
     ir: IrConfig
     camera: CameraConfig
+
+
+@dataclass(frozen=True)
+class RunSettings:
+    """What a run fixes besides its world (budget in s); equal settings share a tape."""
+
+    sensors: SensorSuite
+    motion: MotionConfig = MotionConfig()
+    budget: float = 600.0
+    mapping: MappingConfig = MappingConfig()
+    detection_threshold: float = 0.95
+    params: CuriosityParams = CuriosityParams()
+    method: str = "cdos"
+
+    def __post_init__(self):
+        if not 0.0 < self.budget < math.inf:
+            raise ValueError("budget must be positive and finite")
+        if not 0.0 < self.detection_threshold < 1.0:
+            raise ValueError("detection_threshold must be in (0, 1)")
+        if self.method not in _PICKS:
+            raise ValueError(f"method must be one of {tuple(_PICKS)}, not {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -183,7 +190,12 @@ def _cells(indices: np.ndarray, width: int) -> list[Cell]:
 
 def detect_frontiers(occupancy: OccupancyMap) -> list[Cell]:
     """Free belief cells with at least one unknown 4-neighbor, row-major order."""
-    labels, width = _padded(occupancy.classify(), OCCUPIED)
+    return _frontier_cells(occupancy.classify())
+
+
+def _frontier_cells(labels: np.ndarray) -> list[Cell]:
+    """`detect_frontiers` of a map whose labels (`classify()`) are `labels`."""
+    labels, width = _padded(labels, OCCUPIED)
     return _cells(_frontier_subset(labels, np.arange(labels.size),
                                    np.array((-width, -1, 1, width))), width)
 
@@ -338,7 +350,7 @@ def path_cost(path: list[Cell], cell_size: float) -> float:
 def _pick_curiosity(ex: _Explorer, frontiers: list[Cell]) -> tuple[Cell, float, str]:
     """cdos: the frontier of least expected curiosity loss."""
     choice = select_frontier(frontiers, ex.objects, ex.occupancy, ex.pose,
-                             ex.sensors.camera, ex.params)
+                             ex.settings.sensors.camera, ex.settings.params)
     return choice.cell, choice.loss, "curiosity"
 
 
@@ -415,26 +427,18 @@ _SENSE_CACHE: dict[tuple, dict[Pose, _Evidence]] = {}
 class _Explorer:
     """Shared machinery for one exploration trial."""
 
-    def __init__(self, world: GridWorld, sensors: SensorSuite, motion: MotionConfig,
-                 budget: float, mapping_cfg: MappingConfig, detection_threshold: float,
-                 params: CuriosityParams,
-                 pick: Callable[[_Explorer, list[Cell]], tuple[Cell, float, str]]):
-        check_run_limits(budget, detection_threshold)
+    def __init__(self, world: GridWorld, settings: RunSettings):
         self.world = world
-        self.sensors = sensors
-        self.motion = motion
-        self.budget = budget
-        self.pick = pick
-        self.params = params
-        self.threshold = detection_threshold
-        self.occupancy = OccupancyMap(world.width, world.height, world.cell_size, mapping_cfg)
-        self.objects = ObjectMap(world.width, world.height, world.cell_size, mapping_cfg)
+        self.settings = settings
+        self.pick = _PICKS[settings.method]
+        self.occupancy = OccupancyMap(world.width, world.height, world.cell_size, settings.mapping)
+        self.objects = ObjectMap(world.width, world.height, world.cell_size, settings.mapping)
         # The occupancy labels and the frontier mask, flat over the lattice
         # framed by OCCUPIED cells (row length `stride`), kept current by
         # `_sense`; `classify()` and `detect_frontiers` are their full-grid spec.
         # The uniform prior gives every cell one label, so no cell is a frontier.
         self.labels, self.stride = _padded(
-            occupancy_labels(self.occupancy.log_odds, mapping_cfg), OCCUPIED)
+            occupancy_labels(self.occupancy.log_odds, settings.mapping), OCCUPIED)
         self.frontier = np.zeros(self.labels.size, dtype=bool)
         # Each cell's curiosity over the classified object map, the total a
         # decision logs; `total_curiosity` is its full-grid spec. A sense only
@@ -442,9 +446,9 @@ class _Explorer:
         # decision updates the array there (`_total_curiosity`), reading the
         # curiosity of the classified values 0.0 and 0.5 off the cells' object
         # classes (`_curiosity`; nan stands for the class that passes through).
-        self.curiosity = curiosity_of(self.objects.classified(), params)
+        self.curiosity = curiosity_of(self.objects.classified(), settings.params)
         self.queued: list[np.ndarray] = []
-        self.edge_curiosity = curiosity_of(np.array([0.0, 0.5, math.nan]), params)
+        self.edge_curiosity = curiosity_of(np.array([0.0, 0.5, math.nan]), settings.params)
         # the framed index of each flat map index; the offsets of a cell and
         # its 4-neighbors, and of the 4-neighbors alone
         rows, cols = np.divmod(np.arange(world.width * world.height), world.width)
@@ -456,7 +460,7 @@ class _Explorer:
         self.codes = fan_codes(occupied)
         self.evidence = _SENSE_CACHE.setdefault(
             (occupied.shape, world.cell_size, occupied.dtype.str, occupied.tobytes(),
-             sensors.ir, sensors.camera), {})
+             settings.sensors.ir, settings.sensors.camera), {})
         self.pose = world.start
         self.elapsed = 0.0
         self.trajectory = [world.start]
@@ -503,8 +507,8 @@ class _Explorer:
         """Sense at the current pose and fuse the evidence; True once the
         search must stop: the target is found or the budget is spent."""
         self._relabel(*self._fuse(self.pose, detect(self.world, self.pose,
-                                                    self.sensors.camera)))
-        return self.estimate is not None or self.elapsed > self.budget
+                                                    self.settings.sensors.camera)))
+        return self.estimate is not None or self.elapsed > self.settings.budget
 
     def _fuse(self, pose: Pose, det: Optional[Detection]) -> tuple[np.ndarray, np.ndarray]:
         """Fuse the sensing evidence at `pose` with its detection `det` into
@@ -518,7 +522,7 @@ class _Explorer:
         evidence = self.evidence.get(pose)
         if evidence is None:
             evidence = sense_cells(self.codes, self.world.cell_size, pose,
-                                   self.sensors.ir, self.sensors.camera)
+                                   self.settings.sensors.ir, self.settings.sensors.camera)
             if sum(map(len, _SENSE_CACHE.values())) >= _SENSE_CACHE_LIMIT:
                 for table in _SENSE_CACHE.values():
                     table.clear()
@@ -534,8 +538,8 @@ class _Explorer:
         # (detection confidence and cell probability share one scale).
         if det is not None:
             x, y = det.cell
-            if (det.conf > self.threshold or probabilities_from_log_odds(
-                    self.objects.log_odds[y, x]) > self.threshold):
+            if (det.conf > self.settings.detection_threshold or probabilities_from_log_odds(
+                    self.objects.log_odds[y, x]) > self.settings.detection_threshold):
                 self.estimate = det.cell
         return touched, values
 
@@ -589,7 +593,7 @@ class _Explorer:
             cfg = self.objects.cfg
             values[past] = curiosity_of(classify_object_probabilities(
                 probabilities_from_log_odds(log_odds[past]), cfg.lambda1, cfg.lambda2),
-                self.params)
+                self.settings.params)
         return values
 
     def _wedge(self, cell: Cell) -> list[Cell]:
@@ -598,7 +602,7 @@ class _Explorer:
         keeps around `cell`, read off the frontier mask in row-major order,
         as `detect_frontiers` lists them.
         """
-        stencil = wedge_stencil(self.pose, self.world.cell_size, self.sensors.ir)
+        stencil = wedge_stencil(self.pose, self.world.cell_size, self.settings.sensors.ir)
         reach = len(stencil) // 2
         # the framed row and column of the stencil's corner, and of the box's
         x, y = cell[0] + 1 - reach, cell[1] + 1 - reach
@@ -619,7 +623,7 @@ class _Explorer:
         if self.world.occupied[cell[1], cell[0]]:
             raise InvariantError(f"planned move into occupied cell {cell}")
         dx, dy = self._toward(cell)
-        self.elapsed += math.hypot(dx, dy) / self.motion.max_velocity
+        self.elapsed += math.hypot(dx, dy) / self.settings.motion.max_velocity
         self.pose = Pose(*self.world.cell_center(cell), wrap_angle(math.atan2(dy, dx)))
         self.trajectory.append(self.pose)
 
@@ -778,7 +782,7 @@ class _Tape:
         that reads no object state: read off the tape, advancing it as far as
         it reads."""
         ex = self._at(i, world)
-        camera = ex.sensors.camera
+        camera = ex.settings.sensors.camera
         j = i
         while True:
             if j == len(self.senses) - 1 and not self.done:
@@ -795,7 +799,7 @@ class _Tape:
 
     def trial(self, world: GridWorld) -> ExplorationResult:
         """The run in `world`, the tape's map with a target."""
-        camera = self.live.sensors.camera
+        camera = self.live.settings.sensors.camera
         i = 0
         while i < len(self.senses) and detect(world, self.senses[i][0], camera) is None:
             i += 1
@@ -803,7 +807,7 @@ class _Tape:
                 self._advance()
         if i == len(self.senses):
             return self.live.fork()._result()
-        if self.live.pick is _pick_heading:  # the one pick that reads no object state
+        if self.live.settings.method == "baseline":  # the one pick that reads no object state
             return self._read_off(i, world)
         return self._at(i, world).run()
 
@@ -812,42 +816,42 @@ class _Tape:
 _TAPES: dict[tuple, _Tape] = {}
 
 
-def run_taped(key: tuple, world: GridWorld) -> ExplorationResult:
+def run_taped(key: tuple[str, RunSettings], world: GridWorld) -> ExplorationResult:
     """`run_solo(world, settings)` for key = (map, settings), read off the
-    tape of that map without a target; `map` names `world`'s map (by its
-    text, say)."""
+    target-free tape of `world`'s map, which `map` names (by its text, say)."""
     if sum(t.nbytes for t in _TAPES.values()) >= _TAPE_LIMIT:
         _TAPES.clear()
-    if key not in _TAPES:  # without the target the map may mark
-        _TAPES[key] = _Tape(_Explorer(world.with_target(None), *key[1]))
-    return _TAPES[key].trial(world)
+    tape = _TAPES.get(key)  # one probe: a key hashes and compares its settings
+    if tape is None:  # without the target the map may mark
+        tape = _TAPES[key] = _Tape(_Explorer(world.with_target(None), key[1]))
+    return tape.trial(world)
 
 
-def run_solo(world: GridWorld, settings: tuple) -> ExplorationResult:
-    """The run in `world` under `settings`, what `_Explorer` takes after the
-    world, in its order."""
-    return _Explorer(world, *settings).run()
+def run_solo(world: GridWorld, settings: RunSettings) -> ExplorationResult:
+    """The run in `world` under `settings`."""
+    return _Explorer(world, settings).run()
 
 
 def explore_cdos(world: GridWorld, sensors: SensorSuite,
-                 motion: MotionConfig = MotionConfig(), budget: float = 600.0,
-                 mapping_cfg: MappingConfig = MappingConfig(),
-                 detection_threshold: float = 0.95,
-                 params: CuriosityParams = CuriosityParams()) -> ExplorationResult:
+                 motion: MotionConfig = RunSettings.motion, budget: float = RunSettings.budget,
+                 mapping_cfg: MappingConfig = RunSettings.mapping,
+                 detection_threshold: float = RunSettings.detection_threshold,
+                 params: CuriosityParams = RunSettings.params) -> ExplorationResult:
     """Curiosity-driven object search: frontiers picked by expected curiosity loss."""
-    return _Explorer(world, sensors, motion, budget, mapping_cfg, detection_threshold,
-                     params, _PICKS["cdos"]).run()
+    return run_solo(world, RunSettings(sensors, motion, budget, mapping_cfg,
+                                       detection_threshold, params, "cdos"))
 
 
 def explore_rapid_frontier(world: GridWorld, sensors: SensorSuite,
-                           motion: MotionConfig = MotionConfig(), budget: float = 600.0,
-                           mapping_cfg: MappingConfig = MappingConfig(),
-                           detection_threshold: float = 0.95,
-                           params: CuriosityParams = CuriosityParams()) -> ExplorationResult:
+                           motion: MotionConfig = RunSettings.motion,
+                           budget: float = RunSettings.budget,
+                           mapping_cfg: MappingConfig = RunSettings.mapping,
+                           detection_threshold: float = RunSettings.detection_threshold,
+                           params: CuriosityParams = RunSettings.params) -> ExplorationResult:
     """Baseline: frontiers picked by minimal heading change, detector unchanged.
 
     `params` only sets the curve of the total curiosity the step log records;
     the baseline's choices never read it.
     """
-    return _Explorer(world, sensors, motion, budget, mapping_cfg, detection_threshold,
-                     params, _PICKS["baseline"]).run()
+    return run_solo(world, RunSettings(sensors, motion, budget, mapping_cfg,
+                                       detection_threshold, params, "baseline"))

@@ -1,10 +1,11 @@
 """Experiment harness: zone placements, fov sweeps, CSV output, map rendering.
 
-Every trial is a pure function of (map text, placement, settings), so trials
-can be dispatched to a process pool without changing a single output byte:
-records are sorted into a canonical order before anything is written. The
-trials of one map, method and settings are read off one shared target-free
-search, the explorer's tape (`explorer.run_taped`).
+Every trial is a pure function of (map text, placement, settings), its
+settings one `explorer.RunSettings` (`ExperimentConfig.run_settings`), so
+trials can be dispatched to a process pool without changing a single output
+byte: records are sorted into a canonical order before anything is written.
+The trials of one map and settings are read off one shared target-free search,
+the explorer's tape (`explorer.run_taped`).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .curiosity import CuriosityParams
-from .explorer import (ExplorationResult, MotionConfig, SensorSuite, check_run_limits,
-                       detect_frontiers, path_cost, run_solo, run_taped, _dijkstra, _index,
+from .explorer import (ExplorationResult, MotionConfig, RunSettings, SensorSuite,
+                       path_cost, run_solo, run_taped, _dijkstra, _frontier_cells, _index,
                        _padded, _PICKS)
 from .mapping import MappingConfig, glyph_text, object_classes, quantize, raster_pgm
 from .sensor import CameraConfig, IrConfig
@@ -89,11 +90,7 @@ class ExperimentConfig:
                 owner(**{name: value})
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from None
-        try:  # these rules name their fields, which are the file keys
-            self.mapping_config()
-            check_run_limits(self.budget, self.detection_threshold)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        self.run_settings(METHODS[0], self.alphas[0], self.betas[0])  # the other rules
 
     def maps(self) -> list[tuple[str, str]]:
         out = []
@@ -116,14 +113,21 @@ class ExperimentConfig:
         return MotionConfig(self.max_velocity)
 
     def sensor_suite(self, alpha: float, beta: float) -> SensorSuite:
-        return SensorSuite(
-            ir=IrConfig(beta, self.ir_range, self.ir_ray_count),
-            camera=CameraConfig(alpha, self.cam_range, self.eta, self.cam_ray_count),
-        )
+        return SensorSuite(IrConfig(beta, self.ir_range, self.ir_ray_count),
+                           CameraConfig(alpha, self.cam_range, self.eta, self.cam_ray_count))
+
+    def run_settings(self, method: str, alpha: float, beta: float) -> RunSettings:
+        """A `method` run's settings (fovs in radians); a broken rule raises ConfigError."""
+        try:
+            return RunSettings(self.sensor_suite(alpha, beta), self.motion_config(),
+                               self.budget, self.mapping_config(), self.detection_threshold,
+                               self.curiosity_params(), method)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 # Each key one other settings type checks, with that type and the field it fills;
-# the mapping keys, budget and detection_threshold are named as their fields.
+# `run_settings` checks the rest, whose keys are named as their fields.
 _OWNERS = {
     "ir_range": (IrConfig, "max_range"),
     "ir_ray_count": (IrConfig, "ray_count"),
@@ -230,19 +234,10 @@ def _ground_truth_reachable(world: GridWorld) -> np.ndarray:
     return np.isfinite(np.reshape(dist, (-1, width))[1:-1, 1:-1])
 
 
-def _settings(method: str, alpha: float, beta: float, cfg: ExperimentConfig) -> tuple:
-    """The settings of a `method` run, as `run_solo` and `run_taped` take them."""
-    if method not in _PICKS:
-        raise ConfigError(f"unknown method {method!r}")
-    return (cfg.sensor_suite(alpha, beta), cfg.motion_config(), cfg.budget,
-            cfg.mapping_config(), cfg.detection_threshold, cfg.curiosity_params(),
-            _PICKS[method])
-
-
 def explore(world: GridWorld, method: str, alpha: float, beta: float,
             cfg: ExperimentConfig) -> ExplorationResult:
     """One `method` run on `world`: camera fov alpha, IR fov beta (radians)."""
-    return run_solo(world, _settings(method, alpha, beta, cfg))
+    return run_solo(world, cfg.run_settings(method, alpha, beta))
 
 
 @functools.lru_cache(maxsize=8)
@@ -265,7 +260,7 @@ def run_trial(map_text: str, placement: tuple[int, int], method: str,
               alpha: float, beta: float, cfg: ExperimentConfig) -> ExplorationResult:
     """One exploration run with the object at `placement`: `explore` on the
     map with that target, taken from the map's shared tape (`run_taped`)."""
-    return run_taped((map_text, _settings(method, alpha, beta, cfg)),
+    return run_taped((map_text, cfg.run_settings(method, alpha, beta)),
                      _parsed_map(map_text).with_target(placement))
 
 
@@ -451,7 +446,7 @@ def render_maps(result: ExplorationResult, fmt: str) -> dict[str, bytes | str]:
     classes = object_classes(result.objects.log_odds, result.objects.cfg)
     # codes: the labels FREE 0, OCCUPIED 1, UNKNOWN 2; frontier 3, object 4, target 5
     overlay = labels.copy()
-    for x, y in detect_frontiers(result.occupancy):
+    for x, y in _frontier_cells(labels):
         overlay[y, x] = 3
     overlay[classes == 2] = 4
     if result.found:

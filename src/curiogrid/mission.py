@@ -15,8 +15,8 @@ from enum import Enum
 from typing import Optional
 
 from .curiosity import CuriosityParams
-from .explorer import (ExplorationResult, MotionConfig, SensorSuite, explore_cdos,
-                       path_cost, plan_path)
+from .explorer import (ExplorationResult, MotionConfig, RunSettings, SensorSuite,
+                       path_cost, plan_path, run_solo)
 from .mapping import MappingConfig
 from .world import Cell, GridWorld, Pose, wrap_angle
 
@@ -163,16 +163,18 @@ class MissionTrace:
 
 
 def run_mission(world: GridWorld, sensors: SensorSuite,
-                params: CuriosityParams = CuriosityParams(),
-                motion: MotionConfig = MotionConfig(),
-                mapping_cfg: MappingConfig = MappingConfig(),
-                budget: float = 600.0, detection_threshold: float = 0.95) -> MissionTrace:
+                params: CuriosityParams = RunSettings.params,
+                motion: MotionConfig = RunSettings.motion,
+                mapping_cfg: MappingConfig = RunSettings.mapping,
+                budget: float = RunSettings.budget,
+                detection_threshold: float = RunSettings.detection_threshold) -> MissionTrace:
     """Run one full simulated mission and return the timestamped trace.
 
     Aerial phases are scripted (zero-cost events); the hidden-space portion is
     a real curiosity-driven exploration, followed by tracking to within grab
     range, the grab, and the retraction drive back to the start cell.
     """
+    settings = RunSettings(sensors, motion, budget, mapping_cfg, detection_threshold, params)
     records: list[MissionRecord] = []
     phase: Optional[MissionPhase] = MissionPhase.AERIAL_EXPLORATION
     t = 0.0
@@ -185,8 +187,7 @@ def run_mission(world: GridWorld, sensors: SensorSuite,
     fire(MissionEvent.HIDDEN_SPACE_FOUND)
     fire(MissionEvent.TOUCHDOWN)
 
-    result = explore_cdos(world, sensors, motion, budget, mapping_cfg, detection_threshold,
-                          params)
+    result = run_solo(world, settings)
     t += result.elapsed
 
     pose = result.trajectory[-1]

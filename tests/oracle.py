@@ -141,7 +141,7 @@ def _heading_pick(frontiers, world, pose):
     return min(frontiers, key=key), 0.0, "heading"
 
 
-def _decide(world, labels, here, pose, sensors, params, objects, occupancy, method):
+def _decide(world, labels, here, pose, settings, objects, occupancy):
     """(goal, loss, mode, cell path) of one decision, or None when no
     frontier is reachable: the pick among the reachable frontiers of the IR
     wedge, else the reachable frontier of least (dist, row-major index)."""
@@ -156,13 +156,14 @@ def _decide(world, labels, here, pose, sensors, params, objects, occupancy, meth
     reachable = [c for c in frontiers if dist[index(c)] < math.inf]
     if not reachable:
         return None
-    local = [c for c in local_frontiers(frontiers, pose, sensors.ir, world.cell_size)
+    local = [c for c in local_frontiers(frontiers, pose, settings.sensors.ir, world.cell_size)
              if dist[index(c)] < math.inf]
     if not local:
         goal, loss, mode = min(reachable, key=lambda c: (dist[index(c)], index(c))), 0.0, \
             "nearest_global"
-    elif method == "cdos":
-        goal, loss = _cdos_pick(local, objects, occupancy, pose, sensors.camera, params)
+    elif settings.method == "cdos":
+        goal, loss = _cdos_pick(local, objects, occupancy, pose, settings.sensors.camera,
+                                settings.params)
         mode = "curiosity"
     else:
         goal, loss, mode = _heading_pick(local, world, pose)
@@ -172,24 +173,24 @@ def _decide(world, labels, here, pose, sensors, params, objects, occupancy, meth
     return goal, loss, mode, [(i % width - 1, i // width - 1) for i in reversed(chain)]
 
 
-def run(world, method, sensors, motion, budget, mapping_cfg, threshold, params):
-    """The `method` run ("cdos" or "baseline") in `world`; the settings are
-    those `explorer.run_solo` takes, in its order, without the pick."""
-    cs = world.cell_size
-    occupancy = OccupancyMap(world.width, world.height, cs, mapping_cfg)
-    objects = ObjectMap(world.width, world.height, cs, mapping_cfg)
+def run(world, settings):
+    """The run in `world` under `settings`, an `explorer.RunSettings` (method
+    "cdos" or "baseline"), as `explorer.run_solo` takes them."""
+    cs, threshold = world.cell_size, settings.detection_threshold
+    occupancy = OccupancyMap(world.width, world.height, cs, settings.mapping)
+    objects = ObjectMap(world.width, world.height, cs, settings.mapping)
     pose, elapsed, trajectory, steps = world.start, 0.0, [world.start], []
     estimate = None
     settles, stalled, path, along = 1, 0, [], 0
     while True:
-        _fuse_scan(occupancy, ir_scan(world, pose, sensors.ir))
-        obs = camera_observe(world, pose, sensors.camera)
+        _fuse_scan(occupancy, ir_scan(world, pose, settings.sensors.ir))
+        obs = camera_observe(world, pose, settings.sensors.camera)
         _fuse_observation(objects, obs)
         det = obs.detection
         if det is not None and (det.conf > threshold or probabilities_from_log_odds(
                 objects.log_odds[det.cell[1], det.cell[0]]) > threshold):
             estimate = det.cell
-        if estimate is not None or elapsed > budget:
+        if estimate is not None or elapsed > settings.budget:
             break
         labels = occupancy.classify()
         here = world.cell_of(pose.x, pose.y)
@@ -200,8 +201,7 @@ def run(world, method, sensors, motion, budget, mapping_cfg, threshold, params):
             settles = 9
         along += 1
         if along >= len(path) or any(labels[y, x] == OCCUPIED for x, y in path[along:]):
-            decision = _decide(world, labels, here, pose, sensors, params, objects,
-                               occupancy, method)
+            decision = _decide(world, labels, here, pose, settings, objects, occupancy)
             if decision is None:
                 break
             goal, loss, mode, path = decision
@@ -209,7 +209,8 @@ def run(world, method, sensors, motion, budget, mapping_cfg, threshold, params):
             if stalled > 64:
                 break
             steps.append(StepRecord(len(steps), pose, goal, loss,
-                                    total_curiosity(objects, params), path_cost(path, cs),
+                                    total_curiosity(objects, settings.params),
+                                    path_cost(path, cs),
                                     elapsed, "rotate" if stalled else mode))
             if stalled:  # face the frontier's first unknown 4-neighbour
                 x, y = next(((goal[0] + dx, goal[1] + dy)
@@ -228,7 +229,7 @@ def run(world, method, sensors, motion, budget, mapping_cfg, threshold, params):
         dx, dy = _offset(cs, pose, (x, y))
         step = math.hypot(dx, dy)
         heading = pose.heading if step < 1e-12 else wrap_angle(math.atan2(dy, dx))
-        elapsed += step / motion.max_velocity
+        elapsed += step / settings.motion.max_velocity
         pose = Pose(*world.cell_center((x, y)), heading)
         trajectory.append(pose)
     return ExplorationResult(occupancy, objects, elapsed, estimate, trajectory, steps)

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from curiogrid import explorer, harness, sensor
 from curiogrid.curiosity import CuriosityParams, curiosity_of, total_curiosity
-from curiogrid.explorer import (MotionConfig, SensorSuite, _cell, _decide, _dijkstra,
-                                _index, _padded, detect_frontiers, explore_cdos,
+from curiogrid.explorer import (MotionConfig, RunSettings, SensorSuite, _cell, _decide,
+                                _dijkstra, _index, _padded, detect_frontiers, explore_cdos,
                                 explore_rapid_frontier, local_frontiers, path_cost,
                                 plan_path)
 from curiogrid.harness import default_config, fixture_path, run_zone_experiment, steps_jsonl
@@ -28,6 +28,13 @@ def make_map(rows, cell_size=0.5, heading=0.0):
 def suite(beta=30.0, alpha=60.0, rng=2.0, eta=1.9):
     return SensorSuite(IrConfig(math.radians(beta), rng),
                        CameraConfig(math.radians(alpha), rng, eta))
+
+
+def run_settings(pick, sensors=None, **changes):
+    """The settings of a run with `sensors` (else `suite()`) and the method
+    whose frontier pick is `pick`."""
+    (method,) = [name for name, p in explorer._PICKS.items() if p is pick]
+    return RunSettings(sensors or suite(), method=method, **changes)
 
 
 class TestDetectFrontiers:
@@ -386,8 +393,7 @@ class TestSearchReuse:
         world = load_map(fixture_path("sparse.map").read_text()).with_target(None)
 
         def fresh():
-            return explorer._Explorer(world, suite(), MotionConfig(), 40.0, MappingConfig(),
-                                      0.95, CuriosityParams(), pick)
+            return explorer._Explorer(world, run_settings(pick, budget=40.0))
         whole = outcome(fresh().run())
         ex = fresh()
         for _ in range(30):
@@ -597,7 +603,7 @@ def _checked_senses(ex):
     cells it touched, bit for bit; both belief maps equal the spec fuse
     (`integrate_scan` of `ir_scan`, `integrate_observation` of
     `camera_observe`) of the same scans; and the views equal their spec."""
-    world, sensors, cfg = ex.world, ex.sensors, ex.occupancy.cfg
+    world, sensors, cfg = ex.world, ex.settings.sensors, ex.occupancy.cfg
     occupancy = OccupancyMap(world.width, world.height, world.cell_size, cfg)
     objects = ObjectMap(world.width, world.height, world.cell_size, cfg)
     fuse, sense, poses = ex._fuse, ex._sense, []
@@ -631,8 +637,7 @@ class TestMaintainedViews:
         width, height, cfg, steps = case
         world = GridWorld(width, height, 1.0, np.zeros((height, width), dtype=bool),
                           Pose(0.5, 0.5, 0.0))
-        ex = explorer._Explorer(world, suite(), MotionConfig(), 600.0, cfg, 0.95,
-                                CuriosityParams(), explorer._pick_heading)
+        ex = explorer._Explorer(world, run_settings(explorer._pick_heading, mapping=cfg))
         _assert_views_current(ex)
         for free, hits in steps:
             # as `_sense` passes them: the misses, then the hits, in one array
@@ -643,8 +648,7 @@ class TestMaintainedViews:
     @pytest.mark.parametrize("pick", [explorer._pick_curiosity, explorer._pick_heading])
     def test_views_match_after_a_run(self, pick):
         world = load_map(fixture_path("sparse.map").read_text()).with_target(None)
-        ex = explorer._Explorer(world, suite(), MotionConfig(), 30.0, MappingConfig(), 0.95,
-                                CuriosityParams(), pick)
+        ex = explorer._Explorer(world, run_settings(pick, budget=30.0))
         ex.run()
         assert ex.steps
         _assert_views_current(ex)
@@ -653,8 +657,7 @@ class TestMaintainedViews:
     @given(small_worlds((0.25, 0.3)),
            st.sampled_from([explorer._pick_curiosity, explorer._pick_heading]))
     def test_every_sense_fuses_the_spec(self, world, pick):
-        ex = explorer._Explorer(world, suite(), MotionConfig(), 600.0, MappingConfig(), 0.95,
-                                CuriosityParams(), pick)
+        ex = explorer._Explorer(world, run_settings(pick))
         poses = _checked_senses(ex)
         ex.run()
         assert poses
@@ -667,8 +670,7 @@ class TestPathCheck:
     @pytest.mark.parametrize("pick", [explorer._pick_curiosity, explorer._pick_heading])
     def test_only_a_blocked_rest_of_the_path_replans(self, pick):
         world = load_map(fixture_path("sparse.map").read_text()).with_target(None)
-        ex = explorer._Explorer(world, suite(), MotionConfig(), 600.0, MappingConfig(), 0.95,
-                                CuriosityParams(), pick)
+        ex = explorer._Explorer(world, run_settings(pick))
         while len(ex.at) - ex.along < 4:  # stand on a path with 3 cells to go
             assert not ex._sense() and ex._to_next_pose()
         assert not ex._sense()
@@ -709,8 +711,9 @@ class TestMaintainedCuriosity:
     @staticmethod
     def _assert_curiosity_current(ex):
         total = ex._total_curiosity()
-        assert np.array_equal(ex.curiosity, curiosity_of(ex.objects.classified(), ex.params))
-        assert total == total_curiosity(ex.objects, ex.params)
+        params = ex.settings.params
+        assert np.array_equal(ex.curiosity, curiosity_of(ex.objects.classified(), params))
+        assert total == total_curiosity(ex.objects, params)
 
     @settings(max_examples=200, deadline=None)
     @given(camera_evidence_sequences())
@@ -724,8 +727,8 @@ class TestMaintainedCuriosity:
         width, height, cfg, params, senses = case
         world = GridWorld(width, height, 1.0, np.zeros((height, width), dtype=bool),
                           Pose(0.5, 0.5, 0.0))
-        ex = explorer._Explorer(world, suite(), MotionConfig(), 600.0, cfg, 0.95, params,
-                                explorer._pick_heading)
+        ex = explorer._Explorer(world, run_settings(explorer._pick_heading, mapping=cfg,
+                                                    params=params))
         made = [ex]
         self._assert_curiosity_current(ex)
         for seen, det, then in senses:
@@ -745,8 +748,7 @@ class TestMaintainedCuriosity:
     @pytest.mark.parametrize("pick", [explorer._pick_curiosity, explorer._pick_heading])
     def test_curiosity_matches_after_a_run(self, pick):
         world = load_map(fixture_path("sparse.map").read_text()).with_target((30, 5))
-        ex = explorer._Explorer(world, suite(), MotionConfig(), 30.0, MappingConfig(), 0.95,
-                                CuriosityParams(), pick)
+        ex = explorer._Explorer(world, run_settings(pick, budget=30.0))
         ex.run()
         assert ex.steps
         self._assert_curiosity_current(ex)
@@ -784,8 +786,8 @@ def wedge_cases(draw):
 
 def _wedge_explorer(world, log_odds, ir):
     """An explorer in `world` with the IR fan `ir`, its belief set to `log_odds`."""
-    ex = explorer._Explorer(world, SensorSuite(ir, CameraConfig()), MotionConfig(), 600.0,
-                            MappingConfig(), 0.95, CuriosityParams(), explorer._pick_heading)
+    ex = explorer._Explorer(world, run_settings(explorer._pick_heading,
+                                                SensorSuite(ir, CameraConfig())))
     ex.occupancy.log_odds[...] = log_odds
     ex._relabel(np.arange(log_odds.size), log_odds.ravel())
     return ex
@@ -914,8 +916,7 @@ class TestSenseCache:
         explorer._SENSE_CACHE.clear()
         for warm in (False, True):
             misses.clear()
-            ex = explorer._Explorer(world.with_target((5, 35)), suite(), MotionConfig(), 20.0,
-                                    MappingConfig(), 0.95, CuriosityParams(), pick)
+            ex = explorer._Explorer(world.with_target((5, 35)), run_settings(pick, budget=20.0))
             poses = _checked_senses(ex)
             ex.run()
             assert ex.steps
@@ -936,8 +937,7 @@ class TestFork:
     @staticmethod
     def _check_fork(world, pick, fraction, budget=600.0):
         def fresh():
-            return explorer._Explorer(world, suite(), MotionConfig(), budget, MappingConfig(),
-                                      0.95, CuriosityParams(), pick)
+            return explorer._Explorer(world, run_settings(pick, budget=budget))
         whole = outcome(fresh().run())
         ex = fresh()
         senses = 1

@@ -378,6 +378,16 @@ class TestRenderMaps:
         with pytest.raises(ValueError, match="format"):
             render_maps(self.run_once(), "svg")
 
+    @pytest.mark.parametrize("fmt", ["pgm", "ascii"])
+    def test_one_classification_per_render(self, fmt, monkeypatch):
+        # the overlay's frontiers come from the labels the render holds
+        result, calls = self.run_once(), []
+        classify = OccupancyMap.classify
+        monkeypatch.setattr(OccupancyMap, "classify",
+                            lambda occupancy: calls.append(occupancy) or classify(occupancy))
+        render_maps(result, fmt)
+        assert calls == [result.occupancy]
+
 
 # (8, 4) is a free cell walled in on all sides: unreachable, and never seen
 POCKET_MAP = """cellsize=0.5 heading=0.0
@@ -584,12 +594,12 @@ class TestTape:
         # the maps the byte model was fitted on
         cfg = default_config()
         text = Path(getattr(cfg, f"map_{map_id}")).read_text()
-        settings_ = harness._settings(method, cfg.alphas[0], cfg.betas[0], cfg)
-        explorer._Explorer(load_map(text), *settings_).run()  # fill the sensing cache
+        settings_ = cfg.run_settings(method, cfg.alphas[0], cfg.betas[0])
+        explorer._Explorer(load_map(text), settings_).run()  # fill the sensing cache
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            tape = explorer._Tape(explorer._Explorer(load_map(text), *settings_))
+            tape = explorer._Tape(explorer._Explorer(load_map(text), settings_))
             while not tape.done:
                 tape._advance()
             held = tracemalloc.get_traced_memory()[0] - before
@@ -684,6 +694,45 @@ class TestTrialPurity:
         default = run_trial(TINY_MAP, (8, 3), "baseline", math.radians(60), math.radians(30),
                             tiny_config(tiny_dir)).steps[0].total_curiosity
         assert first[0] == first[1] != default
+
+
+class TestRunSettings:
+    """A run's settings are one hashable value, which `ExperimentConfig`
+    builds and checks and by which trials share a tape."""
+
+    @staticmethod
+    def _built(cfg, method="cdos"):
+        return cfg.run_settings(method, cfg.alphas[0], cfg.betas[0])
+
+    def test_one_config_builds_equal_settings(self):
+        cfg = default_config()
+        a, b = self._built(cfg), self._built(cfg)
+        assert a is not b and a == b and hash(a) == hash(b)
+        # every field counts, the curiosity curve too: the baseline logs it
+        assert self._built(cfg, "baseline") != a
+        assert self._built(replace(cfg, curiosity_kappa=0.9)) != a
+
+    def test_another_seed_adds_no_tape(self, tiny_dir, monkeypatch):
+        monkeypatch.setattr(explorer, "_TAPES", {})
+        cfg = tiny_config(tiny_dir)
+        run_zone_experiment(cfg)
+        tapes = dict(explorer._TAPES)
+        run_zone_experiment(replace(cfg, seed=4))
+        assert explorer._TAPES == tapes
+        assert sorted((text, s.method) for text, s in tapes) == [
+            (TINY_MAP, method) for method in sorted(harness.METHODS)]
+        assert {s for _, s in tapes} == {self._built(cfg, m) for m in harness.METHODS}
+
+    @pytest.mark.parametrize("field, value", [
+        ("budget", 0.0), ("budget", math.nan), ("detection_threshold", 1.0),
+        ("detection_threshold", math.nan), ("method", "wander"),
+    ])
+    def test_a_bad_field_raises_naming_it(self, field, value):
+        # parse_config names the keys (TestConfig::test_out_of_range_value_names_key)
+        settings_ = self._built(default_config())
+        with pytest.raises(ValueError, match=field) as raised:
+            replace(settings_, **{field: value})
+        assert type(raised.value) is ValueError
 
 
 def test_path_length_takes_whole_cells():

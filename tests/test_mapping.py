@@ -213,9 +213,9 @@ def _spec_classes(x, cfg):
 def _edge_curiosity(x, cfg, params):
     """The explorer's curiosity of log odds `x`, read off the object edges."""
     world = GridWorld(1, 1, 1.0, np.zeros((1, 1), dtype=bool), Pose(0.5, 0.5, 0.0))
-    ex = explorer._Explorer(world, explorer.SensorSuite(IrConfig(1.0, 1.0), CameraConfig()),
-                            explorer.MotionConfig(), 600.0, cfg, 0.95, params,
-                            explorer._pick_heading)
+    ex = explorer._Explorer(world, explorer.RunSettings(
+        explorer.SensorSuite(IrConfig(1.0, 1.0), CameraConfig()), mapping=cfg, params=params,
+        method="baseline"))
     return ex._curiosity(x)
 
 

@@ -57,9 +57,7 @@ def test_loop_equals_the_spec(case, method, p_hit):
         cfg = replace(cfg, p_hit=p_hit)
     alpha, beta = cfg.alphas[0], cfg.betas[0]
     world = load_map(text).with_target(target)
-    want = oracle.outcome(oracle.run(
-        world, method, cfg.sensor_suite(alpha, beta), cfg.motion_config(), cfg.budget,
-        cfg.mapping_config(), cfg.detection_threshold, cfg.curiosity_params()))
+    want = oracle.outcome(oracle.run(world, cfg.run_settings(method, alpha, beta)))
     assert oracle.outcome(harness.explore(world, method, alpha, beta, cfg)) == want
     assert oracle.outcome(run_trial(text, target, method, alpha, beta, cfg)) == want
 
@@ -154,13 +152,10 @@ def test_every_patched_fast_path_stops_the_loop(name):
 def _run_patched(text, target, method):
     """The oracle's run on the map `text` with every fast path patched to raise."""
     cfg = default_config()
-    alpha, beta = cfg.alphas[0], cfg.betas[0]
     world = load_map(text).with_target(target)
     with pytest.MonkeyPatch.context() as patch:
         _patched(patch, FAST_PATHS)
-        return oracle.run(world, method, cfg.sensor_suite(alpha, beta), cfg.motion_config(),
-                          cfg.budget, cfg.mapping_config(), cfg.detection_threshold,
-                          cfg.curiosity_params())
+        return oracle.run(world, cfg.run_settings(method, cfg.alphas[0], cfg.betas[0]))
 
 
 @settings(max_examples=6, deadline=None)

@@ -25,9 +25,9 @@ EXPORTED = {
     "curiosity": ["CuriosityParams", "FrontierChoice", "cell_curiosity",
                   "expected_curiosity_loss", "predict_observation", "select_frontier",
                   "total_curiosity"],
-    "explorer": ["ExplorationResult", "InvariantError", "MotionConfig", "SensorSuite",
-                 "StepRecord", "detect_frontiers", "explore_cdos", "explore_rapid_frontier",
-                 "local_frontiers", "path_cost", "plan_path"],
+    "explorer": ["ExplorationResult", "InvariantError", "MotionConfig", "RunSettings",
+                 "SensorSuite", "StepRecord", "detect_frontiers", "explore_cdos",
+                 "explore_rapid_frontier", "local_frontiers", "path_cost", "plan_path"],
     "harness": ["ConfigError", "ExperimentConfig", "TrialRecord", "ZoneSummary",
                 "default_config", "fixture_path", "load_config", "render_maps",
                 "run_fov_sweep", "run_trial", "run_zone_experiment", "steps_jsonl",
